@@ -4,7 +4,6 @@ Mean-field variational Bayes (coordinate ascent with piecewise softplus
 surrogates), maximum likelihood, and random-walk Metropolis inference for
 right-censored data, plus a replication-study harness.
 """
-from ._kernels import backend as kernel_backend
 from .cavi import FitConfig, VariationalState, fit
 from .exceptions import DataError, NumericalError
 from .model import ModelParams, PriorSpec, SurvivalDataset, log_likelihood, log_posterior
@@ -37,7 +36,6 @@ __all__ = [
     "fit",
     "fit_mle",
     "generate_dataset",
-    "kernel_backend",
     "log_likelihood",
     "log_posterior",
     "run_replication",

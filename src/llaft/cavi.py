@@ -28,7 +28,7 @@ surrogate switching can otherwise cycle forever), or at the iteration cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,9 +71,11 @@ class VariationalState:
     """Variational parameters plus per-iteration diagnostics.
 
     `coef_cov` is None on a freshly initialized state and set from the first
-    update onward. `scale_shape` equals the prior shape plus the event count
-    and never changes. The traces record, per iteration: the ELBO, the
-    updated rate omega, the covariance matrix, and a compact key of the
+    update onward. `scale_shape` is the shape the next update takes
+    expectations at: the prior shape plus the event count on every state
+    `initialize` and `fit` return, and the prior shape alone inside `fit`
+    until q(b) is first updated. The traces record, per iteration: the ELBO,
+    the updated rate omega, the covariance matrix, and a compact key of the
     surrogate segment assignment in effect for that iteration's updates.
     """
 
@@ -114,9 +116,14 @@ def plugin_residuals(data: SurvivalDataset, state: VariationalState) -> np.ndarr
     return (data.log_time - data.covariates @ state.coef_mean) * e_inv
 
 
-def _sigma_from(data, prior, e_inv2, zeta) -> np.ndarray:
+def update_sigma(data: SurvivalDataset, prior: PriorSpec, state: VariationalState,
+                 coeffs: PiecewiseCoefficients) -> np.ndarray:
+    """New coefficient covariance
+    [v0 I + 2 E(1/b^2) sum_i (1+delta_i) zeta_i x_i x_i']^{-1}."""
+    a, w = state.scale_shape, state.scale_rate
+    e_inv2 = (a + a * a) / (w * w)
     X = data.covariates
-    weights = (1.0 + data.event) * zeta
+    weights = (1.0 + data.event) * coeffs.zeta
     A = prior.coef_precision * np.eye(data.p) + 2.0 * e_inv2 * (X.T * weights) @ X
     try:
         np.linalg.cholesky(A)
@@ -129,43 +136,27 @@ def _sigma_from(data, prior, e_inv2, zeta) -> np.ndarray:
     return sigma
 
 
-def _mu_from(data, prior, e_inv, e_inv2, coeffs, sigma_new) -> np.ndarray:
-    X = data.covariates
-    d = data.event
-    row = (e_inv * (-d + (1.0 + d) * coeffs.rho)
-           + 2.0 * e_inv2 * (1.0 + d) * data.log_time * coeffs.zeta)
-    linear = prior.coef_precision * prior.coef_mean + X.T @ row
-    return sigma_new @ linear
-
-
-def _omega_from(data, prior, phi, mu_new) -> float:
-    resid = data.log_time - data.covariates @ mu_new
-    c = data.event - (1.0 + data.event) * phi
-    return float(prior.scale_rate - np.sum(c * resid))
-
-
-def update_sigma(data: SurvivalDataset, prior: PriorSpec, state: VariationalState,
-                 coeffs: PiecewiseCoefficients) -> np.ndarray:
-    """New coefficient covariance
-    [v0 I + 2 E(1/b^2) sum_i (1+delta_i) zeta_i x_i x_i']^{-1}."""
-    a, w = state.scale_shape, state.scale_rate
-    return _sigma_from(data, prior, (a + a * a) / (w * w), coeffs.zeta)
-
-
 def update_mu(data: SurvivalDataset, prior: PriorSpec, state: VariationalState,
               coeffs: PiecewiseCoefficients, sigma_new: np.ndarray) -> np.ndarray:
     """New coefficient mean, the surrogate linear form times the new covariance."""
     a, w = state.scale_shape, state.scale_rate
-    return _mu_from(data, prior, a / w, (a + a * a) / (w * w), coeffs, sigma_new)
+    e_inv, e_inv2 = a / w, (a + a * a) / (w * w)
+    d = data.event
+    row = (e_inv * (-d + (1.0 + d) * coeffs.rho)
+           + 2.0 * e_inv2 * (1.0 + d) * data.log_time * coeffs.zeta)
+    linear = prior.coef_precision * prior.coef_mean + data.covariates.T @ row
+    return sigma_new @ linear
 
 
 def update_omega(data: SurvivalDataset, prior: PriorSpec, state: VariationalState,
                  coeffs: PiecewiseCoefficients, mu_new: np.ndarray) -> float:
     """New rate omega0 - sum_i (delta_i - (1+delta_i) phi_i)(y_i - x_i' mu);
     a non-positive value is a numerical failure."""
-    omega_new = _omega_from(data, prior, coeffs.phi, mu_new)
+    resid = data.log_time - data.covariates @ mu_new
+    c = data.event - (1.0 + data.event) * coeffs.phi
+    omega_new = float(prior.scale_rate - np.sum(c * resid))
     if omega_new <= 0:
-        raise NumericalError(f"scale rate update produced omega={omega_new} <= 0")
+        raise NumericalError(f"scale rate update produced omega={omega_new:.6g} <= 0")
     return omega_new
 
 
@@ -224,14 +215,9 @@ def fit(data: SurvivalDataset, prior: PriorSpec,
     config = config or FitConfig()
     state = initialize(data, prior)
     alpha = state.scale_shape
-    mu = state.coef_mean.copy()
-    omega = state.scale_rate
     # q(b) has not been updated yet, so the first beta-update integrates
     # against the prior Inverse-Gamma(alpha0, omega0).
-    shape_cur = prior.scale_shape
-
-    y = data.log_time
-    X = data.covariates
+    cur = replace(state, scale_shape=prior.scale_shape)
 
     elbo_prev = 0.0
     elbos: list[float] = []
@@ -242,30 +228,22 @@ def fit(data: SurvivalDataset, prior: PriorSpec,
     converged = False
 
     for m in range(1, config.max_iterations + 1):
-        e_inv = shape_cur / omega
-        e_inv2 = (shape_cur + shape_cur * shape_cur) / (omega * omega)
-        z_start = (y - X @ mu) * e_inv
+        z_start = plugin_residuals(data, cur)
         coeffs = segment_coefficients(z_start)
 
         try:
-            sigma = _sigma_from(data, prior, e_inv2, coeffs.zeta)
-            mu = _mu_from(data, prior, e_inv, e_inv2, coeffs, sigma)
+            sigma = update_sigma(data, prior, cur, coeffs)
+            mu = update_mu(data, prior, cur, coeffs, sigma)
 
             # the b-update sees the freshest mu, so its linear surrogate is
             # re-anchored at the updated residuals
-            z_mid = (y - X @ mu) * e_inv
-            phi = segment_coefficients(z_mid).phi
-            omega_new = _omega_from(data, prior, phi, mu)
-            if omega_new <= 0:
-                raise NumericalError(f"omega={omega_new:.6g} <= 0")
-            omega = omega_new
-            shape_cur = alpha
-
-            tail_state = VariationalState(
-                coef_mean=mu, coef_cov=sigma, scale_shape=alpha, scale_rate=omega)
-            coeffs_tail = PiecewiseCoefficients(phi=phi, rho=coeffs.rho,
-                                                zeta=coeffs.zeta)
-            value = elbo(data, prior, tail_state, coeffs_tail)
+            z_mid = plugin_residuals(data, replace(cur, coef_mean=mu))
+            coeffs = PiecewiseCoefficients(phi=segment_coefficients(z_mid).phi,
+                                           rho=coeffs.rho, zeta=coeffs.zeta)
+            omega = update_omega(data, prior, cur, coeffs, mu)
+            cur = VariationalState(coef_mean=mu, coef_cov=sigma,
+                                   scale_shape=alpha, scale_rate=omega)
+            value = elbo(data, prior, cur, coeffs)
         except NumericalError as exc:
             raise NumericalError(f"variational update failed at iteration {m}: {exc}") from exc
 
@@ -290,11 +268,8 @@ def fit(data: SurvivalDataset, prior: PriorSpec,
         history.append(key)
         elbo_prev = value
 
-    return VariationalState(
-        coef_mean=mu,
-        coef_cov=sigmas[-1] if sigmas else None,
-        scale_shape=alpha,
-        scale_rate=omega,
+    return replace(
+        cur,
         elbo_trace=tuple(elbos),
         omega_trace=tuple(omegas),
         sigma_trace=tuple(sigmas),

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .exceptions import DataError, NumericalError
 from .numerics import InverseGammaParams, inverse_gamma_log_pdf
 
@@ -88,10 +87,6 @@ class SurvivalDataset:
         """Number of observed (uncensored) events."""
         return int(self.event.sum())
 
-    @classmethod
-    def from_log_times(cls, log_time, event, covariates) -> "SurvivalDataset":
-        return cls(np.exp(np.asarray(log_time, float)), event, covariates)
-
 
 @dataclass(frozen=True)
 class PriorSpec:
@@ -131,16 +126,23 @@ class ModelParams:
         object.__setattr__(self, "coefficients", _readonly(np.atleast_1d(self.coefficients)))
 
 
+def _loglik(y, event, X, beta, log_b) -> float:
+    """The log-likelihood above on raw arrays, with the overflow-safe
+    softplus. It validates nothing: `log_likelihood` adds the checks, and the
+    Metropolis step calls it directly."""
+    z = (y - X @ beta) / np.exp(log_b)
+    r = float(event.sum())
+    return float(-r * log_b + np.sum(event * z - (1.0 + event) * np.logaddexp(0.0, z)))
+
+
 def log_likelihood(data: SurvivalDataset, params: ModelParams) -> float:
     """Exact log-likelihood at (beta, b); raises on a non-finite result."""
     if data.n == 0:
         raise DataError("log_likelihood requires a nonempty dataset")
     if params.coefficients.shape[0] != data.p:
         raise ValueError("coefficient vector does not match covariate dimension")
-    value = _kernels.log_likelihood_sum(
-        data.log_time, data.event, data.covariates,
-        params.coefficients, math.log(params.scale),
-    )
+    value = _loglik(data.log_time, data.event, data.covariates,
+                    params.coefficients, math.log(params.scale))
     if not math.isfinite(value):
         raise NumericalError(f"non-finite log-likelihood at scale={params.scale}")
     return value

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .exceptions import NumericalError
-from .model import ModelParams, PriorSpec, SurvivalDataset, log_posterior
+from .model import ModelParams, PriorSpec, SurvivalDataset, _loglik
 from .numerics import normal_quantile
 
 __all__ = [
@@ -194,11 +193,7 @@ def _log_posterior_theta(data, prior, theta) -> float:
     """Log posterior in (beta, log b), including the |db/ds| = b Jacobian."""
     p = len(theta) - 1
     beta, s = theta[:p], theta[p]
-    if data.n:
-        ll = _kernels.log_likelihood_sum(data.log_time, data.event,
-                                         data.covariates, beta, s)
-    else:
-        ll = 0.0
+    ll = _loglik(data.log_time, data.event, data.covariates, beta, s) if data.n else 0.0
     diff = beta - prior.coef_mean
     lp_beta = -0.5 * prior.coef_precision * float(diff @ diff)
     lp_scale = -prior.scale_shape * s - prior.scale_rate * math.exp(-s)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from llaft.piecewise import (LINEAR_KNOTS, QUADRATIC_KNOTS, fit_linear_breakpoints,
-                             segment_coefficients, softplus, softplus_linear,
-                             softplus_quadratic, table_sse)
+from llaft.piecewise import (LINEAR_KNOTS, QUADRATIC_KNOTS, _HingeLS,
+                             fit_linear_breakpoints, segment_coefficients, softplus,
+                             softplus_linear, softplus_quadratic, table_sse)
 
 
 class TestSoftplusLinear:
@@ -124,6 +124,25 @@ class TestTableSse:
         assert elapsed < 1.0
 
 
+# Knots (in 0.05-lattice units) and SSE of the 10 000-point search, frozen
+# from the search as first released; the k = 4, 5 knots depend on the
+# coarse pass, the grown candidates and the descent's tie-breaking.
+FROZEN_KNOT_FITS = {
+    0: ([], 3187.67336285254),
+    1: ([0], 68.30546692345524),
+    2: ([-22, 21], 11.325373792315077),
+    3: ([-34, 0, 34], 3.3523000710338238),
+    4: ([-40, -10, 15, 44], 1.3632948854210554),
+    5: ([-48, -21, 0, 21, 48], 0.6332880833069794),
+}
+
+
+def _dense_sse(x, y, knots):
+    """Independent oracle: explicit hinge design matrix + lstsq."""
+    A = np.column_stack([np.ones_like(x), x] + [np.maximum(x - a, 0) for a in knots])
+    return float(np.linalg.lstsq(A, y, rcond=None)[1][0])
+
+
 @pytest.fixture(scope="module")
 def knot_fits():
     return {k: fit_linear_breakpoints(10_000, k) for k in range(6)}
@@ -149,6 +168,32 @@ class TestBreakpointSearch:
             bp = knot_fits[k].breakpoints
             assert np.all(np.diff(bp) > 0)
             assert np.all((bp > -5.0) & (bp < 5.0))
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_knots_frozen(self, knot_fits, k):
+        units, sse = FROZEN_KNOT_FITS[k]
+        assert np.array_equal(knot_fits[k].breakpoints, np.array(units, float) * 0.05)
+        assert knot_fits[k].sse == pytest.approx(sse, rel=1e-9)
+
+    def test_segmented_fit_matches_dense_lstsq(self):
+        x = np.linspace(-5.0, 5.0, 800)
+        y = np.logaddexp(0.0, x)
+        cand = np.arange(-4.5, 4.51, 0.5)
+        sse, knots = _HingeLS(x, y).best(cand, 2)
+        assert sse == pytest.approx(_dense_sse(x, y, knots), rel=1e-9)
+        # and no other candidate pair does better
+        best = min(_dense_sse(x, y, (cand[i], cand[j]))
+                   for i in range(len(cand)) for j in range(i + 1, len(cand)))
+        assert sse == pytest.approx(best, rel=1e-9)
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_batched_scores_match_dense_lstsq(self, rng, k):
+        x = np.linspace(-5.0, 5.0, 800)
+        y = np.logaddexp(0.0, x)
+        knots = np.sort(rng.uniform(-4.5, 4.5, size=(7, k)), axis=1)
+        got = _HingeLS(x, y).sse(knots)
+        want = [_dense_sse(x, y, row) for row in knots]
+        assert got == pytest.approx(want, rel=1e-9)
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):
