@@ -12,7 +12,9 @@ scratch on a dense grid.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,6 +52,10 @@ QUADRATIC_QUADRATIC = np.array([0.0, 0.0189, 0.1138, 0.0190, 0.0])
 # per-call overhead, few enough to keep peak memory flat (4096 raised the
 # three-knot scan's peak RSS by ~3 MB and ran no faster).
 _CHUNK = 1024
+
+# Knot-search results memoized inside a _memoized_search() block, keyed by
+# (grid_size, n_breakpoints, lattice_step); None outside any block.
+_SEARCH_MEMO: ContextVar[dict | None] = ContextVar("_SEARCH_MEMO", default=None)
 
 for _knots in (LINEAR_KNOTS, LINEAR_INTERCEPTS, LINEAR_SLOPES, QUADRATIC_KNOTS,
                QUADRATIC_INTERCEPTS, QUADRATIC_LINEAR, QUADRATIC_QUADRATIC):
@@ -194,6 +200,18 @@ class _HingeLS:
         return best_sse, best
 
 
+@contextmanager
+def _memoized_search():
+    """Within the block each knot search runs once, so the nested k >= 4
+    searches reuse the k - 1 fit instead of repeating it. Callers get copies
+    of the knot arrays and never share the memoized ones."""
+    token = _SEARCH_MEMO.set({})
+    try:
+        yield
+    finally:
+        _SEARCH_MEMO.reset(token)
+
+
 def fit_linear_breakpoints(grid_size: int = 10_000, n_breakpoints: int = 3,
                            lattice_step: float = 0.05) -> BreakpointFit:
     """Best continuous linear spline fit of softplus on [-5, 5] by knot search.
@@ -206,6 +224,18 @@ def fit_linear_breakpoints(grid_size: int = 10_000, n_breakpoints: int = 3,
     """
     if not 0 <= n_breakpoints <= 5:
         raise ValueError("n_breakpoints must be between 0 and 5")
+    memo = _SEARCH_MEMO.get()
+    key = (grid_size, n_breakpoints, lattice_step)
+    if memo is None:
+        return _search_breakpoints(*key)
+    if key not in memo:
+        memo[key] = _search_breakpoints(*key)
+    fit = memo[key]
+    return replace(fit, breakpoints=fit.breakpoints.copy())
+
+
+def _search_breakpoints(grid_size: int, n_breakpoints: int,
+                        lattice_step: float) -> BreakpointFit:
     x, y = _grid(grid_size)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     ls = _HingeLS(x, y)

@@ -148,11 +148,17 @@ class ParameterStats:
 
 @dataclass(frozen=True)
 class ReplicationReport:
+    """One method's study. n_nonconverged counts the fits included in the
+    statistics that did not settle: VB fits stopped by the iteration cap and
+    Metropolis chains flagged with a warning (an MLE that does not converge
+    raises and counts as a failure instead)."""
+
     method: str
     stats: tuple
     n_replicates: int
     n_failures: int
     wall_time: float
+    n_nonconverged: int = 0
 
 
 def aggregate_estimates(estimates: np.ndarray, intervals: np.ndarray,
@@ -178,6 +184,9 @@ def aggregate_estimates(estimates: np.ndarray, intervals: np.ndarray,
     return tuple(out)
 
 
+# Each _fit_* returns (estimates, intervals, settled); settled is False for a
+# fit that is kept but did not converge.
+
 def _fit_vb(data, prior, config, level):
     state = fit(data, prior, config)
     coef = summarize_coefficients(state, level)
@@ -185,14 +194,14 @@ def _fit_vb(data, prior, config, level):
     est = np.array([s.mean for s in coef] + [scale.mean])
     iv = np.array([[s.interval_low, s.interval_high] for s in coef]
                   + [[scale.interval_low, scale.interval_high]])
-    return est, iv
+    return est, iv, state.converged
 
 
 def _fit_mle(data, level):
     res = fit_mle(data)
     est = np.append(res.coefficients, res.scale)
     iv = np.array(res.wald_intervals(level))
-    return est, iv
+    return est, iv, True
 
 
 def _fit_mcmc(data, prior, level, seed, n_iterations, burn_in):
@@ -202,7 +211,7 @@ def _fit_mcmc(data, prior, level, seed, n_iterations, burn_in):
     iv = [np.percentile(chain.coefficient_draws[:, j], qs)
           for j in range(chain.coefficient_draws.shape[1])]
     iv.append(hdi_from_draws(chain.scale_draws, level))
-    return est, np.asarray(iv)
+    return est, np.asarray(iv), chain.warning is None
 
 
 def run_replication(scenario: SimulationScenario, prior: PriorSpec,
@@ -215,7 +224,8 @@ def run_replication(scenario: SimulationScenario, prior: PriorSpec,
 
     Replicates on which a method breaks down numerically are excluded from
     that method's aggregate; more than `max_failure_rate` of them fails the
-    whole run.
+    whole run. Fits that are kept but did not converge are counted in each
+    report's `n_nonconverged`.
     """
     methods = tuple(m.lower() for m in methods)
     known = {"vb", "mle", "mcmc"}
@@ -227,7 +237,8 @@ def run_replication(scenario: SimulationScenario, prior: PriorSpec,
     names = [f"beta{j}" for j in range(p)] + ["scale"]
     truth = scenario.true_values
 
-    per_method = {m: {"est": [], "iv": [], "failures": 0, "time": 0.0}
+    per_method = {m: {"est": [], "iv": [], "failures": 0, "nonconverged": 0,
+                      "time": 0.0}
                   for m in methods}
     for i in range(scenario.n_replicates):
         data = generate_dataset(scenario, i)
@@ -236,18 +247,19 @@ def run_replication(scenario: SimulationScenario, prior: PriorSpec,
             start = time.perf_counter()
             try:
                 if m == "vb":
-                    est, iv = _fit_vb(data, prior, config, level)
+                    est, iv, settled = _fit_vb(data, prior, config, level)
                 elif m == "mle":
-                    est, iv = _fit_mle(data, level)
+                    est, iv, settled = _fit_mle(data, level)
                 else:
-                    est, iv = _fit_mcmc(data, prior, level,
-                                        stream_seed(scenario.seed, i, ROLE_MCMC),
-                                        mcmc_iterations, mcmc_burn_in)
+                    est, iv, settled = _fit_mcmc(data, prior, level,
+                                                 stream_seed(scenario.seed, i, ROLE_MCMC),
+                                                 mcmc_iterations, mcmc_burn_in)
             except NumericalError:
                 bucket["failures"] += 1
             else:
                 bucket["est"].append(est)
                 bucket["iv"].append(iv)
+                bucket["nonconverged"] += not settled
             bucket["time"] += time.perf_counter() - start
 
     reports = []
@@ -264,6 +276,7 @@ def run_replication(scenario: SimulationScenario, prior: PriorSpec,
             n_replicates=scenario.n_replicates - failures,
             n_failures=failures,
             wall_time=bucket["time"],
+            n_nonconverged=bucket["nonconverged"],
         ))
     return reports
 
@@ -287,6 +300,7 @@ def write_report_csv(path, reports, scenario: SimulationScenario,
         f" shape={_fmt(prior.scale_shape)} rate={_fmt(prior.scale_rate)}",
         f"# methods: {','.join(r.method for r in reports)}",
         f"# failures: {' '.join(f'{r.method}={r.n_failures}' for r in reports)}",
+        f"# nonconverged: {' '.join(f'{r.method}={r.n_nonconverged}' for r in reports)}",
         "method,parameter,bias,sd,mse,coverage,avg_length",
     ]
     for rep in reports:
@@ -331,5 +345,6 @@ def report_text_table(reports, scenario: SimulationScenario) -> str:
     widths = [max(len(r[j]) for r in rows) for j in range(len(rows[0]))]
     body = "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths))
                      for row in rows)
+    nonconverged = "  ".join(f"{r.method}: {r.n_nonconverged}" for r in reports)
     times = "  ".join(f"{r.method}: {r.wall_time:.2f}s" for r in reports)
-    return f"{header}\n{body}\nwall time  {times}\n"
+    return f"{header}\n{body}\nnonconverged  {nonconverged}\nwall time  {times}\n"

@@ -162,6 +162,20 @@ class TestReplicateCommand:
                          "--prior-preset", preset, "--methods", "vb"])
             assert code == 0
 
+    def test_nonconverged_fits_are_counted(self, tmp_path, capsys):
+        # one iteration is never enough, so every VB fit stops at the cap
+        out = tmp_path / "rep.csv"
+        code = main(["replicate", "--n", "40", "--censor-u", "0",
+                     "--replicates", "3", "--seed", "7", "--max-iter", "1",
+                     "--out", str(out)])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        at = lines.index("# failures: vb=0 mle=0")
+        assert lines[at + 1] == "# nonconverged: vb=3 mle=0"
+        assert lines[at + 2] == "method,parameter,bias,sd,mse,coverage,avg_length"
+        table = capsys.readouterr().out.splitlines()
+        assert "nonconverged  vb: 3  mle: 0" in table
+
 
 class TestApproxCheckCommand:
     def test_audit_passes(self, capsys):

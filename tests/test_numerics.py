@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate, optimize, stats
 
+import llaft.numerics
 from llaft.exceptions import NumericalError
 from llaft.numerics import (InverseGammaParams, digamma, inverse_gamma_cdf,
                             inverse_gamma_log_pdf, inverse_gamma_moments,
@@ -189,6 +190,27 @@ class TestInverseGammaQuantile:
         params = InverseGammaParams(a, w)
         assert inverse_gamma_cdf(params, inverse_gamma_quantile(params, q)) == \
             pytest.approx(q, abs=1e-8)
+
+    @pytest.mark.parametrize("shape", [0.05, 0.2, 0.5, 0.9])
+    @pytest.mark.parametrize("q", [1e-10, 1.0 - 1e-10])
+    def test_far_tail_round_trip_small_shape(self, shape, q):
+        # far tails below shape 1, where the Wilson-Hilferty start is poor and
+        # Newton leans on its bracket: checked against a 40-digit CDF
+        params = InverseGammaParams(shape, 1.3)
+        x = inverse_gamma_quantile(params, q)
+        assert inverse_gamma_cdf(params, x) == pytest.approx(q, abs=1e-8)
+        lower = mpmath.gammainc(shape, 1.3 / mpmath.mpf(x), mpmath.inf, regularized=True)
+        assert float(lower) == pytest.approx(q, rel=1e-6)
+        assert float(1 - lower) == pytest.approx(1.0 - q, rel=1e-4)
+
+    @pytest.mark.parametrize("shape", [0.05, 0.5, 3.0, 742.0])
+    @pytest.mark.parametrize("q", [1e-10, 0.025, 0.975, 1.0 - 1e-10])
+    def test_bisection_fallback_round_trip(self, shape, q, monkeypatch):
+        # with no Newton steps allowed, the bracket-expansion bisection answers
+        monkeypatch.setattr(llaft.numerics, "_NEWTON_STEPS", 0)
+        params = InverseGammaParams(shape, 1.3)
+        x = inverse_gamma_quantile(params, q)
+        assert inverse_gamma_cdf(params, x) == pytest.approx(q, abs=1e-8)
 
     @pytest.mark.parametrize("q", [0.0, 1.0, -0.1, 1.7])
     def test_domain_error(self, q):

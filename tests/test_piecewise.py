@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from llaft.piecewise import (LINEAR_KNOTS, QUADRATIC_KNOTS, _HingeLS,
+import llaft.piecewise
+from llaft.piecewise import (LINEAR_KNOTS, QUADRATIC_KNOTS, _HingeLS, _memoized_search,
                              fit_linear_breakpoints, segment_coefficients, softplus,
                              softplus_linear, softplus_quadratic, table_sse)
 
@@ -145,7 +146,9 @@ def _dense_sse(x, y, knots):
 
 @pytest.fixture(scope="module")
 def knot_fits():
-    return {k: fit_linear_breakpoints(10_000, k) for k in range(6)}
+    # memoized as in approx-check, so the pinned knots below are its knots
+    with _memoized_search():
+        return {k: fit_linear_breakpoints(10_000, k) for k in range(6)}
 
 
 class TestBreakpointSearch:
@@ -194,6 +197,28 @@ class TestBreakpointSearch:
         got = _HingeLS(x, y).sse(knots)
         want = [_dense_sse(x, y, row) for row in knots]
         assert got == pytest.approx(want, rel=1e-9)
+
+    def test_memoized_search_runs_each_count_once(self, monkeypatch):
+        searched = []
+        search = llaft.piecewise._search_breakpoints
+
+        def counting_search(grid_size, k, step):
+            searched.append(k)
+            return search(grid_size, k, step)
+
+        monkeypatch.setattr(llaft.piecewise, "_search_breakpoints", counting_search)
+        with _memoized_search():
+            fits = [fit_linear_breakpoints(1000, k, 0.25) for k in range(1, 6)]
+            fits[4].breakpoints[:] = np.nan  # a caller's copy, not the memoized array
+            again = fit_linear_breakpoints(1000, 5, 0.25)
+        assert sorted(searched) == [1, 2, 3, 4, 5]
+        assert np.all(np.isfinite(again.breakpoints))
+
+        searched.clear()
+        plain = fit_linear_breakpoints(1000, 5, 0.25)
+        assert sorted(searched) == [3, 4, 5]  # nothing memoized outside the block
+        assert np.array_equal(plain.breakpoints, again.breakpoints)
+        assert plain.sse == again.sse
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,110 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
+import llaft.numerics
+import llaft.posterior
 from llaft.cavi import VariationalState
-from llaft.numerics import InverseGammaParams, inverse_gamma_cdf, normal_cdf
+from llaft.numerics import (InverseGammaParams, inverse_gamma_cdf,
+                            inverse_gamma_quantile, normal_cdf)
 from llaft.posterior import (ParameterSummary, acceleration_factor, hdi_from_draws,
                              inverse_gamma_hdi, summarize_coefficients,
                              summarize_scale)
+
+
+HDI_SHAPES = [0.5, 1.0, 1.5, 2.0, 3.0, 11.0, 200.0, 250.0, 310.0, 742.0, 1e4]
+HDI_LEVELS = [0.5, 0.9, 0.95, 0.99]
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_hdi(params, level, tol=1e-8):
+    """Shortest interval by golden-section search over the lower-tail mass t
+    in [0, 1 - level]; interval length is unimodal in t for a unimodal
+    density. The library's HDI used this search before it solved the
+    first-order conditions directly."""
+    def length(t):
+        return (inverse_gamma_quantile(params, t + level)
+                - inverse_gamma_quantile(params, t))
+
+    a, b = 1e-12, (1.0 - level) - 1e-12
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = length(c), length(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = length(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = length(d)
+    t = 0.5 * (a + b)
+    return (inverse_gamma_quantile(params, t),
+            inverse_gamma_quantile(params, t + level))
+
+
+def _mp_root(f, lo, hi, rel):
+    # root of f on [lo, hi], where f changes sign once, by the Illinois
+    # variant of regula falsi: the bracket always holds the root
+    f_lo, f_hi = f(lo), f(hi)
+    side = 0
+    for _ in range(500):
+        mid = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        f_mid = f(mid)
+        if f_mid == 0:
+            return mid
+        if (f_mid < 0) == (f_lo < 0):
+            lo, f_lo = mid, f_mid
+            if side == -1:
+                f_hi /= 2
+            side = -1
+        else:
+            hi, f_hi = mid, f_mid
+            if side == 1:
+                f_lo /= 2
+            side = 1
+        if hi - lo <= rel * hi:
+            return (lo + hi) / 2
+    raise AssertionError("oracle root search did not converge")
+
+
+def mpmath_hdi(shape, scale, level, digits=30):
+    """The HDI's two first-order conditions solved at `digits` digits by
+    nested bracketed 1-D solves: for each l below the mode, u(l) is the point
+    above the mode with the same density; F(u(l)) - F(l) falls from 1 to 0
+    as l rises to the mode, and equals `level` at the HDI."""
+    with mpmath.workdps(digits):
+        a, w, level = mpmath.mpf(shape), mpmath.mpf(scale), mpmath.mpf(level)
+        rel = mpmath.mpf(10) ** (5 - digits)
+        mode = w / (a + 1)
+
+        def log_pdf(x):
+            return -(a + 1) * mpmath.log(x) - w / x
+
+        def cdf(x):
+            return mpmath.gammainc(a, w / x, mpmath.inf, regularized=True)
+
+        def partner(l):
+            target = log_pdf(l)
+            hi = 2 * mode
+            while log_pdf(hi) > target:
+                hi *= 2
+            return _mp_root(lambda u: log_pdf(u) - target, mode, hi, rel)
+
+        def excess(l):
+            return cdf(partner(l)) - cdf(l) - level
+
+        lo = mode / 2
+        while excess(lo) < 0:
+            lo /= 2
+        low = _mp_root(excess, lo, mode, rel)
+        return float(low), float(partner(low))
 
 
 def state_from(mu, cov, shape, rate):
@@ -75,6 +170,39 @@ class TestInverseGammaHdi:
         dist = stats.invgamma(3.0, scale=2.0)
         eti = dist.ppf([0.025, 0.975])
         assert hi - lo <= eti[1] - eti[0]
+
+    @pytest.mark.parametrize("shape", HDI_SHAPES)
+    def test_matches_mpmath_first_order_conditions(self, shape):
+        scale = 0.9 * shape
+        for level in HDI_LEVELS:
+            lo, hi = inverse_gamma_hdi(InverseGammaParams(shape, scale), level)
+            ref_lo, ref_hi = mpmath_hdi(shape, scale, level)
+            assert lo == pytest.approx(ref_lo, rel=1e-9), level
+            assert hi == pytest.approx(ref_hi, rel=1e-9), level
+
+    @pytest.mark.parametrize("shape", HDI_SHAPES)
+    def test_no_longer_than_golden_section(self, shape):
+        params = InverseGammaParams(shape, 0.9 * shape)
+        for level in HDI_LEVELS:
+            lo, hi = inverse_gamma_hdi(params, level)
+            g_lo, g_hi = golden_section_hdi(params, level)
+            assert hi - lo <= (g_hi - g_lo) + 1e-6 * (hi - lo), level
+            mass = inverse_gamma_cdf(params, hi) - inverse_gamma_cdf(params, lo)
+            assert mass == pytest.approx(level, abs=1e-10), level
+
+    @pytest.mark.parametrize("shape", [250.0, 742.0])
+    def test_cdf_call_budget(self, shape, monkeypatch):
+        calls = []
+        cdf = llaft.numerics.inverse_gamma_cdf
+
+        def counting_cdf(params, x):
+            calls.append(x)
+            return cdf(params, x)
+
+        monkeypatch.setattr(llaft.numerics, "inverse_gamma_cdf", counting_cdf)
+        monkeypatch.setattr(llaft.posterior, "inverse_gamma_cdf", counting_cdf)
+        inverse_gamma_hdi(InverseGammaParams(shape, 0.9 * shape), 0.95)
+        assert 0 < len(calls) <= 60
 
     def test_symmetric_limit_matches_eti(self):
         # huge shape: the distribution is nearly symmetric, HDI ~ ETI
