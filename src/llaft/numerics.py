@@ -4,9 +4,9 @@ Everything here is built from elementary functions only, so the numerical
 behaviour of the package does not depend on any third-party special-function
 library. Accuracy targets: digamma to 1e-8 absolute on (0, 1e6]; log-gamma
 and the regularized incomplete gamma to near machine precision in the same
-range. Inverse-Gamma quantiles come from safeguarded Newton on the CDF and
-stop at machine precision, so |CDF(x) - q| <= 1e-8 holds with a wide margin;
-a bisection fallback guarantees the 1e-8 whenever Newton stalls.
+range. Inverse-Gamma quantiles come from Newton on the CDF, safeguarded by
+bisection of a sign bracket, and stop at machine precision, so
+|CDF(x) - q| <= 1e-8 holds with a wide margin.
 """
 from __future__ import annotations
 
@@ -31,10 +31,6 @@ __all__ = [
 ]
 
 _LN_SQRT_2PI = 0.9189385332046727418
-
-# Safeguarded Newton steps in inverse_gamma_quantile before the bisection
-# fallback takes over.
-_NEWTON_STEPS = 100
 
 # B_{2n}/2n for the asymptotic psi expansion, terms x^-2 .. x^-12.
 _DIGAMMA_TAIL = (
@@ -206,22 +202,21 @@ def inverse_gamma_quantile(params: InverseGammaParams, q: float) -> float:
     Gamma(shape, 1) quantile g at level 1 - q, mapped back by x = scale / g;
     g is floored by a lower bound that is sharp in the far lower tail, where
     the approximation fails. Each step uses the closed-form density as the
-    derivative and keeps a bracket [lo, hi] from the CDF signs; a step that
-    leaves the bracket bisects it instead. Iteration stops at a relative
-    step of 1e-13 or |CDF(x) - q| <= 1e-15, which is machine precision for
-    the CDF, so the 1e-8 contract in probability holds with room to spare.
-    If Newton stalls above 1e-8, the bracket-expansion bisection below takes
-    over.
+    derivative and keeps a bracket [lo, hi] from the CDF signs. A Newton step
+    that leaves the bracket, or is not at most half the previous step,
+    bisects the bracket instead (doubles lo while hi is unbounded), so the
+    bracket keeps shrinking. Iteration stops at a relative step of 1e-13 or
+    |CDF(x) - q| <= 1e-15, which is machine precision for the CDF, so the
+    1e-8 contract in probability holds with room to spare. It raises
+    NumericalError if neither happens within 100 steps.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile level must be in (0, 1), got {q}")
     x = _quantile_start(params, q)
     lo, hi = 0.0, math.inf
-    best_x, best_err = x, math.inf
-    for _ in range(_NEWTON_STEPS):
+    step = math.inf
+    for _ in range(100):
         err = inverse_gamma_cdf(params, x) - q
-        if abs(err) < best_err:
-            best_x, best_err = x, abs(err)
         if abs(err) <= 1e-15:
             return x
         if err < 0.0:
@@ -230,68 +225,31 @@ def inverse_gamma_quantile(params: InverseGammaParams, q: float) -> float:
             hi = x
         density = math.exp(inverse_gamma_log_pdf(params, x))
         new = x - err / density if density > 0.0 else math.nan
-        if not lo < new < hi:
+        if not (lo < new < hi and abs(new - x) <= 0.5 * step):
             new = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * lo
-        if abs(new - x) <= 1e-13 * x:
+        step = abs(new - x)
+        if step <= 1e-13 * x:
             return new
         x = new
-    if best_err <= 1e-8:
-        return best_x
-    return _quantile_by_bisection(params, q)
+    raise NumericalError(
+        f"Inverse-Gamma quantile did not converge for shape={params.shape}, "
+        f"scale={params.scale}, q={q}")
 
 
 def _quantile_start(params: InverseGammaParams, q: float) -> float:
     # Wilson-Hilferty: G ~ Gamma(a, 1) has (G/a)^(1/3) ~ N(1 - 1/(9a), 1/(9a)).
     # P(G <= g) <= g^a / Gamma(a + 1) gives a lower bound on g that is sharp in
-    # the lower tail, where the cube-root base can turn negative.
+    # the lower tail, where the cube-root base can turn negative. The normal
+    # quantile at 1 - q is taken as -z(q), which stays finite for q < 1e-16.
     a, w = params.shape, params.scale
     c = 1.0 / (9.0 * a)
-    base = 1.0 - c + normal_quantile(1.0 - q) * math.sqrt(c)
+    base = 1.0 - c - normal_quantile(q) * math.sqrt(c)
     g = a * base ** 3 if base > 0.0 else 0.0
     g = max(g, math.exp((math.log1p(-q) + log_gamma(a + 1.0)) / a))
-    x = w / g
+    x = w / g if g > 0.0 else math.inf
     if not 0.0 < x < math.inf:
         x = w / (a - 1.0) if a > 1.0 else w
     return x
-
-
-def _quantile_by_bisection(params: InverseGammaParams, q: float) -> float:
-    # Fallback: bracket expansion from the mean (or the scale when shape <= 1),
-    # doubling or halving until the bracket encloses q, then bisection to
-    # |CDF(x) - q| <= 1e-8.
-    a, w = params.shape, params.scale
-    x = w / (a - 1.0) if a > 1.0 else w
-
-    lo = hi = x
-    for _ in range(1100):
-        if inverse_gamma_cdf(params, lo) <= q:
-            break
-        lo *= 0.5
-    else:
-        raise NumericalError("quantile bracket: lower bound not found")
-    for _ in range(1100):
-        if inverse_gamma_cdf(params, hi) >= q:
-            break
-        hi *= 2.0
-        if not math.isfinite(hi):
-            raise NumericalError("quantile bracket: upper bound overflowed")
-    else:
-        raise NumericalError("quantile bracket: upper bound not found")
-
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        f = inverse_gamma_cdf(params, mid)
-        if abs(f - q) <= 1e-8:
-            return mid
-        if f < q:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(hi, 1.0):
-            return 0.5 * (lo + hi)
-    raise NumericalError(
-        f"Inverse-Gamma quantile did not converge for shape={a}, scale={w}, q={q}"
-    )
 
 
 def normal_cdf(x: float) -> float:

@@ -79,13 +79,17 @@ def inverse_gamma_hdi(params: InverseGammaParams,
 
     Newton starts from the equal-tailed interval, and each step is halved
     until 0 < l < u. It stops once neither endpoint moves by more than
-    1e-13 of itself; the mass is then `level` up to the CDF's own rounding.
+    1e-13 of itself, or by more than 1e-9 of itself without the step
+    shrinking: near the root, Newton's error shrinks quadratically, so a step
+    that no longer shrinks is set by the rounding of the mass. The mass is
+    then `level` up to the CDF's own rounding.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     a, w = params.shape, params.scale
     lo = inverse_gamma_quantile(params, 0.5 * (1.0 - level))
     hi = inverse_gamma_quantile(params, 0.5 * (1.0 + level))
+    last_step = math.inf
     for _ in range(_HDI_STEPS):
         mass = inverse_gamma_cdf(params, hi) - inverse_gamma_cdf(params, lo) - level
         tilt = (a + 1.0) * math.log(lo / hi) + w / lo - w / hi
@@ -107,9 +111,10 @@ def inverse_gamma_hdi(params: InverseGammaParams,
             d_hi *= 0.5
         else:
             break
-        if abs(new_lo - lo) <= 1e-13 * lo and abs(new_hi - hi) <= 1e-13 * hi:
+        step = max(abs(d_lo) / lo, abs(d_hi) / hi)
+        if step <= 1e-13 or (step <= 1e-9 and step >= last_step):
             return new_lo, new_hi
-        lo, hi = new_lo, new_hi
+        lo, hi, last_step = new_lo, new_hi, step
     raise NumericalError(
         f"HDI Newton iteration did not converge for shape={a}, scale={w}, "
         f"level={level}")

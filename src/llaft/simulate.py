@@ -158,7 +158,7 @@ class ReplicationReport:
     n_replicates: int
     n_failures: int
     wall_time: float
-    n_nonconverged: int = 0
+    n_nonconverged: int
 
 
 def aggregate_estimates(estimates: np.ndarray, intervals: np.ndarray,

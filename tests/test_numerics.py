@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate, optimize, stats
 
-import llaft.numerics
 from llaft.exceptions import NumericalError
 from llaft.numerics import (InverseGammaParams, digamma, inverse_gamma_cdf,
                             inverse_gamma_log_pdf, inverse_gamma_moments,
@@ -203,14 +202,20 @@ class TestInverseGammaQuantile:
         assert float(lower) == pytest.approx(q, rel=1e-6)
         assert float(1 - lower) == pytest.approx(1.0 - q, rel=1e-4)
 
-    @pytest.mark.parametrize("shape", [0.05, 0.5, 3.0, 742.0])
-    @pytest.mark.parametrize("q", [1e-10, 0.025, 0.975, 1.0 - 1e-10])
-    def test_bisection_fallback_round_trip(self, shape, q, monkeypatch):
-        # with no Newton steps allowed, the bracket-expansion bisection answers
-        monkeypatch.setattr(llaft.numerics, "_NEWTON_STEPS", 0)
+    @pytest.mark.parametrize("shape", [0.5, 3.0, 742.0])
+    @pytest.mark.parametrize("q", [1e-300, 1e-30])
+    def test_round_trip_below_double_epsilon(self, shape, q):
+        # 1 - q rounds to 1 here, so the start must not take the normal
+        # quantile at 1 - q
         params = InverseGammaParams(shape, 1.3)
         x = inverse_gamma_quantile(params, q)
-        assert inverse_gamma_cdf(params, x) == pytest.approx(q, abs=1e-8)
+        lower = mpmath.gammainc(shape, 1.3 / mpmath.mpf(x), mpmath.inf, regularized=True)
+        assert float(lower) == pytest.approx(q, rel=1e-6)
+
+    def test_overflowing_quantile_raises(self):
+        # the 1 - 1e-6 quantile at shape 0.01 is far above the largest double
+        with pytest.raises(NumericalError):
+            inverse_gamma_quantile(InverseGammaParams(0.01, 1.3), 1.0 - 1e-6)
 
     @pytest.mark.parametrize("q", [0.0, 1.0, -0.1, 1.7])
     def test_domain_error(self, q):

@@ -146,9 +146,7 @@ def _dense_sse(x, y, knots):
 
 @pytest.fixture(scope="module")
 def knot_fits():
-    # memoized as in approx-check, so the pinned knots below are its knots
-    with _memoized_search():
-        return {k: fit_linear_breakpoints(10_000, k) for k in range(6)}
+    return {k: fit_linear_breakpoints(10_000, k) for k in range(6)}
 
 
 class TestBreakpointSearch:

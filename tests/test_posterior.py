@@ -180,6 +180,16 @@ class TestInverseGammaHdi:
             assert lo == pytest.approx(ref_lo, rel=1e-9), level
             assert hi == pytest.approx(ref_hi, rel=1e-9), level
 
+    @pytest.mark.parametrize("shape, level", [(0.5, 0.999), (0.3, 0.9999), (0.1, 0.999)])
+    def test_high_level_heavy_tail_matches_mpmath(self, shape, level):
+        # small shape and high level: the upper end sits far in a heavy tail,
+        # where the mass's rounding sets the last Newton steps
+        scale = 0.9 * shape
+        lo, hi = inverse_gamma_hdi(InverseGammaParams(shape, scale), level)
+        ref_lo, ref_hi = mpmath_hdi(shape, scale, level)
+        assert lo == pytest.approx(ref_lo, rel=1e-9)
+        assert hi == pytest.approx(ref_hi, rel=1e-9)
+
     @pytest.mark.parametrize("shape", HDI_SHAPES)
     def test_no_longer_than_golden_section(self, shape):
         params = InverseGammaParams(shape, 0.9 * shape)
