@@ -23,7 +23,8 @@ q(b) has ever been updated (the first beta-update) use the prior shape
 alpha0, which is what keeps the early iterations on scale. The loop stops
 when the ELBO difference falls below the tolerance, when the same segment
 assignment and parameters recur within the last three iterations (the
-surrogate switching can otherwise cycle forever), or at the iteration cap.
+surrogate switching can otherwise cycle forever), or at the iteration cap,
+and records which of the three rules fired in `stop_reason`.
 """
 from __future__ import annotations
 
@@ -77,6 +78,10 @@ class VariationalState:
     until q(b) is first updated. The traces record, per iteration: the ELBO,
     the updated rate omega, the covariance matrix, and a compact key of the
     surrogate segment assignment in effect for that iteration's updates.
+    `stop_reason` says why `fit` stopped: "tolerance" (the ELBO change fell
+    to the tolerance), "cycle" (a segment assignment and parameters recurred)
+    or "cap" (the iteration cap); it is None on a state `fit` did not return.
+    `converged` is False only for "cap".
     """
 
     coef_mean: np.ndarray
@@ -89,6 +94,7 @@ class VariationalState:
     segment_trace: tuple = ()
     iterations: int = 0
     converged: bool = False
+    stop_reason: str | None = None
 
     @property
     def scale_mean(self) -> float:
@@ -225,7 +231,7 @@ def fit(data: SurvivalDataset, prior: PriorSpec,
     sigmas: list[np.ndarray] = []
     segment_keys: list[bytes] = []
     history: list[tuple[bytes, np.ndarray, float]] = []
-    converged = False
+    stop_reason = "cap"
 
     for m in range(1, config.max_iterations + 1):
         z_start = plugin_residuals(data, cur)
@@ -253,7 +259,7 @@ def fit(data: SurvivalDataset, prior: PriorSpec,
         segment_keys.append(_segment_key(z_start, z_mid))
 
         if abs(value - elbo_prev) <= config.elbo_tolerance:
-            converged = True
+            stop_reason = "tolerance"
             break
         key = (segment_keys[-1], mu.copy(), omega)
         cycled = any(
@@ -263,7 +269,7 @@ def fit(data: SurvivalDataset, prior: PriorSpec,
             for k, pm, po in history[-_CYCLE_WINDOW:]
         )
         if cycled:
-            converged = True
+            stop_reason = "cycle"
             break
         history.append(key)
         elbo_prev = value
@@ -275,5 +281,6 @@ def fit(data: SurvivalDataset, prior: PriorSpec,
         sigma_trace=tuple(sigmas),
         segment_trace=tuple(segment_keys),
         iterations=len(elbos),
-        converged=converged,
+        converged=stop_reason != "cap",
+        stop_reason=stop_reason,
     )

@@ -4,9 +4,11 @@ Everything here is built from elementary functions only, so the numerical
 behaviour of the package does not depend on any third-party special-function
 library. Accuracy targets: digamma to 1e-8 absolute on (0, 1e6]; log-gamma
 and the regularized incomplete gamma to near machine precision in the same
-range. Inverse-Gamma quantiles come from Newton on the CDF, safeguarded by
-bisection of a sign bracket, and stop at machine precision, so
-|CDF(x) - q| <= 1e-8 holds with a wide margin.
+range, except that near z = a the incomplete gamma's prefactor
+exp(a log z - z - log Gamma(a)) loses digits as a grows (measured error
+~1e-10 relative at a = 1e5 and ~4e-10 at 1e6). Inverse-Gamma quantiles come
+from Newton on the CDF, safeguarded by bisection of a sign bracket, and stop
+at machine precision, so |CDF(x) - q| <= 1e-8 holds with a wide margin.
 """
 from __future__ import annotations
 
@@ -110,10 +112,12 @@ def log_gamma(x: float) -> float:
 
 def _gamma_p_series(a: float, z: float) -> float:
     # Lower regularized gamma by power series; converges fast for z < a + 1.
+    # Near z = a the terms decay like exp(-n^2 / 2a), so it takes ~8 sqrt(a)
+    # of them to reach 1e-16: the cap grows with the shape.
     term = 1.0 / a
     total = term
     denom = a
-    for _ in range(1000):
+    for _ in range(1000 + int(10.0 * math.sqrt(a))):
         denom += 1.0
         term *= z / denom
         total += term

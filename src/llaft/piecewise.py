@@ -48,10 +48,10 @@ QUADRATIC_INTERCEPTS = np.array([0.0, 0.3893, 0.6962, 0.3894, 0.0])
 QUADRATIC_LINEAR = np.array([0.0, 0.1696, 0.5000, 0.8303, 1.0])
 QUADRATIC_QUADRATIC = np.array([0.0, 0.0189, 0.1138, 0.0190, 0.0])
 
-# Knot tuples per batch in the exhaustive scan: enough to amortize the
-# per-call overhead, few enough to keep peak memory flat (4096 raised the
-# three-knot scan's peak RSS by ~3 MB and ran no faster).
-_CHUNK = 1024
+# Elements per (heads, rows, m) array of the knot scan's screen (64 KB of
+# doubles), which bounds its memory. Blocks of 2**14 ran ~8% faster, but a
+# process that ran `approx-check` 100 times peaked ~1 MB higher in RSS.
+_SCREEN_ELEMENTS = 2 ** 13
 
 # Knot-search results memoized inside a _memoized_search() block, keyed by
 # (grid_size, n_breakpoints, lattice_step); None outside any block.
@@ -136,12 +136,33 @@ def table_sse(grid_size: int = 10_000) -> tuple[float, float]:
 
 
 class _HingeLS:
-    """Least-squares SSE of y ~ 1 + x + sum_j (x - a_j)_+ for batches of knot
-    tuples, one batched solve per call.
+    """Least-squares SSE of y ~ 1 + x + sum_j (x - a_j)_+ for knot tuples.
 
     All grid sums enter through suffix sums (of 1, x, x^2, y, xy over grid
     points strictly above each knot), built once, so scoring a knot tuple
-    never touches the grid again.
+    never touches the grid again. `sse` scores a batch of tuples exactly, one
+    (k+2)x(k+2) solve per tuple.
+
+    `best` scans every k-tuple of a candidate set. For k >= 2 it screens
+    instead of solving per tuple: each tuple is a head (its first k - 2 knots)
+    plus a tail pair. Per head it projects [1, x, hinges of the head] out of
+    the candidate tail hinges once (the Schur complement S of the head's
+    Gram matrix, and the projected right-hand side g) and scores every tail
+    pair i < j in closed form,
+
+        SSE = syy - r_B' M_BB^-1 r_B
+                  - (a_j g_i^2 - 2 S_ij g_i g_j + a_i g_j^2) / (a_i a_j - S_ij^2)
+
+    with a = diag S. Near the optimum the closed form agrees with `sse` to a
+    few 1e-11 (less on ill-conditioned tuples far from it). That is enough
+    to reorder exact ties: softplus(x) - x/2 is even, so mirror-image tuples
+    tie, and on a 400-point grid the closed form ranks (-1.05, 1.1) before
+    (-1.1, 1.05). So the screen only shortlists: every tuple within
+    1e-9 * SSE of the screen's minimum is rescored with `sse`, and the first
+    lexicographic minimizer of those exact scores wins, as in a scan that
+    scores every tuple with `sse`. The screen skips tail pairs that are
+    numerically collinear given the head, which only a grid as coarse as the
+    candidate lattice produces; there the result can differ from such a scan.
     """
 
     def __init__(self, x, y):
@@ -156,10 +177,9 @@ class _HingeLS:
         self._suffix = np.concatenate(
             [np.cumsum(terms[:, ::-1], axis=1)[:, ::-1], np.zeros((5, 1))], axis=1)
 
-    def sse(self, knots) -> np.ndarray:
-        """SSE for each row of a (T, k) array of increasing knot tuples; a
-        tuple whose normal equations are singular scores +inf."""
-        knots = np.asarray(knots, float)
+    def _normal_equations(self, knots):
+        """Gram matrices M and right-hand sides r of [1, x, hinges] for each
+        row of a (T, k) array of increasing knot tuples."""
         T, k = knots.shape
         s0, s1, s2, t0, t1 = self._suffix[:, np.searchsorted(self.x, knots, side="right")]
         d = k + 2
@@ -177,27 +197,113 @@ class _HingeLS:
         later = np.maximum.outer(np.arange(k), np.arange(k))
         a, b = knots[:, :, None], knots[:, None, :]
         M[:, 2:, 2:] = s2[:, later] - (a + b) * s1[:, later] + a * b * s0[:, later]
-        try:
-            coef = np.linalg.solve(M, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            if T == 1:
-                return np.array([np.inf])
-            return np.concatenate([self.sse(row[None]) for row in knots])
-        return self.syy - np.einsum("ij,ij->i", coef, rhs)
+        return M, rhs
+
+    def sse(self, knots) -> np.ndarray:
+        """SSE for each row of a (T, k) array of increasing knot tuples; a
+        tuple whose normal equations are singular scores +inf."""
+        M, rhs = self._normal_equations(np.asarray(knots, float))
+        sse = self.syy - np.einsum("ij,ij->i", _solve(M, rhs[..., None])[..., 0], rhs)
+        return np.where(np.isnan(sse), np.inf, sse)
 
     def best(self, cand, k) -> tuple[float, np.ndarray]:
         """(sse, knots) of the best k-knot fit over every increasing k-tuple of
-        `cand`: the first minimizer in lexicographic order. Tuples are scored
-        in bounded chunks, so memory does not grow with the number of tuples."""
-        best_sse, best = np.inf, None
-        combos = itertools.combinations(range(len(cand)), k)
-        while chunk := list(itertools.islice(combos, _CHUNK)):
-            knots = cand[np.array(chunk, dtype=np.intp).reshape(len(chunk), k)]
-            sse = self.sse(knots)
-            t = int(np.argmin(sse))
-            if sse[t] < best_sse:
-                best_sse, best = float(sse[t]), knots[t]
-        return best_sse, best
+        `cand`: the first minimizer in lexicographic order."""
+        if k <= 1:
+            tuples = list(itertools.combinations(range(len(cand)), k))
+            tuples = np.array(tuples, dtype=np.intp).reshape(len(tuples), k)
+        else:
+            tuples = self._screen(cand, k)
+            tuples = tuples[np.lexsort(tuples.T[::-1])]
+        if not len(tuples):  # no tuple, or every tuple singular
+            return np.inf, None
+        sse = self.sse(cand[tuples])
+        t = int(np.argmin(sse))
+        return float(sse[t]), cand[tuples[t]]
+
+    def _screen(self, cand, k) -> np.ndarray:
+        """(rows, k) candidate indices of every tuple whose closed-form score
+        lies within 1e-9 * SSE of the lowest score, plus a few that were that
+        close to the lowest score seen when their block was screened."""
+        n = len(cand)
+        s0, s1, s2, t0, t1 = self._suffix[:, np.searchsorted(self.x, cand, side="right")]
+
+        def hinge_products(a, t):
+            # <h_a, h_c> for knots a <= c = cand[t], broadcast over a and t
+            c = cand[t]
+            return s2[t] - (a + c) * s1[t] + a * c * s0[t]
+
+        # <h_a, h_b>: right on and above the diagonal, which is all the screen reads
+        hh = hinge_products(cand[:, None], slice(None))
+
+        def heads_by_last_knot():
+            # heads that end at the same knot share the candidate tail knots
+            if k == 2:
+                yield -1, np.empty((1, 0), np.intp)
+                return
+            for last in range(k - 3, n - 2):
+                yield last, np.array([h + (last,) for h in
+                                      itertools.combinations(range(last), k - 3)],
+                                     dtype=np.intp).reshape(-1, k - 2)
+
+        lowest, shortlist = np.inf, []
+        for last, heads in heads_by_last_knot():
+            tail = slice(last + 1, n)
+            c = cand[tail]
+            m = len(c)
+            per_batch = max(1, _SCREEN_ELEMENTS // (m * m))
+            for h0 in range(0, len(heads), per_batch):
+                head_idx = heads[h0:h0 + per_batch]
+                head = cand[head_idx]
+                H = len(head)
+                M, r = self._normal_equations(head)
+                U = np.empty((H, k, m))  # [1, x, head hinges]' tail hinges
+                U[:, 0] = s1[tail] - c * s0[tail]
+                U[:, 1] = s2[tail] - c * s1[tail]
+                U[:, 2:] = hinge_products(head[:, :, None], tail)
+                W = _solve(M, np.concatenate([U, r[:, :, None]], axis=2))
+                # S = M_TT - U' M_BB^-1 U and g = r_T - U' M_BB^-1 r_B
+                diag = np.diagonal(hh)[tail] - np.einsum("hdi,hdi->hi", U, W[:, :, :m])
+                g = t1[tail] - c * t0[tail] - np.einsum("hdi,hd->hi", U, W[:, :, m])
+                base = self.syy - np.einsum("hd,hd->h", r, W[:, :, m])
+                # blocks of first tail knots keep each (H, rows, m) array small
+                per_block = max(1, _SCREEN_ELEMENTS // (H * m))
+                for i0 in range(0, m - 1, per_block):
+                    i1 = min(i0 + per_block, m - 1)
+                    rows = slice(i0, i1)
+                    S = (hh[last + 1 + i0:last + 1 + i1, tail]
+                         - np.matmul(U[:, :, rows].transpose(0, 2, 1), W[:, :, :m]))
+                    ai, aj = diag[:, rows, None], diag[:, None, :]
+                    gi, gj = g[:, rows, None], g[:, None, :]
+                    den = ai * aj - S * S
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        score = base[:, None, None] - (
+                            (aj * gi * gi - 2.0 * S * gi * gj + ai * gj * gj) / den)
+                    # pairs i < j whose projected 2x2 block is numerically
+                    # nonsingular (on grids as coarse as the lattice, two
+                    # knots with no grid point between them are collinear)
+                    keep = (den > 1e-12 * ai * aj) & np.isfinite(score)
+                    keep &= np.arange(m) > np.arange(i0, i1)[:, None]
+                    score = np.where(keep, score, np.inf)
+
+                    block_low = float(score.min())
+                    lowest = min(lowest, block_low)
+                    cutoff = lowest + 1e-9 * abs(lowest)
+                    if block_low <= cutoff < np.inf:
+                        h, i, j = np.nonzero(score <= cutoff)
+                        shortlist.append(np.column_stack(
+                            [head_idx[h], last + 1 + i0 + i, last + 1 + j]))
+        return np.concatenate(shortlist) if shortlist else np.empty((0, k), np.intp)
+
+
+def _solve(M, rhs):
+    """Batched np.linalg.solve; a singular system gets a NaN solution."""
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        if len(M) == 1:
+            return np.full(rhs.shape, np.nan)
+        return np.concatenate([_solve(Mi[None], ri[None]) for Mi, ri in zip(M, rhs)])
 
 
 @contextmanager

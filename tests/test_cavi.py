@@ -319,6 +319,7 @@ class TestFit:
         data = generate_dataset(sc, 0)
         state = fit(data, WEAK_PRIOR)
         assert state.converged
+        assert state.stop_reason == "cycle"
         assert state.iterations < 100
         assert abs(state.elbo_trace[-1] - state.elbo_trace[-2]) > 0.01
 
@@ -328,7 +329,26 @@ class TestFit:
         state = fit(data, WEAK_PRIOR, FitConfig(elbo_tolerance=1e-9,
                                                 max_iterations=3))
         assert not state.converged
+        assert state.stop_reason == "cap"
         assert state.iterations == 3
+
+    def test_stop_reason_names_the_rule_that_fired(self):
+        config = FitConfig(max_iterations=8)
+        reasons = set()
+        for seed in range(3):
+            for u in (0.0, 48.0, 17.0):
+                sc = SimulationScenario(n=60, censor_bound=u, n_replicates=1, seed=seed)
+                data = generate_dataset(sc, 0)
+                assert initialize(data, WEAK_PRIOR).stop_reason is None
+                state = fit(data, WEAK_PRIOR, config)
+                reasons.add(state.stop_reason)
+                assert state.converged == (state.stop_reason != "cap")
+                gap = abs(state.elbo_trace[-1] - (state.elbo_trace[-2]
+                                                  if state.iterations > 1 else 0.0))
+                assert (gap <= config.elbo_tolerance) == (state.stop_reason == "tolerance")
+                if state.stop_reason == "cap":
+                    assert state.iterations == config.max_iterations
+        assert reasons == {"tolerance", "cycle", "cap"}
 
     def test_strong_prior_fixture(self):
         sc = SimulationScenario(n=30, censor_bound=0.0, n_replicates=1, seed=11)

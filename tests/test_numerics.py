@@ -150,6 +150,19 @@ class TestInverseGammaCdf:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert vals[0] < 1e-12 and vals[-1] > 1.0 - 1e-9
 
+    @pytest.mark.parametrize("shape", [3e4, 1e5, 1e6])
+    def test_large_shape_near_mean_against_mpmath(self, shape):
+        # at and above the mean z = scale/x sits just below the shape, where
+        # the power series needs ~8 sqrt(shape) terms; below the mean the
+        # continued fraction takes over
+        params = InverseGammaParams(shape, 1.3 * shape)
+        mean = params.scale / (shape - 1.0)
+        for sds in (-3.0, -1.0, 0.0, 1.0, 3.0):
+            x = mean * (1.0 + sds / math.sqrt(shape))
+            want = float(mpmath.gammainc(shape, params.scale / x, mpmath.inf,
+                                         regularized=True))
+            assert inverse_gamma_cdf(params, x) == pytest.approx(want, abs=1e-9), sds
+
     def test_domain_error(self):
         with pytest.raises(ValueError):
             inverse_gamma_cdf(InverseGammaParams(1.0, 1.0), 0.0)

@@ -1,13 +1,16 @@
+import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import llaft.piecewise
-from llaft.piecewise import (LINEAR_KNOTS, QUADRATIC_KNOTS, _HingeLS, _memoized_search,
-                             fit_linear_breakpoints, segment_coefficients, softplus,
-                             softplus_linear, softplus_quadratic, table_sse)
+from llaft.piecewise import (LINEAR_KNOTS, QUADRATIC_KNOTS, _grid, _HingeLS,
+                             _memoized_search, fit_linear_breakpoints,
+                             segment_coefficients, softplus, softplus_linear,
+                             softplus_quadratic, table_sse)
 
 
 class TestSoftplusLinear:
@@ -195,6 +198,62 @@ class TestBreakpointSearch:
         got = _HingeLS(x, y).sse(knots)
         want = [_dense_sse(x, y, row) for row in knots]
         assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_scan_matches_exhaustive_sse(self, k):
+        # best() screens in closed form and rescores a shortlist with sse();
+        # it must return what scoring every tuple with sse() returns, bit for
+        # bit, including the first of exactly tied tuples
+        x = np.linspace(-5.0, 5.0, 400)
+        rng = np.random.default_rng(k)
+        for problem in range(12):
+            n_cand = int(rng.integers(12, 21))
+            if problem < 8:
+                # softplus(x) - x/2 is even: mirror-image tuples tie
+                y = softplus(x)
+                half = rng.choice(np.arange(1, 100), n_cand // 2, replace=False)
+                cand = np.sort(np.concatenate([-half, half])) * 0.05
+            else:
+                y = (np.cumsum(rng.normal(size=len(x))) if problem < 10
+                     else rng.normal(size=len(x)))
+                cand = np.sort(rng.choice(np.arange(-99, 100), n_cand, replace=False)) * 0.05
+            ls = _HingeLS(x, y)
+            combos = np.array(list(itertools.combinations(range(len(cand)), k)))
+            sse = ls.sse(cand[combos])
+            first = int(np.argmin(sse))
+            got_sse, got = ls.best(cand, k)
+            assert got_sse == sse[first], problem
+            assert np.array_equal(got, cand[combos[first]]), problem
+
+    @pytest.mark.parametrize("grid_size", [400, 10_000])
+    def test_mirror_tie_returns_first_tuple(self, grid_size):
+        # (-1.1, 1.05) and (-1.05, 1.1) tie exactly in sse(); on the
+        # 400-point grid the closed-form screen alone ranks the second first
+        x, y = _grid(grid_size)
+        ls = _HingeLS(x, y)
+        first, mirror = np.array([[-22, 21], [-21, 22]]) * 0.05
+        assert ls.sse(first[None])[0] == ls.sse(mirror[None])[0]
+        sse, knots = ls.best(np.arange(-99, 100) * 0.05, 2)
+        assert np.array_equal(knots, first)
+        assert sse == ls.sse(first[None])[0]
+
+    def test_coarse_grid_skips_collinear_knot_pairs(self):
+        # 5 grid points under a 0.25 lattice: most knot pairs have no grid
+        # point between them, so their hinge columns are collinear
+        fit = fit_linear_breakpoints(5, 2, 0.25)
+        assert 0.0 <= fit.sse < 1e-6
+
+    def test_three_knot_scan_memory(self):
+        # the screen's arrays are bounded, so peak memory stays flat
+        x, y = _grid(10_000)
+        ls = _HingeLS(x, y)
+        tracemalloc.start()
+        try:
+            ls.best(np.arange(-99, 100) * 0.05, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_memoized_search_runs_each_count_once(self, monkeypatch):
         searched = []

@@ -236,6 +236,15 @@ class TestSummarizeScale:
         state = state_from([0.0], [[1.0]], 1.5, 1.0)
         assert math.isnan(summarize_scale(state).sd)
 
+    def test_large_shape_matches_mpmath(self):
+        # a VB posterior from ~1e5 events: the CDF's power series near the
+        # mean runs past a thousand terms
+        s = summarize_scale(state_from([0.0], [[1.0]], 1e5, 1.3e5))
+        ref_lo, ref_hi = mpmath_hdi(1e5, 1.3e5, 0.95)
+        assert s.mean == pytest.approx(1.3e5 / (1e5 - 1.0))
+        assert s.interval_low == pytest.approx(ref_lo, rel=1e-9)
+        assert s.interval_high == pytest.approx(ref_hi, rel=1e-9)
+
 
 class TestAccelerationFactor:
     def test_published_style_transform(self):
