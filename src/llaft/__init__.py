@@ -4,13 +4,13 @@ Mean-field variational Bayes (coordinate ascent with piecewise softplus
 surrogates), maximum likelihood, and random-walk Metropolis inference for
 right-censored data, plus a replication-study harness.
 """
-from .cavi import FitConfig, VariationalState, fit
+from .cavi import FitConfig, VariationalState, fit, fit_batch
 from .exceptions import DataError, NumericalError
 from .model import ModelParams, PriorSpec, SurvivalDataset, log_likelihood, log_posterior
 from .numerics import InverseGammaParams
 from .posterior import (ParameterSummary, acceleration_factor,
                         summarize_coefficients, summarize_scale)
-from .reference import McmcChain, MleResult, fit_mle, sample_posterior
+from .reference import McmcChain, MleResult, fit_mle, fit_mle_batch, sample_posterior
 from .simulate import (STRONG_PRIOR, WEAK_PRIOR, ReplicationReport,
                        SimulationScenario, generate_dataset, run_replication)
 
@@ -34,7 +34,9 @@ __all__ = [
     "WEAK_PRIOR",
     "acceleration_factor",
     "fit",
+    "fit_batch",
     "fit_mle",
+    "fit_mle_batch",
     "generate_dataset",
     "log_likelihood",
     "log_posterior",

@@ -15,9 +15,9 @@ split into a q(beta) part plus a q(b) part, so no single scalar is ascended
 by both blocks: the reported trace is not guaranteed to be monotone across
 beta-updates, even while segment assignments stay the same.
 
-Per iteration the engine recomputes the quadratic coefficients at the current
-(mu, q(b)), updates Sigma then mu, re-evaluates the linear coefficients at
-the updated mu, updates omega, and finally evaluates the ELBO. The shape of
+Per iteration the engine looks up the quadratic coefficients at the current
+(mu, q(b)), updates Sigma then mu, looks up the linear coefficients at the
+updated mu, updates omega, and finally evaluates the ELBO. The shape of
 q(b) is alpha0 + r from its first update onward; expectations taken before
 q(b) has ever been updated (the first beta-update) use the prior shape
 alpha0, which is what keeps the early iterations on scale. The loop stops
@@ -25,19 +25,26 @@ when the ELBO difference falls below the tolerance, when the same segment
 assignment and parameters recur within the last three iterations (the
 surrogate switching can otherwise cycle forever), or at the iteration cap,
 and records which of the three rules fired in `stop_reason`.
+
+`fit_batch` runs that loop over many datasets of one (n, p) at once: every
+update takes a leading replicate axis, and a replicate leaves the batch when
+it stops or fails. `fit` is a batch of one, so a single dataset and a batch
+go through the same arithmetic, and each replicate of a batch gets the
+result `fit` gives it alone, bit for bit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .exceptions import NumericalError
-from .model import PriorSpec, SurvivalDataset
-from .numerics import digamma
-from .piecewise import (LINEAR_KNOTS, QUADRATIC_KNOTS, PiecewiseCoefficients,
-                        segment_coefficients)
+from .model import DatasetStack, PriorSpec, SurvivalDataset, _stacked
+from .numerics import InverseGammaParams, inverse_gamma_moments
+from .piecewise import (LINEAR_SLOPES, QUADRATIC_LINEAR, QUADRATIC_QUADRATIC,
+                        PiecewiseCoefficients, _linear_segment, _quadratic_segment)
 
 __all__ = [
     "FitConfig",
@@ -49,6 +56,7 @@ __all__ = [
     "update_omega",
     "elbo",
     "fit",
+    "fit_batch",
 ]
 
 _CYCLE_WINDOW = 3
@@ -82,6 +90,10 @@ class VariationalState:
     to the tolerance), "cycle" (a segment assignment and parameters recurred)
     or "cap" (the iteration cap); it is None on a state `fit` did not return.
     `converged` is False only for "cap".
+
+    The update functions also take a state for a DatasetStack: there
+    `coef_mean`, `coef_cov`, `scale_shape` and `scale_rate` carry a leading
+    replicate axis.
     """
 
     coef_mean: np.ndarray
@@ -103,6 +115,14 @@ class VariationalState:
             raise NumericalError("scale mean undefined for shape <= 1")
         return self.scale_rate / (self.scale_shape - 1.0)
 
+    @cached_property
+    def scale_moments(self) -> tuple:
+        """(E[1/b], E[1/b^2], E[log b]) under q(b), from
+        `numerics.inverse_gamma_moments`, once per state: arrays with one
+        entry per replicate, and one entry on a single dataset's state."""
+        return inverse_gamma_moments(InverseGammaParams(
+            np.atleast_1d(self.scale_shape), np.atleast_1d(self.scale_rate)))
+
 
 def initialize(data: SurvivalDataset, prior: PriorSpec) -> VariationalState:
     """Starting state: mu = prior mean, omega = prior rate, alpha = alpha0 + r."""
@@ -116,58 +136,94 @@ def initialize(data: SurvivalDataset, prior: PriorSpec) -> VariationalState:
     )
 
 
-def plugin_residuals(data: SurvivalDataset, state: VariationalState) -> np.ndarray:
+def _stack_and_state(data, state):
+    """The data as a stack, the state's mu and Sigma with a leading replicate
+    axis, and whether the data was a single dataset."""
+    stack, single = _stacked(data)
+    if not single:
+        return stack, state.coef_mean, state.coef_cov, False
+    cov = None if state.coef_cov is None else state.coef_cov[None]
+    return stack, state.coef_mean[None], cov, True
+
+
+def _rows(values, single):
+    return values[None] if single else values
+
+
+def _take_state(state: VariationalState, index) -> VariationalState:
+    return VariationalState(
+        coef_mean=state.coef_mean[index],
+        coef_cov=None if state.coef_cov is None else state.coef_cov[index],
+        scale_shape=state.scale_shape[index], scale_rate=state.scale_rate[index])
+
+
+def plugin_residuals(data, state: VariationalState) -> np.ndarray:
     """Standardized residuals (y - X mu) * E[1/b] under the current state."""
-    e_inv = state.scale_shape / state.scale_rate
-    return (data.log_time - data.covariates @ state.coef_mean) * e_inv
+    stack, mu, _, single = _stack_and_state(data, state)
+    e_inv = state.scale_moments[0]
+    z = (stack.log_time - np.matmul(stack.covariates, mu[..., None])[..., 0]) * e_inv[:, None]
+    return z[0] if single else z
 
 
-def update_sigma(data: SurvivalDataset, prior: PriorSpec, state: VariationalState,
+def update_sigma(data, prior: PriorSpec, state: VariationalState,
                  coeffs: PiecewiseCoefficients) -> np.ndarray:
     """New coefficient covariance
     [v0 I + 2 E(1/b^2) sum_i (1+delta_i) zeta_i x_i x_i']^{-1}."""
-    a, w = state.scale_shape, state.scale_rate
-    e_inv2 = (a + a * a) / (w * w)
-    X = data.covariates
-    weights = (1.0 + data.event) * coeffs.zeta
-    A = prior.coef_precision * np.eye(data.p) + 2.0 * e_inv2 * (X.T * weights) @ X
+    stack, _, _, single = _stack_and_state(data, state)
+    _, e_inv2, _ = state.scale_moments
+    X = stack.covariates
+    weights = (1.0 + stack.event) * _rows(coeffs.zeta, single)
+    XtW = (2.0 * e_inv2)[:, None, None] * (X.transpose(0, 2, 1) * weights[:, None, :])
+    A = prior.coef_precision * np.eye(stack.p) + np.matmul(XtW, X)
     try:
         np.linalg.cholesky(A)
         sigma = np.linalg.inv(A)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"covariance update is not positive definite: {exc}") from exc
-    sigma = 0.5 * (sigma + sigma.T)
-    if not np.all(np.isfinite(sigma)):
+    sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
+    if not np.isfinite(sigma).all():
         raise NumericalError("non-finite covariance update")
-    return sigma
+    return sigma[0] if single else sigma
 
 
-def update_mu(data: SurvivalDataset, prior: PriorSpec, state: VariationalState,
+def update_mu(data, prior: PriorSpec, state: VariationalState,
               coeffs: PiecewiseCoefficients, sigma_new: np.ndarray) -> np.ndarray:
     """New coefficient mean, the surrogate linear form times the new covariance."""
-    a, w = state.scale_shape, state.scale_rate
-    e_inv, e_inv2 = a / w, (a + a * a) / (w * w)
-    d = data.event
-    row = (e_inv * (-d + (1.0 + d) * coeffs.rho)
-           + 2.0 * e_inv2 * (1.0 + d) * data.log_time * coeffs.zeta)
-    linear = prior.coef_precision * prior.coef_mean + data.covariates.T @ row
-    return sigma_new @ linear
+    stack, _, _, single = _stack_and_state(data, state)
+    e_inv, e_inv2, _ = state.scale_moments
+    d = stack.event
+    rho, zeta = _rows(coeffs.rho, single), _rows(coeffs.zeta, single)
+    row = (e_inv[:, None] * (-d + (1.0 + d) * rho)
+           + 2.0 * e_inv2[:, None] * (1.0 + d) * stack.log_time * zeta)
+    linear = (prior.coef_precision * prior.coef_mean
+              + np.matmul(row[:, None, :], stack.covariates)[:, 0])
+    mu = np.matmul(_rows(sigma_new, single), linear[..., None])[..., 0]
+    return mu[0] if single else mu
 
 
-def update_omega(data: SurvivalDataset, prior: PriorSpec, state: VariationalState,
-                 coeffs: PiecewiseCoefficients, mu_new: np.ndarray) -> float:
+def _linear_form(stack, mu, phi):
+    # sum_i (delta_i - (1+delta_i) phi_i)(y_i - x_i' mu), per replicate
+    resid = stack.log_time - np.matmul(stack.covariates, mu[..., None])[..., 0]
+    c = stack.event - (1.0 + stack.event) * phi
+    return np.sum(c * resid, axis=-1)
+
+
+def update_omega(data, prior: PriorSpec, state: VariationalState,
+                 coeffs: PiecewiseCoefficients, mu_new: np.ndarray):
     """New rate omega0 - sum_i (delta_i - (1+delta_i) phi_i)(y_i - x_i' mu);
     a non-positive value is a numerical failure."""
-    resid = data.log_time - data.covariates @ mu_new
-    c = data.event - (1.0 + data.event) * coeffs.phi
-    omega_new = float(prior.scale_rate - np.sum(c * resid))
-    if omega_new <= 0:
-        raise NumericalError(f"scale rate update produced omega={omega_new:.6g} <= 0")
-    return omega_new
+    stack, single = _stacked(data)
+    omega = prior.scale_rate - _linear_form(stack, _rows(mu_new, single),
+                                            _rows(coeffs.phi, single))
+    bad = omega <= 0
+    if bad.any():
+        raise NumericalError(
+            f"scale rate update produced omega={omega[bad][0]:.6g} <= 0")
+    return float(omega[0]) if single else omega
 
 
-def elbo(data: SurvivalDataset, prior: PriorSpec, state: VariationalState,
-         coeffs: PiecewiseCoefficients) -> float:
+def elbo(data, prior: PriorSpec, state: VariationalState,
+         coeffs: PiecewiseCoefficients):
     """Linear-surrogate evidence lower bound L_L, iteration-constant terms
     dropped.
 
@@ -182,105 +238,157 @@ def elbo(data: SurvivalDataset, prior: PriorSpec, state: VariationalState,
     """
     if state.coef_cov is None:
         raise ValueError("state has no covariance yet; run an update first")
-    a, w = state.scale_shape, state.scale_rate
-    e_inv = a / w
-    e_log_b = math.log(w) - digamma(a)
-    mu = state.coef_mean
-    resid = data.log_time - data.covariates @ mu
-    c = data.event - (1.0 + data.event) * coeffs.phi
-    likelihood = -data.r * e_log_b + e_inv * float(np.sum(c * resid))
+    stack, mu, cov, single = _stack_and_state(data, state)
+    a, w = np.atleast_1d(state.scale_shape), np.atleast_1d(state.scale_rate)
+    e_inv, _, e_log_b = state.scale_moments
+    likelihood = -stack.r * e_log_b + e_inv * _linear_form(stack, mu, _rows(coeffs.phi, single))
 
-    sign, logdet = np.linalg.slogdet(state.coef_cov)
-    if sign <= 0:
+    sign, logdet = np.linalg.slogdet(cov)
+    if (sign <= 0).any():
         raise NumericalError("covariance has non-positive determinant")
     dmu = mu - prior.coef_mean
     coef_term = (-0.5 * prior.coef_precision
-                 * (float(np.trace(state.coef_cov)) + float(dmu @ dmu))
+                 * (np.trace(cov, axis1=1, axis2=2)
+                    + np.matmul(dmu[:, None, :], dmu[:, :, None])[:, 0, 0])
                  + 0.5 * logdet)
 
     scale_term = ((a - prior.scale_shape) * e_log_b
                   + (w - prior.scale_rate) * e_inv
-                  - a * math.log(w))
+                  - a * np.log(w))
 
     value = likelihood + coef_term + scale_term
-    if not math.isfinite(value):
+    if not np.isfinite(value).all():
         raise NumericalError("non-finite ELBO")
-    return value
+    return float(value[0]) if single else value
 
 
-def _segment_key(z_quad: np.ndarray, z_lin: np.ndarray) -> bytes:
-    kq = np.searchsorted(QUADRATIC_KNOTS, z_quad, side="left").astype(np.int8)
-    kl = np.searchsorted(LINEAR_KNOTS, z_lin, side="left").astype(np.int8)
-    return kq.tobytes() + kl.tobytes()
+def _iterate(stack: DatasetStack, prior: PriorSpec, cur: VariationalState,
+             alpha: np.ndarray):
+    """One CAVI iteration on a stack: the new state, its ELBO, and per
+    replicate the segment key (quadratic segments at the start residuals,
+    then linear segments at the residuals after the beta-update)."""
+    kq = _quadratic_segment(plugin_residuals(stack, cur))
+    # phi is looked up once mu has moved, below
+    coeffs = PiecewiseCoefficients(phi=None, rho=QUADRATIC_LINEAR[kq],
+                                   zeta=QUADRATIC_QUADRATIC[kq])
+    sigma = update_sigma(stack, prior, cur, coeffs)
+    mu = update_mu(stack, prior, cur, coeffs, sigma)
+
+    # the b-update sees the freshest mu, so its linear surrogate is
+    # re-anchored at the updated residuals
+    moved = VariationalState(coef_mean=mu, coef_cov=None,
+                             scale_shape=cur.scale_shape, scale_rate=cur.scale_rate)
+    kl = _linear_segment(plugin_residuals(stack, moved))
+    coeffs = replace(coeffs, phi=LINEAR_SLOPES[kl])
+    omega = update_omega(stack, prior, cur, coeffs, mu)
+    new = VariationalState(coef_mean=mu, coef_cov=sigma,
+                           scale_shape=alpha, scale_rate=omega)
+    value = elbo(stack, prior, new, coeffs)
+    keys = np.concatenate([kq, kl], axis=1).astype(np.int8)
+    return new, value, keys
 
 
 def fit(data: SurvivalDataset, prior: PriorSpec,
         config: FitConfig | None = None) -> VariationalState:
-    """Run the coordinate-ascent loop to convergence. See the module docstring
-    for the exact update schedule and stopping rules."""
+    """Run the coordinate-ascent loop to convergence; a batch of one. See the
+    module docstring for the exact update schedule and stopping rules."""
+    result, = fit_batch([data], prior, config)
+    if isinstance(result, NumericalError):
+        raise result
+    return result
+
+
+def fit_batch(datasets, prior: PriorSpec,
+              config: FitConfig | None = None) -> list:
+    """Fit each dataset of one (n, p) with the loop `fit` runs, all at once.
+
+    Returns one entry per dataset, in order: its VariationalState, or the
+    NumericalError its fit raised, naming the iteration. A replicate leaves
+    the batch when it stops by tolerance, cycle or cap, or fails; the others
+    carry on. Raises ValueError if the datasets disagree on (n, p).
+    """
     config = config or FitConfig()
-    state = initialize(data, prior)
-    alpha = state.scale_shape
+    stack = DatasetStack.of(datasets)
+    if prior.coef_mean.shape[0] != stack.p:
+        raise ValueError("prior mean dimension does not match the data")
+    results: list = [None] * len(stack)
+    traces = [([], [], [], []) for _ in results]  # ELBO, omega, Sigma, key
+
+    ids = np.arange(len(stack))  # the replicates still in the batch
+    alpha = prior.scale_shape + stack.r
     # q(b) has not been updated yet, so the first beta-update integrates
     # against the prior Inverse-Gamma(alpha0, omega0).
-    cur = replace(state, scale_shape=prior.scale_shape)
+    cur = VariationalState(coef_mean=np.tile(prior.coef_mean, (len(ids), 1)),
+                           coef_cov=None,
+                           scale_shape=np.full(len(ids), prior.scale_shape),
+                           scale_rate=np.full(len(ids), prior.scale_rate))
+    elbo_prev = np.zeros(len(ids))
+    # the last _CYCLE_WINDOW (key, mu, omega), oldest overwritten first
+    history = [None] * _CYCLE_WINDOW
 
-    elbo_prev = 0.0
-    elbos: list[float] = []
-    omegas: list[float] = []
-    sigmas: list[np.ndarray] = []
-    segment_keys: list[bytes] = []
-    history: list[tuple[bytes, np.ndarray, float]] = []
-    stop_reason = "cap"
+    def keep(mask):
+        nonlocal ids, stack, alpha, cur, elbo_prev, history
+        ids, stack, alpha, elbo_prev = ids[mask], stack.take(mask), alpha[mask], elbo_prev[mask]
+        cur = _take_state(cur, mask)
+        history = [None if h is None else tuple(x[mask] for x in h) for h in history]
 
     for m in range(1, config.max_iterations + 1):
-        z_start = plugin_residuals(data, cur)
-        coeffs = segment_coefficients(z_start)
-
         try:
-            sigma = update_sigma(data, prior, cur, coeffs)
-            mu = update_mu(data, prior, cur, coeffs, sigma)
+            new, value, keys = _iterate(stack, prior, cur, alpha)
+        except NumericalError:
+            # rerun each replicate alone to find the ones that fail; the
+            # others then run the iteration again as a batch
+            ok = np.ones(len(ids), bool)
+            for j in range(len(ids)):
+                one = np.arange(j, j + 1)
+                try:
+                    _iterate(stack.take(one), prior, _take_state(cur, one), alpha[one])
+                except NumericalError as exc:
+                    err = NumericalError(f"variational update failed at iteration {m}: {exc}")
+                    err.__cause__ = exc
+                    results[ids[j]] = err
+                    ok[j] = False
+            keep(ok)
+            if not len(ids):
+                break
+            new, value, keys = _iterate(stack, prior, cur, alpha)
 
-            # the b-update sees the freshest mu, so its linear surrogate is
-            # re-anchored at the updated residuals
-            z_mid = plugin_residuals(data, replace(cur, coef_mean=mu))
-            coeffs = PiecewiseCoefficients(phi=segment_coefficients(z_mid).phi,
-                                           rho=coeffs.rho, zeta=coeffs.zeta)
-            omega = update_omega(data, prior, cur, coeffs, mu)
-            cur = VariationalState(coef_mean=mu, coef_cov=sigma,
-                                   scale_shape=alpha, scale_rate=omega)
-            value = elbo(data, prior, cur, coeffs)
-        except NumericalError as exc:
-            raise NumericalError(f"variational update failed at iteration {m}: {exc}") from exc
+        mu, sigma, omega = new.coef_mean, new.coef_cov, new.scale_rate
+        for i, v, w, s, k in zip(ids.tolist(), value.tolist(), omega.tolist(), sigma, keys):
+            elbos, omegas, sigmas, segment_keys = traces[i]
+            elbos.append(v)
+            omegas.append(w)
+            sigmas.append(s)
+            segment_keys.append(k.tobytes())
 
-        elbos.append(value)
-        omegas.append(omega)
-        sigmas.append(sigma)
-        segment_keys.append(_segment_key(z_start, z_mid))
+        by_tolerance = np.abs(value - elbo_prev) <= config.elbo_tolerance
+        cycled = np.zeros(len(ids), bool)
+        for h in history:
+            if h is None:
+                continue
+            pk, pm, po = h
+            same = np.abs(po - omega) <= _CYCLE_ATOL
+            if same.any():
+                cycled |= (same & (pk == keys).all(axis=1)
+                           & (np.abs(pm - mu) <= _CYCLE_ATOL).all(axis=1))
+        stopped = by_tolerance | cycled
+        if m == config.max_iterations:
+            stopped[:] = True
+        for j in np.flatnonzero(stopped).tolist():
+            reason = ("tolerance" if by_tolerance[j] else "cycle" if cycled[j] else "cap")
+            elbos, omegas, sigmas, segment_keys = traces[ids[j]]
+            results[ids[j]] = VariationalState(
+                coef_mean=mu[j], coef_cov=sigma[j],
+                scale_shape=float(alpha[j]), scale_rate=omegas[-1],
+                elbo_trace=tuple(elbos), omega_trace=tuple(omegas),
+                sigma_trace=tuple(sigmas), segment_trace=tuple(segment_keys),
+                iterations=m, converged=reason != "cap", stop_reason=reason)
 
-        if abs(value - elbo_prev) <= config.elbo_tolerance:
-            stop_reason = "tolerance"
-            break
-        key = (segment_keys[-1], mu.copy(), omega)
-        cycled = any(
-            k == key[0]
-            and np.allclose(pm, mu, rtol=0.0, atol=_CYCLE_ATOL)
-            and abs(po - omega) <= _CYCLE_ATOL
-            for k, pm, po in history[-_CYCLE_WINDOW:]
-        )
-        if cycled:
-            stop_reason = "cycle"
-            break
-        history.append(key)
-        elbo_prev = value
+        history[(m - 1) % _CYCLE_WINDOW] = (keys, mu, omega)
+        cur, elbo_prev = new, value
+        if stopped.any():
+            keep(~stopped)
+            if not len(ids):
+                break
+    return results
 
-    return replace(
-        cur,
-        elbo_trace=tuple(elbos),
-        omega_trace=tuple(omegas),
-        sigma_trace=tuple(sigmas),
-        segment_trace=tuple(segment_keys),
-        iterations=len(elbos),
-        converged=stop_reason != "cap",
-        stop_reason=stop_reason,
-    )

@@ -22,6 +22,7 @@ from .numerics import InverseGammaParams, inverse_gamma_log_pdf
 
 __all__ = [
     "SurvivalDataset",
+    "DatasetStack",
     "PriorSpec",
     "ModelParams",
     "log_likelihood",
@@ -126,13 +127,79 @@ class ModelParams:
         object.__setattr__(self, "coefficients", _readonly(np.atleast_1d(self.coefficients)))
 
 
+@dataclass(frozen=True)
+class DatasetStack:
+    """Datasets of one (n, p), stacked on a leading replicate axis.
+
+    `log_time` and `event` are (R, n), `covariates` is (R, n, p) and `r`
+    holds the R event counts as floats. The batch fits take one; a single
+    dataset enters them as a stack of one.
+    """
+
+    log_time: np.ndarray
+    event: np.ndarray
+    covariates: np.ndarray
+    r: np.ndarray
+
+    @classmethod
+    def of(cls, datasets) -> "DatasetStack":
+        """Stack SurvivalDatasets; raises ValueError unless they share (n, p)."""
+        datasets = list(datasets)
+        if not datasets:
+            raise ValueError("need at least one dataset to stack")
+        shapes = sorted({d.covariates.shape for d in datasets})
+        if len(shapes) > 1:
+            raise ValueError(f"datasets disagree on (n, p): {shapes}")
+        if len(datasets) == 1:
+            d = datasets[0]
+            log_time, event, X = d.log_time[None], d.event[None], d.covariates[None]
+        else:
+            log_time = np.stack([d.log_time for d in datasets])
+            event = np.stack([d.event for d in datasets])
+            X = np.stack([d.covariates for d in datasets])
+        return cls(log_time, event, X, event.sum(axis=-1))
+
+    def __len__(self) -> int:
+        return self.log_time.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.covariates.shape[1]
+
+    @property
+    def p(self) -> int:
+        return self.covariates.shape[2]
+
+    def take(self, index) -> "DatasetStack":
+        """The replicates at `index` (an integer array or a boolean mask)."""
+        return DatasetStack(self.log_time[index], self.event[index],
+                            self.covariates[index], self.r[index])
+
+
+def _stacked(data) -> tuple[DatasetStack, bool]:
+    """`data` as a stack, and whether it was a single SurvivalDataset."""
+    if isinstance(data, SurvivalDataset):
+        return DatasetStack.of([data]), True
+    return data, False
+
+
+def _z_loglik(y, event, X, beta, log_b):
+    """z = (y - X beta) / b and the log-likelihood above on raw arrays, with
+    the overflow-safe softplus. With a leading replicate axis, beta is (R, p)
+    and log_b (R,), and both results carry the axis. It validates nothing."""
+    if np.ndim(beta) == 1:
+        z = (y - X @ beta) / np.exp(log_b)
+    else:
+        z = (y - np.matmul(X, beta[..., None])[..., 0]) / np.exp(log_b)[..., None]
+    r = event.sum(axis=-1)
+    ll = -r * log_b + np.sum(event * z - (1.0 + event) * np.logaddexp(0.0, z), axis=-1)
+    return z, ll
+
+
 def _loglik(y, event, X, beta, log_b) -> float:
-    """The log-likelihood above on raw arrays, with the overflow-safe
-    softplus. It validates nothing: `log_likelihood` adds the checks, and the
-    Metropolis step calls it directly."""
-    z = (y - X @ beta) / np.exp(log_b)
-    r = float(event.sum())
-    return float(-r * log_b + np.sum(event * z - (1.0 + event) * np.logaddexp(0.0, z)))
+    """The log-likelihood of one dataset at (beta, log b). `log_likelihood`
+    adds the checks, and the Metropolis step calls it directly."""
+    return float(_z_loglik(y, event, X, beta, log_b)[1])
 
 
 def log_likelihood(data: SurvivalDataset, params: ModelParams) -> float:

@@ -58,13 +58,18 @@ _LGAMMA_TAIL = (
 
 @dataclass(frozen=True)
 class InverseGammaParams:
-    """Shape/scale pair (alpha, omega) of an Inverse-Gamma distribution."""
+    """Shape/scale pair (alpha, omega) of an Inverse-Gamma distribution.
+
+    `inverse_gamma_moments` also takes arrays of shapes and scales, one
+    distribution per element; every other function here takes floats.
+    """
 
     shape: float
     scale: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.scale > 0):
+        values = np.ravel(self.shape).tolist() + np.ravel(self.scale).tolist()
+        if not all(v > 0 for v in values):
             raise ValueError(
                 f"Inverse-Gamma parameters must be positive, got "
                 f"shape={self.shape}, scale={self.scale}"
@@ -167,12 +172,17 @@ def regularized_gamma_p(a: float, z: float) -> float:
     return 1.0 - _gamma_q_contfrac(a, z)
 
 
-def inverse_gamma_moments(params: InverseGammaParams) -> tuple[float, float, float]:
+def inverse_gamma_moments(params: InverseGammaParams) -> tuple:
     """(E[1/b], E[1/b^2], E[log b]) for b ~ Inverse-Gamma(shape, scale).
 
     Closed forms: alpha/omega, (alpha + alpha^2)/omega^2, log(omega) - psi(alpha).
+    Array parameters give arrays of moments, element by element.
     """
     a, w = params.shape, params.scale
+    if np.ndim(a) or np.ndim(w):
+        a, w = np.asarray(a, float), np.asarray(w, float)
+        psi = np.array([digamma(x) for x in a.ravel().tolist()]).reshape(a.shape)
+        return a / w, (a + a * a) / (w * w), np.log(w) - psi
     return a / w, (a + a * a) / (w * w), math.log(w) - digamma(a)
 
 
@@ -261,12 +271,56 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
+# Wichura's PPND16 coefficients, highest power first: numerator and
+# denominator of the central fit (in s = 0.180625 - r^2), of the near tail
+# (in t - 1.6) and of the far tail (in t - 5), t = sqrt(-log(tail mass)).
+_PPND_CENTRAL = (
+    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+     4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+     1.3314166789178437745e2, 3.3871328727963666080e0),
+    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+     2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+     4.2313330701600911252e1, 1.0),
+)
+_PPND_NEAR = (
+    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+     1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
+     4.63033784615654529590e0, 1.42343711074968357734e0),
+    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
+     2.05319162663775882187e0, 1.0),
+)
+_PPND_FAR = (
+    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
+     5.46378491116411436990e0, 6.65790464350110377720e0),
+    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+     5.99832206555887937690e-1, 1.0),
+)
+
+
+def _horner(coeffs, x):
+    # the same operations on a float or an array
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _tail_ratio(coeffs, t):
+    return _horner(coeffs[0], t) / _horner(coeffs[1], t)
+
+
 def normal_quantile(q):
     """Standard normal inverse CDF (Wichura's PPND16 rational minimax fit).
 
     Accepts a float or an ndarray of probabilities in (0, 1); accurate to
-    about 1e-15 over the full range.
+    about 1e-15 over the full range. A float takes a branch without masks
+    that gives the array branch's result bit for bit.
     """
+    if isinstance(q, float):
+        return _normal_quantile_float(q)
     q_arr = np.asarray(q, dtype=float)
     if np.any(q_arr <= 0.0) or np.any(q_arr >= 1.0):
         raise ValueError("normal_quantile requires probabilities in (0, 1)")
@@ -275,16 +329,9 @@ def normal_quantile(q):
 
     central = np.abs(r) <= 0.425
     if np.any(central):
-        s = 0.180625 - r[central] ** 2
-        num = (((((((2.5090809287301226727e3 * s + 3.3430575583588128105e4) * s
-                    + 6.7265770927008700853e4) * s + 4.5921953931549871457e4) * s
-                  + 1.3731693765509461125e4) * s + 1.9715909503065514427e3) * s
-                + 1.3314166789178437745e2) * s + 3.3871328727963666080e0)
-        den = (((((((5.2264952788528545610e3 * s + 2.8729085735721942674e4) * s
-                    + 3.9307895800092710610e4) * s + 2.1213794301586595867e4) * s
-                  + 5.3941960214247511077e3) * s + 6.8718700749205790830e2) * s
-                + 4.2313330701600911252e1) * s + 1.0)
-        out[central] = r[central] * num / den
+        rc = r[central]
+        s = 0.180625 - rc * rc
+        out[central] = rc * _horner(_PPND_CENTRAL[0], s) / _horner(_PPND_CENTRAL[1], s)
 
     tails = ~central
     if np.any(tails):
@@ -293,31 +340,24 @@ def normal_quantile(q):
         t = np.sqrt(-np.log(s))
         near = t <= 5.0
         val = np.empty_like(t)
-
-        tn = t[near] - 1.6
-        num = (((((((7.74545014278341407640e-4 * tn + 2.27238449892691845833e-2) * tn
-                    + 2.41780725177450611770e-1) * tn + 1.27045825245236838258e0) * tn
-                  + 3.64784832476320460504e0) * tn + 5.76949722146069140550e0) * tn
-                + 4.63033784615654529590e0) * tn + 1.42343711074968357734e0)
-        den = (((((((1.05075007164441684324e-9 * tn + 5.47593808499534494600e-4) * tn
-                    + 1.51986665636164571966e-2) * tn + 1.48103976427480074590e-1) * tn
-                  + 6.89767334985100004550e-1) * tn + 1.67638483018380384940e0) * tn
-                + 2.05319162663775882187e0) * tn + 1.0)
-        val[near] = num / den
-
+        val[near] = _tail_ratio(_PPND_NEAR, t[near] - 1.6)
         far = ~near
         if np.any(far):
-            tf = t[far] - 5.0
-            num = (((((((2.01033439929228813265e-7 * tf + 2.71155556874348757815e-5) * tf
-                        + 1.24266094738807843860e-3) * tf + 2.65321895265761230930e-2) * tf
-                      + 2.96560571828504891230e-1) * tf + 1.78482653991729133580e0) * tf
-                    + 5.46378491116411436990e0) * tf + 6.65790464350110377720e0)
-            den = (((((((2.04426310338993978564e-15 * tf + 1.42151175831644588870e-7) * tf
-                        + 1.84631831751005468180e-5) * tf + 7.86869131145613259100e-4) * tf
-                      + 1.48753612908506148525e-2) * tf + 1.36929880922735805310e-1) * tf
-                    + 5.99832206555887937690e-1) * tf + 1.0)
-            val[far] = num / den
-
+            val[far] = _tail_ratio(_PPND_FAR, t[far] - 5.0)
         out[tails] = np.where(r[tails] < 0, -val, val)
 
     return float(out) if out.ndim == 0 else out
+
+
+def _normal_quantile_float(q: float) -> float:
+    # NumPy's log and sqrt, not math's: math.log differs from np.log in the
+    # last bit on a few tail inputs, and the array branch uses NumPy's.
+    if q <= 0.0 or q >= 1.0:
+        raise ValueError("normal_quantile requires probabilities in (0, 1)")
+    r = q - 0.5
+    if abs(r) <= 0.425:
+        s = 0.180625 - r * r
+        return float(r * _horner(_PPND_CENTRAL[0], s) / _horner(_PPND_CENTRAL[1], s))
+    t = float(np.sqrt(-np.log(q if r < 0 else 1.0 - q)))
+    val = _tail_ratio(_PPND_NEAR, t - 1.6) if t <= 5.0 else _tail_ratio(_PPND_FAR, t - 5.0)
+    return float(-val if r < 0 else val)

@@ -201,10 +201,10 @@ class _HingeLS:
 
     def sse(self, knots) -> np.ndarray:
         """SSE for each row of a (T, k) array of increasing knot tuples; a
-        tuple whose normal equations are singular scores +inf."""
+        tuple whose normal equations are numerically singular scores +inf."""
         M, rhs = self._normal_equations(np.asarray(knots, float))
         sse = self.syy - np.einsum("ij,ij->i", _solve(M, rhs[..., None])[..., 0], rhs)
-        return np.where(np.isnan(sse), np.inf, sse)
+        return np.where(np.isnan(sse) | ~_nonsingular(M), np.inf, sse)
 
     def best(self, cand, k) -> tuple[float, np.ndarray]:
         """(sse, knots) of the best k-knot fit over every increasing k-tuple of
@@ -296,6 +296,21 @@ class _HingeLS:
         return np.concatenate(shortlist) if shortlist else np.empty((0, k), np.intp)
 
 
+def _nonsingular(M) -> np.ndarray:
+    """Per Gram matrix of a (T, d, d) stack: whether every Cholesky pivot,
+    the part of a column's squared norm that the columns before it leave
+    unexplained, exceeds 1e-12 of that squared norm. This is the relative
+    test the screen applies to its 2x2 tail blocks."""
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        if len(M) == 1:
+            return np.zeros(1, bool)
+        return np.concatenate([_nonsingular(Mi[None]) for Mi in M])
+    pivots = np.diagonal(L, axis1=1, axis2=2) ** 2
+    return (pivots > 1e-12 * np.diagonal(M, axis1=1, axis2=2)).all(axis=1)
+
+
 def _solve(M, rhs):
     """Batched np.linalg.solve; a singular system gets a NaN solution."""
     try:
@@ -326,10 +341,17 @@ def fit_linear_breakpoints(grid_size: int = 10_000, n_breakpoints: int = 3,
     is exhaustive over all increasing tuples. For four or five knots an
     exhaustive pass on a 0.25 lattice (plus the best smaller fit extended by
     one knot) seeds coordinate-descent refinement on the fine lattice, which
-    keeps the search tractable while staying nested-model consistent.
+    keeps the search tractable while staying nested-model consistent. A grid
+    with fewer points than the spline has coefficients (knots + 2) raises
+    ValueError.
     """
     if not 0 <= n_breakpoints <= 5:
         raise ValueError("n_breakpoints must be between 0 and 5")
+    if grid_size < n_breakpoints + 2:
+        # every knot tuple's normal equations would be singular
+        raise ValueError(
+            f"a {n_breakpoints}-knot spline has {n_breakpoints + 2} coefficients, "
+            f"more than the {grid_size} grid points")
     memo = _SEARCH_MEMO.get()
     key = (grid_size, n_breakpoints, lattice_step)
     if memo is None:

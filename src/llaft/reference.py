@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError
-from .model import ModelParams, PriorSpec, SurvivalDataset, _loglik
+from .model import DatasetStack, PriorSpec, SurvivalDataset, _loglik, _stacked, _z_loglik
 from .numerics import normal_quantile
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "McmcChain",
     "loglik_grad_hess",
     "fit_mle",
+    "fit_mle_batch",
     "sample_posterior",
 ]
 
@@ -79,8 +80,7 @@ class McmcChain:
         return self.draws[:, -1]
 
 
-def loglik_grad_hess(data: SurvivalDataset, beta: np.ndarray,
-                     log_b: float) -> tuple[float, np.ndarray, np.ndarray]:
+def loglik_grad_hess(data, beta: np.ndarray, log_b):
     """Log-likelihood with analytic gradient and Hessian in (beta, log b).
 
     With z_i = (y_i - x_i' beta)/b, s = log b, g_i = delta_i - (1+delta_i)
@@ -89,11 +89,18 @@ def loglik_grad_hess(data: SurvivalDataset, beta: np.ndarray,
         dl/dbeta = -X' g / b                 dl/ds = -r - sum z_i g_i
         d2l/dbeta2 = -X' diag(w) X / b^2     d2l/ds2 = sum z_i g_i - sum w_i z_i^2
         d2l/dbeta ds = X' (g - w z) / b
+
+    z and the log-likelihood come from the model's own formula. For a
+    DatasetStack, beta is (R, p), log_b is (R,), and the results carry the
+    replicate axis; a single dataset is computed as a stack of one.
     """
-    y, d, X = data.log_time, data.event, data.covariates
-    p = data.p
-    b = math.exp(log_b)
-    z = (y - X @ beta) / b
+    stack, single = _stacked(data)
+    if single:
+        beta, log_b = beta[None], np.array([log_b], float)
+    y, d, X = stack.log_time, stack.event, stack.covariates
+    R, p = len(stack), stack.p
+    b = np.exp(log_b)[:, None]
+    z, ll = _z_loglik(y, d, X, beta, log_b)
     sig = np.empty_like(z)
     pos = z >= 0
     sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -101,91 +108,166 @@ def loglik_grad_hess(data: SurvivalDataset, beta: np.ndarray,
     sig[~pos] = ez / (1.0 + ez)
     g_i = d - (1.0 + d) * sig
     w_i = (1.0 + d) * sig * (1.0 - sig)
-    r = data.r
+    Xt = X.transpose(0, 2, 1)
+    z_g = _dot(z, g_i)
 
-    ll = float(-r * log_b + np.sum(d * z - (1.0 + d) * np.logaddexp(0.0, z)))
-    grad = np.empty(p + 1)
-    grad[:p] = -(X.T @ g_i) / b
-    grad[p] = -r - float(z @ g_i)
-    hess = np.empty((p + 1, p + 1))
-    hess[:p, :p] = -(X.T * w_i) @ X / (b * b)
-    cross = (X.T @ (g_i - w_i * z)) / b
-    hess[:p, p] = cross
-    hess[p, :p] = cross
-    hess[p, p] = float(z @ g_i) - float(w_i @ (z * z))
+    grad = np.empty((R, p + 1))
+    grad[:, :p] = -_dot(g_i, X) / b
+    grad[:, p] = -stack.r - z_g
+    hess = np.empty((R, p + 1, p + 1))
+    hess[:, :p, :p] = np.matmul(-(Xt * w_i[:, None, :]), X) / (b * b)[:, :, None]
+    cross = _dot(g_i - w_i * z, X) / b
+    hess[:, :p, p] = cross
+    hess[:, p, :p] = cross
+    hess[:, p, p] = z_g - _dot(w_i, z * z)
+    if single:
+        return float(ll[0]), grad[0], hess[0]
     return ll, grad, hess
 
 
-def _ascent_step(hess, grad):
-    """Newton step when it points uphill, otherwise a normalized gradient step."""
+def _dot(u, v):
+    # per replicate u' v for (R, n) u and (R, n) or (R, n, k) v
+    if v.ndim == 2:
+        return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+    return np.matmul(u[:, None, :], v)[:, 0]
+
+
+def _ascent_steps(hess, grad):
+    """Per replicate, the Newton step when it points uphill, otherwise a
+    normalized gradient step."""
     try:
-        step = np.linalg.solve(hess, grad)
-        # moving along -step must increase the objective: g'(-H^{-1}g) > 0
-        if np.isfinite(step).all() and float(grad @ step) < 0.0:
-            return step
+        step = np.linalg.solve(hess, grad[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        pass
-    return -grad / max(float(np.linalg.norm(grad)), 1.0)
+        step = np.stack([_solve_or_nan(h, g) for h, g in zip(hess, grad)])
+    # moving along -step must increase the objective: g'(-H^{-1}g) > 0
+    uphill = np.isfinite(step).all(axis=1) & (_dot(grad, step) < 0.0)
+    fallback = -grad / np.maximum(np.linalg.norm(grad, axis=1), 1.0)[:, None]
+    return np.where(uphill[:, None], step, fallback)
+
+
+def _solve_or_nan(hess, grad):
+    try:
+        return np.linalg.solve(hess, grad)
+    except np.linalg.LinAlgError:
+        return np.full_like(grad, np.nan)
 
 
 def fit_mle(data: SurvivalDataset, max_iterations: int = 200,
             gradient_tolerance: float = 1e-8) -> MleResult:
-    """Maximize the log-likelihood by damped Newton ascent in (beta, log b).
+    """Maximize the log-likelihood by damped Newton ascent in (beta, log b);
+    a batch of one, see `fit_mle_batch`."""
+    result, = fit_mle_batch([data], max_iterations, gradient_tolerance)
+    if isinstance(result, NumericalError):
+        raise result
+    return result
 
-    Starts from least squares of log-time on the covariates with the residual
-    spread mapped to the logistic scale (sd * sqrt(3)/pi). Falls back to a
-    scaled gradient step whenever the Hessian solve fails, and halves the
-    step until the log-likelihood does not decrease.
+
+def fit_mle_batch(datasets, max_iterations: int = 200,
+                  gradient_tolerance: float = 1e-8) -> list:
+    """Fit the MLE of each dataset of one (n, p), all at once.
+
+    Each replicate starts from least squares of log-time on the covariates,
+    with the residual spread mapped to the logistic scale (sd * sqrt(3)/pi).
+    Each Newton iteration falls back to a scaled gradient step where the
+    Hessian solve fails, and halves each replicate's step until its
+    log-likelihood does not decrease. A replicate leaves the batch when its
+    gradient norm reaches the tolerance, or when it fails. Returns one entry
+    per dataset, in order: its MleResult, or the NumericalError it raised.
+    Raises ValueError if the datasets disagree on (n, p).
     """
-    if data.n <= data.p:
-        raise NumericalError(
-            f"need more observations than parameters (n={data.n}, p={data.p})")
-    X, y = data.covariates, data.log_time
+    stack = DatasetStack.of(datasets)
+    results: list = [None] * len(stack)
+    if stack.n <= stack.p:
+        return [NumericalError(
+            f"need more observations than parameters (n={stack.n}, p={stack.p})")
+            for _ in results]
+    theta = np.stack([_start(y, X) for y, X in zip(stack.log_time, stack.covariates)])
+    ids = np.arange(len(stack))  # the replicates still in the batch
+    ll, grad, hess = loglik_grad_hess(stack, theta[:, :-1], theta[:, -1])
+
+    def keep(mask):
+        nonlocal ids, stack, theta, ll, grad, hess
+        ids, stack, theta = ids[mask], stack.take(mask), theta[mask]
+        ll, grad, hess = ll[mask], grad[mask], hess[mask]
+
+    for iterations in range(1, max_iterations + 1):
+        norm = np.linalg.norm(grad, axis=1)
+        done = norm <= gradient_tolerance
+        if done.any():
+            for j in np.flatnonzero(done).tolist():
+                results[ids[j]] = _mle_result(theta[j], ll[j], hess[j], iterations, norm[j])
+            keep(~done)
+            if not len(ids):
+                break
+        step = _ascent_steps(hess, grad)
+        theta, ll, grad, hess, stalled = _line_search(stack, theta, ll, grad, hess, step)
+        if stalled.any():
+            for j in np.flatnonzero(stalled).tolist():
+                results[ids[j]] = NumericalError(
+                    f"MLE line search stalled at Newton iteration {iterations}")
+            keep(~stalled)
+            if not len(ids):
+                break
+    for j, i in enumerate(ids.tolist()):
+        results[i] = NumericalError(
+            f"MLE did not converge in {max_iterations} Newton iterations "
+            f"(gradient norm {np.linalg.norm(grad[j]):.3g})")
+    return results
+
+
+def _line_search(stack, theta, ll, grad, hess, step):
+    """Per replicate, the first of theta - step, theta - step/2, ... (while
+    the factor exceeds 1e-12) whose log-likelihood is finite and not below
+    ll - 1e-13. Returns the new (theta, ll, grad, hess) and a mask of the
+    replicates where no factor gave one; those keep their old values."""
+    lam = 1.0
+    pending = np.arange(len(theta))  # replicates without an accepted step
+    while lam > 1e-12:
+        sub = stack if len(pending) == len(theta) else stack.take(pending)
+        cand = theta[pending] - lam * step[pending]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            ll_new, grad_new, hess_new = loglik_grad_hess(sub, cand[:, :-1], cand[:, -1])
+        ok = np.isfinite(ll_new) & (ll_new >= ll[pending] - 1e-13)
+        if ok.all() and len(pending) == len(theta):
+            return cand, ll_new, grad_new, hess_new, np.zeros(len(theta), bool)
+        if lam == 1.0:
+            theta, ll, grad, hess = theta.copy(), ll.copy(), grad.copy(), hess.copy()
+        up = pending[ok]
+        theta[up], ll[up], grad[up], hess[up] = cand[ok], ll_new[ok], grad_new[ok], hess_new[ok]
+        pending = pending[~ok]
+        if not len(pending):
+            break
+        lam *= 0.5
+    stalled = np.zeros(len(theta), bool)
+    stalled[pending] = True
+    return theta, ll, grad, hess, stalled
+
+
+def _start(y, X) -> np.ndarray:
     beta, *_ = np.linalg.lstsq(X, y, rcond=None)
     resid_sd = float(np.std(y - X @ beta))
-    theta = np.append(beta, math.log(max(resid_sd * math.sqrt(3.0) / math.pi, 1e-3)))
+    return np.append(beta, math.log(max(resid_sd * math.sqrt(3.0) / math.pi, 1e-3)))
 
-    ll, grad, hess = loglik_grad_hess(data, theta[:-1], theta[-1])
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        if np.linalg.norm(grad) <= gradient_tolerance:
-            break
-        step = _ascent_step(hess, grad)
-        lam = 1.0
-        improved = False
-        while lam > 1e-12:
-            cand = theta - lam * step
-            try:
-                ll_new, grad_new, hess_new = loglik_grad_hess(data, cand[:-1], cand[-1])
-            except (FloatingPointError, OverflowError):
-                ll_new = -np.inf
-            if math.isfinite(ll_new) and ll_new >= ll - 1e-13:
-                theta, ll, grad, hess = cand, ll_new, grad_new, hess_new
-                improved = True
-                break
-            lam *= 0.5
-        if not improved:
-            raise NumericalError("MLE line search stalled")
-    else:
-        raise NumericalError(
-            f"MLE did not converge in {max_iterations} Newton iterations "
-            f"(gradient norm {np.linalg.norm(grad):.3g})")
 
+def _mle_result(theta, ll, hess, iterations, gradient_norm):
+    """The MleResult at a converged theta, or the NumericalError of a
+    singular or indefinite observed information."""
     try:
         covariance = np.linalg.inv(-hess)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular observed information: {exc}") from exc
+        err = NumericalError(f"singular observed information: {exc}")
+        err.__cause__ = exc
+        return err
     covariance = 0.5 * (covariance + covariance.T)
     if np.any(np.diag(covariance) < 0):
-        raise NumericalError("observed information is not positive definite")
-
+        return NumericalError("observed information is not positive definite")
     return MleResult(
         coefficients=theta[:-1].copy(),
         scale=math.exp(theta[-1]),
         covariance=covariance,
-        log_likelihood_at_max=ll,
+        log_likelihood_at_max=float(ll),
         iterations=iterations,
-        gradient_norm=float(np.linalg.norm(grad)),
+        gradient_norm=float(gradient_norm),
     )
 
 
@@ -265,7 +347,3 @@ def sample_posterior(data: SurvivalDataset, prior: PriorSpec, n_iterations: int,
         warning = f"pathological acceptance rate {rate:.3f} after adaptation"
     return McmcChain(draws=draws, acceptance_rate=rate, seed=seed, warning=warning)
 
-
-def vb_mean_params(state) -> ModelParams:
-    """Posterior-mean parameters of a variational state, for likelihood checks."""
-    return ModelParams(coefficients=state.coef_mean, scale=state.scale_mean)

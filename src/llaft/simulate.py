@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cavi import FitConfig, fit
+from .cavi import FitConfig, fit_batch
 from .exceptions import NumericalError
 from .model import PriorSpec, SurvivalDataset
 from .numerics import normal_quantile
 from .posterior import hdi_from_draws, summarize_coefficients, summarize_scale
-from .reference import fit_mle, sample_posterior
+from .reference import fit_mle_batch, sample_posterior
 
 __all__ = [
     "SimulationScenario",
@@ -50,6 +50,11 @@ _MIX2 = 0x94D049BB133111EB
 _U30, _U27, _U31, _U11 = (np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11))
 
 ROLE_X1, ROLE_X2, ROLE_NOISE, ROLE_CENSOR, ROLE_MCMC = range(5)
+
+# Replicates a study generates and fits at a time: the VB and MLE fits of a
+# block run as one batch. At n = 300, blocks of 50 ran a 200-replicate study
+# as fast as blocks of 100 or 200, and a block holds ~0.4 MB of covariates.
+_BLOCK_SIZE = 50
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -151,7 +156,9 @@ class ReplicationReport:
     """One method's study. n_nonconverged counts the fits included in the
     statistics that did not settle: VB fits stopped by the iteration cap and
     Metropolis chains flagged with a warning (an MLE that does not converge
-    raises and counts as a failure instead)."""
+    raises and counts as a failure instead). n_cycles counts the VB fits
+    that stopped by cycle detection; they are kept as converged, so they are
+    not in n_nonconverged, and the other methods never count any."""
 
     method: str
     stats: tuple
@@ -159,6 +166,7 @@ class ReplicationReport:
     n_failures: int
     wall_time: float
     n_nonconverged: int
+    n_cycles: int
 
 
 def aggregate_estimates(estimates: np.ndarray, intervals: np.ndarray,
@@ -184,34 +192,52 @@ def aggregate_estimates(estimates: np.ndarray, intervals: np.ndarray,
     return tuple(out)
 
 
-# Each _fit_* returns (estimates, intervals, settled); settled is False for a
-# fit that is kept but did not converge.
+# Each _fit_* returns one outcome per dataset: (estimates, intervals,
+# settled, cycled), where settled is False for a fit that is kept but did not
+# converge and cycled is True for a VB fit stopped by cycle detection, or the
+# NumericalError that ruled the replicate out.
 
-def _fit_vb(data, prior, config, level):
-    state = fit(data, prior, config)
-    coef = summarize_coefficients(state, level)
-    scale = summarize_scale(state, level)
-    est = np.array([s.mean for s in coef] + [scale.mean])
-    iv = np.array([[s.interval_low, s.interval_high] for s in coef]
-                  + [[scale.interval_low, scale.interval_high]])
-    return est, iv, state.converged
+def _fit_vb(datasets, prior, config, level):
+    outcomes = []
+    for state in fit_batch(datasets, prior, config):
+        if isinstance(state, NumericalError):
+            outcomes.append(state)
+            continue
+        try:
+            coef = summarize_coefficients(state, level)
+            scale = summarize_scale(state, level)
+        except NumericalError as exc:
+            outcomes.append(exc)
+            continue
+        est = np.array([s.mean for s in coef] + [scale.mean])
+        iv = np.array([[s.interval_low, s.interval_high] for s in coef]
+                      + [[scale.interval_low, scale.interval_high]])
+        outcomes.append((est, iv, state.converged, state.stop_reason == "cycle"))
+    return outcomes
 
 
-def _fit_mle(data, level):
-    res = fit_mle(data)
-    est = np.append(res.coefficients, res.scale)
-    iv = np.array(res.wald_intervals(level))
-    return est, iv, True
+def _fit_mle(datasets, level):
+    outcomes = []
+    for res in fit_mle_batch(datasets):
+        if isinstance(res, NumericalError):
+            outcomes.append(res)
+        else:
+            est = np.append(res.coefficients, res.scale)
+            outcomes.append((est, np.array(res.wald_intervals(level)), True, False))
+    return outcomes
 
 
 def _fit_mcmc(data, prior, level, seed, n_iterations, burn_in):
-    chain = sample_posterior(data, prior, n_iterations, burn_in, seed)
+    try:
+        chain = sample_posterior(data, prior, n_iterations, burn_in, seed)
+    except NumericalError as exc:
+        return exc
     qs = [100.0 * (1.0 - level) / 2.0, 100.0 * (1.0 + level) / 2.0]
     est = chain.draws.mean(axis=0)
     iv = [np.percentile(chain.coefficient_draws[:, j], qs)
           for j in range(chain.coefficient_draws.shape[1])]
     iv.append(hdi_from_draws(chain.scale_draws, level))
-    return est, np.asarray(iv), chain.warning is None
+    return est, np.asarray(iv), chain.warning is None, False
 
 
 def run_replication(scenario: SimulationScenario, prior: PriorSpec,
@@ -222,10 +248,12 @@ def run_replication(scenario: SimulationScenario, prior: PriorSpec,
     """Run the study: generate each replicate once, fit every requested
     method on it, and aggregate bias/SD/MSE/coverage/length per parameter.
 
-    Replicates on which a method breaks down numerically are excluded from
-    that method's aggregate; more than `max_failure_rate` of them fails the
-    whole run. Fits that are kept but did not converge are counted in each
-    report's `n_nonconverged`.
+    Replicates are generated in blocks of `_BLOCK_SIZE`; VB and the MLE fit
+    a block as one batch, Metropolis one replicate at a time. Replicates on
+    which a method breaks down numerically are excluded from that method's
+    aggregate; more than `max_failure_rate` of them fails the whole run. Fits
+    that are kept but did not converge are counted in each report's
+    `n_nonconverged`, and VB fits stopped by cycle detection in `n_cycles`.
     """
     methods = tuple(m.lower() for m in methods)
     known = {"vb", "mle", "mcmc"}
@@ -238,28 +266,32 @@ def run_replication(scenario: SimulationScenario, prior: PriorSpec,
     truth = scenario.true_values
 
     per_method = {m: {"est": [], "iv": [], "failures": 0, "nonconverged": 0,
-                      "time": 0.0}
+                      "cycles": 0, "time": 0.0}
                   for m in methods}
-    for i in range(scenario.n_replicates):
-        data = generate_dataset(scenario, i)
+    for first in range(0, scenario.n_replicates, _BLOCK_SIZE):
+        indices = range(first, min(first + _BLOCK_SIZE, scenario.n_replicates))
+        block = [generate_dataset(scenario, i) for i in indices]
         for m in methods:
             bucket = per_method[m]
             start = time.perf_counter()
-            try:
-                if m == "vb":
-                    est, iv, settled = _fit_vb(data, prior, config, level)
-                elif m == "mle":
-                    est, iv, settled = _fit_mle(data, level)
-                else:
-                    est, iv, settled = _fit_mcmc(data, prior, level,
-                                                 stream_seed(scenario.seed, i, ROLE_MCMC),
-                                                 mcmc_iterations, mcmc_burn_in)
-            except NumericalError:
-                bucket["failures"] += 1
+            if m == "vb":
+                outcomes = _fit_vb(block, prior, config, level)
+            elif m == "mle":
+                outcomes = _fit_mle(block, level)
             else:
+                outcomes = [_fit_mcmc(data, prior, level,
+                                      stream_seed(scenario.seed, i, ROLE_MCMC),
+                                      mcmc_iterations, mcmc_burn_in)
+                            for i, data in zip(indices, block)]
+            for outcome in outcomes:
+                if isinstance(outcome, NumericalError):
+                    bucket["failures"] += 1
+                    continue
+                est, iv, settled, cycled = outcome
                 bucket["est"].append(est)
                 bucket["iv"].append(iv)
                 bucket["nonconverged"] += not settled
+                bucket["cycles"] += cycled
             bucket["time"] += time.perf_counter() - start
 
     reports = []
@@ -277,6 +309,7 @@ def run_replication(scenario: SimulationScenario, prior: PriorSpec,
             n_failures=failures,
             wall_time=bucket["time"],
             n_nonconverged=bucket["nonconverged"],
+            n_cycles=bucket["cycles"],
         ))
     return reports
 
@@ -301,6 +334,7 @@ def write_report_csv(path, reports, scenario: SimulationScenario,
         f"# methods: {','.join(r.method for r in reports)}",
         f"# failures: {' '.join(f'{r.method}={r.n_failures}' for r in reports)}",
         f"# nonconverged: {' '.join(f'{r.method}={r.n_nonconverged}' for r in reports)}",
+        f"# cycles: {' '.join(f'{r.method}={r.n_cycles}' for r in reports)}",
         "method,parameter,bias,sd,mse,coverage,avg_length",
     ]
     for rep in reports:
@@ -346,5 +380,7 @@ def report_text_table(reports, scenario: SimulationScenario) -> str:
     body = "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths))
                      for row in rows)
     nonconverged = "  ".join(f"{r.method}: {r.n_nonconverged}" for r in reports)
+    cycles = "  ".join(f"{r.method}: {r.n_cycles}" for r in reports)
     times = "  ".join(f"{r.method}: {r.wall_time:.2f}s" for r in reports)
-    return f"{header}\n{body}\nnonconverged  {nonconverged}\nwall time  {times}\n"
+    return (f"{header}\n{body}\nnonconverged  {nonconverged}\ncycles  {cycles}\n"
+            f"wall time  {times}\n")

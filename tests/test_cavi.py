@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from llaft.cavi import (FitConfig, VariationalState, elbo, fit, initialize,
-                        plugin_residuals, update_mu, update_omega, update_sigma)
+from llaft.cavi import (FitConfig, VariationalState, elbo, fit, fit_batch,
+                        initialize, plugin_residuals, update_mu, update_omega,
+                        update_sigma)
 from llaft.exceptions import NumericalError
 from llaft.model import PriorSpec, SurvivalDataset
 from llaft.piecewise import PiecewiseCoefficients, segment_coefficients
@@ -373,6 +374,68 @@ class TestFit:
                           scale_shape=2.0, scale_rate=1.0)
         with pytest.raises(NumericalError, match="iteration 1"):
             fit(data, prior)
+
+
+def assert_same_state(a, b):
+    assert np.array_equal(a.coef_mean, b.coef_mean)
+    assert np.array_equal(a.coef_cov, b.coef_cov)
+    assert a.scale_shape == b.scale_shape and a.scale_rate == b.scale_rate
+    assert a.elbo_trace == b.elbo_trace
+    assert a.omega_trace == b.omega_trace
+    assert len(a.sigma_trace) == len(b.sigma_trace)
+    assert all(np.array_equal(x, y) for x, y in zip(a.sigma_trace, b.sigma_trace))
+    assert a.segment_trace == b.segment_trace
+    assert (a.iterations, a.converged, a.stop_reason) == (
+        b.iterations, b.converged, b.stop_reason)
+
+
+class TestFitBatch:
+    def test_each_entry_equals_its_own_fit(self):
+        datasets = [generate_dataset(SimulationScenario(n=300, censor_bound=u,
+                                                        n_replicates=10, seed=21), i)
+                    for u in (0.0, 48.0, 17.0) for i in range(10)]
+        batch = fit_batch(datasets, WEAK_PRIOR)
+        assert len(batch) == 30
+        for data, state in zip(datasets, batch):
+            assert_same_state(state, fit(data, WEAK_PRIOR))
+        # the replicates leave the batch at different iterations and by
+        # more than one rule
+        assert len({s.iterations for s in batch}) > 1
+        assert {s.stop_reason for s in batch} >= {"tolerance", "cycle"}
+
+    def test_cap_applies_per_replicate(self):
+        sc = SimulationScenario(n=60, censor_bound=17.0, n_replicates=6, seed=2)
+        datasets = [generate_dataset(sc, i) for i in range(6)]
+        config = FitConfig(max_iterations=4)
+        for data, state in zip(datasets, fit_batch(datasets, WEAK_PRIOR, config)):
+            assert_same_state(state, fit(data, WEAK_PRIOR, config))
+
+    def test_failing_dataset_fails_only_its_entry(self):
+        # the omega <= 0 data of criterion 7 between good datasets
+        prior = PriorSpec(coef_mean=np.zeros(2), coef_precision=1e9,
+                          scale_shape=2.0, scale_rate=1.0)
+        bad = make_dataset([-0.5] * 10, [0] * 10, [[0.0]] * 10)
+        rng = np.random.default_rng(3)
+        good = [make_dataset(rng.normal(0.0, 0.3, 10), np.ones(10),
+                             rng.normal(size=(10, 1))) for _ in range(3)]
+        batch = fit_batch([good[0], bad, good[1], good[2]], prior)
+        assert isinstance(batch[1], NumericalError)
+        assert "iteration 1" in str(batch[1])
+        assert "omega" in str(batch[1])
+        for data, state in zip(good, [batch[0], batch[2], batch[3]]):
+            assert isinstance(state, VariationalState)
+            assert_same_state(state, fit(data, prior))
+
+    def test_mismatched_datasets_raise(self):
+        a = generate_dataset(SimulationScenario(n=30, n_replicates=1, seed=1), 0)
+        b = generate_dataset(SimulationScenario(n=31, n_replicates=1, seed=1), 0)
+        c = make_dataset([0.1, 0.2, 0.3], [1, 1, 0], [[1.0], [2.0], [3.0]])
+        with pytest.raises(ValueError, match="disagree"):
+            fit_batch([a, b], WEAK_PRIOR)
+        with pytest.raises(ValueError):
+            fit_batch([a, c], WEAK_PRIOR)
+        with pytest.raises(ValueError):
+            fit_batch([], WEAK_PRIOR)
 
 
 class TestFitConfig:

@@ -172,9 +172,11 @@ class TestReplicateCommand:
         lines = out.read_text().splitlines()
         at = lines.index("# failures: vb=0 mle=0")
         assert lines[at + 1] == "# nonconverged: vb=3 mle=0"
-        assert lines[at + 2] == "method,parameter,bias,sd,mse,coverage,avg_length"
+        assert lines[at + 2] == "# cycles: vb=0 mle=0"
+        assert lines[at + 3] == "method,parameter,bias,sd,mse,coverage,avg_length"
         table = capsys.readouterr().out.splitlines()
         assert "nonconverged  vb: 3  mle: 0" in table
+        assert "cycles  vb: 0  mle: 0" in table
 
 
 class TestApproxCheckCommand:

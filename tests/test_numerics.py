@@ -84,7 +84,9 @@ class TestRegularizedGamma:
 
 
 class TestInverseGammaParams:
-    @pytest.mark.parametrize("shape,scale", [(0.0, 1.0), (1.0, 0.0), (-2.0, 3.0)])
+    @pytest.mark.parametrize("shape,scale", [(0.0, 1.0), (1.0, 0.0), (-2.0, 3.0),
+                                             (np.array([2.0, 0.0]), 1.0),
+                                             (2.0, np.array([1.0, np.nan]))])
     def test_invalid(self, shape, scale):
         with pytest.raises(ValueError):
             InverseGammaParams(shape, scale)
@@ -105,6 +107,14 @@ class TestInverseGammaMoments:
         log_draws = np.log(draws)
         mc_se = log_draws.std(ddof=1) / math.sqrt(log_draws.size)
         assert abs(log_draws.mean() - mean_log) < 3.0 * mc_se
+
+    def test_arrays_give_elementwise_moments(self):
+        shapes, rates = np.array([2.0, 11.0, 311.0]), np.array([4.0, 10.0, 250.0])
+        got = inverse_gamma_moments(InverseGammaParams(shapes, rates))
+        for j, (a, w) in enumerate(zip(shapes, rates)):
+            want = inverse_gamma_moments(InverseGammaParams(float(a), float(w)))
+            for g, v in zip(got, want):
+                assert g[j] == pytest.approx(v, rel=1e-15)
 
     def test_monte_carlo_agreement(self):
         # 20 random (shape, scale) pairs, 1e6 draws each, all three moments
@@ -263,3 +273,18 @@ class TestNormal:
             normal_quantile(0.0)
         with pytest.raises(ValueError):
             normal_quantile(np.array([0.5, 1.0]))
+
+    def test_float_branch_is_bit_identical_to_array_branch(self):
+        # 1.2e5 probabilities from 1e-300 to 1 - 1e-16, both tails and the
+        # center, through the float branch one at a time and the array
+        # branch all at once
+        rng = np.random.default_rng(17)
+        q = np.concatenate([
+            10.0 ** rng.uniform(-300.0, np.log10(0.075), 40_000),
+            rng.uniform(0.0, 1.0, 40_000),
+            1.0 - 10.0 ** rng.uniform(-16.0, np.log10(0.075), 40_000),
+            [1e-300, 0.075, 0.5, 0.925, 1.0 - 1e-16]])
+        q = q[(q > 0.0) & (q < 1.0)]
+        assert len(q) >= 100_000
+        scalar = np.array([normal_quantile(float(v)) for v in q])
+        assert np.array_equal(scalar, normal_quantile(q))

@@ -280,3 +280,34 @@ class TestBreakpointSearch:
     def test_invalid_count(self):
         with pytest.raises(ValueError):
             fit_linear_breakpoints(1000, 6)
+
+    @pytest.mark.parametrize("grid_size,k", [(5, 5), (2, 4), (6, 5)])
+    def test_grid_with_fewer_points_than_coefficients_is_rejected(self, grid_size, k):
+        # a k-knot spline has k + 2 coefficients; (5, 5) returned SSE -159.8
+        # and (2, 4) raised TypeError before the check
+        with pytest.raises(ValueError, match="coefficients"):
+            fit_linear_breakpoints(grid_size, k, 0.25)
+
+    @pytest.mark.parametrize("grid_size,k", [(6, 4), (10, 4), (10, 5)])
+    def test_coarse_grid_never_takes_a_singular_tuple(self, grid_size, k):
+        # these returned SSEs of -3.81, -11 and -43 when near-singular normal
+        # equations were scored; an exact fit may round a hair below zero
+        fit = fit_linear_breakpoints(grid_size, k, 0.25)
+        assert np.all(np.diff(fit.breakpoints) > 0)
+        assert fit.sse >= -1e-9
+        x, y = _grid(grid_size)
+        A = np.column_stack([np.ones_like(x), x]
+                            + [np.maximum(x - a, 0) for a in fit.breakpoints])
+        coef = np.linalg.lstsq(A, y, rcond=None)[0]
+        assert np.linalg.matrix_rank(A) == k + 2
+        assert fit.sse == pytest.approx(float(np.sum((A @ coef - y) ** 2)), abs=1e-9)
+
+    def test_numerically_singular_tuple_scores_inf(self):
+        # on 5 grid points, knots 3.75 and 4.0 have no point between them,
+        # and only the point at 5 above both: their hinge columns are parallel
+        x, y = _grid(5)
+        ls = _HingeLS(x, y)
+        got = ls.sse(np.array([[-2.0, 1.0, 3.75, 4.0], [-2.0, 1.0, 3.0, 4.0],
+                               [-1.0, 1.0, 2.0, 3.0]]))
+        assert np.all(np.isinf(got))
+        assert np.isfinite(ls.sse(np.array([[-1.0, 1.0]])))

@@ -7,8 +7,8 @@ from conftest import make_dataset
 from llaft.cavi import fit
 from llaft.exceptions import NumericalError
 from llaft.model import ModelParams, PriorSpec, SurvivalDataset, log_likelihood
-from llaft.reference import (fit_mle, loglik_grad_hess, sample_posterior,
-                             vb_mean_params)
+from llaft.reference import (fit_mle, fit_mle_batch, loglik_grad_hess,
+                             sample_posterior)
 from llaft.simulate import WEAK_PRIOR, SimulationScenario, generate_dataset
 
 
@@ -123,7 +123,64 @@ class TestFitMle:
             res = fit_mle(data)
             state = fit(data, WEAK_PRIOR)
             assert res.log_likelihood_at_max >= log_likelihood(
-                data, vb_mean_params(state)) - 1e-9
+                data, ModelParams(state.coef_mean, state.scale_mean)) - 1e-9
+
+
+def assert_same_mle(a, b):
+    assert np.array_equal(a.coefficients, b.coefficients)
+    assert a.scale == b.scale
+    assert np.array_equal(a.covariance, b.covariance)
+    assert a.log_likelihood_at_max == b.log_likelihood_at_max
+    assert (a.iterations, a.gradient_norm) == (b.iterations, b.gradient_norm)
+
+
+def separated_dataset():
+    # events at y = 0 in one group, censoring at y = 3 in the other: the
+    # likelihood has no maximum, and the Newton steps run out of ascent
+    x = np.r_[np.zeros(5), np.ones(5)]
+    return make_dataset(3.0 * x, 1.0 - x, x[:, None])
+
+
+class TestFitMleBatch:
+    def test_each_entry_equals_its_own_fit(self):
+        datasets = [generate_dataset(SimulationScenario(n=300, censor_bound=u,
+                                                        n_replicates=10, seed=21), i)
+                    for u in (0.0, 48.0, 17.0) for i in range(10)]
+        batch = fit_mle_batch(datasets)
+        assert len(batch) == 30
+        for data, res in zip(datasets, batch):
+            assert_same_mle(res, fit_mle(data))
+        assert len({r.iterations for r in batch}) > 1
+
+    def test_stalled_dataset_fails_only_its_entry(self, rng):
+        with pytest.raises(NumericalError, match="stalled"):
+            fit_mle(separated_dataset())
+        good = [random_dataset(rng, 10, p_extra=1, censored=False) for _ in range(3)]
+        batch = fit_mle_batch([good[0], good[1], separated_dataset(), good[2]])
+        assert isinstance(batch[2], NumericalError)
+        assert "stalled at Newton iteration" in str(batch[2])
+        for data, res in zip(good, [batch[0], batch[1], batch[3]]):
+            assert_same_mle(res, fit_mle(data))
+
+    def test_underdetermined_batch_fails_every_entry(self):
+        data = make_dataset([0.1, 0.2], [1, 1], [[1.0], [2.0]])
+        assert all(isinstance(r, NumericalError) for r in fit_mle_batch([data, data]))
+
+    def test_mismatched_datasets_raise(self, rng):
+        with pytest.raises(ValueError, match="disagree"):
+            fit_mle_batch([random_dataset(rng, 10), random_dataset(rng, 11)])
+
+    def test_stacked_gradient_matches_single(self, rng):
+        from llaft.model import DatasetStack
+        datasets = [random_dataset(rng, 25) for _ in range(4)]
+        theta = rng.normal(0.0, 0.4, size=(4, 4))
+        ll, grad, hess = loglik_grad_hess(DatasetStack.of(datasets),
+                                          theta[:, :-1], theta[:, -1])
+        for j, data in enumerate(datasets):
+            one = loglik_grad_hess(data, theta[j, :-1], theta[j, -1])
+            assert ll[j] == one[0]
+            assert np.array_equal(grad[j], one[1])
+            assert np.array_equal(hess[j], one[2])
 
 
 class TestSamplePosterior:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import llaft.simulate
+from llaft.cavi import fit
 from llaft.cli import ingest_csv
 from llaft.exceptions import NumericalError
 from llaft.simulate import (ROLE_NOISE, ROLE_X1, STRONG_PRIOR, WEAK_PRIOR,
                             SimulationScenario, aggregate_estimates,
-                            generate_dataset, run_replication, uniform_stream,
-                            write_dataset_csv, write_report_csv)
+                            generate_dataset, report_text_table, run_replication,
+                            uniform_stream, write_dataset_csv, write_report_csv)
 
 
 class TestUniformStream:
@@ -146,6 +148,33 @@ class TestRunReplication:
         sc = SimulationScenario(n=3, censor_bound=0.0, n_replicates=4, seed=0)
         with pytest.raises(NumericalError, match="failed on"):
             run_replication(sc, WEAK_PRIOR, methods=("mle",))
+
+    def test_cycle_stops_are_counted_apart(self, tmp_path):
+        # replicate 0 of seed 3 at n = 300 stops in a two-state cycle
+        sc = SimulationScenario(n=300, censor_bound=0.0, n_replicates=5, seed=3)
+        reasons = [fit(generate_dataset(sc, i), WEAK_PRIOR).stop_reason
+                   for i in range(5)]
+        assert reasons[0] == "cycle"
+        vb, mle = run_replication(sc, WEAK_PRIOR, methods=("vb", "mle"))
+        assert vb.n_cycles == reasons.count("cycle")
+        assert vb.n_nonconverged == reasons.count("cap") == 0
+        assert mle.n_cycles == 0
+        path = tmp_path / "r.csv"
+        write_report_csv(path, [vb, mle], sc, WEAK_PRIOR)
+        lines = path.read_text().splitlines()
+        at = lines.index("# nonconverged: vb=0 mle=0")
+        assert lines[at + 1] == f"# cycles: vb={vb.n_cycles} mle=0"
+        assert f"cycles  vb: {vb.n_cycles}  mle: 0" in report_text_table([vb, mle], sc)
+
+    def test_block_size_does_not_change_reports(self, monkeypatch):
+        sc = SimulationScenario(n=40, censor_bound=17.0, n_replicates=7, seed=5)
+        whole = run_replication(sc, WEAK_PRIOR, methods=("vb", "mle"))
+        monkeypatch.setattr(llaft.simulate, "_BLOCK_SIZE", 3)
+        blocks = run_replication(sc, WEAK_PRIOR, methods=("vb", "mle"))
+        for a, b in zip(whole, blocks):
+            assert a.stats == b.stats
+            assert (a.n_failures, a.n_nonconverged, a.n_cycles) == (
+                b.n_failures, b.n_nonconverged, b.n_cycles)
 
     def test_unknown_method_rejected(self):
         sc = SimulationScenario(n=10, censor_bound=0.0, n_replicates=1, seed=0)
