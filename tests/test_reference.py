@@ -6,7 +6,8 @@ import pytest
 from conftest import make_dataset
 from llaft.cavi import fit
 from llaft.exceptions import NumericalError
-from llaft.model import ModelParams, PriorSpec, SurvivalDataset, log_likelihood
+from llaft.model import (DatasetStack, ModelParams, PriorSpec, SurvivalDataset,
+                         log_likelihood)
 from llaft.reference import (fit_mle, fit_mle_batch, loglik_grad_hess,
                              sample_posterior)
 from llaft.simulate import WEAK_PRIOR, SimulationScenario, generate_dataset
@@ -171,7 +172,6 @@ class TestFitMleBatch:
             fit_mle_batch([random_dataset(rng, 10), random_dataset(rng, 11)])
 
     def test_stacked_gradient_matches_single(self, rng):
-        from llaft.model import DatasetStack
         datasets = [random_dataset(rng, 25) for _ in range(4)]
         theta = rng.normal(0.0, 0.4, size=(4, 4))
         ll, grad, hess = loglik_grad_hess(DatasetStack.of(datasets),
