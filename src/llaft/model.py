@@ -64,6 +64,8 @@ class SurvivalDataset:
             raise DataError("time, event and covariates disagree on n")
         if p < 1:
             raise DataError("covariates must at least contain the intercept column")
+        if not np.all(np.isfinite(X)):
+            raise DataError("covariates must be finite")
         if n and not np.all(X[:, 0] == 1.0):
             raise DataError("first covariate column must be the intercept (all ones)")
         if np.any(time <= 0) or not np.all(np.isfinite(time)):
@@ -183,23 +185,34 @@ def _stacked(data) -> tuple[DatasetStack, bool]:
     return data, False
 
 
-def _z_loglik(y, event, X, beta, log_b):
-    """z = (y - X beta) / b and the log-likelihood above on raw arrays, with
-    the overflow-safe softplus. With a leading replicate axis, beta is (R, p)
-    and log_b (R,), and both results carry the axis. It validates nothing."""
+def _softplus(z: np.ndarray) -> np.ndarray:
+    """log(1 + e^z) elementwise, as log1p(exp(z)), for an array z of at least
+    one axis. exp overflows only where z > ~709.78, so when the maximum of z
+    is above 709, or NaN, the entries that come out not finite are redone
+    with np.logaddexp(0, z), which costs ~4x as much as log1p(exp(z)).
+    NaN propagates without a floating-point warning."""
+    if z.max(initial=-np.inf) <= 709.0:
+        out = np.exp(z)
+        return np.log1p(out, out=out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.log1p(np.exp(z))
+        return np.where(np.isfinite(out), out, np.logaddexp(0.0, z))
+
+
+def _z_loglik(y, event, X, beta, log_b, r, event1):
+    """z = (y - X beta) / b and the log-likelihood above on raw arrays. The
+    caller passes the event count r and event1 = 1 + event, which do not
+    depend on (beta, b). With a leading replicate axis, beta is (R, p) and
+    log_b, r are (R,), and both results carry the axis. It validates nothing.
+
+    One dataset sums by dot products. A stack sums each row pairwise: the
+    sequential sums of a stacked matmul round enough to flip the MLE line
+    search's 1e-13 acceptance test."""
     if np.ndim(beta) == 1:
         z = (y - X @ beta) / np.exp(log_b)
-    else:
-        z = (y - np.matmul(X, beta[..., None])[..., 0]) / np.exp(log_b)[..., None]
-    r = event.sum(axis=-1)
-    ll = -r * log_b + np.sum(event * z - (1.0 + event) * np.logaddexp(0.0, z), axis=-1)
-    return z, ll
-
-
-def _loglik(y, event, X, beta, log_b) -> float:
-    """The log-likelihood of one dataset at (beta, log b). `log_likelihood`
-    adds the checks, and the Metropolis step calls it directly."""
-    return float(_z_loglik(y, event, X, beta, log_b)[1])
+        return z, -r * log_b + (event @ z - event1 @ _softplus(z))
+    z = (y - np.matmul(X, beta[..., None])[..., 0]) / np.exp(log_b)[..., None]
+    return z, -r * log_b + ((event * z).sum(axis=-1) - (event1 * _softplus(z)).sum(axis=-1))
 
 
 def log_likelihood(data: SurvivalDataset, params: ModelParams) -> float:
@@ -208,8 +221,9 @@ def log_likelihood(data: SurvivalDataset, params: ModelParams) -> float:
         raise DataError("log_likelihood requires a nonempty dataset")
     if params.coefficients.shape[0] != data.p:
         raise ValueError("coefficient vector does not match covariate dimension")
-    value = _loglik(data.log_time, data.event, data.covariates,
-                    params.coefficients, math.log(params.scale))
+    value = float(_z_loglik(data.log_time, data.event, data.covariates,
+                            params.coefficients, math.log(params.scale),
+                            data.r, 1.0 + data.event)[1])
     if not math.isfinite(value):
         raise NumericalError(f"non-finite log-likelihood at scale={params.scale}")
     return value

@@ -4,6 +4,9 @@ Both serve as independent cross-checks of the variational fit. The MLE is a
 damped Newton ascent in (beta, log b) with analytic gradient and Hessian; the
 sampler is a joint Gaussian random-walk Metropolis in the same coordinates,
 with per-component proposal scales adapted during burn-in and frozen after.
+A chain builds its log posterior once: the event count, 1 + event and the
+prior constants do not depend on the parameters, so a step computes only z,
+one softplus and two dot products over the data.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError
-from .model import DatasetStack, PriorSpec, SurvivalDataset, _loglik, _stacked, _z_loglik
+from .model import DatasetStack, PriorSpec, SurvivalDataset, _stacked, _z_loglik
 from .numerics import normal_quantile
 
 __all__ = [
@@ -100,14 +103,15 @@ def loglik_grad_hess(data, beta: np.ndarray, log_b):
     y, d, X = stack.log_time, stack.event, stack.covariates
     R, p = len(stack), stack.p
     b = np.exp(log_b)[:, None]
-    z, ll = _z_loglik(y, d, X, beta, log_b)
+    d1 = 1.0 + d
+    z, ll = _z_loglik(y, d, X, beta, log_b, stack.r, d1)
     sig = np.empty_like(z)
     pos = z >= 0
     sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     sig[~pos] = ez / (1.0 + ez)
-    g_i = d - (1.0 + d) * sig
-    w_i = (1.0 + d) * sig * (1.0 - sig)
+    g_i = d - d1 * sig
+    w_i = d1 * sig * (1.0 - sig)
     Xt = X.transpose(0, 2, 1)
     z_g = _dot(z, g_i)
 
@@ -271,15 +275,25 @@ def _mle_result(theta, ll, hess, iterations, gradient_norm):
     )
 
 
-def _log_posterior_theta(data, prior, theta) -> float:
-    """Log posterior in (beta, log b), including the |db/ds| = b Jacobian."""
-    p = len(theta) - 1
-    beta, s = theta[:p], theta[p]
-    ll = _loglik(data.log_time, data.event, data.covariates, beta, s) if data.n else 0.0
-    diff = beta - prior.coef_mean
-    lp_beta = -0.5 * prior.coef_precision * float(diff @ diff)
-    lp_scale = -prior.scale_shape * s - prior.scale_rate * math.exp(-s)
-    return ll + lp_beta + lp_scale
+def _chain_log_posterior(data, prior):
+    """The log posterior in (beta, log b) of one chain, as a function of theta.
+
+    It includes the |db/ds| = b Jacobian and drops the normalizing constants.
+    Everything that does not depend on theta (r, 1 + event and the prior
+    constants) is built here, once per chain."""
+    n, y, event, X = data.n, data.log_time, data.event, data.covariates
+    r, event1 = data.r, 1.0 + event
+    mu0 = prior.coef_mean
+    neg_half_precision = -0.5 * prior.coef_precision
+    neg_shape, rate = -prior.scale_shape, prior.scale_rate
+    exp = math.exp
+
+    def log_posterior(theta) -> float:
+        beta, s = theta[:-1], theta[-1]
+        ll = _z_loglik(y, event, X, beta, s, r, event1)[1] if n else 0.0
+        diff = beta - mu0
+        return ll + neg_half_precision * float(diff @ diff) + (neg_shape * s - rate * exp(-s))
+    return log_posterior
 
 
 def sample_posterior(data: SurvivalDataset, prior: PriorSpec, n_iterations: int,
@@ -305,9 +319,12 @@ def sample_posterior(data: SurvivalDataset, prior: PriorSpec, n_iterations: int,
         prior_scale_mean = prior.scale_rate / max(prior.scale_shape - 1.0, 0.5)
         theta = np.append(prior.coef_mean, math.log(prior_scale_mean))
 
-    lp = _log_posterior_theta(data, prior, theta)
+    log_posterior = _chain_log_posterior(data, prior)
+    normal, uniform = rng.standard_normal, rng.uniform
+    lp = log_posterior(theta)
     scales = np.full(dim, 0.1)
     mult = 1.0
+    step = mult * scales  # recomputed only when adaptation changes either factor
     window = 100
     accept_window = 0
     accepted_total = 0
@@ -318,9 +335,9 @@ def sample_posterior(data: SurvivalDataset, prior: PriorSpec, n_iterations: int,
 
     draws = np.empty((n_iterations - burn_in, dim))
     for it in range(n_iterations):
-        proposal = theta + mult * scales * rng.standard_normal(dim)
-        lp_prop = _log_posterior_theta(data, prior, proposal)
-        if math.log(rng.uniform()) < lp_prop - lp:
+        proposal = theta + step * normal(dim)
+        lp_prop = log_posterior(proposal)
+        if math.log(uniform()) < lp_prop - lp:
             theta, lp = proposal, lp_prop
             accept_window += 1
             accepted_total += 1
@@ -336,6 +353,7 @@ def sample_posterior(data: SurvivalDataset, prior: PriorSpec, n_iterations: int,
                 elif rate > 0.40:
                     mult *= 1.25
                 scales = np.maximum(np.sqrt(m2_acc / (count - 1)), 1e-3)
+                step = mult * scales
                 accept_window = 0
         else:
             draws[it - burn_in] = theta

@@ -132,6 +132,13 @@ class TestFitCommand:
                      "--prior-rate", "1"])
         assert code == 1
 
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_nonfinite_covariate_exit_2(self, tmp_path, capsys, bad):
+        data = write(tmp_path / "bad.csv",
+                     f"time,status,x\n1,1,0.5\n2,0,{bad}\n3,1,1.5\n4,1,2\n")
+        assert main(["fit", "--data", data, "--methods", "mle"]) == 2
+        assert "covariates must be finite" in capsys.readouterr().err
+
     def test_deterministic_output_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (out1, out2):

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import make_dataset
 from llaft.exceptions import DataError
-from llaft.model import (ModelParams, PriorSpec, SurvivalDataset,
+from llaft.model import (ModelParams, PriorSpec, SurvivalDataset, _softplus,
                          log_likelihood, log_posterior)
 from llaft.numerics import InverseGammaParams, inverse_gamma_log_pdf
 
@@ -57,6 +57,13 @@ class TestSurvivalDataset:
             SurvivalDataset(time=np.ones(3), event=np.zeros(2),
                             covariates=np.ones((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_nonfinite_covariates(self, bad):
+        X = np.ones((3, 2))
+        X[1, 1] = bad
+        with pytest.raises(DataError, match="finite"):
+            SurvivalDataset(time=np.ones(3), event=np.ones(3), covariates=X)
+
     def test_intercept_only_allowed(self):
         data = SurvivalDataset(time=np.ones(3), event=np.ones(3),
                                covariates=np.ones((3, 1)))
@@ -65,6 +72,31 @@ class TestSurvivalDataset:
     def test_arrays_are_immutable(self, five_obs):
         with pytest.raises(ValueError):
             five_obs.time[0] = 2.0
+
+
+class TestSoftplus:
+    def test_within_two_ulp_of_logaddexp(self):
+        z = np.concatenate([np.linspace(-800.0, 800.0, 400_001),
+                            np.linspace(709.0, 800.0, 10_001)])
+        exact = np.logaddexp(0.0, z)
+        got = _softplus(z)
+        ulps = np.abs(got - exact) / np.spacing(np.abs(exact))
+        assert ulps.max() <= 2.0
+
+    def test_overflow_entries_take_logaddexp(self):
+        z = np.array([0.5, 709.5, 710.0, 1e300, -3.0])
+        assert np.array_equal(_softplus(z), np.logaddexp(0.0, z))
+
+    def test_special_values(self):
+        with np.errstate(all="raise"):
+            got = _softplus(np.array([-np.inf, np.inf, np.nan, 0.0]))
+        assert got[0] == 0.0
+        assert got[1] == np.inf
+        assert np.isnan(got[2])
+        assert got[3] == math.log(2.0)
+
+    def test_empty_input(self):
+        assert _softplus(np.empty(0)).shape == (0,)
 
 
 class TestLogLikelihood:

@@ -7,9 +7,10 @@ from conftest import make_dataset
 from llaft.cavi import fit
 from llaft.exceptions import NumericalError
 from llaft.model import (DatasetStack, ModelParams, PriorSpec, SurvivalDataset,
-                         log_likelihood)
-from llaft.reference import (fit_mle, fit_mle_batch, loglik_grad_hess,
-                             sample_posterior)
+                         log_likelihood, log_posterior)
+from llaft.numerics import inverse_gamma_log_pdf
+from llaft.reference import (_chain_log_posterior, fit_mle, fit_mle_batch,
+                             loglik_grad_hess, sample_posterior)
 from llaft.simulate import WEAK_PRIOR, SimulationScenario, generate_dataset
 
 
@@ -272,3 +273,44 @@ class TestTrialData:
         lo, hi = np.percentile(b1, [2.5, 97.5])
         assert lo == pytest.approx(0.165, abs=0.08)
         assert hi == pytest.approx(0.737, abs=0.08)
+
+
+class TestChainLogPosterior:
+    """The sampler's per-chain log posterior in (beta, log b) is the model's
+    log posterior at (beta, e^s) plus the log Jacobian s, up to a constant."""
+
+    PRIOR = PriorSpec(coef_mean=np.array([4.4, 0.25, 0.04]), coef_precision=1.0,
+                      scale_shape=501.0, scale_rate=500.0)
+
+    @staticmethod
+    def assert_constant_offset(got, expected):
+        got, expected = np.asarray(got), np.asarray(expected)
+        offset = got - expected
+        assert np.all(np.abs(offset - offset[0]) <= 1e-10 * np.abs(expected))
+
+    def test_matches_model_log_posterior(self, trial):
+        rng = np.random.default_rng(7)
+        thetas = np.column_stack([rng.normal([4.1, 0.4, 0.02], [0.3, 0.3, 0.01], size=(60, 3)),
+                                  rng.normal(-0.1, 0.3, size=60)])
+        # a tiny scale drives z past 710, where the softplus takes np.logaddexp
+        thetas[-1, -1] = -8.0
+        beta, s = thetas[-1, :-1], thetas[-1, -1]
+        assert ((trial.log_time - trial.covariates @ beta) / math.exp(s)).max() > 710.0
+        chain_lp = _chain_log_posterior(trial, self.PRIOR)
+        got = [chain_lp(theta) for theta in thetas]
+        expected = [log_posterior(trial, ModelParams(theta[:-1], math.exp(theta[-1])),
+                                  self.PRIOR) + theta[-1] for theta in thetas]
+        self.assert_constant_offset(got, expected)
+
+    def test_no_data_gives_the_prior(self):
+        data = SurvivalDataset(time=np.empty(0), event=np.empty(0),
+                               covariates=np.empty((0, 3)))
+        rng = np.random.default_rng(8)
+        thetas = rng.normal(0.0, 1.0, size=(50, 4))
+        chain_lp = _chain_log_posterior(data, WEAK_PRIOR)
+        got = [chain_lp(theta) for theta in thetas]
+        v0 = WEAK_PRIOR.coef_precision
+        expected = [-0.5 * v0 * float((t[:-1] - WEAK_PRIOR.coef_mean) @ (t[:-1] - WEAK_PRIOR.coef_mean))
+                    + inverse_gamma_log_pdf(WEAK_PRIOR.scale_params, math.exp(t[-1])) + t[-1]
+                    for t in thetas]
+        self.assert_constant_offset(got, expected)
