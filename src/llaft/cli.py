@@ -10,6 +10,7 @@ import argparse
 import csv
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .piecewise import (LINEAR_KNOTS, _memoized_search, fit_linear_breakpoints,
                         softplus, softplus_linear, softplus_quadratic, table_sse)
 from .posterior import hdi_from_draws, summarize_coefficients, summarize_scale
 from .reference import fit_mle, sample_posterior
-from .simulate import (STRONG_PRIOR, WEAK_PRIOR, SimulationScenario,
+from .simulate import (STRONG_PRIOR, WEAK_PRIOR, SimulationScenario, _fmt6, format_table,
                        report_text_table, run_replication, write_report_csv)
 
 __all__ = ["ingest_csv", "load_config", "main"]
@@ -123,6 +124,14 @@ def _merged(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
+def _given(args, **flags) -> dict:
+    """The flags that were set, on the command line or in the config file,
+    as keyword arguments named by `flags` (keyword=flag); the library's own
+    defaults fill in the rest."""
+    return {kw: getattr(args, flag) for kw, flag in flags.items()
+            if getattr(args, flag, None) is not None}
+
+
 def _build_prior(args, p: int) -> PriorSpec:
     preset = getattr(args, "prior_preset", None)
     if preset:
@@ -140,30 +149,13 @@ def _build_prior(args, p: int) -> PriorSpec:
             raise DataError(f"prior mean needs {p} entries, got {mean.shape[0]}")
     else:
         mean = np.zeros(p)
-    return PriorSpec(
-        coef_mean=mean,
-        coef_precision=args.prior_precision if args.prior_precision is not None else 0.1,
-        scale_shape=args.prior_shape if args.prior_shape is not None else 11.0,
-        scale_rate=args.prior_rate if args.prior_rate is not None else 10.0,
-    )
+    return replace(WEAK_PRIOR, coef_mean=mean, **_given(
+        args, coef_precision="prior_precision", scale_shape="prior_shape",
+        scale_rate="prior_rate"))
 
 
 def _fit_config(args) -> FitConfig:
-    return FitConfig(
-        elbo_tolerance=args.elbo_tol if args.elbo_tol is not None else 0.01,
-        max_iterations=args.max_iter if args.max_iter is not None else 100,
-    )
-
-
-def _fmt6(x) -> str:
-    return f"{x:.6g}"
-
-
-def _print_table(rows, header):
-    rows = [header] + [[str(c) for c in row] for row in rows]
-    widths = [max(len(r[j]) for r in rows) for j in range(len(header))]
-    for row in rows:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+    return FitConfig(**_given(args, elbo_tolerance="elbo_tol", max_iterations="max_iter"))
 
 
 def _method_summaries(method, data, prior, config, args):
@@ -227,10 +219,10 @@ def cmd_fit(args) -> int:
         all_rows.append((method, rows))
         print(f"[{method}] fit of {args.data} (n={data.n}, p={data.p}, events={data.r}), "
               f"{elapsed:.3f}s")
-        _print_table(
-            [(n, _fmt6(m), _fmt6(s), _fmt6(lo), _fmt6(hi), kind)
-             for n, m, s, lo, hi, kind in rows],
-            ["parameter", "mean", "sd", "low", "high", "interval"])
+        print(format_table(
+            [("parameter", "mean", "sd", "low", "high", "interval")]
+            + [(n, _fmt6(m), _fmt6(s), _fmt6(lo), _fmt6(hi), kind)
+               for n, m, s, lo, hi, kind in rows]))
         print()
     if args.out:
         _write_summary_csv(args.out, all_rows)
@@ -240,17 +232,12 @@ def cmd_fit(args) -> int:
 def cmd_replicate(args) -> int:
     scenario = SimulationScenario(
         n=args.n if args.n is not None else 300,
-        censor_bound=args.censor_u if args.censor_u is not None else 0.0,
-        n_replicates=args.replicates if args.replicates is not None else 500,
-        seed=args.seed if args.seed is not None else 0,
-    )
+        **_given(args, censor_bound="censor_u", n_replicates="replicates", seed="seed"))
     prior = _build_prior(args, 3)
     methods = [m.strip().lower() for m in (args.methods or "vb,mle").split(",") if m.strip()]
     reports = run_replication(
         scenario, prior, methods, config=_fit_config(args),
-        mcmc_iterations=args.mcmc_iterations if args.mcmc_iterations is not None else 5000,
-        mcmc_burn_in=args.mcmc_burn_in if args.mcmc_burn_in is not None else 1000,
-    )
+        **_given(args, mcmc_iterations="mcmc_iterations", mcmc_burn_in="mcmc_burn_in"))
     print(report_text_table(reports, scenario))
     if args.out:
         write_report_csv(args.out, reports, scenario, prior)
@@ -269,7 +256,7 @@ def cmd_approx_check(args) -> int:
     print(f"  quadratic SSE {_fmt6(quad_sse)}   max|err| {_fmt6(quad_max)} on [-8, 8]")
 
     print("segmented least-squares search (knots on a 0.05 lattice):")
-    rows = []
+    rows = [("breakpoints", "sse", "r_squared", "knots")]
     fit3 = None
     # the k = 4 and 5 searches start from the k - 1 fit; memoized, each k runs once
     with _memoized_search():
@@ -279,7 +266,7 @@ def cmd_approx_check(args) -> int:
                 fit3 = res
             rows.append((str(k), _fmt6(res.sse), f"{res.r_squared:.6f}",
                          ", ".join(_fmt6(b) for b in res.breakpoints)))
-    _print_table(rows, ["breakpoints", "sse", "r_squared", "knots"])
+    print(format_table(rows))
 
     ok = (3.30 <= lin_sse <= 3.40 and 0.11 <= quad_sse <= 0.13
           and np.all(np.abs(fit3.breakpoints - LINEAR_KNOTS[1:4]) <= 0.1)
@@ -300,18 +287,17 @@ def cmd_compare(args) -> int:
         rows, elapsed = _method_summaries(method, data, prior, config, args)
         timings[method] = elapsed
         all_rows.append((method, rows))
-    params = [r[0] for r in all_rows[0][1]]
-    table = []
-    for i, name in enumerate(params):
+    header = ["parameter"]
+    for method, _ in all_rows:
+        header += [f"{method}:mean", f"{method}:sd", f"{method}:95%"]
+    table = [header]
+    for i, (name, *_) in enumerate(all_rows[0][1]):
         row = [name]
         for _, rows in all_rows:
             _, mean, sd, lo, hi, _ = rows[i]
             row += [_fmt6(mean), _fmt6(sd), f"[{_fmt6(lo)}, {_fmt6(hi)}]"]
         table.append(row)
-    header = ["parameter"]
-    for method, _ in all_rows:
-        header += [f"{method}:mean", f"{method}:sd", f"{method}:95%"]
-    _print_table(table, header)
+    print(format_table(table))
     ratio = timings["mcmc"] / max(timings["vb"], 1e-9)
     print(f"\ntimings: vb {timings['vb']:.3f}s, mle {timings['mle']:.3f}s, "
           f"mcmc {timings['mcmc']:.3f}s  (mcmc/vb = {ratio:.0f}x)")

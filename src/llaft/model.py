@@ -152,13 +152,9 @@ class DatasetStack:
         shapes = sorted({d.covariates.shape for d in datasets})
         if len(shapes) > 1:
             raise ValueError(f"datasets disagree on (n, p): {shapes}")
-        if len(datasets) == 1:
-            d = datasets[0]
-            log_time, event, X = d.log_time[None], d.event[None], d.covariates[None]
-        else:
-            log_time = np.stack([d.log_time for d in datasets])
-            event = np.stack([d.event for d in datasets])
-            X = np.stack([d.covariates for d in datasets])
+        log_time = np.stack([d.log_time for d in datasets])
+        event = np.stack([d.event for d in datasets])
+        X = np.stack([d.covariates for d in datasets])
         return cls(log_time, event, X, event.sum(axis=-1))
 
     def __len__(self) -> int:

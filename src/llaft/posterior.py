@@ -120,17 +120,15 @@ def inverse_gamma_hdi(params: InverseGammaParams,
         f"level={level}")
 
 
-def summarize_scale(state: VariationalState, level: float = 0.95,
-                    name: str = "scale") -> ParameterSummary:
-    """Scale summary: mean omega/(alpha-1), SD omega/((alpha-1) sqrt(alpha-2))
+def summarize_scale(state: VariationalState, level: float = 0.95) -> ParameterSummary:
+    """The "scale" summary: mean omega/(alpha-1) from `state.scale_mean`
+    (NumericalError when alpha <= 1), SD omega/((alpha-1) sqrt(alpha-2))
     (NaN when alpha <= 2), and the highest-density interval."""
+    mean = state.scale_mean
     a, w = state.scale_shape, state.scale_rate
-    if a <= 1:
-        raise NumericalError("scale mean undefined for shape <= 1")
-    mean = w / (a - 1.0)
     sd = w / ((a - 1.0) * math.sqrt(a - 2.0)) if a > 2.0 else float("nan")
     low, high = inverse_gamma_hdi(InverseGammaParams(a, w), level)
-    return ParameterSummary(name=name, mean=mean, sd=sd,
+    return ParameterSummary(name="scale", mean=mean, sd=sd,
                             interval_low=low, interval_high=high,
                             interval_kind="HDI")
 

@@ -18,6 +18,7 @@ import numpy as np
 from .exceptions import NumericalError
 from .model import DatasetStack, PriorSpec, SurvivalDataset, _stacked, _z_loglik
 from .numerics import normal_quantile
+from .piecewise import _solve
 
 __all__ = [
     "MleResult",
@@ -27,6 +28,10 @@ __all__ = [
     "fit_mle_batch",
     "sample_posterior",
 ]
+
+# The MLE's Newton loop: its iteration cap and the gradient norm that ends it.
+_NEWTON_ITERATIONS = 200
+_GRADIENT_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -139,35 +144,23 @@ def _dot(u, v):
 def _ascent_steps(hess, grad):
     """Per replicate, the Newton step when it points uphill, otherwise a
     normalized gradient step."""
-    try:
-        step = np.linalg.solve(hess, grad[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        step = np.stack([_solve_or_nan(h, g) for h, g in zip(hess, grad)])
+    step = _solve(hess, grad[..., None])[..., 0]
     # moving along -step must increase the objective: g'(-H^{-1}g) > 0
     uphill = np.isfinite(step).all(axis=1) & (_dot(grad, step) < 0.0)
     fallback = -grad / np.maximum(np.linalg.norm(grad, axis=1), 1.0)[:, None]
     return np.where(uphill[:, None], step, fallback)
 
 
-def _solve_or_nan(hess, grad):
-    try:
-        return np.linalg.solve(hess, grad)
-    except np.linalg.LinAlgError:
-        return np.full_like(grad, np.nan)
-
-
-def fit_mle(data: SurvivalDataset, max_iterations: int = 200,
-            gradient_tolerance: float = 1e-8) -> MleResult:
+def fit_mle(data: SurvivalDataset) -> MleResult:
     """Maximize the log-likelihood by damped Newton ascent in (beta, log b);
     a batch of one, see `fit_mle_batch`."""
-    result, = fit_mle_batch([data], max_iterations, gradient_tolerance)
+    result, = fit_mle_batch([data])
     if isinstance(result, NumericalError):
         raise result
     return result
 
 
-def fit_mle_batch(datasets, max_iterations: int = 200,
-                  gradient_tolerance: float = 1e-8) -> list:
+def fit_mle_batch(datasets) -> list:
     """Fit the MLE of each dataset of one (n, p), all at once.
 
     Each replicate starts from least squares of log-time on the covariates,
@@ -175,7 +168,8 @@ def fit_mle_batch(datasets, max_iterations: int = 200,
     Each Newton iteration falls back to a scaled gradient step where the
     Hessian solve fails, and halves each replicate's step until its
     log-likelihood does not decrease. A replicate leaves the batch when its
-    gradient norm reaches the tolerance, or when it fails. Returns one entry
+    gradient norm reaches `_GRADIENT_TOLERANCE`, or when it fails; one still
+    in it after `_NEWTON_ITERATIONS` iterations fails. Returns one entry
     per dataset, in order: its MleResult, or the NumericalError it raised.
     Raises ValueError if the datasets disagree on (n, p).
     """
@@ -194,9 +188,9 @@ def fit_mle_batch(datasets, max_iterations: int = 200,
         ids, stack, theta = ids[mask], stack.take(mask), theta[mask]
         ll, grad, hess = ll[mask], grad[mask], hess[mask]
 
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, _NEWTON_ITERATIONS + 1):
         norm = np.linalg.norm(grad, axis=1)
-        done = norm <= gradient_tolerance
+        done = norm <= _GRADIENT_TOLERANCE
         if done.any():
             for j in np.flatnonzero(done).tolist():
                 results[ids[j]] = _mle_result(theta[j], ll[j], hess[j], iterations, norm[j])
@@ -214,7 +208,7 @@ def fit_mle_batch(datasets, max_iterations: int = 200,
                 break
     for j, i in enumerate(ids.tolist()):
         results[i] = NumericalError(
-            f"MLE did not converge in {max_iterations} Newton iterations "
+            f"MLE did not converge in {_NEWTON_ITERATIONS} Newton iterations "
             f"(gradient norm {np.linalg.norm(grad[j]):.3g})")
     return results
 
@@ -312,9 +306,7 @@ def sample_posterior(data: SurvivalDataset, prior: PriorSpec, n_iterations: int,
     dim = p + 1
 
     if data.n > p:
-        beta0, *_ = np.linalg.lstsq(data.covariates, data.log_time, rcond=None)
-        resid_sd = float(np.std(data.log_time - data.covariates @ beta0))
-        theta = np.append(beta0, math.log(max(resid_sd * math.sqrt(3.0) / math.pi, 1e-3)))
+        theta = _start(data.log_time, data.covariates)
     else:
         prior_scale_mean = prior.scale_rate / max(prior.scale_shape - 1.0, 0.5)
         theta = np.append(prior.coef_mean, math.log(prior_scale_mean))

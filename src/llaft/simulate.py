@@ -17,7 +17,7 @@ import numpy as np
 
 from .cavi import FitConfig, fit_batch
 from .exceptions import NumericalError
-from .model import PriorSpec, SurvivalDataset
+from .model import PriorSpec, SurvivalDataset, _readonly
 from .numerics import normal_quantile
 from .posterior import hdi_from_draws, summarize_coefficients, summarize_scale
 from .reference import fit_mle_batch, sample_posterior
@@ -33,7 +33,7 @@ __all__ = [
     "aggregate_estimates",
     "run_replication",
     "write_report_csv",
-    "write_dataset_csv",
+    "format_table",
     "report_text_table",
 ]
 
@@ -111,9 +111,7 @@ class SimulationScenario:
             raise ValueError("n and n_replicates must be at least 1")
         if self.censor_bound < 0:
             raise ValueError("censor_bound must be nonnegative")
-        coef = np.ascontiguousarray(self.true_coefficients, dtype=float)
-        coef.setflags(write=False)
-        object.__setattr__(self, "true_coefficients", coef)
+        object.__setattr__(self, "true_coefficients", _readonly(self.true_coefficients))
 
     @property
     def true_values(self) -> np.ndarray:
@@ -346,39 +344,30 @@ def write_report_csv(path, reports, scenario: SimulationScenario,
         fh.write("\n".join(lines) + "\n")
 
 
-def write_dataset_csv(path, data: SurvivalDataset,
-                      covariate_names: list[str] | None = None) -> None:
-    """Write a dataset as time,status,covariates (intercept column omitted)
-    at full precision, so re-ingestion reproduces it bit for bit."""
-    p = data.p
-    names = covariate_names or [f"x{j}" for j in range(1, p)]
-    if len(names) != p - 1:
-        raise ValueError("need one name per non-intercept covariate")
-    lines = ["time,status," + ",".join(names)]
-    for i in range(data.n):
-        cov = ",".join(_fmt(v) for v in data.covariates[i, 1:])
-        lines.append(f"{_fmt(data.time[i])},{int(data.event[i])},{cov}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _fmt6(x: float) -> str:
+    return f"{x:.6g}"
+
+
+def format_table(rows) -> str:
+    """Rows of string cells as left-justified columns, each as wide as its
+    widest cell, joined by two spaces; the first row is the header."""
+    widths = [max(len(row[j]) for row in rows) for j in range(len(rows[0]))]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths))
+                     for row in rows)
 
 
 def report_text_table(reports, scenario: SimulationScenario) -> str:
     """Fixed-width summary table, six significant digits."""
-    def fmt(x):
-        return f"{x:.6g}"
-
     header = (f"replication study: n={scenario.n}, censoring bound="
-              f"{fmt(scenario.censor_bound)}, replicates={scenario.n_replicates}, "
+              f"{_fmt6(scenario.censor_bound)}, replicates={scenario.n_replicates}, "
               f"seed={scenario.seed}")
     rows = [("method", "parameter", "bias", "sd", "mse", "coverage%", "avg_len")]
     for rep in reports:
         for s in rep.stats:
-            rows.append((rep.method, s.parameter, fmt(s.bias), fmt(s.sample_sd),
-                         fmt(s.mse), fmt(s.coverage_percent),
-                         fmt(s.avg_interval_length)))
-    widths = [max(len(r[j]) for r in rows) for j in range(len(rows[0]))]
-    body = "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths))
-                     for row in rows)
+            rows.append((rep.method, s.parameter, _fmt6(s.bias), _fmt6(s.sample_sd),
+                         _fmt6(s.mse), _fmt6(s.coverage_percent),
+                         _fmt6(s.avg_interval_length)))
+    body = format_table(rows)
     nonconverged = "  ".join(f"{r.method}: {r.n_nonconverged}" for r in reports)
     cycles = "  ".join(f"{r.method}: {r.n_cycles}" for r in reports)
     times = "  ".join(f"{r.method}: {r.wall_time:.2f}s" for r in reports)

@@ -186,6 +186,31 @@ class TestReplicateCommand:
         assert "cycles  vb: 0  mle: 0" in table
 
 
+class TestDefaults:
+    """Flags left unset take the library's defaults: spelling them out
+    changes no byte of the report."""
+
+    LIBRARY_DEFAULTS = ["--elbo-tol", "0.01", "--max-iter", "100",
+                        "--prior-precision", "0.1", "--prior-shape", "11",
+                        "--prior-rate", "10"]
+
+    def run(self, tmp_path, name, argv):
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    def test_replicate(self, tmp_path):
+        argv = ["replicate", "--n", "40", "--replicates", "3"]
+        explicit = [*argv, "--censor-u", "0", "--seed", "0", *self.LIBRARY_DEFAULTS]
+        assert (self.run(tmp_path, "a.csv", argv)
+                == self.run(tmp_path, "b.csv", explicit))
+
+    def test_fit(self, tmp_path):
+        argv = ["fit", "--data", write(tmp_path / "d.csv", TINY), "--methods", "vb,mle"]
+        assert (self.run(tmp_path, "a.csv", argv)
+                == self.run(tmp_path, "b.csv", [*argv, *self.LIBRARY_DEFAULTS]))
+
+
 class TestApproxCheckCommand:
     def test_audit_passes(self, capsys):
         assert main(["approx-check"]) == 0

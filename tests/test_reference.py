@@ -9,7 +9,7 @@ from llaft.exceptions import NumericalError
 from llaft.model import (DatasetStack, ModelParams, PriorSpec, SurvivalDataset,
                          log_likelihood, log_posterior)
 from llaft.numerics import inverse_gamma_log_pdf
-from llaft.reference import (_chain_log_posterior, fit_mle, fit_mle_batch,
+from llaft.reference import (_ascent_steps, _chain_log_posterior, fit_mle, fit_mle_batch,
                              loglik_grad_hess, sample_posterior)
 from llaft.simulate import WEAK_PRIOR, SimulationScenario, generate_dataset
 
@@ -141,6 +141,25 @@ def separated_dataset():
     # likelihood has no maximum, and the Newton steps run out of ascent
     x = np.r_[np.zeros(5), np.ones(5)]
     return make_dataset(3.0 * x, 1.0 - x, x[:, None])
+
+
+class TestAscentSteps:
+    def test_singular_hessian_falls_back_to_gradient_step(self):
+        # one exactly singular Hessian makes the batched solve raise; the
+        # negative-definite one must still get its Newton step, and a
+        # positive-definite one, whose Newton step points downhill, the
+        # gradient step with norm at most 1
+        singular = np.diag([-1.0, -2.0, 0.0])
+        definite = -np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
+        g_singular = np.array([3.0, -4.0, 0.0])
+        g_definite = np.array([0.5, -1.0, 2.0])
+        g_downhill = np.array([0.3, 0.0, -0.4])
+        steps = _ascent_steps(np.stack([singular, definite, -definite]),
+                              np.stack([g_singular, g_definite, g_downhill]))
+        assert np.array_equal(steps[0], -g_singular / 5.0)
+        np.testing.assert_allclose(steps[1], np.linalg.solve(definite, g_definite),
+                                   rtol=1e-15, atol=0.0)
+        assert np.array_equal(steps[2], -g_downhill)
 
 
 class TestFitMleBatch:

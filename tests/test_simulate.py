@@ -3,12 +3,11 @@ import pytest
 
 import llaft.simulate
 from llaft.cavi import fit
-from llaft.cli import ingest_csv
 from llaft.exceptions import NumericalError
 from llaft.simulate import (ROLE_NOISE, ROLE_X1, STRONG_PRIOR, WEAK_PRIOR,
                             SimulationScenario, aggregate_estimates,
                             generate_dataset, report_text_table, run_replication,
-                            uniform_stream, write_dataset_csv, write_report_csv)
+                            uniform_stream, write_report_csv)
 
 
 class TestUniformStream:
@@ -193,14 +192,3 @@ class TestSerialization:
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()
         assert header[-9] == "method,parameter,bias,sd,mse,coverage,avg_length"
-
-    def test_dataset_round_trip_is_exact(self, tmp_path):
-        sc = SimulationScenario(n=35, censor_bound=17.0, n_replicates=1, seed=6)
-        data = generate_dataset(sc, 0)
-        path = tmp_path / "d.csv"
-        write_dataset_csv(path, data, ["x1", "x2"])
-        back = ingest_csv(path)
-        assert np.array_equal(back.time, data.time)
-        assert np.array_equal(back.log_time, data.log_time)
-        assert np.array_equal(back.event, data.event)
-        assert np.array_equal(back.covariates, data.covariates)
