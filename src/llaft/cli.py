@@ -17,8 +17,8 @@ import numpy as np
 from .cavi import FitConfig, fit
 from .exceptions import DataError, NumericalError
 from .model import PriorSpec, SurvivalDataset
-from .piecewise import (LINEAR_KNOTS, _memoized_search, fit_linear_breakpoints,
-                        softplus, softplus_linear, softplus_quadratic, table_sse)
+from .piecewise import (LINEAR_KNOTS, fit_linear_breakpoints, softplus, softplus_linear,
+                        softplus_quadratic, table_sse)
 from .posterior import hdi_from_draws, summarize_coefficients, summarize_scale
 from .reference import fit_mle, sample_posterior
 from .simulate import (STRONG_PRIOR, WEAK_PRIOR, SimulationScenario, _fmt6, format_table,
@@ -133,6 +133,8 @@ def _given(args, **flags) -> dict:
 
 
 def _build_prior(args, p: int) -> PriorSpec:
+    """The preset, or the weak prior with a zero mean, as the base; explicit
+    prior flags override it."""
     preset = getattr(args, "prior_preset", None)
     if preset:
         if preset not in ("weak", "strong"):
@@ -140,16 +142,16 @@ def _build_prior(args, p: int) -> PriorSpec:
         base = WEAK_PRIOR if preset == "weak" else STRONG_PRIOR
         if p != base.coef_mean.shape[0]:
             raise DataError(f"prior preset {preset!r} expects p=3, data has p={p}")
-        return base
+        mean = base.coef_mean
+    else:
+        base, mean = WEAK_PRIOR, np.zeros(p)
     if args.prior_mean is not None:
         mean = np.array([float(v) for v in str(args.prior_mean).split(",")])
         if mean.shape[0] == 1:
             mean = np.full(p, mean[0])
         if mean.shape[0] != p:
             raise DataError(f"prior mean needs {p} entries, got {mean.shape[0]}")
-    else:
-        mean = np.zeros(p)
-    return replace(WEAK_PRIOR, coef_mean=mean, **_given(
+    return replace(base, coef_mean=mean, **_given(
         args, coef_precision="prior_precision", scale_shape="prior_shape",
         scale_rate="prior_rate"))
 
@@ -258,14 +260,12 @@ def cmd_approx_check(args) -> int:
     print("segmented least-squares search (knots on a 0.05 lattice):")
     rows = [("breakpoints", "sse", "r_squared", "knots")]
     fit3 = None
-    # the k = 4 and 5 searches start from the k - 1 fit; memoized, each k runs once
-    with _memoized_search():
-        for k in range(1, 6):
-            res = fit_linear_breakpoints(grid_size, k)
-            if k == 3:
-                fit3 = res
-            rows.append((str(k), _fmt6(res.sse), f"{res.r_squared:.6f}",
-                         ", ".join(_fmt6(b) for b in res.breakpoints)))
+    for k in range(1, 6):
+        res = fit_linear_breakpoints(grid_size, k)
+        if k == 3:
+            fit3 = res
+        rows.append((str(k), _fmt6(res.sse), f"{res.r_squared:.6f}",
+                     ", ".join(_fmt6(b) for b in res.breakpoints)))
     print(format_table(rows))
 
     ok = (3.30 <= lin_sse <= 3.40 and 0.11 <= quad_sse <= 0.13
@@ -364,7 +364,7 @@ def main(argv=None) -> int:
     try:
         args = _merged(args)
         return args.func(args)
-    except DataError as exc:
+    except ValueError as exc:  # DataError and out-of-range flag values
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

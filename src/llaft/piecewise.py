@@ -12,9 +12,7 @@ scratch on a dense grid.
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,10 +50,6 @@ QUADRATIC_QUADRATIC = np.array([0.0, 0.0189, 0.1138, 0.0190, 0.0])
 # doubles), which bounds its memory. Blocks of 2**14 ran ~8% faster, but a
 # process that ran `approx-check` 100 times peaked ~1 MB higher in RSS.
 _SCREEN_ELEMENTS = 2 ** 13
-
-# Knot-search results memoized inside a _memoized_search() block, keyed by
-# (grid_size, n_breakpoints, lattice_step); None outside any block.
-_SEARCH_MEMO: ContextVar[dict | None] = ContextVar("_SEARCH_MEMO", default=None)
 
 for _knots in (LINEAR_KNOTS, LINEAR_INTERCEPTS, LINEAR_SLOPES, QUADRATIC_KNOTS,
                QUADRATIC_INTERCEPTS, QUADRATIC_LINEAR, QUADRATIC_QUADRATIC):
@@ -321,29 +315,16 @@ def _solve(M, rhs):
         return np.concatenate([_solve(Mi[None], ri[None]) for Mi, ri in zip(M, rhs)])
 
 
-@contextmanager
-def _memoized_search():
-    """Within the block each knot search runs once, so the nested k >= 4
-    searches reuse the k - 1 fit instead of repeating it. Callers get copies
-    of the knot arrays and never share the memoized ones."""
-    token = _SEARCH_MEMO.set({})
-    try:
-        yield
-    finally:
-        _SEARCH_MEMO.reset(token)
-
-
 def fit_linear_breakpoints(grid_size: int = 10_000, n_breakpoints: int = 3,
                            lattice_step: float = 0.05) -> BreakpointFit:
     """Best continuous linear spline fit of softplus on [-5, 5] by knot search.
 
     Knots live on a lattice with the given step. Up to three knots the search
     is exhaustive over all increasing tuples. For four or five knots an
-    exhaustive pass on a 0.25 lattice (plus the best smaller fit extended by
-    one knot) seeds coordinate-descent refinement on the fine lattice, which
-    keeps the search tractable while staying nested-model consistent. A grid
-    with fewer points than the spline has coefficients (knots + 2) raises
-    ValueError.
+    exhaustive pass on a 0.25 lattice seeds coordinate-descent refinement on
+    the fine lattice, which keeps the search tractable. Each call runs one
+    search and starts no other. A grid with fewer points than the spline has
+    coefficients (knots + 2) raises ValueError.
     """
     if not 0 <= n_breakpoints <= 5:
         raise ValueError("n_breakpoints must be between 0 and 5")
@@ -352,18 +333,6 @@ def fit_linear_breakpoints(grid_size: int = 10_000, n_breakpoints: int = 3,
         raise ValueError(
             f"a {n_breakpoints}-knot spline has {n_breakpoints + 2} coefficients, "
             f"more than the {grid_size} grid points")
-    memo = _SEARCH_MEMO.get()
-    key = (grid_size, n_breakpoints, lattice_step)
-    if memo is None:
-        return _search_breakpoints(*key)
-    if key not in memo:
-        memo[key] = _search_breakpoints(*key)
-    fit = memo[key]
-    return replace(fit, breakpoints=fit.breakpoints.copy())
-
-
-def _search_breakpoints(grid_size: int, n_breakpoints: int,
-                        lattice_step: float) -> BreakpointFit:
     x, y = _grid(grid_size)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     ls = _HingeLS(x, y)
@@ -378,18 +347,7 @@ def _search_breakpoints(grid_size: int, n_breakpoints: int,
         sse, knots = ls.best(fine, n_breakpoints)
         return BreakpointFit(knots, sse, 1.0 - sse / ss_tot)
 
-    coarse_sse, coarse_knots = ls.best(lattice(0.25), n_breakpoints)
-
-    prev = fit_linear_breakpoints(grid_size, n_breakpoints - 1, lattice_step)
-    far = np.min(np.abs(prev.breakpoints[:, None] - fine), axis=0) >= lattice_step / 2
-    extras = fine[far]
-    grown = np.sort(np.column_stack([np.tile(prev.breakpoints, (len(extras), 1)), extras]),
-                    axis=1)
-    grown_sse = ls.sse(grown)
-    g = int(np.argmin(grown_sse))
-
-    best_sse, best = min((coarse_sse, coarse_knots), (float(grown_sse[g]), grown[g]),
-                         key=lambda t: t[0])
+    best_sse, best = ls.best(lattice(0.25), n_breakpoints)
 
     # coordinate descent on the fine lattice until no knot moves; candidates
     # are taken in lattice order, each only if it beats the best so far

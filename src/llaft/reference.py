@@ -299,8 +299,8 @@ def sample_posterior(data: SurvivalDataset, prior: PriorSpec, n_iterations: int,
     posterior spreads; both freeze at the end of burn-in. Draws are returned
     with the scale mapped back to b. Deterministic for a fixed seed.
     """
-    if n_iterations <= burn_in:
-        raise ValueError("n_iterations must exceed burn_in")
+    if not 0 <= burn_in < n_iterations:
+        raise ValueError("burn_in must be nonnegative and below n_iterations")
     rng = np.random.default_rng(seed)
     p = data.p if data.n else prior.coef_mean.shape[0]
     dim = p + 1

@@ -169,6 +169,20 @@ class TestReplicateCommand:
                          "--prior-preset", preset, "--methods", "vb"])
             assert code == 0
 
+    @pytest.mark.parametrize("preset,flags,header", [
+        ("weak", ["--prior-precision", "5"],
+         "# prior: mean=0.0,0.0,0.0 precision=5.0 shape=11.0 rate=10.0"),
+        ("strong", ["--prior-mean", "0", "--prior-rate", "9"],
+         "# prior: mean=0.0,0.0,0.0 precision=0.15 shape=11.0 rate=9.0"),
+    ])
+    def test_explicit_prior_flags_override_the_preset(self, tmp_path, preset, flags,
+                                                      header):
+        out = tmp_path / "rep.csv"
+        code = main(["replicate", "--n", "40", "--replicates", "3",
+                     "--prior-preset", preset, *flags, "--out", str(out)])
+        assert code == 0
+        assert header in out.read_text().splitlines()
+
     def test_nonconverged_fits_are_counted(self, tmp_path, capsys):
         # one iteration is never enough, so every VB fit stops at the cap
         out = tmp_path / "rep.csv"
@@ -184,6 +198,27 @@ class TestReplicateCommand:
         table = capsys.readouterr().out.splitlines()
         assert "nonconverged  vb: 3  mle: 0" in table
         assert "cycles  vb: 0  mle: 0" in table
+
+
+class TestFlagValidation:
+    """Out-of-range flag values are usage errors: exit 2 and one error line,
+    not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--elbo-tol", "0"],
+        ["fit", "--max-iter", "0"],
+        ["fit", "--prior-precision", "-1"],
+        ["fit", "--methods", "mcmc", "--mcmc-burn-in", "-50"],
+        ["replicate", "--replicates", "0"],
+        ["replicate", "--censor-u", "-1"],
+        ["replicate", "--n", "20", "--replicates", "1", "--methods", "mcmc",
+         "--mcmc-burn-in", "-50"],
+    ])
+    def test_exit_2(self, tmp_path, capsys, argv):
+        if argv[0] == "fit":
+            argv = [*argv, "--data", write(tmp_path / "d.csv", TINY)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestDefaults:

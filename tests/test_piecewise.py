@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import llaft.cli
 import llaft.piecewise
 from llaft.piecewise import (LINEAR_KNOTS, QUADRATIC_KNOTS, _grid, _HingeLS,
-                             _memoized_search, fit_linear_breakpoints,
-                             segment_coefficients, softplus, softplus_linear,
-                             softplus_quadratic, table_sse)
+                             fit_linear_breakpoints, segment_coefficients, softplus,
+                             softplus_linear, softplus_quadratic, table_sse)
 
 
 class TestSoftplusLinear:
@@ -255,27 +255,20 @@ class TestBreakpointSearch:
             tracemalloc.stop()
         assert peak < 4e6
 
-    def test_memoized_search_runs_each_count_once(self, monkeypatch):
+    def test_knot_search_calls_no_other_search(self, monkeypatch):
         searched = []
-        search = llaft.piecewise._search_breakpoints
 
-        def counting_search(grid_size, k, step):
+        def counting_search(grid_size, k, *step):
             searched.append(k)
-            return search(grid_size, k, step)
+            return fit_linear_breakpoints(grid_size, k, *step)
 
-        monkeypatch.setattr(llaft.piecewise, "_search_breakpoints", counting_search)
-        with _memoized_search():
-            fits = [fit_linear_breakpoints(1000, k, 0.25) for k in range(1, 6)]
-            fits[4].breakpoints[:] = np.nan  # a caller's copy, not the memoized array
-            again = fit_linear_breakpoints(1000, 5, 0.25)
-        assert sorted(searched) == [1, 2, 3, 4, 5]
-        assert np.all(np.isfinite(again.breakpoints))
+        monkeypatch.setattr(llaft.piecewise, "fit_linear_breakpoints", counting_search)
+        fit_linear_breakpoints(1000, 5, 0.25)
+        assert searched == []
 
-        searched.clear()
-        plain = fit_linear_breakpoints(1000, 5, 0.25)
-        assert sorted(searched) == [3, 4, 5]  # nothing memoized outside the block
-        assert np.array_equal(plain.breakpoints, again.breakpoints)
-        assert plain.sse == again.sse
+        monkeypatch.setattr(llaft.cli, "fit_linear_breakpoints", counting_search)
+        assert llaft.cli.main(["approx-check"]) == 0
+        assert searched == [1, 2, 3, 4, 5]
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -260,8 +261,12 @@ class TestSamplePosterior:
 
     def test_burn_in_validation(self):
         data = make_dataset([0.1], [1], [[0.0]])
-        with pytest.raises(ValueError):
-            sample_posterior(data, WEAK_PRIOR, 100, 100, seed=0)
+        prior = replace(WEAK_PRIOR, coef_mean=np.zeros(2))
+        with pytest.raises(ValueError, match="burn_in"):
+            sample_posterior(data, prior, 100, 100, seed=0)
+        # a negative burn-in would return rows of an uninitialized buffer
+        with pytest.raises(ValueError, match="burn_in"):
+            sample_posterior(data, prior, 200, -50, seed=0)
 
 
 @pytest.fixture(scope="module")
