@@ -156,6 +156,17 @@ def _build_prior(args, p: int) -> PriorSpec:
         scale_rate="prior_rate"))
 
 
+def _default_prior_hint(args) -> str:
+    """A clause for a numerical failure of a fit that ran on the default
+    prior, which no prior flag, config key or preset changed."""
+    if any(getattr(args, key, None) is not None for key in (
+            "prior_mean", "prior_precision", "prior_shape", "prior_rate", "prior_preset")):
+        return ""
+    return (f"; the default prior (mean 0, precision {WEAK_PRIOR.coef_precision:g}, "
+            f"shape {WEAK_PRIOR.scale_shape:g}, rate {WEAK_PRIOR.scale_rate:g}) may not "
+            "suit the data: set --prior-mean, --prior-shape, --prior-rate or --prior-preset")
+
+
 def _fit_config(args) -> FitConfig:
     return FitConfig(**_given(args, elbo_tolerance="elbo_tol", max_iterations="max_iter"))
 
@@ -371,7 +382,7 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"numerical failure: {exc}{_default_prior_hint(args)}", file=sys.stderr)
         return 1
 
 

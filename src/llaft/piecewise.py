@@ -46,9 +46,9 @@ QUADRATIC_INTERCEPTS = np.array([0.0, 0.3893, 0.6962, 0.3894, 0.0])
 QUADRATIC_LINEAR = np.array([0.0, 0.1696, 0.5000, 0.8303, 1.0])
 QUADRATIC_QUADRATIC = np.array([0.0, 0.0189, 0.1138, 0.0190, 0.0])
 
-# Elements per (heads, rows, m) array of the knot scan's screen (64 KB of
-# doubles), which bounds its memory. Blocks of 2**14 ran ~8% faster, but a
-# process that ran `approx-check` 100 times peaked ~1 MB higher in RSS.
+# Elements per (heads, rows, columns) block and per (heads, tail) array of
+# the knot scan's screen (64 KB of doubles), which bounds its memory. 2**12
+# to 2**14 screened equally fast; from 2**15 on the k = 3 scan slowed.
 _SCREEN_ELEMENTS = 2 ** 13
 
 for _knots in (LINEAR_KNOTS, LINEAR_INTERCEPTS, LINEAR_SLOPES, QUADRATIC_KNOTS,
@@ -138,25 +138,30 @@ class _HingeLS:
     (k+2)x(k+2) solve per tuple.
 
     `best` scans every k-tuple of a candidate set. For k >= 2 it screens
-    instead of solving per tuple: each tuple is a head (its first k - 2 knots)
-    plus a tail pair. Per head it projects [1, x, hinges of the head] out of
-    the candidate tail hinges once (the Schur complement S of the head's
-    Gram matrix, and the projected right-hand side g) and scores every tail
-    pair i < j in closed form,
+    instead of solving per tuple. Once per call it projects [1, x] out of the
+    Gram matrix of all candidate hinges (S0) and out of their right-hand side
+    (g0). Each tuple is a head (its first k - 2 knots) plus a tail pair
+    i < j. Heads that end at the same knot are orthogonalised together by
+    Gram-Schmidt in S0, which leaves the projected Gram matrix S and
+    right-hand side g of the tail hinges given [1, x, head]; a head with a
+    pivot at or below 1e-12 of its hinge's squared norm is skipped, the rule
+    of `_nonsingular`. With d = diag(S)^-1/2, c_ij = S_ij d_i d_j, u = g d
+    and B = [1, x, head], every pair on the upper triangle scores
 
-        SSE = syy - r_B' M_BB^-1 r_B
-                  - (a_j g_i^2 - 2 S_ij g_i g_j + a_i g_j^2) / (a_i a_j - S_ij^2)
+        SSE = syy - r_B' M_BB^-1 r_B - u_j^2 - (u_i - c_ij u_j)^2 / (1 - c_ij^2),
 
-    with a = diag S. Near the optimum the closed form agrees with `sse` to a
+    and pairs with 1 - c_ij^2 <= 1e-12, numerically collinear given the head,
+    are skipped. Near the optimum the closed form agrees with `sse` to a
     few 1e-11 (less on ill-conditioned tuples far from it). That is enough
     to reorder exact ties: softplus(x) - x/2 is even, so mirror-image tuples
     tie, and on a 400-point grid the closed form ranks (-1.05, 1.1) before
     (-1.1, 1.05). So the screen only shortlists: every tuple within
-    1e-9 * SSE of the screen's minimum is rescored with `sse`, and the first
-    lexicographic minimizer of those exact scores wins, as in a scan that
-    scores every tuple with `sse`. The screen skips tail pairs that are
-    numerically collinear given the head, which only a grid as coarse as the
-    candidate lattice produces; there the result can differ from such a scan.
+    1e-9 * SSE + 1e-13 * syy of the screen's minimum is rescored with `sse`,
+    and the first lexicographic minimizer of those exact scores wins, as in
+    a scan that scores every tuple with `sse`. (Both scores round off in
+    proportion to syy, which on a grid as coarse as the lattice can be 1e8
+    times the SSE.) Only such grids have collinear pairs; there the result
+    can differ from such a scan.
     """
 
     def __init__(self, x, y):
@@ -198,7 +203,8 @@ class _HingeLS:
         tuple whose normal equations are numerically singular scores +inf."""
         M, rhs = self._normal_equations(np.asarray(knots, float))
         sse = self.syy - np.einsum("ij,ij->i", _solve(M, rhs[..., None])[..., 0], rhs)
-        return np.where(np.isnan(sse) | ~_nonsingular(M), np.inf, sse)
+        # an interpolating tuple's SSE is 0 but can round below it
+        return np.where(np.isnan(sse) | ~_nonsingular(M), np.inf, np.maximum(sse, 0.0))
 
     def best(self, cand, k) -> tuple[float, np.ndarray]:
         """(sse, knots) of the best k-knot fit over every increasing k-tuple of
@@ -215,20 +221,24 @@ class _HingeLS:
         t = int(np.argmin(sse))
         return float(sse[t]), cand[tuples[t]]
 
+    # the screen marks skipped heads, tail knots and pairs with NaN, silently
+    @np.errstate(divide="ignore", invalid="ignore")
     def _screen(self, cand, k) -> np.ndarray:
         """(rows, k) candidate indices of every tuple whose closed-form score
-        lies within 1e-9 * SSE of the lowest score, plus a few that were that
+        lies within the window of the lowest score, plus a few that were that
         close to the lowest score seen when their block was screened."""
-        n = len(cand)
+        n, p = len(cand), k - 2
         s0, s1, s2, t0, t1 = self._suffix[:, np.searchsorted(self.x, cand, side="right")]
-
-        def hinge_products(a, t):
-            # <h_a, h_c> for knots a <= c = cand[t], broadcast over a and t
-            c = cand[t]
-            return s2[t] - (a + c) * s1[t] + a * c * s0[t]
-
-        # <h_a, h_b>: right on and above the diagonal, which is all the screen reads
-        hh = hinge_products(cand[:, None], slice(None))
+        # <h_a, h_b> uses the suffix sums at the larger knot: right for a <= b
+        hh = s2 - np.add.outer(cand, cand) * s1 + np.multiply.outer(cand, cand) * s0
+        hh = np.triu(hh) + np.triu(hh, 1).T
+        # project [1, x] out of every hinge once: S0 = hh - U' B^-1 U
+        U = np.stack([s1 - cand * s0, s2 - cand * s1])
+        rB = np.array([self.sy, self.sxy])
+        W = np.linalg.solve([[self.n, self.sx], [self.sx, self.sxx]], np.c_[U, rB])
+        S0 = hh - U.T @ W[:, :n]
+        g0 = t1 - cand * t0 - U.T @ W[:, n]
+        base0 = self.syy - rB @ W[:, n]
 
         def heads_by_last_knot():
             # heads that end at the same knot share the candidate tail knots
@@ -240,61 +250,71 @@ class _HingeLS:
                                       itertools.combinations(range(last), k - 3)],
                                      dtype=np.intp).reshape(-1, k - 2)
 
+        below = np.tri(n, n, -1, dtype=bool)
         lowest, shortlist = np.inf, []
         for last, heads in heads_by_last_knot():
-            tail = slice(last + 1, n)
-            c = cand[tail]
-            m = len(c)
-            per_batch = max(1, _SCREEN_ELEMENTS // (m * m))
+            m = n - 1 - last
+            St = S0[last + 1:, last + 1:]
+            per_batch = max(1, _SCREEN_ELEMENTS // m)
             for h0 in range(0, len(heads), per_batch):
                 head_idx = heads[h0:h0 + per_batch]
-                head = cand[head_idx]
-                H = len(head)
-                M, r = self._normal_equations(head)
-                U = np.empty((H, k, m))  # [1, x, head hinges]' tail hinges
-                U[:, 0] = s1[tail] - c * s0[tail]
-                U[:, 1] = s2[tail] - c * s1[tail]
-                U[:, 2:] = hinge_products(head[:, :, None], tail)
-                W = _solve(M, np.concatenate([U, r[:, :, None]], axis=2))
-                # S = M_TT - U' M_BB^-1 U and g = r_T - U' M_BB^-1 r_B
-                diag = np.diagonal(hh)[tail] - np.einsum("hdi,hdi->hi", U, W[:, :, :m])
-                g = t1[tail] - c * t0[tail] - np.einsum("hdi,hd->hi", U, W[:, :, m])
-                base = self.syy - np.einsum("hd,hd->h", r, W[:, :, m])
-                # blocks of first tail knots keep each (H, rows, m) array small
-                per_block = max(1, _SCREEN_ELEMENTS // (H * m))
-                for i0 in range(0, m - 1, per_block):
-                    i1 = min(i0 + per_block, m - 1)
-                    rows = slice(i0, i1)
-                    S = (hh[last + 1 + i0:last + 1 + i1, tail]
-                         - np.matmul(U[:, :, rows].transpose(0, 2, 1), W[:, :, :m]))
-                    ai, aj = diag[:, rows, None], diag[:, None, :]
-                    gi, gj = g[:, rows, None], g[:, None, :]
-                    den = ai * aj - S * S
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        score = base[:, None, None] - (
-                            (aj * gi * gi - 2.0 * S * gi * gj + ai * gj * gj) / den)
-                    # pairs i < j whose projected 2x2 block is numerically
-                    # nonsingular (on grids as coarse as the lattice, two
-                    # knots with no grid point between them are collinear)
-                    keep = (den > 1e-12 * ai * aj) & np.isfinite(score)
-                    keep &= np.arange(m) > np.arange(i0, i1)[:, None]
-                    score = np.where(keep, score, np.inf)
+                H = len(head_idx)
+                # Gram-Schmidt of each head's hinges in S0, kept on the
+                # columns of its own knots and of the tail knots
+                cols = np.concatenate(
+                    [head_idx, np.broadcast_to(np.arange(last + 1, n), (H, m))], axis=1)
+                Q, g, base = S0[head_idx.T[:, :, None], cols], g0[cols], np.full(H, base0)
+                for l in range(p):
+                    for q in range(l):
+                        Q[l] -= Q[q][:, l, None] * Q[q]
+                    pivot = Q[l][:, l].copy()
+                    # a head that fails _nonsingular's pivot rule scores NaN
+                    base[~(pivot > 1e-12 * np.diagonal(hh)[head_idx[:, l]])] = np.nan
+                    Q[l] /= np.sqrt(pivot)[:, None]
+                    gq = g[:, l] / np.sqrt(pivot)
+                    g -= gq[:, None] * Q[l]
+                    base -= gq * gq
+                # the tail hinges normalised given the head
+                Qt = Q[:, :, p:]
+                d = 1.0 / np.sqrt(np.diagonal(St) - (Qt * Qt).sum(axis=0))
+                Qn = (Qt * d).transpose(1, 0, 2)
+                u = g[:, p:] * d
+                rest = base[:, None] - u * u
+                i0 = 0
+                while i0 < m - 1:
+                    # rows i0..i1 against columns i0+1..m: the upper triangle
+                    i1 = min(m - 1, i0 + max(1, _SCREEN_ELEMENTS // (H * (m - 1 - i0))))
+                    ri, cj, sq = slice(i0, i1), slice(i0 + 1, m), i1 - i0
+                    c = St[ri, cj] * d[:, ri, None]
+                    c *= d[:, None, cj]
+                    if p:
+                        c -= np.matmul(Qn[:, :, ri].transpose(0, 2, 1), Qn[:, :, cj])
+                    score = u[:, ri, None] - c * u[:, None, cj]
+                    score *= score
+                    np.subtract(1.0, c * c, out=c)
+                    # collinear pairs, and pairs j <= i in the square at the
+                    # block's start, score NaN: no minimum or cutoff takes them
+                    np.copyto(c, np.nan, where=c <= 1e-12)
+                    np.copyto(c[:, :, :sq], np.nan, where=below[:sq, :sq])
+                    score /= c
+                    np.subtract(rest[:, None, cj], score, out=score)
 
-                    block_low = float(score.min())
-                    lowest = min(lowest, block_low)
-                    cutoff = lowest + 1e-9 * abs(lowest)
+                    block_low = float(np.fmin.reduce(score, axis=None))
+                    lowest = min(lowest, block_low)  # a NaN block_low leaves it
+                    cutoff = lowest + 1e-9 * abs(lowest) + 1e-13 * self.syy
                     if block_low <= cutoff < np.inf:
                         h, i, j = np.nonzero(score <= cutoff)
                         shortlist.append(np.column_stack(
-                            [head_idx[h], last + 1 + i0 + i, last + 1 + j]))
+                            [head_idx[h], last + 1 + i0 + i, last + 2 + i0 + j]))
+                    i0 = i1
         return np.concatenate(shortlist) if shortlist else np.empty((0, k), np.intp)
 
 
 def _nonsingular(M) -> np.ndarray:
     """Per Gram matrix of a (T, d, d) stack: whether every Cholesky pivot,
     the part of a column's squared norm that the columns before it leave
-    unexplained, exceeds 1e-12 of that squared norm. This is the relative
-    test the screen applies to its 2x2 tail blocks."""
+    unexplained, exceeds 1e-12 of that squared norm. The screen applies the
+    same test to the pivots of its heads."""
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:

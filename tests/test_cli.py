@@ -132,6 +132,15 @@ class TestFitCommand:
                      "--prior-rate", "1"])
         assert code == 1
 
+    def test_failure_on_the_default_prior_names_the_prior_flags(self, capsys):
+        # the zero-mean default prior cannot fit the bundled trial data
+        assert main(["fit", "--data", str(rhdnase_path())]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert "default prior" in err and "--prior-mean" in err
+        assert main(["fit", "--data", str(rhdnase_path()), "--prior-rate", "10"]) == 1
+        assert "--prior-mean" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", ["inf", "nan"])
     def test_nonfinite_covariate_exit_2(self, tmp_path, capsys, bad):
         data = write(tmp_path / "bad.csv",

@@ -130,7 +130,7 @@ class TestTableSse:
 
 # Knots (in 0.05-lattice units) and SSE of the 10 000-point search, frozen
 # from the search as first released; the k = 4, 5 knots depend on the
-# coarse pass, the grown candidates and the descent's tie-breaking.
+# exhaustive pass on the 0.25 lattice and the descent's tie-breaking.
 FROZEN_KNOT_FITS = {
     0: ([], 3187.67336285254),
     1: ([0], 68.30546692345524),
@@ -138,6 +138,19 @@ FROZEN_KNOT_FITS = {
     3: ([-34, 0, 34], 3.3523000710338238),
     4: ([-40, -10, 15, 44], 1.3632948854210554),
     5: ([-48, -21, 0, 21, 48], 0.6332880833069794),
+}
+
+# (grid size, knot count, lattice step): knots in lattice units and SSE,
+# frozen from the screen that solved one linear system per head; the
+# Gram-Schmidt screen must return the same fits bit for bit.
+FROZEN_SMALL_GRID_FITS = {
+    (1000, 1, 0.25): ([0], 6.838586071083228),
+    (1000, 2, 0.25): ([-5, 4], 1.1778394816165019),
+    (1000, 3, 0.25): ([-7, 0, 7], 0.33890626183256245),
+    (1000, 4, 0.25): ([-9, -3, 2, 8], 0.13674910574172827),
+    (1000, 5, 0.25): ([-9, -4, 0, 4, 9], 0.06984871846907481),
+    (400, 4, 0.05): ([-44, -15, 10, 40], 0.054636570967886655),
+    (400, 5, 0.05): ([-48, -21, 0, 21, 48], 0.025373191760309055),
 }
 
 
@@ -178,6 +191,13 @@ class TestBreakpointSearch:
         units, sse = FROZEN_KNOT_FITS[k]
         assert np.array_equal(knot_fits[k].breakpoints, np.array(units, float) * 0.05)
         assert knot_fits[k].sse == pytest.approx(sse, rel=1e-9)
+
+    @pytest.mark.parametrize("grid_size,k,step", list(FROZEN_SMALL_GRID_FITS))
+    def test_small_grid_knots_frozen(self, grid_size, k, step):
+        units, sse = FROZEN_SMALL_GRID_FITS[grid_size, k, step]
+        fit = fit_linear_breakpoints(grid_size, k, step)
+        assert np.array_equal(fit.breakpoints, np.array(units, float) * step)
+        assert fit.sse == pytest.approx(sse, rel=1e-9)
 
     def test_segmented_fit_matches_dense_lstsq(self):
         x = np.linspace(-5.0, 5.0, 800)
@@ -281,10 +301,13 @@ class TestBreakpointSearch:
         with pytest.raises(ValueError, match="coefficients"):
             fit_linear_breakpoints(grid_size, k, 0.25)
 
-    @pytest.mark.parametrize("grid_size,k", [(6, 4), (10, 4), (10, 5)])
+    @pytest.mark.parametrize("grid_size,k", [(6, 4), (10, 4), (10, 5)] + [
+        (g, k) for g in (7, 8, 9, 12) for k in (3, 4, 5)])
     def test_coarse_grid_never_takes_a_singular_tuple(self, grid_size, k):
-        # these returned SSEs of -3.81, -11 and -43 when near-singular normal
-        # equations were scored; an exact fit may round a hair below zero
+        # the first three returned SSEs of -3.81, -11 and -43 when
+        # near-singular normal equations were scored, and (7, 5) returned
+        # -7.6e-7 before sse() clamped at 0; these grids hold heads with no
+        # grid point between two of their knots
         fit = fit_linear_breakpoints(grid_size, k, 0.25)
         assert np.all(np.diff(fit.breakpoints) > 0)
         assert fit.sse >= -1e-9
