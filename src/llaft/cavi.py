@@ -126,8 +126,7 @@ class VariationalState:
 
 def initialize(data: SurvivalDataset, prior: PriorSpec) -> VariationalState:
     """Starting state: mu = prior mean, omega = prior rate, alpha = alpha0 + r."""
-    if prior.coef_mean.shape[0] != data.p:
-        raise ValueError("prior mean dimension does not match the data")
+    prior.check_dimension(data.p)
     return VariationalState(
         coef_mean=prior.coef_mean.copy(),
         coef_cov=None,
@@ -309,8 +308,7 @@ def fit_batch(datasets, prior: PriorSpec,
     """
     config = config or FitConfig()
     stack = DatasetStack.of(datasets)
-    if prior.coef_mean.shape[0] != stack.p:
-        raise ValueError("prior mean dimension does not match the data")
+    prior.check_dimension(stack.p)
     results: list = [None] * len(stack)
     traces = [([], [], [], []) for _ in results]  # ELBO, omega, Sigma, key
 

@@ -20,7 +20,7 @@ from .model import PriorSpec, SurvivalDataset
 from .piecewise import (LINEAR_KNOTS, fit_linear_breakpoints, softplus, softplus_linear,
                         softplus_quadratic, table_sse)
 from .posterior import hdi_from_draws, summarize_coefficients, summarize_scale
-from .reference import fit_mle, sample_posterior
+from .reference import MCMC_BURN_IN, MCMC_ITERATIONS, MCMC_SEED, fit_mle, sample_posterior
 from .simulate import (STRONG_PRIOR, WEAK_PRIOR, SimulationScenario, _fmt6, format_table,
                        report_text_table, run_replication, write_report_csv)
 
@@ -192,10 +192,10 @@ def _method_summaries(method, data, prior, config, args):
         rows.append(("scale", res.scale, res.scale_se, ivs[-1][0], ivs[-1][1],
                      "Wald-log"))
     elif method == "mcmc":
-        n_iter = args.mcmc_iterations if args.mcmc_iterations is not None else 5000
-        burn = args.mcmc_burn_in if args.mcmc_burn_in is not None else 1000
-        seed = args.seed if args.seed is not None else 0
-        chain = sample_posterior(data, prior, n_iter, burn, seed)
+        run = {"n_iterations": MCMC_ITERATIONS, "burn_in": MCMC_BURN_IN, "seed": MCMC_SEED,
+               **_given(args, n_iterations="mcmc_iterations", burn_in="mcmc_burn_in",
+                        seed="seed")}
+        chain = sample_posterior(data, prior, **run)
         rows = []
         for j in range(data.p):
             d = chain.coefficient_draws[:, j]

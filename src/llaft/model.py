@@ -115,6 +115,12 @@ class PriorSpec:
     def scale_params(self) -> InverseGammaParams:
         return InverseGammaParams(self.scale_shape, self.scale_rate)
 
+    def check_dimension(self, p: int) -> None:
+        """Raise ValueError unless the mean has one entry per covariate; a
+        mismatched mean would otherwise broadcast in the prior term."""
+        if self.coef_mean.shape[0] != p:
+            raise ValueError("prior mean dimension does not match the data")
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -227,6 +233,7 @@ def log_likelihood(data: SurvivalDataset, params: ModelParams) -> float:
 
 def log_posterior(data: SurvivalDataset, params: ModelParams, prior: PriorSpec) -> float:
     """Log of likelihood times prior, all normalizing constants included."""
+    prior.check_dimension(data.p)
     beta = params.coefficients
     p = beta.shape[0]
     v0 = prior.coef_precision

@@ -1,4 +1,5 @@
-"""Self-contained special functions and Inverse-Gamma primitives.
+"""Self-contained special functions, Inverse-Gamma primitives and the
+counter-based uniform streams.
 
 Everything here is built from elementary functions only, so the numerical
 behaviour of the package does not depend on any third-party special-function
@@ -9,6 +10,11 @@ exp(a log z - z - log Gamma(a)) loses digits as a grows (measured error
 ~1e-10 relative at a = 1e5 and ~4e-10 at 1e6). Inverse-Gamma quantiles come
 from Newton on the CDF, safeguarded by bisection of a sign bracket, and stop
 at machine precision, so |CDF(x) - q| <= 1e-8 holds with a wide margin.
+
+Every random draw in the package comes from `uniform_stream`: value i of a
+stream is a pure function of (seed, replicate, role, i) through a
+SplitMix64-style bit mixer, so a draw never depends on how many values were
+asked for before it or at once, nor on the platform.
 """
 from __future__ import annotations
 
@@ -28,8 +34,8 @@ __all__ = [
     "inverse_gamma_log_pdf",
     "inverse_gamma_cdf",
     "inverse_gamma_quantile",
-    "normal_cdf",
     "normal_quantile",
+    "uniform_stream",
 ]
 
 _LN_SQRT_2PI = 0.9189385332046727418
@@ -266,11 +272,6 @@ def _quantile_start(params: InverseGammaParams, q: float) -> float:
     return x
 
 
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
 # Wichura's PPND16 coefficients, highest power first: numerator and
 # denominator of the central fit (in s = 0.180625 - r^2), of the near tail
 # (in t - 1.6) and of the far tail (in t - 5), t = sqrt(-log(tail mass)).
@@ -361,3 +362,44 @@ def _normal_quantile_float(q: float) -> float:
     t = float(np.sqrt(-np.log(q if r < 0 else 1.0 - q)))
     val = _tail_ratio(_PPND_NEAR, t - 1.6) if t <= 5.0 else _tail_ratio(_PPND_FAR, t - 5.0)
     return float(-val if r < 0 else val)
+
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_U30, _U27, _U31, _U11 = (np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11))
+
+# The stream roles: one per kind of draw, so that no two kinds share values.
+ROLE_X1, ROLE_X2, ROLE_NOISE, ROLE_CENSOR, ROLE_MCMC = range(5)
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    # uint64 array arithmetic wraps silently, which is exactly what we want
+    z = (z ^ (z >> _U30)) * np.uint64(_MIX1)
+    z = (z ^ (z >> _U27)) * np.uint64(_MIX2)
+    return z ^ (z >> _U31)
+
+
+def _mix64_int(z: int) -> int:
+    z &= _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _stream_key(seed: int, replicate: int, role: int) -> int:
+    k = _mix64_int(((seed & _MASK64) * _GOLDEN + _GOLDEN) & _MASK64)
+    k = _mix64_int((k + replicate * _GOLDEN) & _MASK64)
+    return _mix64_int((k + role * _GOLDEN) & _MASK64)
+
+
+def uniform_stream(seed: int, replicate: int, role: int, n: int,
+                   start: int = 0) -> np.ndarray:
+    """Values start, ..., start + n - 1 of the stream of (seed, replicate,
+    role): uniforms in (0, 1) from the top 53 bits of each mixed counter. A
+    slice of a longer stream equals the shorter stream that starts there."""
+    key = _stream_key(seed, replicate, role)
+    idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    bits = _mix64(np.uint64(key) + idx * np.uint64(_GOLDEN))
+    return ((bits >> _U11).astype(np.float64) + 0.5) * (2.0 ** -53)

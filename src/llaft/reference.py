@@ -4,9 +4,14 @@ Both serve as independent cross-checks of the variational fit. The MLE is a
 damped Newton ascent in (beta, log b) with analytic gradient and Hessian; the
 sampler is a joint Gaussian random-walk Metropolis in the same coordinates,
 with per-component proposal scales adapted during burn-in and frozen after.
-A chain builds its log posterior once: the event count, 1 + event and the
-prior constants do not depend on the parameters, so a step computes only z,
-one softplus and two dot products over the data.
+A chain builds its log posterior once: the parts that do not depend on the
+parameters are computed up front, so a step computes z in one matrix-vector
+product, one softplus and one dot product over the data.
+
+The sampler's randomness comes from the counter-based streams of `numerics`,
+the ones that generate the study data: a chain's proposal normals and accept
+uniforms are values of the stream of (seed, ROLE_MCMC), read a block of
+iterations at a time, the normals through `normal_quantile`.
 """
 from __future__ import annotations
 
@@ -16,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError
-from .model import DatasetStack, PriorSpec, SurvivalDataset, _stacked, _z_loglik
-from .numerics import normal_quantile
+from .model import DatasetStack, PriorSpec, SurvivalDataset, _softplus, _stacked, _z_loglik
+from .numerics import ROLE_MCMC, normal_quantile, uniform_stream
 from .piecewise import _solve
 
 __all__ = [
@@ -32,6 +37,18 @@ __all__ = [
 # The MLE's Newton loop: its iteration cap and the gradient norm that ends it.
 _NEWTON_ITERATIONS = 200
 _GRADIENT_TOLERANCE = 1e-8
+
+# The Metropolis run of `fit --methods mcmc`, `compare` and each study
+# replicate where the caller sets none: its length, burn-in and seed.
+MCMC_ITERATIONS = 5000
+MCMC_BURN_IN = 1000
+MCMC_SEED = 0
+
+# Burn-in adapts the proposal at the end of each window of _WINDOW
+# iterations. A chain reads its stream at most _BLOCK iterations at a time,
+# so its working memory does not grow with n_iterations.
+_WINDOW = 100
+_BLOCK = 1000
 
 
 @dataclass(frozen=True)
@@ -273,20 +290,27 @@ def _chain_log_posterior(data, prior):
     """The log posterior in (beta, log b) of one chain, as a function of theta.
 
     It includes the |db/ds| = b Jacobian and drops the normalizing constants.
-    Everything that does not depend on theta (r, 1 + event and the prior
-    constants) is built here, once per chain."""
-    n, y, event, X = data.n, data.log_time, data.event, data.covariates
-    r, event1 = data.r, 1.0 + event
+    With w = (beta, 1)/b, z = [-X, y] w, and event'z = (event'[-X, y]) w is a
+    product of two (p+1)-vectors. Everything that does not depend on theta
+    ([-X, y], event'[-X, y], 1 + event and the prior constants) is built
+    here, once per chain."""
+    design = np.column_stack([-data.covariates, data.log_time])
+    event_design, event1 = data.event @ design, 1.0 + data.event
     mu0 = prior.coef_mean
     neg_half_precision = -0.5 * prior.coef_precision
-    neg_shape, rate = -prior.scale_shape, prior.scale_rate
+    # s enters linearly: -r s from the likelihood, -alpha0 s from the prior
+    # with its Jacobian
+    s_slope, rate = -(prior.scale_shape + data.r), prior.scale_rate
     exp = math.exp
 
     def log_posterior(theta) -> float:
-        beta, s = theta[:-1], theta[-1]
-        ll = _z_loglik(y, event, X, beta, s, r, event1)[1] if n else 0.0
-        diff = beta - mu0
-        return ll + neg_half_precision * float(diff @ diff) + (neg_shape * s - rate * exp(-s))
+        s = float(theta[-1])
+        inv_b = exp(-s)
+        w = theta * inv_b
+        w[-1] = inv_b
+        ll = float(event_design @ w - event1 @ _softplus(design @ w))
+        diff = theta[:-1] - mu0
+        return ll + neg_half_precision * float(diff @ diff) + (s_slope * s - rate * inv_b)
     return log_posterior
 
 
@@ -297,63 +321,92 @@ def sample_posterior(data: SurvivalDataset, prior: PriorSpec, n_iterations: int,
     During burn-in a global step multiplier chases a 20-40% acceptance rate
     (checked every 100 iterations) while per-component scales track running
     posterior spreads; both freeze at the end of burn-in. Draws are returned
-    with the scale mapped back to b. Deterministic for a fixed seed.
+    with the scale mapped back to b.
+
+    Iteration t reads values t(d+1), ..., t(d+1) + d of the stream
+    `uniform_stream(seed, 0, ROLE_MCMC)`, with d = p + 1: the first d become
+    the proposal's normals through `normal_quantile`, the last is the accept
+    uniform. So the draws are a pure function of the arguments, and a chain
+    with the same seed and burn-in but fewer iterations is a prefix of this
+    one. Raises ValueError on a burn-in outside [0, n_iterations) or a prior
+    mean whose dimension is not the data's.
     """
     if not 0 <= burn_in < n_iterations:
         raise ValueError("burn_in must be nonnegative and below n_iterations")
-    rng = np.random.default_rng(seed)
-    p = data.p if data.n else prior.coef_mean.shape[0]
-    dim = p + 1
+    prior.check_dimension(data.p)
+    dim = data.p + 1
 
-    if data.n > p:
+    if data.n > data.p:
         theta = _start(data.log_time, data.covariates)
     else:
         prior_scale_mean = prior.scale_rate / max(prior.scale_shape - 1.0, 0.5)
         theta = np.append(prior.coef_mean, math.log(prior_scale_mean))
 
     log_posterior = _chain_log_posterior(data, prior)
-    normal, uniform = rng.standard_normal, rng.uniform
     lp = log_posterior(theta)
     scales = np.full(dim, 0.1)
     mult = 1.0
-    step = mult * scales  # recomputed only when adaptation changes either factor
-    window = 100
-    accept_window = 0
-    accepted_total = 0
-
-    mean_acc = theta.copy()
-    m2_acc = np.full(dim, 1e-4)
-    count = 1
+    # count, mean and sum of squared deviations of the start and the burn-in
+    # states so far, with the squared deviations seeded at 1e-4
+    count, mean, m2 = 1, theta.copy(), np.full(dim, 1e-4)
+    window = np.empty((_WINDOW, dim))  # the states of the current window
+    accept_window = accepted_total = 0
 
     draws = np.empty((n_iterations - burn_in, dim))
-    for it in range(n_iterations):
-        proposal = theta + step * normal(dim)
-        lp_prop = log_posterior(proposal)
-        if math.log(uniform()) < lp_prop - lp:
-            theta, lp = proposal, lp_prop
-            accept_window += 1
-            accepted_total += 1
-        if it < burn_in:
-            count += 1
-            delta = theta - mean_acc
-            mean_acc += delta / count
-            m2_acc += delta * (theta - mean_acc)
-            if (it + 1) % window == 0:
-                rate = accept_window / window
-                if rate < 0.20:
-                    mult *= 0.8
-                elif rate > 0.40:
-                    mult *= 1.25
-                scales = np.maximum(np.sqrt(m2_acc / (count - 1)), 1e-3)
-                step = mult * scales
-                accept_window = 0
+    t = 0
+    while t < n_iterations:
+        if t < burn_in:
+            end = min(t - t % _WINDOW + _WINDOW, burn_in)
+            out = window[t % _WINDOW:]
         else:
-            draws[it - burn_in] = theta
+            end = n_iterations
+            out = draws[t - burn_in:]
+        end = min(end, t + _BLOCK)
+        u = uniform_stream(seed, 0, ROLE_MCMC, (end - t) * (dim + 1),
+                           start=t * (dim + 1)).reshape(end - t, dim + 1)
+        theta, lp, accepted = _metropolis_block(
+            log_posterior, theta, lp, normal_quantile(u[:, :dim]) * (mult * scales),
+            np.log(u[:, dim].copy()).tolist(), out)
+        accept_window += accepted
+        accepted_total += accepted
+        t = end
+        if t <= burn_in and t % _WINDOW == 0:
+            rate = accept_window / _WINDOW
+            if rate < 0.20:
+                mult *= 0.8
+            elif rate > 0.40:
+                mult *= 1.25
+            # fold the window into the running moments (the pairwise update
+            # of Chan, Golub and LeVeque)
+            window_mean = window.mean(axis=0)
+            delta = window_mean - mean
+            total = count + _WINDOW
+            mean = mean + delta * (_WINDOW / total)
+            m2 = (m2 + ((window - window_mean) ** 2).sum(axis=0)
+                  + delta * delta * (count * _WINDOW / total))
+            count = total
+            scales = np.maximum(np.sqrt(m2 / (count - 1)), 1e-3)
+            accept_window = 0
 
-    draws[:, p] = np.exp(draws[:, p])
+    draws[:, -1] = np.exp(draws[:, -1])
     rate = accepted_total / n_iterations
     warning = None
     if not 0.01 < rate < 0.99:
         warning = f"pathological acceptance rate {rate:.3f} after adaptation"
     return McmcChain(draws=draws, acceptance_rate=rate, seed=seed, warning=warning)
 
+
+def _metropolis_block(log_posterior, theta, lp, increments, log_u, out):
+    """Run one Metropolis step per row of `increments` (the proposal's steps)
+    and entry of `log_u` (the logs of the accept uniforms), storing each
+    step's state in `out`. Returns the last state, its log posterior and the
+    number of accepted proposals."""
+    accepted = 0
+    for k, (increment, log_uk) in enumerate(zip(increments, log_u)):
+        proposal = theta + increment
+        lp_proposal = log_posterior(proposal)
+        if log_uk < lp_proposal - lp:
+            theta, lp = proposal, lp_proposal
+            accepted += 1
+        out[k] = theta
+    return theta, lp, accepted

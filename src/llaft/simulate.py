@@ -1,11 +1,14 @@
 """Synthetic-data generation and the replication study harness.
 
-Draw streams are counter-based: every variate is a pure function of
-(seed, replicate, role, index) through a SplitMix64-style bit mixer, so the
-generated datasets are identical across platforms and never shift when
-methods are added to a study. Uniforms come from the top 53 bits; logistic
-and censoring draws invert their CDFs and normal draws go through the
-rational-approximation normal quantile.
+Every variate comes from the counter-based streams of `numerics`
+(`uniform_stream`): a pure function of (seed, replicate, role, index), so
+the generated datasets are identical across platforms and never shift when
+methods are added to a study. Logistic and censoring draws invert their
+CDFs and normal draws go through the rational-approximation normal quantile.
+The Metropolis chain of replicate i gets the seed `stream_seed(seed, i,
+ROLE_MCMC)`, and `reference.sample_posterior` reads its proposals and accept
+uniforms from the stream of that seed, so a study has one source of
+randomness.
 """
 from __future__ import annotations
 
@@ -18,9 +21,10 @@ import numpy as np
 from .cavi import FitConfig, fit_batch
 from .exceptions import NumericalError
 from .model import PriorSpec, SurvivalDataset, _readonly
-from .numerics import normal_quantile
+from .numerics import (ROLE_CENSOR, ROLE_MCMC, ROLE_NOISE, ROLE_X1, ROLE_X2, _stream_key,
+                       normal_quantile, uniform_stream)
 from .posterior import hdi_from_draws, summarize_coefficients, summarize_scale
-from .reference import fit_mle_batch, sample_posterior
+from .reference import MCMC_BURN_IN, MCMC_ITERATIONS, fit_mle_batch, sample_posterior
 
 __all__ = [
     "SimulationScenario",
@@ -43,46 +47,10 @@ WEAK_PRIOR = PriorSpec(coef_mean=np.zeros(3), coef_precision=0.1,
 STRONG_PRIOR = PriorSpec(coef_mean=np.array([0.3, 0.1, 1.0]), coef_precision=0.15,
                          scale_shape=11.0, scale_rate=8.0)
 
-_MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-_U30, _U27, _U31, _U11 = (np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11))
-
-ROLE_X1, ROLE_X2, ROLE_NOISE, ROLE_CENSOR, ROLE_MCMC = range(5)
-
 # Replicates a study generates and fits at a time: the VB and MLE fits of a
 # block run as one batch. At n = 300, blocks of 50 ran a 200-replicate study
 # as fast as blocks of 100 or 200, and a block holds ~0.4 MB of covariates.
 _BLOCK_SIZE = 50
-
-
-def _mix64(z: np.ndarray) -> np.ndarray:
-    # uint64 array arithmetic wraps silently, which is exactly what we want
-    z = (z ^ (z >> _U30)) * np.uint64(_MIX1)
-    z = (z ^ (z >> _U27)) * np.uint64(_MIX2)
-    return z ^ (z >> _U31)
-
-
-def _mix64_int(z: int) -> int:
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
-
-
-def _stream_key(seed: int, replicate: int, role: int) -> int:
-    k = _mix64_int(((seed & _MASK64) * _GOLDEN + _GOLDEN) & _MASK64)
-    k = _mix64_int((k + replicate * _GOLDEN) & _MASK64)
-    return _mix64_int((k + role * _GOLDEN) & _MASK64)
-
-
-def uniform_stream(seed: int, replicate: int, role: int, n: int) -> np.ndarray:
-    """n uniforms in (0, 1), a pure function of (seed, replicate, role)."""
-    key = _stream_key(seed, replicate, role)
-    idx = np.arange(1, n + 1, dtype=np.uint64)
-    bits = _mix64(np.uint64(key) + idx * np.uint64(_GOLDEN))
-    return ((bits >> _U11).astype(np.float64) + 0.5) * (2.0 ** -53)
 
 
 def stream_seed(seed: int, replicate: int, role: int) -> int:
@@ -240,8 +208,8 @@ def _fit_mcmc(data, prior, level, seed, n_iterations, burn_in):
 
 def run_replication(scenario: SimulationScenario, prior: PriorSpec,
                     methods=("vb", "mle"), config: FitConfig | None = None,
-                    level: float = 0.95, mcmc_iterations: int = 5000,
-                    mcmc_burn_in: int = 1000,
+                    level: float = 0.95, mcmc_iterations: int = MCMC_ITERATIONS,
+                    mcmc_burn_in: int = MCMC_BURN_IN,
                     max_failure_rate: float = 0.01) -> list[ReplicationReport]:
     """Run the study: generate each replicate once, fit every requested
     method on it, and aggregate bias/SD/MSE/coverage/length per parameter.

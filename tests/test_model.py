@@ -181,6 +181,14 @@ class TestLogPosterior:
         assert log_posterior(five_obs, params, self.PRIOR) == pytest.approx(
             expected, abs=1e-12)
 
+    def test_prior_dimension_must_match_data(self):
+        # a one-entry mean would broadcast against three coefficients
+        data = make_dataset([0.2, -0.4, 1.3], [1, 0, 1], [[0.5, 1.0], [1.2, 0.0], [-0.3, 1.0]])
+        prior = PriorSpec(coef_mean=np.zeros(1), coef_precision=0.5,
+                          scale_shape=1.0, scale_rate=1.0)
+        with pytest.raises(ValueError, match="prior mean dimension"):
+            log_posterior(data, ModelParams(coefficients=np.zeros(3), scale=1.0), prior)
+
 
 class TestPriorSpec:
     def test_validation(self):

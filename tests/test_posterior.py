@@ -9,8 +9,7 @@ from scipy import stats
 import llaft.numerics
 import llaft.posterior
 from llaft.cavi import VariationalState
-from llaft.numerics import (InverseGammaParams, inverse_gamma_cdf,
-                            inverse_gamma_quantile, normal_cdf)
+from llaft.numerics import InverseGammaParams, inverse_gamma_cdf, inverse_gamma_quantile
 from llaft.posterior import (ParameterSummary, acceleration_factor, hdi_from_draws,
                              inverse_gamma_hdi, summarize_coefficients,
                              summarize_scale)
@@ -131,8 +130,8 @@ class TestSummarizeCoefficients:
     def test_eti_mass_is_level(self, mu, sd, level):
         state = state_from([mu], [[sd * sd]], 3.0, 2.0)
         s, = summarize_coefficients(state, level)
-        mass = (normal_cdf((s.interval_high - mu) / sd)
-                - normal_cdf((s.interval_low - mu) / sd))
+        mass = (stats.norm.cdf((s.interval_high - mu) / sd)
+                - stats.norm.cdf((s.interval_low - mu) / sd))
         assert mass == pytest.approx(level, abs=1e-8)
 
     def test_names(self):

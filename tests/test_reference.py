@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import llaft.reference
 from conftest import make_dataset
 from llaft.cavi import fit
 from llaft.exceptions import NumericalError
@@ -258,6 +259,36 @@ class TestSamplePosterior:
             chain = sample_posterior(data, prior, 40_000, 5_000, seed=seed)
             m.append(np.median(chain.draws, axis=0))
         assert np.all(np.abs(m[0] - m[1]) < 0.08)
+
+    def test_draws_do_not_depend_on_block_size(self, monkeypatch):
+        # burn-in 350 ends inside a window, so the last burn-in block is partial
+        data = generate_dataset(SimulationScenario(n=40, censor_bound=17.0, seed=2), 0)
+        chains = []
+        for block in (1, 7, llaft.reference._BLOCK):
+            monkeypatch.setattr(llaft.reference, "_BLOCK", block)
+            chains.append(sample_posterior(data, WEAK_PRIOR, 1_500, 350, seed=4))
+        for chain in chains[1:]:
+            assert np.array_equal(chain.draws, chains[0].draws)
+            assert chain.acceptance_rate == chains[0].acceptance_rate
+
+    def test_shorter_chain_is_a_prefix(self):
+        data = generate_dataset(SimulationScenario(n=40, censor_bound=0.0, seed=1), 0)
+        short = sample_posterior(data, WEAK_PRIOR, 3_000, 500, seed=9)
+        long = sample_posterior(data, WEAK_PRIOR, 5_000, 500, seed=9)
+        assert short.draws.shape[0] == 2_500
+        assert np.array_equal(short.draws, long.draws[:2_500])
+
+    def test_prior_dimension_must_match_data(self):
+        data = generate_dataset(SimulationScenario(n=30, seed=3), 0)  # p = 3
+        prior = replace(WEAK_PRIOR, coef_mean=np.zeros(1))
+        with pytest.raises(ValueError, match="prior mean dimension"):
+            sample_posterior(data, prior, 200, 100, seed=0)
+        # with no data the dimension still comes from the covariates
+        empty = SurvivalDataset(time=np.empty(0), event=np.empty(0),
+                                covariates=np.empty((0, 3)))
+        with pytest.raises(ValueError, match="prior mean dimension"):
+            sample_posterior(empty, replace(WEAK_PRIOR, coef_mean=np.zeros(2)), 200, 100,
+                             seed=0)
 
     def test_burn_in_validation(self):
         data = make_dataset([0.1], [1], [[0.0]])

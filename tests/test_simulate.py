@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,20 @@ class TestUniformStream:
         assert not np.array_equal(a, uniform_stream(7, 4, ROLE_X1, 100))
         assert not np.array_equal(a, uniform_stream(7, 3, ROLE_NOISE, 100))
         assert not np.array_equal(a, uniform_stream(8, 3, ROLE_X1, 100))
+
+    def test_start_index_gives_the_matching_slice(self):
+        whole = uniform_stream(7, 3, ROLE_X1, 500)
+        assert np.array_equal(uniform_stream(7, 3, ROLE_X1, 50, start=123), whole[123:173])
+        blocks = [uniform_stream(7, 3, ROLE_X1, 7, start=s) for s in range(0, 500, 7)]
+        assert np.array_equal(np.concatenate(blocks)[:500], whole)
+
+    def test_library_has_no_other_random_source(self):
+        # every draw in the package comes from the counter-based streams
+        package = Path(llaft.simulate.__file__).parent
+        sources = {path.name: path.read_text() for path in package.glob("*.py")}
+        assert "reference.py" in sources
+        assert [name for name, text in sources.items()
+                if "np.random" in text or "numpy.random" in text] == []
 
     def test_open_unit_interval_and_uniformity(self):
         u = uniform_stream(0, 0, 0, 200_000)
