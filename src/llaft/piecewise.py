@@ -7,11 +7,15 @@ and x. Segment intervals are left-open/right-closed, e.g. -5 < x <= -1.701.
 
 The module also carries an independent verifier: a brute-force segmented
 least-squares search that re-derives the linear table's knots and error from
-scratch on a dense grid.
+scratch on a dense grid. softplus(x) - x/2 is even, so on a lattice symmetric
+about 0 a knot tuple and its mirror image fit equally well; the search screens
+one tuple of each such pair and rescores both exactly, so it returns what a
+scan of every tuple returns, ties included.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +51,10 @@ QUADRATIC_LINEAR = np.array([0.0, 0.1696, 0.5000, 0.8303, 1.0])
 QUADRATIC_QUADRATIC = np.array([0.0, 0.0189, 0.1138, 0.0190, 0.0])
 
 # Elements per (heads, rows, columns) block and per (heads, tail) array of
-# the knot scan's screen (64 KB of doubles), which bounds its memory. 2**12
-# to 2**14 screened equally fast; from 2**15 on the k = 3 scan slowed.
+# the knot scan's screen (64 KB of doubles), which bounds its memory. With
+# the mirror screen, 2**13 was fastest over the k = 3, 4 and 5 scans of
+# approx-check (medians of 15 interleaved runs), 2**12 and 2**14 within 5%;
+# 2**15 slowed the k = 5 scan by a quarter.
 _SCREEN_ELEMENTS = 2 ** 13
 
 for _knots in (LINEAR_KNOTS, LINEAR_INTERCEPTS, LINEAR_SLOPES, QUADRATIC_KNOTS,
@@ -162,6 +168,24 @@ class _HingeLS:
     proportion to syy, which on a grid as coarse as the lattice can be 1e8
     times the SSE.) Only such grids have collinear pairs; there the result
     can differ from such a scan.
+
+    In mirror mode the caller states that y less a line is even on a grid
+    symmetric about 0, and the candidates must satisfy cand == -cand[::-1]
+    exactly. Then the tuple of candidate indices t_1 < ... < t_k and its
+    mirror image (n-1-t_k, ..., n-1-t_1) tie, and for k = 3, 4 and 5 the
+    screen scores one of each pair: for odd k the tuples whose middle knot
+    has an index of at most (n - 1) // 2, for even k those whose middle
+    pair's indices sum to at most n - 1. That bounds the first tail knot at
+    (n - 1) // 2 for k = 3 and at n - 1 - (the head's last knot) for k = 4,
+    and drops the heads whose last knot lies above (n - 1) // 2 for k = 5.
+    The mirror of each shortlisted tuple is added back before the rescoring.
+    The tie rule survives because only exact scores pick the winner: a tuple
+    and its mirror differ in closed form by rounding alone, so a tuple that
+    could win has itself or its mirror in the window, and both reach `sse`.
+
+    On a grid of exactly k + 2 points every tuple of full rank interpolates,
+    so `best` takes the first such tuple in lexicographic order, at SSE 0,
+    without screening.
     """
 
     def __init__(self, x, y):
@@ -206,27 +230,58 @@ class _HingeLS:
         # an interpolating tuple's SSE is 0 but can round below it
         return np.where(np.isnan(sse) | ~_nonsingular(M), np.inf, np.maximum(sse, 0.0))
 
-    def best(self, cand, k) -> tuple[float, np.ndarray]:
+    def best(self, cand, k, *, mirror=False) -> tuple[float, np.ndarray]:
         """(sse, knots) of the best k-knot fit over every increasing k-tuple of
-        `cand`: the first minimizer in lexicographic order."""
+        the increasing candidates `cand`: the first minimizer in
+        lexicographic order. `mirror` states that y less a line is even on a
+        grid symmetric about 0, so that mirror-image tuples tie; it needs
+        cand == -cand[::-1] exactly, and for three to five knots screens one
+        tuple of each pair."""
+        if mirror and not np.array_equal(cand, -cand[::-1]):
+            raise ValueError("mirror mode needs candidates symmetric about 0")
+        if len(self.x) == k + 2:
+            return self._first_interpolating(cand, k)
         if k <= 1:
             tuples = list(itertools.combinations(range(len(cand)), k))
             tuples = np.array(tuples, dtype=np.intp).reshape(len(tuples), k)
         else:
-            tuples = self._screen(cand, k)
+            mirror = mirror and 3 <= k <= 5  # the screen's mirror bounds
+            tuples = self._screen(cand, k, mirror)
+            if mirror:
+                tuples = np.concatenate([tuples, len(cand) - 1 - tuples[:, ::-1]])
             tuples = tuples[np.lexsort(tuples.T[::-1])]
+            if mirror:  # a tuple and its mirror can both have been screened
+                tuples = tuples[np.r_[True, np.any(tuples[1:] != tuples[:-1], axis=1)]]
         if not len(tuples):  # no tuple, or every tuple singular
             return np.inf, None
         sse = self.sse(cand[tuples])
         t = int(np.argmin(sse))
         return float(sse[t]), cand[tuples[t]]
 
+    def _first_interpolating(self, cand, k) -> tuple[float, np.ndarray]:
+        """(0, knots) of the first tuple in lexicographic order that
+        interpolates a grid of k + 2 points. There every tuple whose design
+        has full rank fits exactly, so `sse` would rank them by rounding
+        alone. By the Schoenberg-Whitney theorem the design has full rank if
+        and only if each knot j (from 0) lies strictly between grid points j
+        and j + 2; the smallest such knot after the one before it is taken."""
+        knots = []
+        for j in range(k):
+            above = max(self.x[j], knots[-1]) if knots else self.x[j]
+            fits = (cand > above) & (cand < self.x[j + 2])
+            if not fits.any():
+                return np.inf, None
+            knots.append(cand[np.argmax(fits)])
+        return 0.0, np.array(knots, dtype=float)
+
     # the screen marks skipped heads, tail knots and pairs with NaN, silently
     @np.errstate(divide="ignore", invalid="ignore")
-    def _screen(self, cand, k) -> np.ndarray:
+    def _screen(self, cand, k, mirror=False) -> np.ndarray:
         """(rows, k) candidate indices of every tuple whose closed-form score
         lies within the window of the lowest score, plus a few that were that
-        close to the lowest score seen when their block was screened."""
+        close to the lowest score seen when their block was screened. With
+        `mirror` (k = 3, 4 or 5), only the tuples whose middle knot, or middle
+        pair's index sum, is at most that of their mirror image are screened."""
         n, p = len(cand), k - 2
         s0, s1, s2, t0, t1 = self._suffix[:, np.searchsorted(self.x, cand, side="right")]
         # <h_a, h_b> uses the suffix sums at the larger knot: right for a <= b
@@ -254,6 +309,16 @@ class _HingeLS:
         lowest, shortlist = np.inf, []
         for last, heads in heads_by_last_knot():
             m = n - 1 - last
+            # the first tail knot takes rows 0..rows-1, index last + 1 + row
+            rows = m - 1
+            if mirror and k == 3:  # the middle knot: index <= (n - 1) // 2
+                rows = min(rows, (n - 1) // 2 - last)
+            elif mirror and k == 4:  # the middle pair: index sum <= n - 1
+                rows = min(rows, n - 1 - 2 * last)
+            elif mirror and k == 5 and last > (n - 1) // 2:  # the middle knot
+                rows = 0
+            if rows <= 0:  # and no row for any later head
+                break
             St = S0[last + 1:, last + 1:]
             per_batch = max(1, _SCREEN_ELEMENTS // m)
             for h0 in range(0, len(heads), per_batch):
@@ -281,9 +346,9 @@ class _HingeLS:
                 u = g[:, p:] * d
                 rest = base[:, None] - u * u
                 i0 = 0
-                while i0 < m - 1:
+                while i0 < rows:
                     # rows i0..i1 against columns i0+1..m: the upper triangle
-                    i1 = min(m - 1, i0 + max(1, _SCREEN_ELEMENTS // (H * (m - 1 - i0))))
+                    i1 = min(rows, i0 + max(1, _SCREEN_ELEMENTS // (H * (m - 1 - i0))))
                     ri, cj, sq = slice(i0, i1), slice(i0 + 1, m), i1 - i0
                     c = St[ri, cj] * d[:, ri, None]
                     c *= d[:, None, cj]
@@ -343,8 +408,20 @@ def fit_linear_breakpoints(grid_size: int = 10_000, n_breakpoints: int = 3,
     is exhaustive over all increasing tuples. For four or five knots an
     exhaustive pass on a 0.25 lattice seeds coordinate-descent refinement on
     the fine lattice, which keeps the search tractable. Each call runs one
-    search and starts no other. A grid with fewer points than the spline has
-    coefficients (knots + 2) raises ValueError.
+    search and starts no other. On a grid of exactly knots + 2 points the fit
+    is the first tuple in lexicographic order that interpolates, with SSE 0
+    (on the 0.25 lattice for four or five knots: no descent step beats 0).
+
+    The lattice is -5 + step, -5 + 2 step, ... up to below 5 - step / 2,
+    each rounded to a multiple of the step. A lattice symmetric about 0
+    (cand == -cand[::-1] exactly) is searched in mirror mode; the 0.3
+    lattice, from -4.8 to 4.5, is not.
+
+    Raises ValueError for a grid with fewer points than the spline has
+    coefficients (knots + 2), a step that is not positive and finite, a
+    lattice with fewer knots than asked for, and, for four or five knots, a
+    step of which 0.25 is not a whole multiple, since the 0.25-lattice seed
+    knots must lie on the lattice.
     """
     if not 0 <= n_breakpoints <= 5:
         raise ValueError("n_breakpoints must be between 0 and 5")
@@ -353,21 +430,36 @@ def fit_linear_breakpoints(grid_size: int = 10_000, n_breakpoints: int = 3,
         raise ValueError(
             f"a {n_breakpoints}-knot spline has {n_breakpoints + 2} coefficients, "
             f"more than the {grid_size} grid points")
-    x, y = _grid(grid_size)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    ls = _HingeLS(x, y)
+    if not (math.isfinite(lattice_step) and lattice_step > 0):
+        raise ValueError(f"lattice_step must be positive and finite, not {lattice_step}")
 
     def lattice(step):
         k = np.round(np.arange(-5.0 + step, 5.0 - step / 2, step) / step) * step
         return k + 0.0  # normalize -0.0
 
     fine = lattice(lattice_step)
+    if len(fine) < n_breakpoints:
+        raise ValueError(f"a {lattice_step} lattice holds {len(fine)} knots in (-5, 5), "
+                         f"fewer than {n_breakpoints}")
+    if n_breakpoints >= 4 and not (0.25 / lattice_step).is_integer():
+        # the descent keeps any seed knot that never moves
+        raise ValueError(f"{n_breakpoints} knots are seeded from a 0.25 lattice, so "
+                         f"0.25 must be a whole multiple of lattice_step {lattice_step}")
+    x, y = _grid(grid_size)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    ls = _HingeLS(x, y)
+
+    def search(cand):
+        # y is softplus on a grid symmetric about 0, and softplus(x) - x/2 is
+        # even: a tuple and its mirror image tie if the candidates are
+        # symmetric too
+        return ls.best(cand, n_breakpoints, mirror=np.array_equal(cand, -cand[::-1]))
 
     if n_breakpoints <= 3:
-        sse, knots = ls.best(fine, n_breakpoints)
+        sse, knots = search(fine)
         return BreakpointFit(knots, sse, 1.0 - sse / ss_tot)
 
-    best_sse, best = ls.best(lattice(0.25), n_breakpoints)
+    best_sse, best = search(lattice(0.25))
 
     # coordinate descent on the fine lattice until no knot moves; candidates
     # are taken in lattice order, each only if it beats the best so far

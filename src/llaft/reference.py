@@ -89,7 +89,8 @@ class MleResult:
 
 @dataclass(frozen=True)
 class McmcChain:
-    """Post-burn-in draws of (beta..., b), one row per retained iteration."""
+    """Post-burn-in draws of (beta..., b), one row per retained iteration,
+    and the share of post-burn-in proposals that were accepted."""
 
     draws: np.ndarray
     acceptance_rate: float
@@ -321,7 +322,8 @@ def sample_posterior(data: SurvivalDataset, prior: PriorSpec, n_iterations: int,
     During burn-in a global step multiplier chases a 20-40% acceptance rate
     (checked every 100 iterations) while per-component scales track running
     posterior spreads; both freeze at the end of burn-in. Draws are returned
-    with the scale mapped back to b.
+    with the scale mapped back to b. The acceptance rate, and the warning
+    when it is pathological, count the post-burn-in iterations only.
 
     Iteration t reads values t(d+1), ..., t(d+1) + d of the stream
     `uniform_stream(seed, 0, ROLE_MCMC)`, with d = p + 1: the first d become
@@ -350,7 +352,7 @@ def sample_posterior(data: SurvivalDataset, prior: PriorSpec, n_iterations: int,
     # states so far, with the squared deviations seeded at 1e-4
     count, mean, m2 = 1, theta.copy(), np.full(dim, 1e-4)
     window = np.empty((_WINDOW, dim))  # the states of the current window
-    accept_window = accepted_total = 0
+    accept_window = accepted_kept = 0
 
     draws = np.empty((n_iterations - burn_in, dim))
     t = 0
@@ -368,7 +370,8 @@ def sample_posterior(data: SurvivalDataset, prior: PriorSpec, n_iterations: int,
             log_posterior, theta, lp, normal_quantile(u[:, :dim]) * (mult * scales),
             np.log(u[:, dim].copy()).tolist(), out)
         accept_window += accepted
-        accepted_total += accepted
+        if t >= burn_in:  # no block straddles the end of burn-in
+            accepted_kept += accepted
         t = end
         if t <= burn_in and t % _WINDOW == 0:
             rate = accept_window / _WINDOW
@@ -389,7 +392,7 @@ def sample_posterior(data: SurvivalDataset, prior: PriorSpec, n_iterations: int,
             accept_window = 0
 
     draws[:, -1] = np.exp(draws[:, -1])
-    rate = accepted_total / n_iterations
+    rate = accepted_kept / (n_iterations - burn_in)
     warning = None
     if not 0.01 < rate < 0.99:
         warning = f"pathological acceptance rate {rate:.3f} after adaptation"

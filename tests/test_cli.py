@@ -255,6 +255,23 @@ class TestDefaults:
                 == self.run(tmp_path, "b.csv", [*argv, *self.LIBRARY_DEFAULTS]))
 
 
+# approx-check's whole stdout, byte for byte, as first printed by the
+# exhaustive knot scans that screened every tuple and its mirror image
+APPROX_CHECK_STDOUT = "\n".join([
+    "published-table audit on a 10000-point grid over [-5, 5]:",
+    "  linear    SSE 3.35213   max|err| 0.0526472 on [-8, 8]",
+    "  quadratic SSE 0.120855   max|err| 0.0121772 on [-8, 8]",
+    "segmented least-squares search (knots on a 0.05 lattice):",
+    "breakpoints  sse       r_squared  knots                    ",
+    "1            68.3055   0.997157   0                        ",
+    "2            11.3254   0.999529   -1.1, 1.05               ",
+    "3            3.3523    0.999860   -1.7, 0, 1.7             ",
+    "4            1.36329   0.999943   -2, -0.5, 0.75, 2.2      ",
+    "5            0.633288  0.999974   -2.4, -1.05, 0, 1.05, 2.4",
+    "audit passed",
+]) + "\n"
+
+
 class TestApproxCheckCommand:
     def test_audit_passes(self, capsys):
         assert main(["approx-check"]) == 0
@@ -262,6 +279,10 @@ class TestApproxCheckCommand:
         assert "3.35" in out        # linear table SSE
         assert "0.12" in out        # quadratic table SSE
         assert "audit passed" in out
+
+    def test_stdout_is_golden(self, capsys):
+        assert main(["approx-check"]) == 0
+        assert capsys.readouterr().out == APPROX_CHECK_STDOUT
 
 
 class TestCompareCommand:

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import llaft.cli
 import llaft.piecewise
-from llaft.piecewise import (LINEAR_KNOTS, QUADRATIC_KNOTS, _grid, _HingeLS,
+from llaft.piecewise import (LINEAR_KNOTS, QUADRATIC_KNOTS, _grid, _HingeLS, _nonsingular,
                              fit_linear_breakpoints, segment_coefficients, softplus,
                              softplus_linear, softplus_quadratic, table_sse)
 
@@ -241,9 +241,19 @@ class TestBreakpointSearch:
             combos = np.array(list(itertools.combinations(range(len(cand)), k)))
             sse = ls.sse(cand[combos])
             first = int(np.argmin(sse))
-            got_sse, got = ls.best(cand, k)
-            assert got_sse == sse[first], problem
-            assert np.array_equal(got, cand[combos[first]]), problem
+            # the symmetric problems once more screening one tuple of each
+            # mirror pair
+            for mirror in (False, True) if problem < 8 else (False,):
+                got_sse, got = ls.best(cand, k, mirror=mirror)
+                assert got_sse == sse[first], (problem, mirror)
+                assert np.array_equal(got, cand[combos[first]]), (problem, mirror)
+
+    def test_mirror_mode_needs_symmetric_candidates(self):
+        x, y = _grid(400)
+        ls = _HingeLS(x, y)
+        for cand in (np.array([-1.0, 0.0, 0.5, 1.0]), np.arange(-9, 11) * 0.3):
+            with pytest.raises(ValueError, match="symmetric"):
+                ls.best(cand, 3, mirror=True)
 
     @pytest.mark.parametrize("grid_size", [400, 10_000])
     def test_mirror_tie_returns_first_tuple(self, grid_size):
@@ -317,6 +327,55 @@ class TestBreakpointSearch:
         coef = np.linalg.lstsq(A, y, rcond=None)[0]
         assert np.linalg.matrix_rank(A) == k + 2
         assert fit.sse == pytest.approx(float(np.sum((A @ coef - y) ** 2)), abs=1e-9)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_interpolating_grid_takes_first_full_rank_tuple(self, k):
+        # on k + 2 grid points every tuple of full rank fits exactly, so the
+        # answer is the first in lexicographic order, at SSE 0; on 6 points
+        # the screen's rounding once picked (-4.25, -2.75, -0.75, 1.25) or
+        # its mirror. _nonsingular alone accepts the singular
+        # (-4.75, -3.25, -2.25, -1.5, 0.25) on 7 points, whose design has rank 6
+        x, y = _grid(k + 2)
+        ls = _HingeLS(x, y)
+        cand = np.arange(-19, 20) * 0.25
+        combos = itertools.combinations(range(len(cand)), k)
+        while True:
+            knots = cand[np.array(list(itertools.islice(combos, 4096)))]
+            A = np.concatenate([np.broadcast_to(np.ones_like(x), (len(knots), 1, k + 2)),
+                                np.broadcast_to(x, (len(knots), 1, k + 2)),
+                                np.maximum(x - knots[:, :, None], 0)], axis=1)
+            full = np.flatnonzero(np.linalg.matrix_rank(A) == k + 2)
+            full = full[_nonsingular(ls._normal_equations(knots[full])[0])]
+            if len(full):
+                break
+        fit = fit_linear_breakpoints(k + 2, k, 0.25)
+        assert np.array_equal(fit.breakpoints, knots[full[0]])
+        assert (fit.sse, fit.r_squared) == (0.0, 1.0)
+        assert ls.sse(fit.breakpoints[None])[0] < 1e-9
+        sse, best = ls.best(cand, k, mirror=True)
+        assert sse == 0.0 and np.array_equal(best, knots[full[0]])
+
+    @pytest.mark.parametrize("k,step,match", [
+        (3, 20.0, "fewer than 3"), (3, -0.05, "positive"), (3, 0.0, "positive"),
+        (3, float("nan"), "finite"), (3, float("inf"), "finite"),
+        (4, 3.0, "fewer than 4"), (4, 0.1, "whole multiple"), (5, 0.3, "whole multiple")])
+    def test_invalid_lattice_step(self, k, step, match):
+        # (3, 20.0) and (3, -0.05) returned BreakpointFit(None, inf, -inf);
+        # (4, 3.0) returned knots off the requested lattice
+        with pytest.raises(ValueError, match=match):
+            fit_linear_breakpoints(1000, k, step)
+
+    def test_asymmetric_lattice_scans_every_tuple(self):
+        # the 0.3 lattice runs from -4.8 to 4.5: not symmetric about 0
+        fit = fit_linear_breakpoints(400, 3, 0.3)
+        x, y = _grid(400)
+        ls = _HingeLS(x, y)
+        cand = np.arange(-16, 16) * 0.3 + 0.0
+        assert not np.array_equal(cand, -cand[::-1])
+        combos = np.array(list(itertools.combinations(range(len(cand)), 3)))
+        sse = ls.sse(cand[combos])
+        assert fit.sse == sse.min()
+        assert np.array_equal(fit.breakpoints, cand[combos[np.argmin(sse)]])
 
     def test_numerically_singular_tuple_scores_inf(self):
         # on 5 grid points, knots 3.75 and 4.0 have no point between them,

@@ -329,6 +329,19 @@ class TestTrialData:
         assert lo == pytest.approx(0.165, abs=0.08)
         assert hi == pytest.approx(0.737, abs=0.08)
 
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_acceptance_rate_counts_kept_draws_only(self, trial, seed):
+        # an accepted proposal moves the chain, so the rate is the share of
+        # kept rows that differ from the row before, up to the first kept
+        # row, whose predecessor is the last burn-in state; counted over all
+        # iterations, burn-in included, seed 1 read 0.306 against 0.328 here
+        prior = PriorSpec(coef_mean=np.array([4.4, 0.25, 0.04]),
+                          coef_precision=1.0, scale_shape=501.0,
+                          scale_rate=500.0)
+        chain = sample_posterior(trial, prior, 5_000, 1_000, seed=seed)
+        moved = int(np.any(np.diff(chain.draws, axis=0) != 0, axis=1).sum())
+        assert moved <= chain.acceptance_rate * 4_000 <= moved + 1
+
 
 class TestChainLogPosterior:
     """The sampler's per-chain log posterior in (beta, log b) is the model's
