@@ -236,7 +236,7 @@ class _HingeLS:
         lexicographic order. `mirror` states that y less a line is even on a
         grid symmetric about 0, so that mirror-image tuples tie; it needs
         cand == -cand[::-1] exactly, and for three to five knots screens one
-        tuple of each pair."""
+        tuple of each pair. (inf, None) when every tuple is singular."""
         if mirror and not np.array_equal(cand, -cand[::-1]):
             raise ValueError("mirror mode needs candidates symmetric about 0")
         if len(self.x) == k + 2:
@@ -251,12 +251,15 @@ class _HingeLS:
                 tuples = np.concatenate([tuples, len(cand) - 1 - tuples[:, ::-1]])
             tuples = tuples[np.lexsort(tuples.T[::-1])]
             if mirror:  # a tuple and its mirror can both have been screened
-                tuples = tuples[np.r_[True, np.any(tuples[1:] != tuples[:-1], axis=1)]]
-        if not len(tuples):  # no tuple, or every tuple singular
-            return np.inf, None
-        sse = self.sse(cand[tuples])
-        t = int(np.argmin(sse))
-        return float(sse[t]), cand[tuples[t]]
+                repeat = np.zeros(len(tuples), bool)
+                repeat[1:] = (tuples[1:] == tuples[:-1]).all(axis=1)
+                tuples = tuples[~repeat]
+        if len(tuples):
+            sse = self.sse(cand[tuples])
+            t = int(np.argmin(sse))
+            if sse[t] < np.inf:
+                return float(sse[t]), cand[tuples[t]]
+        return np.inf, None  # no tuple, or every tuple singular
 
     def _first_interpolating(self, cand, k) -> tuple[float, np.ndarray]:
         """(0, knots) of the first tuple in lexicographic order that

@@ -255,6 +255,17 @@ class TestBreakpointSearch:
             with pytest.raises(ValueError, match="symmetric"):
                 ls.best(cand, 3, mirror=True)
 
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_every_tuple_singular_gives_no_knots(self, mirror):
+        # no grid point lies between any two of these knots; knots below the
+        # grid are collinear with [1, x], and knots above it are zero on it.
+        # The first set once returned knots with SSE inf, a different tuple
+        # in each mode, and the second an empty shortlist in mirror mode
+        x, y = _grid(8)
+        ls = _HingeLS(x, y)
+        for cand in (np.array([-0.1, -0.05, 0.0, 0.05, 0.1]), np.array([-7.0, -6.0, 6.0, 7.0])):
+            assert ls.best(cand, 3, mirror=mirror) == (np.inf, None)
+
     @pytest.mark.parametrize("grid_size", [400, 10_000])
     def test_mirror_tie_returns_first_tuple(self, grid_size):
         # (-1.1, 1.05) and (-1.05, 1.1) tie exactly in sse(); on the
