@@ -249,11 +249,12 @@ class _HingeLS:
             tuples = self._screen(cand, k, mirror)
             if mirror:
                 tuples = np.concatenate([tuples, len(cand) - 1 - tuples[:, ::-1]])
+            # lexicographic order, each tuple once: a tuple and its mirror can
+            # both have been screened
             tuples = tuples[np.lexsort(tuples.T[::-1])]
-            if mirror:  # a tuple and its mirror can both have been screened
-                repeat = np.zeros(len(tuples), bool)
-                repeat[1:] = (tuples[1:] == tuples[:-1]).all(axis=1)
-                tuples = tuples[~repeat]
+            repeat = np.zeros(len(tuples), bool)
+            repeat[1:] = (tuples[1:] == tuples[:-1]).all(axis=1)
+            tuples = tuples[~repeat]
         if len(tuples):
             sse = self.sse(cand[tuples])
             t = int(np.argmin(sse))
