@@ -196,6 +196,8 @@ def _method_summaries(method, data, prior, config, args):
                **_given(args, n_iterations="mcmc_iterations", burn_in="mcmc_burn_in",
                         seed="seed")}
         chain = sample_posterior(data, prior, **run)
+        if chain.warning is not None:
+            print(f"warning: mcmc: {chain.warning}", file=sys.stderr)
         rows = []
         for j in range(data.p):
             d = chain.coefficient_draws[:, j]

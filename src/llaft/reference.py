@@ -5,8 +5,10 @@ damped Newton ascent in (beta, log b) with analytic gradient and Hessian; the
 sampler is a joint Gaussian random-walk Metropolis in the same coordinates,
 with per-component proposal scales adapted during burn-in and frozen after.
 A chain builds its log posterior once: the parts that do not depend on the
-parameters are computed up front, so a step computes z in one matrix-vector
-product, one softplus and one dot product over the data.
+parameters are computed up front, so scoring a stack of K proposals takes one
+matrix product for z, one softplus and one dot product per row over the data.
+The chain scores its next _PREFETCH proposals in one such call and keeps the
+draws of a chain that scores them one at a time.
 
 The sampler's randomness comes from the counter-based streams of `numerics`,
 the ones that generate the study data: a chain's proposal normals and accept
@@ -49,6 +51,8 @@ MCMC_SEED = 0
 # so its working memory does not grow with n_iterations.
 _WINDOW = 100
 _BLOCK = 1000
+# Proposals scored in one call of the chain's log posterior.
+_PREFETCH = 6
 
 
 @dataclass(frozen=True)
@@ -153,7 +157,8 @@ def loglik_grad_hess(data, beta: np.ndarray, log_b):
 
 
 def _dot(u, v):
-    # per replicate u' v for (R, n) u and (R, n) or (R, n, k) v
+    # per replicate u' v for (R, n) u and (R, n), (R, n, k) or shared (n,) v,
+    # one BLAS call per replicate, so a row's value does not depend on R
     if v.ndim == 2:
         return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
     return np.matmul(u[:, None, :], v)[:, 0]
@@ -288,30 +293,40 @@ def _mle_result(theta, ll, hess, iterations, gradient_norm):
 
 
 def _chain_log_posterior(data, prior):
-    """The log posterior in (beta, log b) of one chain, as a function of theta.
+    """The log posterior in (beta, log b) of one chain, as a function of a
+    (K, p+1) stack of parameter vectors; returns the K values.
 
     It includes the |db/ds| = b Jacobian and drops the normalizing constants.
     With w = (beta, 1)/b, z = [-X, y] w, and event'z = (event'[-X, y]) w is a
     product of two (p+1)-vectors. Everything that does not depend on theta
-    ([-X, y], event'[-X, y], 1 + event and the prior constants) is built
-    here, once per chain."""
+    ([-X, y]', event'[-X, y], 1 + event and the prior constants) is built
+    here, once per chain.
+
+    A row's value does not depend on the rows stacked with it: z is one
+    matrix product (gemm, which sums each entry in the same order whatever
+    the number of rows), and the sums over the data are one BLAS dot
+    product per row (a matrix-vector product sums in an order that depends
+    on K). NumPy hands a one-row product to gemv, which rounds differently,
+    so a lone row is scored as a pair."""
     design = np.column_stack([-data.covariates, data.log_time])
     event_design, event1 = data.event @ design, 1.0 + data.event
+    design_t = np.ascontiguousarray(design.T)
     mu0 = prior.coef_mean
     neg_half_precision = -0.5 * prior.coef_precision
     # s enters linearly: -r s from the likelihood, -alpha0 s from the prior
     # with its Jacobian
     s_slope, rate = -(prior.scale_shape + data.r), prior.scale_rate
-    exp = math.exp
 
-    def log_posterior(theta) -> float:
-        s = float(theta[-1])
-        inv_b = exp(-s)
-        w = theta * inv_b
-        w[-1] = inv_b
-        ll = float(event_design @ w - event1 @ _softplus(design @ w))
-        diff = theta[:-1] - mu0
-        return ll + neg_half_precision * float(diff @ diff) + (s_slope * s - rate * inv_b)
+    def log_posterior(thetas):
+        if len(thetas) == 1:
+            return log_posterior(np.repeat(thetas, 2, axis=0))[:1]
+        s = thetas[:, -1]
+        inv_b = np.exp(-s)
+        w = thetas * inv_b[:, None]
+        w[:, -1] = inv_b
+        ll = _dot(w, event_design) - _dot(_softplus(w @ design_t), event1)
+        diff = thetas[:, :-1] - mu0
+        return ll + neg_half_precision * _dot(diff, diff) + (s_slope * s - rate * inv_b)
     return log_posterior
 
 
@@ -330,8 +345,10 @@ def sample_posterior(data: SurvivalDataset, prior: PriorSpec, n_iterations: int,
     the proposal's normals through `normal_quantile`, the last is the accept
     uniform. So the draws are a pure function of the arguments, and a chain
     with the same seed and burn-in but fewer iterations is a prefix of this
-    one. Raises ValueError on a burn-in outside [0, n_iterations) or a prior
-    mean whose dimension is not the data's.
+    one. The proposals are scored _PREFETCH at a time (see
+    `_metropolis_block`), with the same draws as one at a time. Raises
+    ValueError on a burn-in outside [0, n_iterations) or a prior mean whose
+    dimension is not the data's.
     """
     if not 0 <= burn_in < n_iterations:
         raise ValueError("burn_in must be nonnegative and below n_iterations")
@@ -345,7 +362,7 @@ def sample_posterior(data: SurvivalDataset, prior: PriorSpec, n_iterations: int,
         theta = np.append(prior.coef_mean, math.log(prior_scale_mean))
 
     log_posterior = _chain_log_posterior(data, prior)
-    lp = log_posterior(theta)
+    lp = float(log_posterior(theta[None])[0])
     scales = np.full(dim, 0.1)
     mult = 1.0
     # count, mean and sum of squared deviations of the start and the burn-in
@@ -403,13 +420,28 @@ def _metropolis_block(log_posterior, theta, lp, increments, log_u, out):
     """Run one Metropolis step per row of `increments` (the proposal's steps)
     and entry of `log_u` (the logs of the accept uniforms), storing each
     step's state in `out`. Returns the last state, its log posterior and the
-    number of accepted proposals."""
-    accepted = 0
-    for k, (increment, log_uk) in enumerate(zip(increments, log_u)):
-        proposal = theta + increment
-        lp_proposal = log_posterior(proposal)
-        if log_uk < lp_proposal - lp:
-            theta, lp = proposal, lp_proposal
-            accepted += 1
-        out[k] = theta
+    number of accepted proposals.
+
+    The proposals are scored _PREFETCH at a time (pre-fetching; Brockwell
+    2006, J. Comput. Graph. Stat. 15:246): from theta, the next K proposals
+    are theta + increments[k:k+K], all scored in one call. The first one
+    the sequential test accepts moves the chain, the steps before it stay
+    at theta, and the next batch starts after it; the ones after it were
+    proposed from the old state and are dropped. Every increment of a block
+    has the same scale, so the accept decisions, and the draws, are the
+    one-at-a-time algorithm's own."""
+    accepted = k = 0
+    while k < len(increments):
+        proposals = theta + increments[k:k + _PREFETCH]
+        for i, lp_proposal in enumerate(log_posterior(proposals).tolist()):
+            if log_u[k + i] < lp_proposal - lp:
+                out[k:k + i] = theta
+                theta, lp = proposals[i], lp_proposal
+                out[k + i] = theta
+                accepted += 1
+                k += i + 1
+                break
+        else:
+            out[k:k + len(proposals)] = theta
+            k += len(proposals)
     return theta, lp, accepted

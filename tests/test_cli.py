@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import llaft.cli
 from llaft.cli import ingest_csv, load_config, main
 from llaft.datasets import rhdnase_path
 from llaft.exceptions import DataError
@@ -294,3 +297,33 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         assert "vb:mean" in out and "mcmc:mean" in out
         assert "mcmc/vb" in out
+
+
+class TestSamplerWarning:
+    """`fit` and `compare` report a chain flagged by the sampler on stderr."""
+
+    RUN = ["--mcmc-iterations", "400", "--mcmc-burn-in", "100", "--seed", "3"]
+
+    @pytest.fixture
+    def flagged(self, monkeypatch):
+        sample = llaft.cli.sample_posterior
+
+        def flagged_sample(*args, **kwargs):
+            return replace(sample(*args, **kwargs), acceptance_rate=0.004,
+                           warning="pathological acceptance rate 0.004 after adaptation")
+        monkeypatch.setattr(llaft.cli, "sample_posterior", flagged_sample)
+
+    @pytest.mark.parametrize("command", [["fit", "--methods", "mcmc"], ["compare"]])
+    def test_warning_names_method_and_rate(self, tmp_path, capsys, flagged, command):
+        data = write(tmp_path / "d.csv", TINY)
+        assert main(command + ["--data", data] + self.RUN) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ("warning: mcmc: pathological acceptance rate 0.004 "
+                                "after adaptation\n")
+        assert "pathological" not in captured.out
+
+    @pytest.mark.parametrize("command", [["fit", "--methods", "mcmc"], ["compare"]])
+    def test_no_warning_prints_nothing(self, tmp_path, capsys, command):
+        data = write(tmp_path / "d.csv", TINY)
+        assert main(command + ["--data", data] + self.RUN) == 0
+        assert capsys.readouterr().err == ""

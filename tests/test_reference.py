@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -271,6 +272,17 @@ class TestSamplePosterior:
             assert np.array_equal(chain.draws, chains[0].draws)
             assert chain.acceptance_rate == chains[0].acceptance_rate
 
+    def test_draws_do_not_depend_on_prefetch_depth(self, monkeypatch):
+        # burn-in 350 ends inside a window, so the last burn-in block is partial
+        data = generate_dataset(SimulationScenario(n=40, censor_bound=17.0, seed=2), 0)
+        chains = []
+        for depth in (1, 2, 7, llaft.reference._PREFETCH):
+            monkeypatch.setattr(llaft.reference, "_PREFETCH", depth)
+            chains.append(sample_posterior(data, WEAK_PRIOR, 1_500, 350, seed=4))
+        for chain in chains[1:]:
+            assert np.array_equal(chain.draws, chains[0].draws)
+            assert chain.acceptance_rate == chains[0].acceptance_rate
+
     def test_shorter_chain_is_a_prefix(self):
         data = generate_dataset(SimulationScenario(n=40, censor_bound=0.0, seed=1), 0)
         short = sample_posterior(data, WEAK_PRIOR, 3_000, 500, seed=9)
@@ -342,10 +354,24 @@ class TestTrialData:
         moved = int(np.any(np.diff(chain.draws, axis=0) != 0, axis=1).sum())
         assert moved <= chain.acceptance_rate * 4_000 <= moved + 1
 
+    def test_golden_chain(self, trial):
+        # recorded when each proposal was scored on its own, before proposals
+        # were prefetched; scoring them a batch at a time must not move a draw
+        prior = PriorSpec(coef_mean=np.array([4.4, 0.25, 0.04]),
+                          coef_precision=1.0, scale_shape=501.0,
+                          scale_rate=500.0)
+        chain = sample_posterior(trial, prior, 5_000, 1_000, seed=1)
+        assert chain.acceptance_rate == 0.32775
+        assert chain.draws[0].tolist() == [3.7553394278579755, 0.5676095212985051,
+                                           0.02655530629264133, 0.9173658983217103]
+        assert hashlib.sha256(chain.draws.tobytes()).hexdigest() == (
+            "1c6e75110292af1d57022e4b0e97edf327ca8f45b59bddc713339cc9d8cb64e7")
+
 
 class TestChainLogPosterior:
     """The sampler's per-chain log posterior in (beta, log b) is the model's
-    log posterior at (beta, e^s) plus the log Jacobian s, up to a constant."""
+    log posterior at (beta, e^s) plus the log Jacobian s, up to a constant,
+    and scores a stack of parameter vectors one row at a time."""
 
     PRIOR = PriorSpec(coef_mean=np.array([4.4, 0.25, 0.04]), coef_precision=1.0,
                       scale_shape=501.0, scale_rate=500.0)
@@ -356,16 +382,20 @@ class TestChainLogPosterior:
         offset = got - expected
         assert np.all(np.abs(offset - offset[0]) <= 1e-10 * np.abs(expected))
 
-    def test_matches_model_log_posterior(self, trial):
-        rng = np.random.default_rng(7)
-        thetas = np.column_stack([rng.normal([4.1, 0.4, 0.02], [0.3, 0.3, 0.01], size=(60, 3)),
-                                  rng.normal(-0.1, 0.3, size=60)])
+    @staticmethod
+    def thetas_with_overflow(data, rng, center, spread, overflow_row):
+        thetas = rng.normal(center, spread, size=(60, 4))
         # a tiny scale drives z past 710, where the softplus takes np.logaddexp
-        thetas[-1, -1] = -8.0
-        beta, s = thetas[-1, :-1], thetas[-1, -1]
-        assert ((trial.log_time - trial.covariates @ beta) / math.exp(s)).max() > 710.0
-        chain_lp = _chain_log_posterior(trial, self.PRIOR)
-        got = [chain_lp(theta) for theta in thetas]
+        thetas[overflow_row, -1] = -8.0
+        beta, s = thetas[overflow_row, :-1], thetas[overflow_row, -1]
+        assert ((data.log_time - data.covariates @ beta) / math.exp(s)).max() > 710.0
+        return thetas
+
+    def test_matches_model_log_posterior(self, trial):
+        thetas = self.thetas_with_overflow(trial, np.random.default_rng(7),
+                                           [4.1, 0.4, 0.02, -0.1], [0.3, 0.3, 0.01, 0.3], -1)
+        got = _chain_log_posterior(trial, self.PRIOR)(thetas)
+        assert got.shape == (60,)
         expected = [log_posterior(trial, ModelParams(theta[:-1], math.exp(theta[-1])),
                                   self.PRIOR) + theta[-1] for theta in thetas]
         self.assert_constant_offset(got, expected)
@@ -375,10 +405,29 @@ class TestChainLogPosterior:
                                covariates=np.empty((0, 3)))
         rng = np.random.default_rng(8)
         thetas = rng.normal(0.0, 1.0, size=(50, 4))
-        chain_lp = _chain_log_posterior(data, WEAK_PRIOR)
-        got = [chain_lp(theta) for theta in thetas]
+        got = _chain_log_posterior(data, WEAK_PRIOR)(thetas)
         v0 = WEAK_PRIOR.coef_precision
         expected = [-0.5 * v0 * float((t[:-1] - WEAK_PRIOR.coef_mean) @ (t[:-1] - WEAK_PRIOR.coef_mean))
                     + inverse_gamma_log_pdf(WEAK_PRIOR.scale_params, math.exp(t[-1])) + t[-1]
                     for t in thetas]
         self.assert_constant_offset(got, expected)
+
+    @pytest.mark.parametrize("dataset", ["trial", "simulated"])
+    def test_rows_do_not_depend_on_the_batch(self, trial, dataset):
+        # every row of a K-row stack equals its value scored alone, bit for
+        # bit, with a row on the np.logaddexp branch in some of the stacks
+        rng = np.random.default_rng(9)
+        if dataset == "trial":
+            data, prior = trial, self.PRIOR
+            thetas = self.thetas_with_overflow(data, rng, [4.1, 0.4, 0.02, -0.1],
+                                               [0.3, 0.3, 0.01, 0.3], 17)
+        else:
+            data, prior = generate_dataset(SimulationScenario(n=40, seed=2), 0), WEAK_PRIOR
+            thetas = self.thetas_with_overflow(data, rng, [0.5, 1.0, -1.0, 0.0], 0.5, 17)
+        chain_lp = _chain_log_posterior(data, prior)
+        alone = np.concatenate([chain_lp(theta[None]) for theta in thetas])
+        assert np.all(np.isfinite(alone))
+        for k in range(1, 10):
+            for start in range(len(thetas) - k + 1):
+                assert np.array_equal(chain_lp(thetas[start:start + k]),
+                                      alone[start:start + k])
