@@ -29,8 +29,7 @@ from llaft.cavi import fit
 from llaft.model import PriorSpec, SurvivalDataset
 from llaft.posterior import summarize_coefficients, summarize_scale
 from llaft.reference import fit_mle, sample_posterior
-from llaft.simulate import uniform_stream
-from llaft.numerics import normal_quantile
+from llaft.numerics import normal_quantile, uniform_stream
 
 N_SUBJECTS = 645
 N_PLACEBO = 324

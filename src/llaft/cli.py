@@ -260,8 +260,7 @@ def cmd_replicate(args) -> int:
 
 
 def cmd_approx_check(args) -> int:
-    grid_size = 10_000
-    lin_sse, quad_sse = table_sse(grid_size)
+    lin_sse, quad_sse = table_sse()
     x = np.linspace(-8.0, 8.0, 100_001)
     exact = softplus(x)
     lin_max = float(np.max(np.abs(softplus_linear(x) - exact)))
@@ -274,7 +273,7 @@ def cmd_approx_check(args) -> int:
     rows = [("breakpoints", "sse", "r_squared", "knots")]
     fit3 = None
     for k in range(1, 6):
-        res = fit_linear_breakpoints(grid_size, k)
+        res = fit_linear_breakpoints(n_breakpoints=k)
         if k == 3:
             fit3 = res
         rows.append((str(k), _fmt6(res.sse), f"{res.r_squared:.6f}",
@@ -362,7 +361,6 @@ def _parser() -> argparse.ArgumentParser:
 
     apx = sub.add_parser("approx-check",
                          help="audit the piecewise softplus tables and re-derive knots")
-    _add_common(apx)
     apx.set_defaults(func=cmd_approx_check)
 
     cmp_p = sub.add_parser("compare", help="fit vb, mle and mcmc side by side")

@@ -105,10 +105,12 @@ class PriorSpec:
         mean = _readonly(np.atleast_1d(self.coef_mean))
         if mean.ndim != 1:
             raise ValueError("coef_mean must be a vector")
-        if not self.coef_precision > 0:
-            raise ValueError(f"coef_precision must be positive, got {self.coef_precision}")
-        if not (self.scale_shape > 0 and self.scale_rate > 0):
-            raise ValueError("scale_shape and scale_rate must be positive")
+        if not np.all(np.isfinite(mean)):
+            raise ValueError(f"coef_mean must be finite, got {mean}")
+        for name in ("coef_precision", "scale_shape", "scale_rate"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         object.__setattr__(self, "coef_mean", mean)
 
     @property

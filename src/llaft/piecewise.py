@@ -7,15 +7,15 @@ and x. Segment intervals are left-open/right-closed, e.g. -5 < x <= -1.701.
 
 The module also carries an independent verifier: a brute-force segmented
 least-squares search that re-derives the linear table's knots and error from
-scratch on a dense grid. softplus(x) - x/2 is even, so on a lattice symmetric
-about 0 a knot tuple and its mirror image fit equally well; the search screens
-one tuple of each such pair and rescores both exactly, so it returns what a
-scan of every tuple returns, ties included.
+scratch on a 10 000-point grid, with knots on a 0.05 lattice. softplus(x) - x/2
+is even and the lattice is symmetric about 0, so a knot tuple and its mirror
+image fit equally well; the search screens one tuple of each such pair and
+rescores both exactly, so it returns what a scan of every tuple returns, ties
+included.
 """
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +57,17 @@ QUADRATIC_QUADRATIC = np.array([0.0, 0.0189, 0.1138, 0.0190, 0.0])
 # 2**15 slowed the k = 5 scan by a quarter.
 _SCREEN_ELEMENTS = 2 ** 13
 
+# The verifier's grid over [-5, 5] and its knot lattices in (-5, 5), both
+# symmetric about 0: the fine one, and the 0.25 one that seeds the four- and
+# five-knot descents.
+_GRID_SIZE = 10_000
+_FINE_STEP = 0.05
+_FINE_LATTICE = np.arange(-99, 100) * _FINE_STEP
+_SEED_LATTICE = np.arange(-19, 20) * 0.25
+
 for _knots in (LINEAR_KNOTS, LINEAR_INTERCEPTS, LINEAR_SLOPES, QUADRATIC_KNOTS,
-               QUADRATIC_INTERCEPTS, QUADRATIC_LINEAR, QUADRATIC_QUADRATIC):
+               QUADRATIC_INTERCEPTS, QUADRATIC_LINEAR, QUADRATIC_QUADRATIC,
+               _FINE_LATTICE, _SEED_LATTICE):
     _knots.setflags(write=False)
 
 
@@ -126,10 +135,10 @@ def _grid(grid_size: int):
     return x, softplus(x)
 
 
-def table_sse(grid_size: int = 10_000) -> tuple[float, float]:
-    """(linear, quadratic) sums of squared error of the published tables on an
-    equispaced grid over [-5, 5]."""
-    x, y = _grid(grid_size)
+def table_sse() -> tuple[float, float]:
+    """(linear, quadratic) sums of squared error of the published tables on
+    the verifier's 10 000-point grid over [-5, 5]."""
+    x, y = _grid(_GRID_SIZE)
     lin = float(np.sum((softplus_linear(x) - y) ** 2))
     quad = float(np.sum((softplus_quadratic(x) - y) ** 2))
     return lin, quad
@@ -165,9 +174,8 @@ class _HingeLS:
     1e-9 * SSE + 1e-13 * syy of the screen's minimum is rescored with `sse`,
     and the first lexicographic minimizer of those exact scores wins, as in
     a scan that scores every tuple with `sse`. (Both scores round off in
-    proportion to syy, which on a grid as coarse as the lattice can be 1e8
-    times the SSE.) Only such grids have collinear pairs; there the result
-    can differ from such a scan.
+    proportion to syy.) On a grid as coarse as the lattice, where knot pairs
+    can be collinear, the result can differ from such a scan.
 
     In mirror mode the caller states that y less a line is even on a grid
     symmetric about 0, and the candidates must satisfy cand == -cand[::-1]
@@ -182,10 +190,6 @@ class _HingeLS:
     The tie rule survives because only exact scores pick the winner: a tuple
     and its mirror differ in closed form by rounding alone, so a tuple that
     could win has itself or its mirror in the window, and both reach `sse`.
-
-    On a grid of exactly k + 2 points every tuple of full rank interpolates,
-    so `best` takes the first such tuple in lexicographic order, at SSE 0,
-    without screening.
     """
 
     def __init__(self, x, y):
@@ -239,8 +243,6 @@ class _HingeLS:
         tuple of each pair. (inf, None) when every tuple is singular."""
         if mirror and not np.array_equal(cand, -cand[::-1]):
             raise ValueError("mirror mode needs candidates symmetric about 0")
-        if len(self.x) == k + 2:
-            return self._first_interpolating(cand, k)
         if k <= 1:
             tuples = list(itertools.combinations(range(len(cand)), k))
             tuples = np.array(tuples, dtype=np.intp).reshape(len(tuples), k)
@@ -261,22 +263,6 @@ class _HingeLS:
             if sse[t] < np.inf:
                 return float(sse[t]), cand[tuples[t]]
         return np.inf, None  # no tuple, or every tuple singular
-
-    def _first_interpolating(self, cand, k) -> tuple[float, np.ndarray]:
-        """(0, knots) of the first tuple in lexicographic order that
-        interpolates a grid of k + 2 points. There every tuple whose design
-        has full rank fits exactly, so `sse` would rank them by rounding
-        alone. By the Schoenberg-Whitney theorem the design has full rank if
-        and only if each knot j (from 0) lies strictly between grid points j
-        and j + 2; the smallest such knot after the one before it is taken."""
-        knots = []
-        for j in range(k):
-            above = max(self.x[j], knots[-1]) if knots else self.x[j]
-            fits = (cand > above) & (cand < self.x[j + 2])
-            if not fits.any():
-                return np.inf, None
-            knots.append(cand[np.argmax(fits)])
-        return 0.0, np.array(knots, dtype=float)
 
     # the screen marks skipped heads, tail knots and pairs with NaN, silently
     @np.errstate(divide="ignore", invalid="ignore")
@@ -404,75 +390,42 @@ def _solve(M, rhs):
         return np.concatenate([_solve(Mi[None], ri[None]) for Mi, ri in zip(M, rhs)])
 
 
-def fit_linear_breakpoints(grid_size: int = 10_000, n_breakpoints: int = 3,
-                           lattice_step: float = 0.05) -> BreakpointFit:
+def fit_linear_breakpoints(n_breakpoints: int = 3) -> BreakpointFit:
     """Best continuous linear spline fit of softplus on [-5, 5] by knot search.
 
-    Knots live on a lattice with the given step. Up to three knots the search
-    is exhaustive over all increasing tuples. For four or five knots an
-    exhaustive pass on a 0.25 lattice seeds coordinate-descent refinement on
-    the fine lattice, which keeps the search tractable. Each call runs one
-    search and starts no other. On a grid of exactly knots + 2 points the fit
-    is the first tuple in lexicographic order that interpolates, with SSE 0
-    (on the 0.25 lattice for four or five knots: no descent step beats 0).
-
-    The lattice is -5 + step, -5 + 2 step, ... up to below 5 - step / 2,
-    each rounded to a multiple of the step. A lattice symmetric about 0
-    (cand == -cand[::-1] exactly) is searched in mirror mode; the 0.3
-    lattice, from -4.8 to 4.5, is not.
-
-    Raises ValueError for a grid with fewer points than the spline has
-    coefficients (knots + 2), a step that is not positive and finite, a
-    lattice with fewer knots than asked for, and, for four or five knots, a
-    step of which 0.25 is not a whole multiple, since the 0.25-lattice seed
-    knots must lie on the lattice.
+    The fit is by least squares on a 10 000-point grid, with knots on the 0.05
+    lattice -4.95, -4.9, ..., 4.95. Up to three knots the search is
+    exhaustive over all increasing tuples. For four or five knots an
+    exhaustive pass on the 0.25 lattice seeds coordinate-descent refinement
+    on the 0.05 lattice, which keeps the search tractable. Each call runs one
+    search and starts no other.
     """
     if not 0 <= n_breakpoints <= 5:
         raise ValueError("n_breakpoints must be between 0 and 5")
-    if grid_size < n_breakpoints + 2:
-        # every knot tuple's normal equations would be singular
-        raise ValueError(
-            f"a {n_breakpoints}-knot spline has {n_breakpoints + 2} coefficients, "
-            f"more than the {grid_size} grid points")
-    if not (math.isfinite(lattice_step) and lattice_step > 0):
-        raise ValueError(f"lattice_step must be positive and finite, not {lattice_step}")
-
-    def lattice(step):
-        k = np.round(np.arange(-5.0 + step, 5.0 - step / 2, step) / step) * step
-        return k + 0.0  # normalize -0.0
-
-    fine = lattice(lattice_step)
-    if len(fine) < n_breakpoints:
-        raise ValueError(f"a {lattice_step} lattice holds {len(fine)} knots in (-5, 5), "
-                         f"fewer than {n_breakpoints}")
-    if n_breakpoints >= 4 and not (0.25 / lattice_step).is_integer():
-        # the descent keeps any seed knot that never moves
-        raise ValueError(f"{n_breakpoints} knots are seeded from a 0.25 lattice, so "
-                         f"0.25 must be a whole multiple of lattice_step {lattice_step}")
-    x, y = _grid(grid_size)
+    x, y = _grid(_GRID_SIZE)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     ls = _HingeLS(x, y)
 
     def search(cand):
-        # y is softplus on a grid symmetric about 0, and softplus(x) - x/2 is
-        # even: a tuple and its mirror image tie if the candidates are
-        # symmetric too
-        return ls.best(cand, n_breakpoints, mirror=np.array_equal(cand, -cand[::-1]))
+        # y is softplus on a grid symmetric about 0, softplus(x) - x/2 is
+        # even and both lattices are symmetric: a tuple and its mirror tie
+        return ls.best(cand, n_breakpoints, mirror=True)
 
     if n_breakpoints <= 3:
-        sse, knots = search(fine)
+        sse, knots = search(_FINE_LATTICE)
         return BreakpointFit(knots, sse, 1.0 - sse / ss_tot)
 
-    best_sse, best = search(lattice(0.25))
+    best_sse, best = search(_SEED_LATTICE)
 
     # coordinate descent on the fine lattice until no knot moves; candidates
     # are taken in lattice order, each only if it beats the best so far
+    fine, half = _FINE_LATTICE, _FINE_STEP / 2
     for _ in range(20):
         moved = False
         for i in range(n_breakpoints):
             lo = best[i - 1] if i > 0 else -5.0
             hi = best[i + 1] if i + 1 < n_breakpoints else 5.0
-            options = fine[(fine > lo + lattice_step / 2) & (fine < hi - lattice_step / 2)]
+            options = fine[(fine > lo + half) & (fine < hi - half)]
             trials = np.repeat(best[None], len(options), axis=0)
             trials[:, i] = options
             for trial, s in zip(trials, ls.sse(trials)):

@@ -32,7 +32,6 @@ __all__ = [
     "ReplicationReport",
     "WEAK_PRIOR",
     "STRONG_PRIOR",
-    "uniform_stream",
     "generate_dataset",
     "aggregate_estimates",
     "run_replication",
@@ -62,8 +61,8 @@ def stream_seed(seed: int, replicate: int, role: int) -> int:
 class SimulationScenario:
     """Data-generating configuration for one study cell.
 
-    censor_bound is the upper limit u of the Uniform(0, u) censoring times;
-    zero disables censoring entirely.
+    censor_bound is the finite upper limit u of the Uniform(0, u) censoring
+    times; zero disables censoring entirely.
     """
 
     n: int
@@ -77,8 +76,9 @@ class SimulationScenario:
     def __post_init__(self):
         if self.n < 1 or self.n_replicates < 1:
             raise ValueError("n and n_replicates must be at least 1")
-        if self.censor_bound < 0:
-            raise ValueError("censor_bound must be nonnegative")
+        if not 0 <= self.censor_bound < np.inf:
+            raise ValueError(f"censor_bound must be nonnegative and finite, "
+                             f"got {self.censor_bound}")
         object.__setattr__(self, "true_coefficients", _readonly(self.true_coefficients))
 
     @property

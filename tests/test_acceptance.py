@@ -62,12 +62,12 @@ def desk_study_runs(tmp_path_factory):
 
 def test_criterion1_piecewise_audit():
     start = time.perf_counter()
-    lin, quad = table_sse(10_000)
+    lin, quad = table_sse()
     audit_elapsed = time.perf_counter() - start
     assert 3.30 <= lin <= 3.40
     assert 0.11 <= quad <= 0.13
     assert audit_elapsed < 1.0
-    res = fit_linear_breakpoints(10_000, 3)
+    res = fit_linear_breakpoints(3)
     assert res.sse <= 3.40
     assert np.all(np.abs(res.breakpoints - LINEAR_KNOTS[1:4]) <= 0.1)
     print(f"CRITERION 1 PASS: linear SSE {lin:.4f}, quadratic SSE {quad:.4f}, "

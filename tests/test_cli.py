@@ -232,6 +232,24 @@ class TestFlagValidation:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv,field", [
+        (["fit", "--prior-mean", "nan", "--methods", "mcmc"], "coef_mean"),
+        (["fit", "--prior-precision", "inf", "--methods", "vb,mcmc"], "coef_precision"),
+        (["replicate", "--n", "50", "--replicates", "3", "--censor-u", "nan"],
+         "censor_bound"),
+        (["replicate", "--n", "50", "--replicates", "3", "--censor-u", "inf"],
+         "censor_bound"),
+    ])
+    def test_nonfinite_value_names_the_field(self, capsys, argv, field):
+        # a NaN prior mean once ran a chain that never moved, an infinite
+        # precision failed as a numerical error and a NaN censoring bound
+        # ran an uncensored study
+        if argv[0] == "fit":
+            argv = [*argv, "--data", str(rhdnase_path())]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+
 
 class TestDefaults:
     """Flags left unset take the library's defaults: spelling them out
@@ -286,6 +304,18 @@ class TestApproxCheckCommand:
     def test_stdout_is_golden(self, capsys):
         assert main(["approx-check"]) == 0
         assert capsys.readouterr().out == APPROX_CHECK_STDOUT
+
+    @pytest.mark.parametrize("flag", [
+        ["--out", "x.csv"], ["--seed", "3"], ["--prior-mean", "9"], ["--max-iter", "0"],
+        ["--mcmc-burn-in", "-5"], ["--config", "study.cfg"]])
+    def test_takes_no_flags(self, tmp_path, monkeypatch, capsys, flag):
+        # the audit has one configuration, so a flag is a usage error
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["approx-check", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestCompareCommand:

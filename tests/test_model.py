@@ -199,6 +199,16 @@ class TestPriorSpec:
             PriorSpec(coef_mean=np.zeros(2), coef_precision=1.0,
                       scale_shape=-1.0, scale_rate=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["coef_mean", "coef_precision", "scale_shape",
+                                       "scale_rate"])
+    def test_nonfinite_field_is_named(self, field, bad):
+        fields = dict(coef_mean=np.zeros(2), coef_precision=1.0, scale_shape=1.0,
+                      scale_rate=1.0)
+        fields[field] = np.array([0.0, bad]) if field == "coef_mean" else bad
+        with pytest.raises(ValueError, match=field):
+            PriorSpec(**fields)
+
     def test_scale_params(self):
         prior = PriorSpec(coef_mean=np.zeros(2), coef_precision=1.0,
                           scale_shape=11.0, scale_rate=10.0)

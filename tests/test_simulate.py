@@ -6,10 +6,11 @@ import pytest
 import llaft.simulate
 from llaft.cavi import fit
 from llaft.exceptions import NumericalError
+from llaft.numerics import uniform_stream
 from llaft.simulate import (ROLE_NOISE, ROLE_X1, STRONG_PRIOR, WEAK_PRIOR,
                             SimulationScenario, aggregate_estimates,
                             generate_dataset, report_text_table, run_replication,
-                            uniform_stream, write_report_csv)
+                            write_report_csv)
 
 
 class TestUniformStream:
@@ -46,6 +47,13 @@ class TestUniformStream:
         assert u.min() > 0.0 and u.max() < 1.0
         assert u.mean() == pytest.approx(0.5, abs=0.005)
         assert u.var() == pytest.approx(1.0 / 12.0, abs=0.002)
+
+
+class TestSimulationScenario:
+    @pytest.mark.parametrize("bound", [np.nan, np.inf, -1.0])
+    def test_censor_bound_must_be_finite_and_nonnegative(self, bound):
+        with pytest.raises(ValueError, match="censor_bound"):
+            SimulationScenario(n=10, censor_bound=bound)
 
 
 class TestGenerateDataset:
