@@ -77,6 +77,17 @@ def pin_mle(data: SurvivalDataset) -> SurvivalDataset:
     return SurvivalDataset(time=np.exp(y2), event=data.event, covariates=data.covariates)
 
 
+def write_csv(data: SurvivalDataset, path) -> None:
+    """Write `data` as the bundled file: columns time,status,trt,fev, with
+    the times and FEV values at full precision."""
+    lines = ["time,status,trt,fev"]
+    for i in range(data.n):
+        lines.append(f"{float(data.time[i])!r},{int(data.event[i])},"
+                     f"{int(data.covariates[i, 1])},{float(data.covariates[i, 2])!r}")
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def margin_usage(data: SurvivalDataset) -> tuple[float, dict]:
     """Largest fraction of any acceptance tolerance consumed (< 1 passes)."""
     res = fit_mle(data)
@@ -140,12 +151,7 @@ def main() -> int:
         print("mcmc beta1 outside tolerance", file=sys.stderr)
         return 1
 
-    lines = ["time,status,trt,fev"]
-    for i in range(data.n):
-        lines.append(f"{float(data.time[i])!r},{int(data.event[i])},"
-                     f"{int(data.covariates[i, 1])},{float(data.covariates[i, 2])!r}")
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(data, args.out)
     print(f"wrote {args.out} (generator seed {seed})")
     return 0
 

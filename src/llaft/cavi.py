@@ -26,9 +26,10 @@ assignment and parameters recur within the last three iterations (the
 surrogate switching can otherwise cycle forever), or at the iteration cap,
 and records which of the three rules fired in `stop_reason`.
 
-`fit_batch` runs that loop over many datasets of one (n, p) at once: every
-update takes a leading replicate axis, and a replicate leaves the batch when
-it stops or fails. `fit` is a batch of one, so a single dataset and a batch
+`fit_batch` runs that loop over many datasets of one (n, p) at once, from
+the start `initialize` gives: every update takes a DatasetStack and a state
+with a leading replicate axis, and a replicate leaves the batch when it
+stops or fails. `fit` is a batch of one, so a single dataset and a batch
 go through the same arithmetic, and each replicate of a batch gets the
 result `fit` gives it alone, bit for bit.
 """
@@ -41,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import NumericalError
-from .model import DatasetStack, PriorSpec, SurvivalDataset, _stacked
+from .model import DatasetStack, PriorSpec, SurvivalDataset
 from .numerics import InverseGammaParams, inverse_gamma_moments
 from .piecewise import (LINEAR_SLOPES, QUADRATIC_LINEAR, QUADRATIC_QUADRATIC,
                         PiecewiseCoefficients, _linear_segment, _quadratic_segment)
@@ -69,8 +70,9 @@ class FitConfig:
     max_iterations: int = 100
 
     def __post_init__(self):
-        if not self.elbo_tolerance > 0:
-            raise ValueError("elbo_tolerance must be positive")
+        if not 0 < self.elbo_tolerance < math.inf:
+            raise ValueError(f"elbo_tolerance must be positive and finite, "
+                             f"got {self.elbo_tolerance}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -79,21 +81,23 @@ class FitConfig:
 class VariationalState:
     """Variational parameters plus per-iteration diagnostics.
 
-    `coef_cov` is None on a freshly initialized state and set from the first
-    update onward. `scale_shape` is the shape the next update takes
-    expectations at: the prior shape plus the event count on every state
-    `initialize` and `fit` return, and the prior shape alone inside `fit`
-    until q(b) is first updated. The traces record, per iteration: the ELBO,
-    the updated rate omega, the covariance matrix, and a compact key of the
-    surrogate segment assignment in effect for that iteration's updates.
-    `stop_reason` says why `fit` stopped: "tolerance" (the ELBO change fell
-    to the tolerance), "cycle" (a segment assignment and parameters recurred)
-    or "cap" (the iteration cap); it is None on a state `fit` did not return.
-    `converged` is False only for "cap".
+    On a state `fit` returns, `coef_mean` is (p,), `coef_cov` (p, p), and
+    `scale_shape` and `scale_rate` are floats; `scale_shape` is the prior
+    shape plus the event count. The update functions take and return the
+    same parameters with a leading replicate axis, for a DatasetStack:
+    `coef_mean` (R, p), `coef_cov` (R, p, p), and `scale_shape` and
+    `scale_rate` (R,). There `scale_shape` is the shape the next update
+    takes expectations at: the prior shape on the state `initialize`
+    returns, and the prior shape plus the event count from the first update
+    of q(b) onward. `coef_cov` is None until the first update.
 
-    The update functions also take a state for a DatasetStack: there
-    `coef_mean`, `coef_cov`, `scale_shape` and `scale_rate` carry a leading
-    replicate axis.
+    The traces record, per iteration: the ELBO, the updated rate omega, the
+    covariance matrix, and a compact key of the surrogate segment assignment
+    in effect for that iteration's updates. `stop_reason` says why `fit`
+    stopped: "tolerance" (the ELBO change fell to the tolerance), "cycle" (a
+    segment assignment and parameters recurred) or "cap" (the iteration
+    cap); it is None on a state `fit` did not return. `converged` is False
+    only for "cap".
     """
 
     coef_mean: np.ndarray
@@ -119,34 +123,20 @@ class VariationalState:
     def scale_moments(self) -> tuple:
         """(E[1/b], E[1/b^2], E[log b]) under q(b), from
         `numerics.inverse_gamma_moments`, once per state: arrays with one
-        entry per replicate, and one entry on a single dataset's state."""
-        return inverse_gamma_moments(InverseGammaParams(
-            np.atleast_1d(self.scale_shape), np.atleast_1d(self.scale_rate)))
+        entry per replicate."""
+        return inverse_gamma_moments(InverseGammaParams(self.scale_shape, self.scale_rate))
 
 
-def initialize(data: SurvivalDataset, prior: PriorSpec) -> VariationalState:
-    """Starting state: mu = prior mean, omega = prior rate, alpha = alpha0 + r."""
-    prior.check_dimension(data.p)
-    return VariationalState(
-        coef_mean=prior.coef_mean.copy(),
-        coef_cov=None,
-        scale_shape=prior.scale_shape + data.r,
-        scale_rate=prior.scale_rate,
-    )
-
-
-def _stack_and_state(data, state):
-    """The data as a stack, the state's mu and Sigma with a leading replicate
-    axis, and whether the data was a single dataset."""
-    stack, single = _stacked(data)
-    if not single:
-        return stack, state.coef_mean, state.coef_cov, False
-    cov = None if state.coef_cov is None else state.coef_cov[None]
-    return stack, state.coef_mean[None], cov, True
-
-
-def _rows(values, single):
-    return values[None] if single else values
+def initialize(stack: DatasetStack, prior: PriorSpec) -> VariationalState:
+    """The state `fit_batch` starts from, per replicate: mu = prior mean,
+    alpha = alpha0 and omega = omega0, so that the first beta-update
+    integrates against the prior Inverse-Gamma(alpha0, omega0). Raises
+    ValueError unless the prior mean has one entry per covariate."""
+    prior.check_dimension(stack.p)
+    R = len(stack)
+    return VariationalState(coef_mean=np.tile(prior.coef_mean, (R, 1)), coef_cov=None,
+                            scale_shape=np.full(R, prior.scale_shape),
+                            scale_rate=np.full(R, prior.scale_rate))
 
 
 def _take_state(state: VariationalState, index) -> VariationalState:
@@ -156,22 +146,21 @@ def _take_state(state: VariationalState, index) -> VariationalState:
         scale_shape=state.scale_shape[index], scale_rate=state.scale_rate[index])
 
 
-def plugin_residuals(data, state: VariationalState) -> np.ndarray:
-    """Standardized residuals (y - X mu) * E[1/b] under the current state."""
-    stack, mu, _, single = _stack_and_state(data, state)
+def plugin_residuals(stack: DatasetStack, state: VariationalState) -> np.ndarray:
+    """Standardized residuals (y - X mu) * E[1/b] under the current state,
+    (R, n)."""
     e_inv = state.scale_moments[0]
-    z = (stack.log_time - np.matmul(stack.covariates, mu[..., None])[..., 0]) * e_inv[:, None]
-    return z[0] if single else z
+    resid = stack.log_time - np.matmul(stack.covariates, state.coef_mean[..., None])[..., 0]
+    return resid * e_inv[:, None]
 
 
-def update_sigma(data, prior: PriorSpec, state: VariationalState,
+def update_sigma(stack: DatasetStack, prior: PriorSpec, state: VariationalState,
                  coeffs: PiecewiseCoefficients) -> np.ndarray:
-    """New coefficient covariance
-    [v0 I + 2 E(1/b^2) sum_i (1+delta_i) zeta_i x_i x_i']^{-1}."""
-    stack, _, _, single = _stack_and_state(data, state)
+    """New coefficient covariances
+    [v0 I + 2 E(1/b^2) sum_i (1+delta_i) zeta_i x_i x_i']^{-1}, (R, p, p)."""
     _, e_inv2, _ = state.scale_moments
     X = stack.covariates
-    weights = (1.0 + stack.event) * _rows(coeffs.zeta, single)
+    weights = (1.0 + stack.event) * coeffs.zeta
     XtW = (2.0 * e_inv2)[:, None, None] * (X.transpose(0, 2, 1) * weights[:, None, :])
     A = prior.coef_precision * np.eye(stack.p) + np.matmul(XtW, X)
     try:
@@ -182,22 +171,20 @@ def update_sigma(data, prior: PriorSpec, state: VariationalState,
     sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
     if not np.isfinite(sigma).all():
         raise NumericalError("non-finite covariance update")
-    return sigma[0] if single else sigma
+    return sigma
 
 
-def update_mu(data, prior: PriorSpec, state: VariationalState,
+def update_mu(stack: DatasetStack, prior: PriorSpec, state: VariationalState,
               coeffs: PiecewiseCoefficients, sigma_new: np.ndarray) -> np.ndarray:
-    """New coefficient mean, the surrogate linear form times the new covariance."""
-    stack, _, _, single = _stack_and_state(data, state)
+    """New coefficient means, the surrogate linear form times the new
+    covariance, (R, p)."""
     e_inv, e_inv2, _ = state.scale_moments
     d = stack.event
-    rho, zeta = _rows(coeffs.rho, single), _rows(coeffs.zeta, single)
-    row = (e_inv[:, None] * (-d + (1.0 + d) * rho)
-           + 2.0 * e_inv2[:, None] * (1.0 + d) * stack.log_time * zeta)
+    row = (e_inv[:, None] * (-d + (1.0 + d) * coeffs.rho)
+           + 2.0 * e_inv2[:, None] * (1.0 + d) * stack.log_time * coeffs.zeta)
     linear = (prior.coef_precision * prior.coef_mean
               + np.matmul(row[:, None, :], stack.covariates)[:, 0])
-    mu = np.matmul(_rows(sigma_new, single), linear[..., None])[..., 0]
-    return mu[0] if single else mu
+    return np.matmul(sigma_new, linear[..., None])[..., 0]
 
 
 def _linear_form(stack, mu, phi):
@@ -207,24 +194,22 @@ def _linear_form(stack, mu, phi):
     return np.sum(c * resid, axis=-1)
 
 
-def update_omega(data, prior: PriorSpec, state: VariationalState,
-                 coeffs: PiecewiseCoefficients, mu_new: np.ndarray):
-    """New rate omega0 - sum_i (delta_i - (1+delta_i) phi_i)(y_i - x_i' mu);
-    a non-positive value is a numerical failure."""
-    stack, single = _stacked(data)
-    omega = prior.scale_rate - _linear_form(stack, _rows(mu_new, single),
-                                            _rows(coeffs.phi, single))
+def update_omega(stack: DatasetStack, prior: PriorSpec, coeffs: PiecewiseCoefficients,
+                 mu_new: np.ndarray) -> np.ndarray:
+    """New rates omega0 - sum_i (delta_i - (1+delta_i) phi_i)(y_i - x_i' mu),
+    (R,); a non-positive value is a numerical failure."""
+    omega = prior.scale_rate - _linear_form(stack, mu_new, coeffs.phi)
     bad = omega <= 0
     if bad.any():
         raise NumericalError(
             f"scale rate update produced omega={omega[bad][0]:.6g} <= 0")
-    return float(omega[0]) if single else omega
+    return omega
 
 
-def elbo(data, prior: PriorSpec, state: VariationalState,
-         coeffs: PiecewiseCoefficients):
+def elbo(stack: DatasetStack, prior: PriorSpec, state: VariationalState,
+         coeffs: PiecewiseCoefficients) -> np.ndarray:
     """Linear-surrogate evidence lower bound L_L, iteration-constant terms
-    dropped.
+    dropped, (R,).
 
     L_L is the bound `update_omega` maximizes; `update_sigma` and `update_mu`
     maximize the quadratic-surrogate bound instead, so a beta-update may
@@ -237,10 +222,10 @@ def elbo(data, prior: PriorSpec, state: VariationalState,
     """
     if state.coef_cov is None:
         raise ValueError("state has no covariance yet; run an update first")
-    stack, mu, cov, single = _stack_and_state(data, state)
-    a, w = np.atleast_1d(state.scale_shape), np.atleast_1d(state.scale_rate)
+    mu, cov = state.coef_mean, state.coef_cov
+    a, w = state.scale_shape, state.scale_rate
     e_inv, _, e_log_b = state.scale_moments
-    likelihood = -stack.r * e_log_b + e_inv * _linear_form(stack, mu, _rows(coeffs.phi, single))
+    likelihood = -stack.r * e_log_b + e_inv * _linear_form(stack, mu, coeffs.phi)
 
     sign, logdet = np.linalg.slogdet(cov)
     if (sign <= 0).any():
@@ -258,7 +243,7 @@ def elbo(data, prior: PriorSpec, state: VariationalState,
     value = likelihood + coef_term + scale_term
     if not np.isfinite(value).all():
         raise NumericalError("non-finite ELBO")
-    return float(value[0]) if single else value
+    return value
 
 
 def _iterate(stack: DatasetStack, prior: PriorSpec, cur: VariationalState,
@@ -279,7 +264,7 @@ def _iterate(stack: DatasetStack, prior: PriorSpec, cur: VariationalState,
                              scale_shape=cur.scale_shape, scale_rate=cur.scale_rate)
     kl = _linear_segment(plugin_residuals(stack, moved))
     coeffs = replace(coeffs, phi=LINEAR_SLOPES[kl])
-    omega = update_omega(stack, prior, cur, coeffs, mu)
+    omega = update_omega(stack, prior, coeffs, mu)
     new = VariationalState(coef_mean=mu, coef_cov=sigma,
                            scale_shape=alpha, scale_rate=omega)
     value = elbo(stack, prior, new, coeffs)
@@ -308,18 +293,12 @@ def fit_batch(datasets, prior: PriorSpec,
     """
     config = config or FitConfig()
     stack = DatasetStack.of(datasets)
-    prior.check_dimension(stack.p)
+    cur = initialize(stack, prior)
     results: list = [None] * len(stack)
     traces = [([], [], [], []) for _ in results]  # ELBO, omega, Sigma, key
 
     ids = np.arange(len(stack))  # the replicates still in the batch
     alpha = prior.scale_shape + stack.r
-    # q(b) has not been updated yet, so the first beta-update integrates
-    # against the prior Inverse-Gamma(alpha0, omega0).
-    cur = VariationalState(coef_mean=np.tile(prior.coef_mean, (len(ids), 1)),
-                           coef_cov=None,
-                           scale_shape=np.full(len(ids), prior.scale_shape),
-                           scale_rate=np.full(len(ids), prior.scale_rate))
     elbo_prev = np.zeros(len(ids))
     # the last _CYCLE_WINDOW (key, mu, omega), oldest overwritten first
     history = [None] * _CYCLE_WINDOW

@@ -142,8 +142,8 @@ class DatasetStack:
     """Datasets of one (n, p), stacked on a leading replicate axis.
 
     `log_time` and `event` are (R, n), `covariates` is (R, n, p) and `r`
-    holds the R event counts as floats. The batch fits take one; a single
-    dataset enters them as a stack of one.
+    holds the R event counts as floats. The CAVI and likelihood kernels take
+    one; a single dataset enters them as a stack of one.
     """
 
     log_time: np.ndarray
@@ -182,13 +182,6 @@ class DatasetStack:
                             self.covariates[index], self.r[index])
 
 
-def _stacked(data) -> tuple[DatasetStack, bool]:
-    """`data` as a stack, and whether it was a single SurvivalDataset."""
-    if isinstance(data, SurvivalDataset):
-        return DatasetStack.of([data]), True
-    return data, False
-
-
 def _softplus(z: np.ndarray) -> np.ndarray:
     """log(1 + e^z) elementwise, as log1p(exp(z)), for an array z of at least
     one axis. exp overflows only where z > ~709.78, so when the maximum of z
@@ -203,31 +196,30 @@ def _softplus(z: np.ndarray) -> np.ndarray:
         return np.where(np.isfinite(out), out, np.logaddexp(0.0, z))
 
 
-def _z_loglik(y, event, X, beta, log_b, r, event1):
-    """z = (y - X beta) / b and the log-likelihood above on raw arrays. The
-    caller passes the event count r and event1 = 1 + event, which do not
-    depend on (beta, b). With a leading replicate axis, beta is (R, p) and
-    log_b, r are (R,), and both results carry the axis. It validates nothing.
+def _z_loglik(stack: DatasetStack, beta, log_b, event1):
+    """z = (y - X beta) / b and the log-likelihood above for each replicate
+    of a stack: beta is (R, p) and log_b is (R,), and both results carry the
+    replicate axis. The caller passes event1 = 1 + event, which does not
+    depend on (beta, b). It validates nothing.
 
-    One dataset sums by dot products. A stack sums each row pairwise: the
-    sequential sums of a stacked matmul round enough to flip the MLE line
-    search's 1e-13 acceptance test."""
-    if np.ndim(beta) == 1:
-        z = (y - X @ beta) / np.exp(log_b)
-        return z, -r * log_b + (event @ z - event1 @ _softplus(z))
-    z = (y - np.matmul(X, beta[..., None])[..., 0]) / np.exp(log_b)[..., None]
-    return z, -r * log_b + ((event * z).sum(axis=-1) - (event1 * _softplus(z)).sum(axis=-1))
+    Each row is summed pairwise: the sequential sums of a stacked matmul
+    round enough to flip the MLE line search's 1e-13 acceptance test."""
+    z = ((stack.log_time - np.matmul(stack.covariates, beta[..., None])[..., 0])
+         / np.exp(log_b)[..., None])
+    return z, -stack.r * log_b + ((stack.event * z).sum(axis=-1)
+                                  - (event1 * _softplus(z)).sum(axis=-1))
 
 
 def log_likelihood(data: SurvivalDataset, params: ModelParams) -> float:
-    """Exact log-likelihood at (beta, b); raises on a non-finite result."""
+    """Exact log-likelihood at (beta, b), computed as a stack of one; raises
+    on a non-finite result."""
     if data.n == 0:
         raise DataError("log_likelihood requires a nonempty dataset")
     if params.coefficients.shape[0] != data.p:
         raise ValueError("coefficient vector does not match covariate dimension")
-    value = float(_z_loglik(data.log_time, data.event, data.covariates,
-                            params.coefficients, math.log(params.scale),
-                            data.r, 1.0 + data.event)[1])
+    stack = DatasetStack.of([data])
+    value = float(_z_loglik(stack, params.coefficients[None],
+                            np.array([math.log(params.scale)]), 1.0 + stack.event)[1][0])
     if not math.isfinite(value):
         raise NumericalError(f"non-finite log-likelihood at scale={params.scale}")
     return value

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError
-from .model import DatasetStack, PriorSpec, SurvivalDataset, _softplus, _stacked, _z_loglik
+from .model import DatasetStack, PriorSpec, SurvivalDataset, _softplus, _z_loglik
 from .numerics import ROLE_MCMC, normal_quantile, uniform_stream
 from .piecewise import _solve
 
@@ -110,8 +110,10 @@ class McmcChain:
         return self.draws[:, -1]
 
 
-def loglik_grad_hess(data, beta: np.ndarray, log_b):
-    """Log-likelihood with analytic gradient and Hessian in (beta, log b).
+def loglik_grad_hess(stack: DatasetStack, beta: np.ndarray, log_b: np.ndarray):
+    """Log-likelihood with analytic gradient and Hessian in (beta, log b),
+    for each replicate of a stack: beta is (R, p), log_b is (R,), and the
+    results are (R,), (R, p+1) and (R, p+1, p+1).
 
     With z_i = (y_i - x_i' beta)/b, s = log b, g_i = delta_i - (1+delta_i)
     sigma(z_i) and w_i = (1+delta_i) sigma(z_i)(1 - sigma(z_i)):
@@ -120,18 +122,13 @@ def loglik_grad_hess(data, beta: np.ndarray, log_b):
         d2l/dbeta2 = -X' diag(w) X / b^2     d2l/ds2 = sum z_i g_i - sum w_i z_i^2
         d2l/dbeta ds = X' (g - w z) / b
 
-    z and the log-likelihood come from the model's own formula. For a
-    DatasetStack, beta is (R, p), log_b is (R,), and the results carry the
-    replicate axis; a single dataset is computed as a stack of one.
+    z and the log-likelihood come from the model's own formula.
     """
-    stack, single = _stacked(data)
-    if single:
-        beta, log_b = beta[None], np.array([log_b], float)
-    y, d, X = stack.log_time, stack.event, stack.covariates
+    d, X = stack.event, stack.covariates
     R, p = len(stack), stack.p
     b = np.exp(log_b)[:, None]
     d1 = 1.0 + d
-    z, ll = _z_loglik(y, d, X, beta, log_b, stack.r, d1)
+    z, ll = _z_loglik(stack, beta, log_b, d1)
     sig = np.empty_like(z)
     pos = z >= 0
     sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -151,8 +148,6 @@ def loglik_grad_hess(data, beta: np.ndarray, log_b):
     hess[:, :p, p] = cross
     hess[:, p, :p] = cross
     hess[:, p, p] = z_g - _dot(w_i, z * z)
-    if single:
-        return float(ll[0]), grad[0], hess[0]
     return ll, grad, hess
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "STRONG_PRIOR",
     "generate_dataset",
     "aggregate_estimates",
+    "check_methods",
     "run_replication",
     "write_report_csv",
     "format_table",
@@ -50,6 +51,9 @@ STRONG_PRIOR = PriorSpec(coef_mean=np.array([0.3, 0.1, 1.0]), coef_precision=0.1
 # block run as one batch. At n = 300, blocks of 50 ran a 200-replicate study
 # as fast as blocks of 100 or 200, and a block holds ~0.4 MB of covariates.
 _BLOCK_SIZE = 50
+
+# The estimators a study can run, in the order its reports list them.
+_METHODS = ("vb", "mle", "mcmc")
 
 
 def stream_seed(seed: int, replicate: int, role: int) -> int:
@@ -206,6 +210,16 @@ def _fit_mcmc(data, prior, level, seed, n_iterations, burn_in):
     return est, np.asarray(iv), chain.warning is None, False
 
 
+def check_methods(methods) -> list:
+    """The method names lower-cased, in the given order; raises ValueError
+    when there are none or one is not vb, mle or mcmc."""
+    methods = [m.lower() for m in methods]
+    if not methods or not set(methods) <= set(_METHODS):
+        raise ValueError(f"methods must be a nonempty list from {','.join(_METHODS)}, "
+                         f"got {','.join(methods)!r}")
+    return methods
+
+
 def run_replication(scenario: SimulationScenario, prior: PriorSpec,
                     methods=("vb", "mle"), config: FitConfig | None = None,
                     level: float = 0.95, mcmc_iterations: int = MCMC_ITERATIONS,
@@ -220,12 +234,10 @@ def run_replication(scenario: SimulationScenario, prior: PriorSpec,
     aggregate; more than `max_failure_rate` of them fails the whole run. Fits
     that are kept but did not converge are counted in each report's
     `n_nonconverged`, and VB fits stopped by cycle detection in `n_cycles`.
+    An empty or unknown method list raises ValueError before any work.
     """
-    methods = tuple(m.lower() for m in methods)
-    known = {"vb", "mle", "mcmc"}
-    if not set(methods) <= known:
-        raise ValueError(f"unknown methods: {set(methods) - known}")
-    methods = tuple(m for m in ("vb", "mle", "mcmc") if m in methods)
+    methods = check_methods(methods)
+    methods = tuple(m for m in _METHODS if m in methods)
     config = config or FitConfig()
     p = scenario.true_coefficients.shape[0]
     names = [f"beta{j}" for j in range(p)] + ["scale"]

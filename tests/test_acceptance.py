@@ -14,7 +14,7 @@ from llaft.cavi import (VariationalState, elbo, fit, plugin_residuals,
                         update_mu, update_omega, update_sigma)
 from llaft.cli import ingest_csv, main
 from llaft.datasets import rhdnase_path
-from llaft.model import PriorSpec
+from llaft.model import DatasetStack, PriorSpec
 from llaft.numerics import (InverseGammaParams, digamma, inverse_gamma_cdf,
                             inverse_gamma_moments, inverse_gamma_quantile)
 from llaft.piecewise import (LINEAR_KNOTS, QUADRATIC_KNOTS,
@@ -264,13 +264,14 @@ def _quadratic_surrogate_bound(data, prior, mu, sigma, shape, rate, quad):
     and fixed q(b) are dropped.
     """
     X, y, d = data.covariates, data.log_time, data.event
+    rho, zeta = quad.rho[0], quad.zeta[0]  # the coefficients of a stack of one
     e_inv = shape / rate
     e_inv2 = shape * (shape + 1.0) / (rate * rate)
     e_log_b = math.log(rate) - digamma(shape)
     resid = y - X @ mu
     spread = np.einsum("ij,jk,ik->i", X, sigma, X)
-    softplus_mean = (quad.rho * e_inv * resid
-                     + quad.zeta * e_inv2 * (resid * resid + spread))
+    softplus_mean = (rho * e_inv * resid
+                     + zeta * e_inv2 * (resid * resid + spread))
     likelihood = (-data.r * e_log_b + e_inv * float(d @ resid)
                   - float((1.0 + d) @ softplus_mean))
     dmu = mu - prior.coef_mean
@@ -312,34 +313,35 @@ def test_criterion7_elbo_monotone_on_stable_stretches(acceptance_states):
     beta_drops, omega_drops = [], []
     stable_dips = []
     for state, prior, data in acceptance_states:
-        alpha = prior.scale_shape + data.r
-        cur = VariationalState(coef_mean=prior.coef_mean.copy(), coef_cov=None,
-                               scale_shape=prior.scale_shape,
-                               scale_rate=prior.scale_rate)
+        stack = DatasetStack.of([data])
+        alpha = np.array([prior.scale_shape + data.r])
+        cur = VariationalState(coef_mean=prior.coef_mean[None].copy(), coef_cov=None,
+                               scale_shape=np.array([prior.scale_shape]),
+                               scale_rate=np.array([prior.scale_rate]))
         for m in range(state.iterations):
-            z_start = plugin_residuals(data, cur)
+            z_start = plugin_residuals(stack, cur)
             quad = segment_coefficients(z_start)
-            sigma = update_sigma(data, prior, cur, quad)
-            mu = update_mu(data, prior, cur, quad, sigma)
+            sigma = update_sigma(stack, prior, cur, quad)
+            mu = update_mu(stack, prior, cur, quad, sigma)
             if m > 0:
                 before = _quadratic_surrogate_bound(
-                    data, prior, cur.coef_mean, cur.coef_cov, alpha,
-                    cur.scale_rate, quad)
+                    data, prior, cur.coef_mean[0], cur.coef_cov[0], alpha[0],
+                    cur.scale_rate[0], quad)
                 after = _quadratic_surrogate_bound(
-                    data, prior, mu, sigma, alpha, cur.scale_rate, quad)
+                    data, prior, mu[0], sigma[0], alpha[0], cur.scale_rate[0], quad)
                 beta_steps += 1
                 if after < before - tol:
                     beta_drops.append(before - after)
 
             mid = replace(cur, coef_mean=mu, coef_cov=sigma)
-            z_mid = plugin_residuals(data, mid)
+            z_mid = plugin_residuals(stack, mid)
             lin = PiecewiseCoefficients(phi=segment_coefficients(z_mid).phi,
                                         rho=quad.rho, zeta=quad.zeta)
-            omega = update_omega(data, prior, mid, lin, mu)
+            omega = update_omega(stack, prior, lin, mu)
             new = VariationalState(coef_mean=mu, coef_cov=sigma,
                                    scale_shape=alpha, scale_rate=omega)
-            before = elbo(data, prior, replace(mid, scale_shape=alpha), lin)
-            after = elbo(data, prior, new, lin)
+            before = elbo(stack, prior, replace(mid, scale_shape=alpha), lin)[0]
+            after = elbo(stack, prior, new, lin)[0]
             omega_steps += 1
             if after < before - tol:
                 omega_drops.append(before - after)
@@ -349,11 +351,11 @@ def test_criterion7_elbo_monotone_on_stable_stretches(acceptance_states):
                    + np.searchsorted(LINEAR_KNOTS, z_mid, side="left")
                    .astype(np.int8).tobytes())
             assert after == state.elbo_trace[m], (m, after, state.elbo_trace[m])
-            assert omega == state.omega_trace[m], (m, omega, state.omega_trace[m])
-            assert np.array_equal(sigma, state.sigma_trace[m]), m
+            assert omega[0] == state.omega_trace[m], (m, omega, state.omega_trace[m])
+            assert np.array_equal(sigma[0], state.sigma_trace[m]), m
             assert key == state.segment_trace[m], m
             cur = new
-        assert np.array_equal(cur.coef_mean, state.coef_mean)
+        assert np.array_equal(cur.coef_mean[0], state.coef_mean)
 
         trace, segs = state.elbo_trace, state.segment_trace
         stable_dips.extend(

@@ -9,7 +9,7 @@ from llaft.cavi import (FitConfig, VariationalState, elbo, fit, fit_batch,
                         initialize, plugin_residuals, update_mu, update_omega,
                         update_sigma)
 from llaft.exceptions import NumericalError
-from llaft.model import PriorSpec, SurvivalDataset
+from llaft.model import DatasetStack, PriorSpec, SurvivalDataset
 from llaft.piecewise import PiecewiseCoefficients, segment_coefficients
 from llaft.simulate import (STRONG_PRIOR, WEAK_PRIOR, SimulationScenario,
                             generate_dataset)
@@ -23,20 +23,34 @@ def empty_dataset(p=3):
                            covariates=np.empty((0, p)))
 
 
+def stack_of(data):
+    return DatasetStack.of([data])
+
+
 def scalar_state(mu, sigma, shape, rate):
-    return VariationalState(coef_mean=np.atleast_1d(np.asarray(mu, float)),
-                            coef_cov=np.atleast_2d(np.asarray(sigma, float)),
-                            scale_shape=shape, scale_rate=rate)
+    """A state of a stack of one with p = 1."""
+    return VariationalState(coef_mean=np.array([[mu]], float),
+                            coef_cov=np.array([[[sigma]]], float),
+                            scale_shape=np.array([shape], float),
+                            scale_rate=np.array([rate], float))
+
+
+def stacked(state):
+    """A fitted state's parameters with a leading replicate axis of one."""
+    return VariationalState(coef_mean=state.coef_mean[None],
+                            coef_cov=state.coef_cov[None],
+                            scale_shape=np.array([state.scale_shape]),
+                            scale_rate=np.array([state.scale_rate]))
 
 
 class TestInitialize:
     def test_all_events(self):
         sc = SimulationScenario(n=300, censor_bound=0.0, n_replicates=1, seed=0)
         data = generate_dataset(sc, 0)
-        state = initialize(data, WEAK_PRIOR)
-        assert state.scale_shape == 11.0 + 300
-        assert state.scale_rate == 10.0
-        assert np.array_equal(state.coef_mean, WEAK_PRIOR.coef_mean)
+        state = initialize(stack_of(data), WEAK_PRIOR)
+        assert np.array_equal(state.scale_shape, [11.0])
+        assert np.array_equal(state.scale_rate, [10.0])
+        assert np.array_equal(state.coef_mean, [WEAK_PRIOR.coef_mean])
         assert state.coef_cov is None
         assert state.elbo_trace == ()
 
@@ -44,14 +58,16 @@ class TestInitialize:
         data = make_dataset([0.1, 0.2, 0.3], [0, 0, 0], [[1.0], [2.0], [3.0]])
         prior = PriorSpec(coef_mean=np.zeros(2), coef_precision=0.1,
                           scale_shape=11.0, scale_rate=10.0)
-        assert initialize(data, prior).scale_shape == 11.0
+        assert np.array_equal(initialize(stack_of(data), prior).scale_shape, [11.0])
 
     def test_event_count_added_to_prior_shape(self):
         from llaft.cli import ingest_csv
         from llaft.datasets import rhdnase_path
         data = ingest_csv(rhdnase_path())
-        state = initialize(data, RHDNASE_PRIOR)
-        assert state.scale_shape == 501.0 + data.r
+        # the start takes the prior shape; the first update of q(b) adds r
+        state = initialize(stack_of(data), RHDNASE_PRIOR)
+        assert np.array_equal(state.scale_shape, [501.0])
+        assert fit(data, RHDNASE_PRIOR).scale_shape == 501.0 + data.r
 
 
 class TestUpdateSigma:
@@ -59,11 +75,12 @@ class TestUpdateSigma:
         data = make_dataset([9.0, -9.0], [1, 1], [[0.4], [0.6]])
         prior = PriorSpec(coef_mean=np.zeros(2), coef_precision=0.25,
                           scale_shape=2.0, scale_rate=2.0)
-        coeffs = segment_coefficients(np.array([400.0, -400.0]))
+        coeffs = segment_coefficients(np.array([[400.0, -400.0]]))
         assert np.all(coeffs.zeta == 0.0)
-        state = initialize(data, prior)
-        sigma = update_sigma(data, prior, state, coeffs)
-        assert np.allclose(sigma, np.eye(2) / 0.25, atol=1e-14)
+        stack = stack_of(data)
+        state = initialize(stack, prior)
+        sigma = update_sigma(stack, prior, state, coeffs)
+        assert np.allclose(sigma[0], np.eye(2) / 0.25, atol=1e-14)
 
     def test_scalar_hand_oracle(self):
         # n=1, delta=1, zeta=0.1138, X=(1), alpha=12, omega=10, v0=0.1:
@@ -72,13 +89,13 @@ class TestUpdateSigma:
                                covariates=np.array([[1.0]]))
         prior = PriorSpec(coef_mean=np.zeros(1), coef_precision=0.1,
                           scale_shape=2.0, scale_rate=2.0)
-        coeffs = PiecewiseCoefficients(phi=np.array([0.695]),
-                                       rho=np.array([0.5]),
-                                       zeta=np.array([0.1138]))
+        coeffs = PiecewiseCoefficients(phi=np.array([[0.695]]),
+                                       rho=np.array([[0.5]]),
+                                       zeta=np.array([[0.1138]]))
         state = scalar_state(0.0, 1.0, 12.0, 10.0)
-        sigma = update_sigma(data, prior, state, coeffs)
+        sigma = update_sigma(stack_of(data), prior, state, coeffs)
         expected = 1.0 / (0.1 + 2.0 * (156.0 / 100.0) * 2.0 * 0.1138)
-        assert sigma[0, 0] == pytest.approx(expected, rel=1e-14)
+        assert sigma[0, 0, 0] == pytest.approx(expected, rel=1e-14)
 
     def test_symmetry_on_random_fixtures(self, rng):
         for _ in range(20):
@@ -87,9 +104,10 @@ class TestUpdateSigma:
             data = SurvivalDataset(time=np.exp(rng.normal(size=n)),
                                    event=(rng.uniform(size=n) < 0.6).astype(float),
                                    covariates=X)
-            state = initialize(data, WEAK_PRIOR)
-            coeffs = segment_coefficients(plugin_residuals(data, state))
-            sigma = update_sigma(data, WEAK_PRIOR, state, coeffs)
+            stack = stack_of(data)
+            state = initialize(stack, WEAK_PRIOR)
+            coeffs = segment_coefficients(plugin_residuals(stack, state))
+            sigma = update_sigma(stack, WEAK_PRIOR, state, coeffs)[0]
             assert np.array_equal(sigma, sigma.T)
             assert np.all(np.linalg.eigvalsh(sigma) > 0)
 
@@ -102,25 +120,27 @@ class TestUpdateSigma:
                                event=np.ones(n), covariates=X)
         prior = PriorSpec(coef_mean=np.zeros(2), coef_precision=0.3,
                           scale_shape=5.0, scale_rate=4.0)
-        state = initialize(data, prior)
-        coeffs = segment_coefficients(plugin_residuals(data, state))
-        e_inv2 = (state.scale_shape + state.scale_shape ** 2) / state.scale_rate ** 2
+        stack = stack_of(data)
+        state = initialize(stack, prior)
+        coeffs = segment_coefficients(plugin_residuals(stack, state))
+        a, w = state.scale_shape[0], state.scale_rate[0]
+        e_inv2 = (a + a ** 2) / w ** 2
         A = 0.3 * np.eye(2)
         for i in range(n):
             xi = X[i]
-            A = A + 2.0 * e_inv2 * 2.0 * coeffs.zeta[i] * np.outer(xi, xi)
-        assert np.allclose(update_sigma(data, prior, state, coeffs),
+            A = A + 2.0 * e_inv2 * 2.0 * coeffs.zeta[0, i] * np.outer(xi, xi)
+        assert np.allclose(update_sigma(stack, prior, state, coeffs)[0],
                            np.linalg.inv(A), rtol=1e-10)
 
 
 class TestUpdateMu:
     def test_no_data_returns_prior_mean(self):
-        data = empty_dataset(3)
-        state = initialize(data, WEAK_PRIOR)
-        coeffs = segment_coefficients(np.empty(0))
-        sigma = update_sigma(data, WEAK_PRIOR, state, coeffs)
-        mu = update_mu(data, WEAK_PRIOR, state, coeffs, sigma)
-        assert np.allclose(mu, WEAK_PRIOR.coef_mean, atol=1e-14)
+        stack = stack_of(empty_dataset(3))
+        state = initialize(stack, WEAK_PRIOR)
+        coeffs = segment_coefficients(np.empty((1, 0)))
+        sigma = update_sigma(stack, WEAK_PRIOR, state, coeffs)
+        mu = update_mu(stack, WEAK_PRIOR, state, coeffs, sigma)
+        assert np.allclose(mu[0], WEAK_PRIOR.coef_mean, atol=1e-14)
 
     def test_scalar_hand_oracle(self):
         # continue the scalar sigma fixture with y = 0.3, rho = 0.5:
@@ -130,14 +150,15 @@ class TestUpdateMu:
                                covariates=np.array([[1.0]]))
         prior = PriorSpec(coef_mean=np.zeros(1), coef_precision=0.1,
                           scale_shape=2.0, scale_rate=2.0)
-        coeffs = PiecewiseCoefficients(phi=np.array([0.695]),
-                                       rho=np.array([0.5]),
-                                       zeta=np.array([0.1138]))
+        coeffs = PiecewiseCoefficients(phi=np.array([[0.695]]),
+                                       rho=np.array([[0.5]]),
+                                       zeta=np.array([[0.1138]]))
         state = scalar_state(0.0, 1.0, 12.0, 10.0)
-        sigma = update_sigma(data, prior, state, coeffs)
+        stack = stack_of(data)
+        sigma = update_sigma(stack, prior, state, coeffs)
         linear = 0.0 + 1.2 * 0.0 + 2.0 * 1.56 * 2.0 * 0.3 * 0.1138
-        assert update_mu(data, prior, state, coeffs, sigma)[0] == pytest.approx(
-            sigma[0, 0] * linear, rel=1e-13)
+        assert update_mu(stack, prior, state, coeffs, sigma)[0, 0] == pytest.approx(
+            sigma[0, 0, 0] * linear, rel=1e-13)
 
     def test_duplication_regression(self, rng):
         # duplicating every observation: pin against direct recomputation
@@ -150,19 +171,20 @@ class TestUpdateMu:
         prior = PriorSpec(coef_mean=np.zeros(2), coef_precision=0.1,
                           scale_shape=11.0, scale_rate=10.0)
         for d in (data, doubled):
-            state = initialize(d, prior)
-            coeffs = segment_coefficients(plugin_residuals(d, state))
-            sigma = update_sigma(d, prior, state, coeffs)
-            mu = update_mu(d, prior, state, coeffs, sigma)
+            stack = stack_of(d)
+            state = initialize(stack, prior)
+            coeffs = segment_coefficients(plugin_residuals(stack, state))
+            sigma = update_sigma(stack, prior, state, coeffs)
+            mu = update_mu(stack, prior, state, coeffs, sigma)
             # direct recomputation oracle
-            a, w = state.scale_shape, state.scale_rate
+            a, w = state.scale_shape[0], state.scale_rate[0]
             e1, e2 = a / w, (a + a * a) / w ** 2
             acc = 0.1 * prior.coef_mean
             for i in range(d.n):
-                acc = acc + (e1 * (-1.0 + 2.0 * coeffs.rho[i])
-                             + 2.0 * e2 * 2.0 * d.log_time[i] * coeffs.zeta[i]) \
+                acc = acc + (e1 * (-1.0 + 2.0 * coeffs.rho[0, i])
+                             + 2.0 * e2 * 2.0 * d.log_time[i] * coeffs.zeta[0, i]) \
                     * d.covariates[i]
-            assert np.allclose(mu, sigma @ acc, rtol=1e-10)
+            assert np.allclose(mu[0], sigma[0] @ acc, rtol=1e-10)
 
 
 class TestUpdateOmega:
@@ -170,22 +192,20 @@ class TestUpdateOmega:
         data = make_dataset([0.5, 0.8], [1, 1], [[0.5], [0.8]])
         prior = PriorSpec(coef_mean=np.zeros(2), coef_precision=0.1,
                           scale_shape=11.0, scale_rate=10.0)
-        state = initialize(data, prior)
-        mu = np.array([0.0, 1.0])  # exact fit: y = x
-        coeffs = segment_coefficients(np.zeros(2))
-        assert update_omega(data, prior, state, coeffs, mu) == pytest.approx(10.0)
+        mu = np.array([[0.0, 1.0]])  # exact fit: y = x
+        coeffs = segment_coefficients(np.zeros((1, 2)))
+        assert update_omega(stack_of(data), prior, coeffs, mu)[0] == pytest.approx(10.0)
 
     def test_single_censored_hand_oracle(self):
         # censored obs, phi = 0.695, residual 0.5: omega = omega0 + 0.695*0.5
         data = make_dataset([0.5], [0], [[0.0]])
         prior = PriorSpec(coef_mean=np.zeros(2), coef_precision=0.1,
                           scale_shape=11.0, scale_rate=10.0)
-        state = initialize(data, prior)
-        coeffs = PiecewiseCoefficients(phi=np.array([0.695]),
-                                       rho=np.array([0.5]),
-                                       zeta=np.array([0.1138]))
-        got = update_omega(data, prior, state, coeffs, np.zeros(2))
-        assert got == pytest.approx(10.0 + 0.695 * 0.5, rel=1e-14)
+        coeffs = PiecewiseCoefficients(phi=np.array([[0.695]]),
+                                       rho=np.array([[0.5]]),
+                                       zeta=np.array([[0.1138]]))
+        got = update_omega(stack_of(data), prior, coeffs, np.zeros((1, 2)))
+        assert got[0] == pytest.approx(10.0 + 0.695 * 0.5, rel=1e-14)
 
     def test_frozen_golden_from_seeded_fit(self):
         # regression oracle: converged rate of the first verified run
@@ -194,19 +214,20 @@ class TestUpdateOmega:
         state = fit(data, WEAK_PRIOR)
         assert state.scale_rate == pytest.approx(33.46842368965728, abs=1e-10)
         # re-applying the update at the fixed point reproduces the rate
-        coeffs = segment_coefficients(plugin_residuals(data, state))
-        again = update_omega(data, WEAK_PRIOR, state, coeffs, state.coef_mean)
-        assert again == pytest.approx(state.scale_rate, abs=1e-9)
+        stack = stack_of(data)
+        coeffs = segment_coefficients(plugin_residuals(stack, stacked(state)))
+        again = update_omega(stack, WEAK_PRIOR, coeffs, state.coef_mean[None])
+        assert again[0] == pytest.approx(state.scale_rate, abs=1e-9)
 
     def test_nonpositive_rate_raises(self):
         # all censored, residuals pinned at -0.5 by an enormous prior precision
         data = make_dataset([-0.5] * 10, [0] * 10, [[0.0]] * 10)
         prior = PriorSpec(coef_mean=np.zeros(2), coef_precision=1e9,
                           scale_shape=2.0, scale_rate=1.0)
-        state = initialize(data, prior)
-        coeffs = segment_coefficients(plugin_residuals(data, state))
+        stack = stack_of(data)
+        coeffs = segment_coefficients(plugin_residuals(stack, initialize(stack, prior)))
         with pytest.raises(NumericalError):
-            update_omega(data, prior, state, coeffs, np.zeros(2))
+            update_omega(stack, prior, coeffs, np.zeros((1, 2)))
 
 
 class TestElbo:
@@ -217,28 +238,29 @@ class TestElbo:
         p, v0, a0, w0 = 3, 0.1, 11.0, 10.0
         prior = PriorSpec(coef_mean=np.zeros(p), coef_precision=v0,
                           scale_shape=a0, scale_rate=w0)
-        data = empty_dataset(p)
-        state = VariationalState(coef_mean=np.zeros(p),
-                                 coef_cov=np.eye(p) / v0,
-                                 scale_shape=a0, scale_rate=w0)
-        coeffs = segment_coefficients(np.empty(0))
+        stack = stack_of(empty_dataset(p))
+        state = VariationalState(coef_mean=np.zeros((1, p)),
+                                 coef_cov=np.eye(p)[None] / v0,
+                                 scale_shape=np.array([a0]), scale_rate=np.array([w0]))
+        coeffs = segment_coefficients(np.empty((1, 0)))
         expected = (-0.5 * v0 * (p / v0) + 0.5 * math.log(1.0 / v0 ** p)
                     - a0 * math.log(w0))
-        assert elbo(data, prior, state, coeffs) == pytest.approx(expected, rel=1e-12)
+        assert elbo(stack, prior, state, coeffs)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_full_fixture_against_term_oracle(self):
         sc = SimulationScenario(n=50, censor_bound=17.0, n_replicates=1, seed=9)
         data = generate_dataset(sc, 0)
         state = fit(data, WEAK_PRIOR)
-        coeffs = segment_coefficients(plugin_residuals(data, state))
-        got = elbo(data, WEAK_PRIOR, state, coeffs)
+        stack = stack_of(data)
+        coeffs = segment_coefficients(plugin_residuals(stack, stacked(state)))
+        got = elbo(stack, WEAK_PRIOR, stacked(state), coeffs)[0]
         # frozen from the first verified run
         assert got == pytest.approx(-153.75516415237314, abs=1e-9)
         # independent term-by-term recomputation (mpmath digamma, fsum)
         a, w = state.scale_shape, state.scale_rate
         e_inv = a / w
         e_log_b = float(mpmath.log(w) - mpmath.digamma(a))
-        c = data.event - (1 + data.event) * coeffs.phi
+        c = data.event - (1 + data.event) * coeffs.phi[0]
         lik = -data.r * e_log_b + e_inv * math.fsum(
             c[i] * (data.log_time[i] - float(data.covariates[i] @ state.coef_mean))
             for i in range(data.n))
@@ -253,20 +275,21 @@ class TestElbo:
         # exact maximizer of the bound over omega
         sc = SimulationScenario(n=40, censor_bound=0.0, n_replicates=1, seed=5)
         data = generate_dataset(sc, 0)
-        state = fit(data, WEAK_PRIOR)
-        coeffs = segment_coefficients(plugin_residuals(data, state))
-        omega_star = update_omega(data, WEAK_PRIOR, state, coeffs, state.coef_mean)
-        best = elbo(data, WEAK_PRIOR,
+        state = stacked(fit(data, WEAK_PRIOR))
+        stack = stack_of(data)
+        coeffs = segment_coefficients(plugin_residuals(stack, state))
+        omega_star = update_omega(stack, WEAK_PRIOR, coeffs, state.coef_mean)
+        best = elbo(stack, WEAK_PRIOR,
                     VariationalState(coef_mean=state.coef_mean,
                                      coef_cov=state.coef_cov,
                                      scale_shape=state.scale_shape,
-                                     scale_rate=omega_star), coeffs)
+                                     scale_rate=omega_star), coeffs)[0]
         for factor in (0.8, 0.95, 1.05, 1.3):
-            other = elbo(data, WEAK_PRIOR,
+            other = elbo(stack, WEAK_PRIOR,
                          VariationalState(coef_mean=state.coef_mean,
                                           coef_cov=state.coef_cov,
                                           scale_shape=state.scale_shape,
-                                          scale_rate=omega_star * factor), coeffs)
+                                          scale_rate=omega_star * factor), coeffs)[0]
             assert other <= best + 1e-10
 
 
@@ -340,7 +363,7 @@ class TestFit:
             for u in (0.0, 48.0, 17.0):
                 sc = SimulationScenario(n=60, censor_bound=u, n_replicates=1, seed=seed)
                 data = generate_dataset(sc, 0)
-                assert initialize(data, WEAK_PRIOR).stop_reason is None
+                assert initialize(stack_of(data), WEAK_PRIOR).stop_reason is None
                 state = fit(data, WEAK_PRIOR, config)
                 reasons.add(state.stop_reason)
                 assert state.converged == (state.stop_reason != "cap")

@@ -225,12 +225,18 @@ class TestFlagValidation:
         ["replicate", "--censor-u", "-1"],
         ["replicate", "--n", "20", "--replicates", "1", "--methods", "mcmc",
          "--mcmc-burn-in", "-50"],
+        # method lists are checked before any fit runs or prints
+        ["fit", "--methods", "vb,bogus"],
+        ["fit", "--methods", ","],
+        ["replicate", "--n", "20", "--replicates", "1", "--methods", ","],
     ])
     def test_exit_2(self, tmp_path, capsys, argv):
         if argv[0] == "fit":
             argv = [*argv, "--data", write(tmp_path / "d.csv", TINY)]
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
 
     @pytest.mark.parametrize("argv,field", [
         (["fit", "--prior-mean", "nan", "--methods", "mcmc"], "coef_mean"),
@@ -239,11 +245,13 @@ class TestFlagValidation:
          "censor_bound"),
         (["replicate", "--n", "50", "--replicates", "3", "--censor-u", "inf"],
          "censor_bound"),
+        (["fit", "--elbo-tol", "inf"], "elbo_tolerance"),
     ])
     def test_nonfinite_value_names_the_field(self, capsys, argv, field):
         # a NaN prior mean once ran a chain that never moved, an infinite
         # precision failed as a numerical error and a NaN censoring bound
-        # ran an uncensored study
+        # ran an uncensored study; an infinite ELBO tolerance stopped every
+        # fit after one iteration
         if argv[0] == "fit":
             argv = [*argv, "--data", str(rhdnase_path())]
         assert main(argv) == 2
