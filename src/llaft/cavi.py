@@ -149,8 +149,11 @@ def _take_state(state: VariationalState, index) -> VariationalState:
 def plugin_residuals(stack: DatasetStack, state: VariationalState) -> np.ndarray:
     """Standardized residuals (y - X mu) * E[1/b] under the current state,
     (R, n)."""
-    e_inv = state.scale_moments[0]
-    resid = stack.log_time - np.matmul(stack.covariates, state.coef_mean[..., None])[..., 0]
+    return _residuals(stack, state.coef_mean, state.scale_moments[0])
+
+
+def _residuals(stack, mu, e_inv):
+    resid = stack.log_time - np.matmul(stack.covariates, mu[..., None])[..., 0]
     return resid * e_inv[:, None]
 
 
@@ -259,10 +262,8 @@ def _iterate(stack: DatasetStack, prior: PriorSpec, cur: VariationalState,
     mu = update_mu(stack, prior, cur, coeffs, sigma)
 
     # the b-update sees the freshest mu, so its linear surrogate is
-    # re-anchored at the updated residuals
-    moved = VariationalState(coef_mean=mu, coef_cov=None,
-                             scale_shape=cur.scale_shape, scale_rate=cur.scale_rate)
-    kl = _linear_segment(plugin_residuals(stack, moved))
+    # re-anchored at the updated residuals, under the same q(b)
+    kl = _linear_segment(_residuals(stack, mu, cur.scale_moments[0]))
     coeffs = replace(coeffs, phi=LINEAR_SLOPES[kl])
     omega = update_omega(stack, prior, coeffs, mu)
     new = VariationalState(coef_mean=mu, coef_cov=sigma,

@@ -168,17 +168,13 @@ def aggregate_estimates(estimates: np.ndarray, intervals: np.ndarray,
 # NumericalError that ruled the replicate out.
 
 def _fit_vb(datasets, prior, config, level):
+    states = fit_batch(datasets, prior, config)
     outcomes = []
-    for state in fit_batch(datasets, prior, config):
-        if isinstance(state, NumericalError):
-            outcomes.append(state)
+    for state, scale in zip(states, summarize_scale(states, level)):
+        if isinstance(scale, NumericalError):
+            outcomes.append(scale)
             continue
-        try:
-            coef = summarize_coefficients(state, level)
-            scale = summarize_scale(state, level)
-        except NumericalError as exc:
-            outcomes.append(exc)
-            continue
+        coef = summarize_coefficients(state, level)
         est = np.array([s.mean for s in coef] + [scale.mean])
         iv = np.array([[s.interval_low, s.interval_high] for s in coef]
                       + [[scale.interval_low, scale.interval_high]])
@@ -211,9 +207,10 @@ def _fit_mcmc(data, prior, level, seed, n_iterations, burn_in):
 
 
 def check_methods(methods) -> list:
-    """The method names lower-cased, in the given order; raises ValueError
-    when there are none or one is not vb, mle or mcmc."""
-    methods = [m.lower() for m in methods]
+    """The method names lower-cased, each once, in the order of first
+    mention; raises ValueError when there are none or one is not vb, mle or
+    mcmc."""
+    methods = list(dict.fromkeys(m.lower() for m in methods))
     if not methods or not set(methods) <= set(_METHODS):
         raise ValueError(f"methods must be a nonempty list from {','.join(_METHODS)}, "
                          f"got {','.join(methods)!r}")

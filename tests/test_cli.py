@@ -121,6 +121,19 @@ class TestFitCommand:
         assert {line.split(",")[0] for line in body.splitlines()[1:]} == \
             {"vb", "mle", "mcmc"}
 
+    def test_repeated_method_runs_once(self, tmp_path, capsys):
+        out = tmp_path / "fit.csv"
+        assert main(["fit", "--data", str(rhdnase_path()), "--prior-mean", "4.4,0.25,0.04",
+                     "--prior-precision", "1", "--prior-shape", "501",
+                     "--prior-rate", "500", "--methods", "mle,MLE,vb,mle",
+                     "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert printed.count("[mle]") == printed.count("[vb]") == 1
+        assert printed.index("[mle]") < printed.index("[vb]")
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == len(set(rows)) == 2 * 4
+        assert [r.split(",")[0] for r in rows] == ["mle"] * 4 + ["vb"] * 4
+
     def test_missing_data_file_exit_2(self, tmp_path):
         assert main(["fit", "--data", str(tmp_path / "nope.csv")]) == 2
 

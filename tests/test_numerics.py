@@ -7,9 +7,9 @@ from hypothesis import given, strategies as st
 from scipy import integrate, optimize, stats
 
 from llaft.exceptions import NumericalError
-from llaft.numerics import (InverseGammaParams, digamma, inverse_gamma_cdf,
+from llaft.numerics import (InverseGammaParams, _lgamma, digamma, inverse_gamma_cdf,
                             inverse_gamma_log_pdf, inverse_gamma_moments,
-                            inverse_gamma_quantile, log_gamma, normal_quantile,
+                            inverse_gamma_quantile, normal_quantile,
                             regularized_gamma_p)
 
 mpmath.mp.dps = 40
@@ -47,14 +47,16 @@ class TestDigamma:
 
 
 class TestLogGamma:
+    """`_lgamma`, the standard library's log-gamma element by element."""
+
     def test_integers_and_half(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), abs=1e-13)
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), abs=1e-13)
+        assert _lgamma(1.0) == pytest.approx(0.0, abs=1e-14)
+        assert _lgamma(5.0) == pytest.approx(math.log(24.0), abs=1e-13)
+        assert _lgamma(0.5) == pytest.approx(0.5 * math.log(math.pi), abs=1e-13)
 
     @pytest.mark.parametrize("x", [1e-6, 0.02, 0.7, 1.5, 9.99, 10.0, 42.0, 1e3])
     def test_against_high_precision_absolute(self, x):
-        assert log_gamma(x) == pytest.approx(float(mpmath.loggamma(x)), abs=1e-10)
+        assert _lgamma(x) == pytest.approx(float(mpmath.loggamma(x)), abs=1e-10)
 
     @pytest.mark.parametrize("x", [1e5, 1e6])
     def test_against_high_precision_large(self, x):
@@ -62,11 +64,17 @@ class TestLogGamma:
         # ulp of the result; near machine-relative accuracy is the attainable
         # contract at this magnitude.
         ref = float(mpmath.loggamma(x))
-        assert log_gamma(x) == pytest.approx(ref, rel=1e-13)
+        assert _lgamma(x) == pytest.approx(ref, rel=1e-13)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            log_gamma(0.0)
+            _lgamma(0.0)
+
+    def test_keeps_the_array_shape(self):
+        x = np.array([[0.5, 1.0], [5.0, 1e3]])
+        got = _lgamma(x)
+        assert got.shape == x.shape
+        assert got.tolist() == [[math.lgamma(v) for v in row] for row in x.tolist()]
 
 
 class TestRegularizedGamma:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -9,7 +10,9 @@ from scipy import stats
 import llaft.numerics
 import llaft.posterior
 from llaft.cavi import VariationalState
-from llaft.numerics import InverseGammaParams, inverse_gamma_cdf, inverse_gamma_quantile
+from llaft.exceptions import NumericalError
+from llaft.numerics import (InverseGammaParams, inverse_gamma_cdf, inverse_gamma_log_pdf,
+                            inverse_gamma_quantile)
 from llaft.posterior import (ParameterSummary, acceleration_factor, hdi_from_draws,
                              inverse_gamma_hdi, summarize_coefficients,
                              summarize_scale)
@@ -200,18 +203,16 @@ class TestInverseGammaHdi:
             assert mass == pytest.approx(level, abs=1e-10), level
 
     @pytest.mark.parametrize("shape", [250.0, 742.0])
-    def test_cdf_call_budget(self, shape, monkeypatch):
-        calls = []
-        cdf = llaft.numerics.inverse_gamma_cdf
+    def test_makes_no_cdf_call(self, shape, monkeypatch):
+        # the mass comes from quadrature: no CDF, quantile or incomplete gamma
+        def forbidden(*args):
+            raise AssertionError("the HDI called the CDF machinery")
 
-        def counting_cdf(params, x):
-            calls.append(x)
-            return cdf(params, x)
-
-        monkeypatch.setattr(llaft.numerics, "inverse_gamma_cdf", counting_cdf)
-        monkeypatch.setattr(llaft.posterior, "inverse_gamma_cdf", counting_cdf)
-        inverse_gamma_hdi(InverseGammaParams(shape, 0.9 * shape), 0.95)
-        assert 0 < len(calls) <= 60
+        for name in ("inverse_gamma_cdf", "inverse_gamma_quantile",
+                     "_gamma_p_series", "_gamma_q_contfrac"):
+            monkeypatch.setattr(llaft.numerics, name, forbidden)
+        lo, hi = inverse_gamma_hdi(InverseGammaParams(shape, 0.9 * shape), 0.95)
+        assert 0.0 < lo < hi
 
     def test_symmetric_limit_matches_eti(self):
         # huge shape: the distribution is nearly symmetric, HDI ~ ETI
@@ -221,6 +222,60 @@ class TestInverseGammaHdi:
         eti = dist.ppf([0.025, 0.975])
         assert lo == pytest.approx(eti[0], rel=1e-3)
         assert hi == pytest.approx(eti[1], rel=1e-3)
+
+
+def _reference_table():
+    rows = np.loadtxt(Path(__file__).parent / "data" / "inverse_gamma_hdi_reference.txt")
+    return {level: rows[rows[:, 2] == level] for level in np.unique(rows[:, 2])}
+
+
+class TestBatchedHdi:
+    def test_matches_the_cdf_solver_table(self):
+        # One call per level over every shape and rate of the table. An
+        # endpoint x moves by d/(x f(x)) of itself when the mass moves by d,
+        # and both solvers round the mass at ~1e-16: at shape 0.5 and level
+        # 0.999 the upper end has x f(x) ~ 5e-4, so a mass error of 1e-15
+        # moves it by 2e-12 without either solver being wrong.
+        for level, rows in _reference_table().items():
+            shape, rate, ref = rows[:, 0], rows[:, 1], rows[:, 3:]
+            got = np.column_stack(inverse_gamma_hdi(InverseGammaParams(shape, rate), level))
+            x_f = np.exp([[inverse_gamma_log_pdf(InverseGammaParams(a, w), x) + math.log(x)
+                           for x in pair] for a, w, pair in zip(shape, rate, ref)])
+            rel = np.where(shape <= 1e4, 1e-12, 1e-9)[:, None]  # levels <= 0.999
+            tol = rel + 1e-15 / x_f
+            assert (np.abs(got / ref - 1.0) <= tol).all(), level
+
+    def test_cdf_puts_level_mass_between_the_ends(self):
+        # above shape 1e3 the CDF itself is good to ~1e-10 only
+        for level, rows in _reference_table().items():
+            rows = rows[rows[:, 0] <= 1e3]
+            lows, highs = inverse_gamma_hdi(InverseGammaParams(rows[:, 0], rows[:, 1]), level)
+            for a, w, lo, hi in zip(rows[:, 0], rows[:, 1], lows, highs):
+                params = InverseGammaParams(a, w)
+                mass = inverse_gamma_cdf(params, hi) - inverse_gamma_cdf(params, lo)
+                assert mass == pytest.approx(level, abs=1e-12), (a, w)
+
+    def test_each_element_equals_its_batch_of_one(self):
+        shape = np.geomspace(0.3, 3e4, 23)
+        rate = np.linspace(0.01, 50.0, 23)
+        for level in (0.5, 0.95, 0.999):
+            lows, highs = inverse_gamma_hdi(InverseGammaParams(shape, rate), level)
+            for a, w, lo, hi in zip(shape.tolist(), rate.tolist(), lows, highs):
+                assert inverse_gamma_hdi(InverseGammaParams(a, w), level) == (lo, hi)
+
+    def test_array_in_array_out(self):
+        lows, highs = inverse_gamma_hdi(InverseGammaParams(np.array([3.0, 250.0]), 2.0))
+        assert lows.shape == highs.shape == (2,)
+        lo, hi = inverse_gamma_hdi(InverseGammaParams(3.0, 2.0))
+        assert isinstance(lo, float) and isinstance(hi, float)
+
+    def test_legendre_rule_matches_numpy(self):
+        from numpy.polynomial.legendre import leggauss
+        nodes, weights = llaft.posterior._legendre_rule()
+        ref_nodes, ref_weights = leggauss(len(nodes))
+        assert np.allclose(nodes, ref_nodes, rtol=0, atol=1e-15)
+        assert np.allclose(weights, ref_weights, rtol=1e-11, atol=0)
+        assert nodes.tolist() == [-x for x in nodes[::-1].tolist()]
 
 
 class TestSummarizeScale:
@@ -243,6 +298,22 @@ class TestSummarizeScale:
         assert s.mean == pytest.approx(1.3e5 / (1e5 - 1.0))
         assert s.interval_low == pytest.approx(ref_lo, rel=1e-9)
         assert s.interval_high == pytest.approx(ref_hi, rel=1e-9)
+
+    def test_sequence_gives_one_entry_per_state(self):
+        states = [state_from([0.0], [[1.0]], a, w)
+                  for a, w in [(12.0, 22.0), (0.8, 1.0), (250.0, 190.0), (1.5, 1.0)]]
+        out = summarize_scale(states)
+        assert len(out) == 4
+        assert isinstance(out[1], NumericalError)
+        for state, summary in zip(states[::2] + states[3:], out[::2] + out[3:]):
+            assert repr(summary) == repr(summarize_scale(state))  # NaN SD at shape 1.5
+        assert summarize_scale([]) == []
+        failed_fit = NumericalError("variational update failed at iteration 2")
+        assert summarize_scale([failed_fit, states[0]])[0] is failed_fit
+
+    def test_bad_level_raises_for_a_sequence(self):
+        with pytest.raises(ValueError):
+            summarize_scale([state_from([0.0], [[1.0]], 12.0, 22.0)], 1.0)
 
 
 class TestAccelerationFactor:

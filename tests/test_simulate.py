@@ -1,14 +1,15 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import llaft.simulate
-from llaft.cavi import fit
+from llaft.cavi import FitConfig, fit
 from llaft.exceptions import NumericalError
 from llaft.numerics import uniform_stream
 from llaft.simulate import (ROLE_NOISE, ROLE_X1, STRONG_PRIOR, WEAK_PRIOR,
-                            SimulationScenario, aggregate_estimates,
+                            SimulationScenario, aggregate_estimates, check_methods,
                             generate_dataset, report_text_table, run_replication,
                             write_report_csv)
 
@@ -203,6 +204,33 @@ class TestRunReplication:
         sc = SimulationScenario(n=10, censor_bound=0.0, n_replicates=1, seed=0)
         with pytest.raises(ValueError):
             run_replication(sc, WEAK_PRIOR, methods=("hmc",))
+
+    def test_one_bad_scale_fails_only_its_replicate(self, monkeypatch):
+        # a state with shape <= 1 has no scale mean; the block's other
+        # scales are still summarized, in the same one call
+        sc = SimulationScenario(n=60, censor_bound=17.0, n_replicates=4, seed=9)
+        block = [generate_dataset(sc, i) for i in range(4)]
+        config = FitConfig()
+        good = llaft.simulate._fit_vb(block, WEAK_PRIOR, config, 0.95)
+        fit_batch = llaft.simulate.fit_batch
+
+        def one_bad_shape(datasets, prior, config):
+            states = fit_batch(datasets, prior, config)
+            states[1] = replace(states[1], scale_shape=0.9)
+            return states
+
+        monkeypatch.setattr(llaft.simulate, "fit_batch", one_bad_shape)
+        got = llaft.simulate._fit_vb(block, WEAK_PRIOR, config, 0.95)
+        assert isinstance(got[1], NumericalError)
+        for a, b in zip(good[::2] + good[3:], got[::2] + got[3:]):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        vb, = run_replication(sc, WEAK_PRIOR, methods=("vb",), max_failure_rate=0.5)
+        assert (vb.n_failures, vb.n_replicates) == (1, 3)
+
+
+class TestCheckMethods:
+    def test_repeats_dropped_in_order_of_first_mention(self):
+        assert check_methods(["MLE", "vb", "mle", "VB", "mcmc"]) == ["mle", "vb", "mcmc"]
 
 
 class TestSerialization:
