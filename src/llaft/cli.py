@@ -20,7 +20,8 @@ from .model import PriorSpec, SurvivalDataset
 from .piecewise import (LINEAR_KNOTS, fit_linear_breakpoints, softplus, softplus_linear,
                         softplus_quadratic, table_sse)
 from .posterior import hdi_from_draws, summarize_coefficients, summarize_scale
-from .reference import MCMC_BURN_IN, MCMC_ITERATIONS, MCMC_SEED, fit_mle, sample_posterior
+from .reference import (MCMC_BURN_IN, MCMC_ITERATIONS, MCMC_SEED, check_chain_length, fit_mle,
+                        sample_posterior)
 from .simulate import (STRONG_PRIOR, WEAK_PRIOR, SimulationScenario, _fmt6, check_methods,
                        format_table, report_text_table, run_replication, write_report_csv)
 
@@ -176,7 +177,16 @@ def _fit_config(args) -> FitConfig:
     return FitConfig(**_given(args, elbo_tolerance="elbo_tol", max_iterations="max_iter"))
 
 
-def _method_summaries(method, data, prior, config, args):
+def _mcmc_run(args) -> dict:
+    """The chain's length, burn-in and seed, checked before any fit runs."""
+    run = {"n_iterations": MCMC_ITERATIONS, "burn_in": MCMC_BURN_IN, "seed": MCMC_SEED,
+           **_given(args, n_iterations="mcmc_iterations", burn_in="mcmc_burn_in",
+                    seed="seed")}
+    check_chain_length(run["n_iterations"], run["burn_in"])
+    return run
+
+
+def _method_summaries(method, data, prior, config, mcmc_run):
     """[(parameter, mean, sd, low, high, kind)] plus the elapsed time."""
     names = [f"beta{j}" for j in range(data.p)]
     start = time.perf_counter()
@@ -197,10 +207,7 @@ def _method_summaries(method, data, prior, config, args):
         rows.append(("scale", res.scale, res.scale_se, ivs[-1][0], ivs[-1][1],
                      "Wald-log"))
     else:  # mcmc
-        run = {"n_iterations": MCMC_ITERATIONS, "burn_in": MCMC_BURN_IN, "seed": MCMC_SEED,
-               **_given(args, n_iterations="mcmc_iterations", burn_in="mcmc_burn_in",
-                        seed="seed")}
-        chain = sample_posterior(data, prior, **run)
+        chain = sample_posterior(data, prior, **mcmc_run)
         if chain.warning is not None:
             print(f"warning: mcmc: {chain.warning}", file=sys.stderr)
         rows = []
@@ -228,12 +235,13 @@ def cmd_fit(args) -> int:
     if not args.data:
         raise DataError("fit requires --data")
     methods = _methods(args, "vb")
+    mcmc_run = _mcmc_run(args) if "mcmc" in methods else None
     data = ingest_csv(args.data)
     prior = _build_prior(args, data.p)
     config = _fit_config(args)
     all_rows = []
     for method in methods:
-        rows, elapsed = _method_summaries(method, data, prior, config, args)
+        rows, elapsed = _method_summaries(method, data, prior, config, mcmc_run)
         all_rows.append((method, rows))
         print(f"[{method}] fit of {args.data} (n={data.n}, p={data.p}, events={data.r}), "
               f"{elapsed:.3f}s")
@@ -273,18 +281,16 @@ def cmd_approx_check(args) -> int:
 
     print("segmented least-squares search (knots on a 0.05 lattice):")
     rows = [("breakpoints", "sse", "r_squared", "knots")]
-    fit3 = None
-    for k in range(1, 6):
+    for k in range(1, 4):
         res = fit_linear_breakpoints(n_breakpoints=k)
-        if k == 3:
-            fit3 = res
         rows.append((str(k), _fmt6(res.sse), f"{res.r_squared:.6f}",
                      ", ".join(_fmt6(b) for b in res.breakpoints)))
     print(format_table(rows))
 
+    # res is the last search's: three knots, as in the published table
     ok = (3.30 <= lin_sse <= 3.40 and 0.11 <= quad_sse <= 0.13
-          and np.all(np.abs(fit3.breakpoints - LINEAR_KNOTS[1:4]) <= 0.1)
-          and fit3.sse <= 3.40)
+          and np.all(np.abs(res.breakpoints - LINEAR_KNOTS[1:4]) <= 0.1)
+          and res.sse <= 3.40)
     print(f"audit {'passed' if ok else 'FAILED'}")
     return 0 if ok else 1
 
@@ -292,13 +298,14 @@ def cmd_approx_check(args) -> int:
 def cmd_compare(args) -> int:
     if not args.data:
         raise DataError("compare requires --data")
+    mcmc_run = _mcmc_run(args)
     data = ingest_csv(args.data)
     prior = _build_prior(args, data.p)
     config = _fit_config(args)
     timings = {}
     all_rows = []
     for method in ("vb", "mle", "mcmc"):
-        rows, elapsed = _method_summaries(method, data, prior, config, args)
+        rows, elapsed = _method_summaries(method, data, prior, config, mcmc_run)
         timings[method] = elapsed
         all_rows.append((method, rows))
     header = ["parameter"]

@@ -50,24 +50,18 @@ QUADRATIC_INTERCEPTS = np.array([0.0, 0.3893, 0.6962, 0.3894, 0.0])
 QUADRATIC_LINEAR = np.array([0.0, 0.1696, 0.5000, 0.8303, 1.0])
 QUADRATIC_QUADRATIC = np.array([0.0, 0.0189, 0.1138, 0.0190, 0.0])
 
-# Elements per (heads, rows, columns) block and per (heads, tail) array of
-# the knot scan's screen (64 KB of doubles), which bounds its memory. With
-# the mirror screen, 2**13 was fastest over the k = 3, 4 and 5 scans of
-# approx-check (medians of 15 interleaved runs), 2**12 and 2**14 within 5%;
-# 2**15 slowed the k = 5 scan by a quarter.
+# Elements per (rows, columns) block of the knot scan's screen (64 KB of
+# doubles), which bounds its memory. Timed on the k = 3 scan, 2**12 to 2**14
+# tie and from 2**15 up the scan slows.
 _SCREEN_ELEMENTS = 2 ** 13
 
-# The verifier's grid over [-5, 5] and its knot lattices in (-5, 5), both
-# symmetric about 0: the fine one, and the 0.25 one that seeds the four- and
-# five-knot descents.
+# The verifier's grid over [-5, 5] and its knot lattice in (-5, 5), both
+# symmetric about 0.
 _GRID_SIZE = 10_000
-_FINE_STEP = 0.05
-_FINE_LATTICE = np.arange(-99, 100) * _FINE_STEP
-_SEED_LATTICE = np.arange(-19, 20) * 0.25
+_LATTICE = np.arange(-99, 100) * 0.05
 
 for _knots in (LINEAR_KNOTS, LINEAR_INTERCEPTS, LINEAR_SLOPES, QUADRATIC_KNOTS,
-               QUADRATIC_INTERCEPTS, QUADRATIC_LINEAR, QUADRATIC_QUADRATIC,
-               _FINE_LATTICE, _SEED_LATTICE):
+               QUADRATIC_INTERCEPTS, QUADRATIC_LINEAR, QUADRATIC_QUADRATIC, _LATTICE):
     _knots.setflags(write=False)
 
 
@@ -152,16 +146,17 @@ class _HingeLS:
     never touches the grid again. `sse` scores a batch of tuples exactly, one
     (k+2)x(k+2) solve per tuple.
 
-    `best` scans every k-tuple of a candidate set. For k >= 2 it screens
-    instead of solving per tuple. Once per call it projects [1, x] out of the
-    Gram matrix of all candidate hinges (S0) and out of their right-hand side
-    (g0). Each tuple is a head (its first k - 2 knots) plus a tail pair
-    i < j. Heads that end at the same knot are orthogonalised together by
-    Gram-Schmidt in S0, which leaves the projected Gram matrix S and
-    right-hand side g of the tail hinges given [1, x, head]; a head with a
-    pivot at or below 1e-12 of its hinge's squared norm is skipped, the rule
-    of `_nonsingular`. With d = diag(S)^-1/2, c_ij = S_ij d_i d_j, u = g d
-    and B = [1, x, head], every pair on the upper triangle scores
+    `best` scans every k-tuple of a candidate set, for k of at most 3. For
+    k >= 2 it screens instead of solving per tuple. Once per call it projects
+    [1, x] out of the Gram matrix of all candidate hinges (S0) and out of
+    their right-hand side (g0). Each tuple is a head (no knot for k = 2, its
+    first knot for k = 3) plus a tail pair i < j. One Gram-Schmidt step in S0
+    takes the head's hinge out of the tail hinges, which leaves the projected
+    Gram matrix S and right-hand side g of the tail hinges given
+    [1, x, head]; a head with a pivot at or below 1e-12 of its hinge's
+    squared norm is skipped, the rule of `_nonsingular`. With
+    d = diag(S)^-1/2, c_ij = S_ij d_i d_j, u = g d and B = [1, x, head],
+    every pair on the upper triangle scores
 
         SSE = syy - r_B' M_BB^-1 r_B - u_j^2 - (u_i - c_ij u_j)^2 / (1 - c_ij^2),
 
@@ -179,17 +174,14 @@ class _HingeLS:
 
     In mirror mode the caller states that y less a line is even on a grid
     symmetric about 0, and the candidates must satisfy cand == -cand[::-1]
-    exactly. Then the tuple of candidate indices t_1 < ... < t_k and its
-    mirror image (n-1-t_k, ..., n-1-t_1) tie, and for k = 3, 4 and 5 the
-    screen scores one of each pair: for odd k the tuples whose middle knot
-    has an index of at most (n - 1) // 2, for even k those whose middle
-    pair's indices sum to at most n - 1. That bounds the first tail knot at
-    (n - 1) // 2 for k = 3 and at n - 1 - (the head's last knot) for k = 4,
-    and drops the heads whose last knot lies above (n - 1) // 2 for k = 5.
-    The mirror of each shortlisted tuple is added back before the rescoring.
-    The tie rule survives because only exact scores pick the winner: a tuple
-    and its mirror differ in closed form by rounding alone, so a tuple that
-    could win has itself or its mirror in the window, and both reach `sse`.
+    exactly. Then the tuple of candidate indices t_1 < t_2 < t_3 and its
+    mirror image (n-1-t_3, n-1-t_2, n-1-t_1) tie, and for k = 3 the screen
+    scores one of each pair: the tuples whose middle knot, the first tail
+    knot, has an index of at most (n - 1) // 2. The mirror of each
+    shortlisted tuple is added back before the rescoring. The tie rule
+    survives because only exact scores pick the winner: a tuple and its
+    mirror differ in closed form by rounding alone, so a tuple that could win
+    has itself or its mirror in the window, and both reach `sse`.
     """
 
     def __init__(self, x, y):
@@ -237,17 +229,17 @@ class _HingeLS:
     def best(self, cand, k, *, mirror=False) -> tuple[float, np.ndarray]:
         """(sse, knots) of the best k-knot fit over every increasing k-tuple of
         the increasing candidates `cand`: the first minimizer in
-        lexicographic order. `mirror` states that y less a line is even on a
-        grid symmetric about 0, so that mirror-image tuples tie; it needs
-        cand == -cand[::-1] exactly, and for three to five knots screens one
-        tuple of each pair. (inf, None) when every tuple is singular."""
+        lexicographic order; k is at most 3. `mirror` states that y less a
+        line is even on a grid symmetric about 0, so that mirror-image tuples
+        tie; it needs cand == -cand[::-1] exactly, and for three knots screens
+        one tuple of each pair. (inf, None) when every tuple is singular."""
         if mirror and not np.array_equal(cand, -cand[::-1]):
             raise ValueError("mirror mode needs candidates symmetric about 0")
         if k <= 1:
             tuples = list(itertools.combinations(range(len(cand)), k))
             tuples = np.array(tuples, dtype=np.intp).reshape(len(tuples), k)
         else:
-            mirror = mirror and 3 <= k <= 5  # the screen's mirror bounds
+            mirror = mirror and k == 3  # the screen's mirror bound
             tuples = self._screen(cand, k, mirror)
             if mirror:
                 tuples = np.concatenate([tuples, len(cand) - 1 - tuples[:, ::-1]])
@@ -264,15 +256,15 @@ class _HingeLS:
                 return float(sse[t]), cand[tuples[t]]
         return np.inf, None  # no tuple, or every tuple singular
 
-    # the screen marks skipped heads, tail knots and pairs with NaN, silently
+    # the screen marks skipped tail knots and pairs with NaN, silently
     @np.errstate(divide="ignore", invalid="ignore")
     def _screen(self, cand, k, mirror=False) -> np.ndarray:
-        """(rows, k) candidate indices of every tuple whose closed-form score
-        lies within the window of the lowest score, plus a few that were that
-        close to the lowest score seen when their block was screened. With
-        `mirror` (k = 3, 4 or 5), only the tuples whose middle knot, or middle
-        pair's index sum, is at most that of their mirror image are screened."""
-        n, p = len(cand), k - 2
+        """(rows, k) candidate indices, k = 2 or 3, of every tuple whose
+        closed-form score lies within the window of the lowest score, plus a
+        few that were that close to the lowest score seen when their block was
+        screened. With `mirror` (k = 3), only the tuples whose middle knot has
+        an index of at most that of their mirror image's are screened."""
+        n = len(cand)
         s0, s1, s2, t0, t1 = self._suffix[:, np.searchsorted(self.x, cand, side="right")]
         # <h_a, h_b> uses the suffix sums at the larger knot: right for a <= b
         hh = s2 - np.add.outer(cand, cand) * s1 + np.multiply.outer(cand, cand) * s0
@@ -285,91 +277,68 @@ class _HingeLS:
         g0 = t1 - cand * t0 - U.T @ W[:, n]
         base0 = self.syy - rB @ W[:, n]
 
-        def heads_by_last_knot():
-            # heads that end at the same knot share the candidate tail knots
-            if k == 2:
-                yield -1, np.empty((1, 0), np.intp)
-                return
-            for last in range(k - 3, n - 2):
-                yield last, np.array([h + (last,) for h in
-                                      itertools.combinations(range(last), k - 3)],
-                                     dtype=np.intp).reshape(-1, k - 2)
-
         below = np.tri(n, n, -1, dtype=bool)
         lowest, shortlist = np.inf, []
-        for last, heads in heads_by_last_knot():
-            m = n - 1 - last
-            # the first tail knot takes rows 0..rows-1, index last + 1 + row
+        # the head's knot: none (index -1) for k = 2, each candidate for k = 3
+        for head in range(-1, 0) if k == 2 else range(n - 2):
+            m = n - 1 - head
+            # the first tail knot takes rows 0..rows-1, index head + 1 + row
             rows = m - 1
-            if mirror and k == 3:  # the middle knot: index <= (n - 1) // 2
-                rows = min(rows, (n - 1) // 2 - last)
-            elif mirror and k == 4:  # the middle pair: index sum <= n - 1
-                rows = min(rows, n - 1 - 2 * last)
-            elif mirror and k == 5 and last > (n - 1) // 2:  # the middle knot
-                rows = 0
+            if mirror:  # the middle knot: index <= (n - 1) // 2
+                rows = min(rows, (n - 1) // 2 - head)
             if rows <= 0:  # and no row for any later head
                 break
-            St = S0[last + 1:, last + 1:]
-            per_batch = max(1, _SCREEN_ELEMENTS // m)
-            for h0 in range(0, len(heads), per_batch):
-                head_idx = heads[h0:h0 + per_batch]
-                H = len(head_idx)
-                # Gram-Schmidt of each head's hinges in S0, kept on the
-                # columns of its own knots and of the tail knots
-                cols = np.concatenate(
-                    [head_idx, np.broadcast_to(np.arange(last + 1, n), (H, m))], axis=1)
-                Q, g, base = S0[head_idx.T[:, :, None], cols], g0[cols], np.full(H, base0)
-                for l in range(p):
-                    for q in range(l):
-                        Q[l] -= Q[q][:, l, None] * Q[q]
-                    pivot = Q[l][:, l].copy()
-                    # a head that fails _nonsingular's pivot rule scores NaN
-                    base[~(pivot > 1e-12 * np.diagonal(hh)[head_idx[:, l]])] = np.nan
-                    Q[l] /= np.sqrt(pivot)[:, None]
-                    gq = g[:, l] / np.sqrt(pivot)
-                    g -= gq[:, None] * Q[l]
-                    base -= gq * gq
-                # the tail hinges normalised given the head
-                Qt = Q[:, :, p:]
-                d = 1.0 / np.sqrt(np.diagonal(St) - (Qt * Qt).sum(axis=0))
-                Qn = (Qt * d).transpose(1, 0, 2)
-                u = g[:, p:] * d
-                rest = base[:, None] - u * u
-                i0 = 0
-                while i0 < rows:
-                    # rows i0..i1 against columns i0+1..m: the upper triangle
-                    i1 = min(rows, i0 + max(1, _SCREEN_ELEMENTS // (H * (m - 1 - i0))))
-                    ri, cj, sq = slice(i0, i1), slice(i0 + 1, m), i1 - i0
-                    c = St[ri, cj] * d[:, ri, None]
-                    c *= d[:, None, cj]
-                    if p:
-                        c -= np.matmul(Qn[:, :, ri].transpose(0, 2, 1), Qn[:, :, cj])
-                    score = u[:, ri, None] - c * u[:, None, cj]
-                    score *= score
-                    np.subtract(1.0, c * c, out=c)
-                    # collinear pairs, and pairs j <= i in the square at the
-                    # block's start, score NaN: no minimum or cutoff takes them
-                    np.copyto(c, np.nan, where=c <= 1e-12)
-                    np.copyto(c[:, :, :sq], np.nan, where=below[:sq, :sq])
-                    score /= c
-                    np.subtract(rest[:, None, cj], score, out=score)
+            St = S0[head + 1:, head + 1:]
+            # q: the tail hinges' components along the normalised head hinge
+            g, base, q = g0[head + 1:], base0, np.zeros(m)
+            if k == 3:
+                # one Gram-Schmidt step takes the head's hinge out of the tail
+                pivot = S0[head, head]
+                if not pivot > 1e-12 * hh[head, head]:  # _nonsingular's rule
+                    continue
+                q = S0[head, head + 1:] / np.sqrt(pivot)
+                gq = g0[head] / np.sqrt(pivot)
+                g = g - gq * q
+                base = base - gq * gq
+            # the tail hinges normalised given the head
+            d = 1.0 / np.sqrt(np.diagonal(St) - q * q)
+            u, qn = g * d, q * d
+            rest = base - u * u
+            i0 = 0
+            while i0 < rows:
+                # rows i0..i1 against columns i0+1..m: the upper triangle
+                i1 = min(rows, i0 + max(1, _SCREEN_ELEMENTS // (m - 1 - i0)))
+                ri, cj, sq = slice(i0, i1), slice(i0 + 1, m), i1 - i0
+                c = St[ri, cj] * d[ri, None]
+                c *= d[cj]
+                c -= np.multiply.outer(qn[ri], qn[cj])
+                score = u[ri, None] - c * u[cj]
+                score *= score
+                np.subtract(1.0, c * c, out=c)
+                # collinear pairs, and pairs j <= i in the square at the
+                # block's start, score NaN: no minimum or cutoff takes them
+                np.copyto(c, np.nan, where=c <= 1e-12)
+                np.copyto(c[:, :sq], np.nan, where=below[:sq, :sq])
+                score /= c
+                np.subtract(rest[cj], score, out=score)
 
-                    block_low = float(np.fmin.reduce(score, axis=None))
-                    lowest = min(lowest, block_low)  # a NaN block_low leaves it
-                    cutoff = lowest + 1e-9 * abs(lowest) + 1e-13 * self.syy
-                    if block_low <= cutoff < np.inf:
-                        h, i, j = np.nonzero(score <= cutoff)
-                        shortlist.append(np.column_stack(
-                            [head_idx[h], last + 1 + i0 + i, last + 2 + i0 + j]))
-                    i0 = i1
-        return np.concatenate(shortlist) if shortlist else np.empty((0, k), np.intp)
+                block_low = float(np.fmin.reduce(score, axis=None))
+                lowest = min(lowest, block_low)  # a NaN block_low leaves it
+                cutoff = lowest + 1e-9 * abs(lowest) + 1e-13 * self.syy
+                if block_low <= cutoff < np.inf:
+                    i, j = np.nonzero(score <= cutoff)
+                    shortlist.append(np.column_stack(
+                        [np.full(len(i), head), head + 1 + i0 + i, head + 2 + i0 + j]))
+                i0 = i1
+        tuples = np.concatenate(shortlist) if shortlist else np.empty((0, 3), np.intp)
+        return tuples[:, 3 - k:]  # k = 2 drops the head column
 
 
 def _nonsingular(M) -> np.ndarray:
     """Per Gram matrix of a (T, d, d) stack: whether every Cholesky pivot,
     the part of a column's squared norm that the columns before it leave
     unexplained, exceeds 1e-12 of that squared norm. The screen applies the
-    same test to the pivots of its heads."""
+    same test to each head's pivot."""
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
@@ -393,46 +362,15 @@ def _solve(M, rhs):
 def fit_linear_breakpoints(n_breakpoints: int = 3) -> BreakpointFit:
     """Best continuous linear spline fit of softplus on [-5, 5] by knot search.
 
-    The fit is by least squares on a 10 000-point grid, with knots on the 0.05
-    lattice -4.95, -4.9, ..., 4.95. Up to three knots the search is
-    exhaustive over all increasing tuples. For four or five knots an
-    exhaustive pass on the 0.25 lattice seeds coordinate-descent refinement
-    on the 0.05 lattice, which keeps the search tractable. Each call runs one
-    search and starts no other.
+    The fit is by least squares on a 10 000-point grid, with 0 to 3 knots (the
+    paper's linear table has 3) on the 0.05 lattice -4.95, -4.9, ..., 4.95.
+    The search is exhaustive over all increasing tuples.
     """
-    if not 0 <= n_breakpoints <= 5:
-        raise ValueError("n_breakpoints must be between 0 and 5")
+    if not 0 <= n_breakpoints <= 3:
+        raise ValueError("n_breakpoints must be between 0 and 3")
     x, y = _grid(_GRID_SIZE)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    ls = _HingeLS(x, y)
-
-    def search(cand):
-        # y is softplus on a grid symmetric about 0, softplus(x) - x/2 is
-        # even and both lattices are symmetric: a tuple and its mirror tie
-        return ls.best(cand, n_breakpoints, mirror=True)
-
-    if n_breakpoints <= 3:
-        sse, knots = search(_FINE_LATTICE)
-        return BreakpointFit(knots, sse, 1.0 - sse / ss_tot)
-
-    best_sse, best = search(_SEED_LATTICE)
-
-    # coordinate descent on the fine lattice until no knot moves; candidates
-    # are taken in lattice order, each only if it beats the best so far
-    fine, half = _FINE_LATTICE, _FINE_STEP / 2
-    for _ in range(20):
-        moved = False
-        for i in range(n_breakpoints):
-            lo = best[i - 1] if i > 0 else -5.0
-            hi = best[i + 1] if i + 1 < n_breakpoints else 5.0
-            options = fine[(fine > lo + half) & (fine < hi - half)]
-            trials = np.repeat(best[None], len(options), axis=0)
-            trials[:, i] = options
-            for trial, s in zip(trials, ls.sse(trials)):
-                if s < best_sse - 1e-12:
-                    best_sse, best = float(s), trial
-                    moved = True
-        if not moved:
-            break
-
-    return BreakpointFit(best, best_sse, 1.0 - best_sse / ss_tot)
+    # y is softplus on a grid symmetric about 0, softplus(x) - x/2 is even and
+    # the lattice is symmetric: a tuple and its mirror tie
+    sse, knots = _HingeLS(x, y).best(_LATTICE, n_breakpoints, mirror=True)
+    return BreakpointFit(knots, sse, 1.0 - sse / ss_tot)

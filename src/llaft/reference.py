@@ -33,6 +33,7 @@ __all__ = [
     "loglik_grad_hess",
     "fit_mle",
     "fit_mle_batch",
+    "check_chain_length",
     "sample_posterior",
 ]
 
@@ -325,6 +326,14 @@ def _chain_log_posterior(data, prior):
     return log_posterior
 
 
+def check_chain_length(n_iterations: int, burn_in: int) -> None:
+    """Raise ValueError unless the burn-in is nonnegative and the chain keeps
+    at least two draws, the fewest that a posterior SD or interval needs."""
+    if not (burn_in >= 0 and n_iterations - burn_in >= 2):
+        raise ValueError("burn_in must be nonnegative and keep at least two draws, got "
+                         f"burn_in={burn_in} with n_iterations={n_iterations}")
+
+
 def sample_posterior(data: SurvivalDataset, prior: PriorSpec, n_iterations: int,
                      burn_in: int, seed: int) -> McmcChain:
     """Joint Gaussian random-walk Metropolis over (beta, log b).
@@ -342,11 +351,10 @@ def sample_posterior(data: SurvivalDataset, prior: PriorSpec, n_iterations: int,
     with the same seed and burn-in but fewer iterations is a prefix of this
     one. The proposals are scored _PREFETCH at a time (see
     `_metropolis_block`), with the same draws as one at a time. Raises
-    ValueError on a burn-in outside [0, n_iterations) or a prior mean whose
+    ValueError when `check_chain_length` does, or on a prior mean whose
     dimension is not the data's.
     """
-    if not 0 <= burn_in < n_iterations:
-        raise ValueError("burn_in must be nonnegative and below n_iterations")
+    check_chain_length(n_iterations, burn_in)
     prior.check_dimension(data.p)
     dim = data.p + 1
 

@@ -24,7 +24,8 @@ from .model import PriorSpec, SurvivalDataset, _readonly
 from .numerics import (ROLE_CENSOR, ROLE_MCMC, ROLE_NOISE, ROLE_X1, ROLE_X2, _stream_key,
                        normal_quantile, uniform_stream)
 from .posterior import hdi_from_draws, summarize_coefficients, summarize_scale
-from .reference import MCMC_BURN_IN, MCMC_ITERATIONS, fit_mle_batch, sample_posterior
+from .reference import (MCMC_BURN_IN, MCMC_ITERATIONS, check_chain_length, fit_mle_batch,
+                        sample_posterior)
 
 __all__ = [
     "SimulationScenario",
@@ -231,9 +232,12 @@ def run_replication(scenario: SimulationScenario, prior: PriorSpec,
     aggregate; more than `max_failure_rate` of them fails the whole run. Fits
     that are kept but did not converge are counted in each report's
     `n_nonconverged`, and VB fits stopped by cycle detection in `n_cycles`.
-    An empty or unknown method list raises ValueError before any work.
+    An empty or unknown method list, or an MCMC run that keeps fewer than two
+    draws, raises ValueError before any work.
     """
     methods = check_methods(methods)
+    if "mcmc" in methods:
+        check_chain_length(mcmc_iterations, mcmc_burn_in)
     methods = tuple(m for m in _METHODS if m in methods)
     config = config or FitConfig()
     p = scenario.true_coefficients.shape[0]

@@ -319,6 +319,9 @@ class TestSamplePosterior:
         # a negative burn-in would return rows of an uninitialized buffer
         with pytest.raises(ValueError, match="burn_in"):
             sample_posterior(data, prior, 200, -50, seed=0)
+        # one kept draw has no SD and no interval
+        with pytest.raises(ValueError, match="burn_in"):
+            sample_posterior(data, prior, 10, 9, seed=0)
 
 
 @pytest.fixture(scope="module")
