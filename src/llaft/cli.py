@@ -17,8 +17,7 @@ import numpy as np
 from .cavi import FitConfig, fit
 from .exceptions import DataError, NumericalError
 from .model import PriorSpec, SurvivalDataset
-from .piecewise import (LINEAR_KNOTS, fit_linear_breakpoints, softplus, softplus_linear,
-                        softplus_quadratic, table_sse)
+from .piecewise import LINEAR_KNOTS, fit_linear_breakpoints, table_max_error, table_sse
 from .posterior import hdi_from_draws, summarize_coefficients, summarize_scale
 from .reference import (MCMC_BURN_IN, MCMC_ITERATIONS, MCMC_SEED, check_chain_length, fit_mle,
                         sample_posterior)
@@ -133,14 +132,17 @@ def _given(args, **flags) -> dict:
             if getattr(args, flag, None) is not None}
 
 
+_PRESETS = {"weak": WEAK_PRIOR, "strong": STRONG_PRIOR}
+
+
 def _build_prior(args, p: int) -> PriorSpec:
     """The preset, or the weak prior with a zero mean, as the base; explicit
     prior flags override it."""
     preset = getattr(args, "prior_preset", None)
     if preset:
-        if preset not in ("weak", "strong"):
+        if preset not in _PRESETS:
             raise DataError(f"unknown prior preset {preset!r}")
-        base = WEAK_PRIOR if preset == "weak" else STRONG_PRIOR
+        base = _PRESETS[preset]
         if p != base.coef_mean.shape[0]:
             raise DataError(f"prior preset {preset!r} expects p=3, data has p={p}")
         mean = base.coef_mean
@@ -157,15 +159,24 @@ def _build_prior(args, p: int) -> PriorSpec:
         scale_rate="prior_rate"))
 
 
-def _default_prior_hint(args) -> str:
+def _prior_hint(args) -> str:
     """A clause for a numerical failure of a fit that ran on the default
-    prior, which no prior flag, config key or preset changed."""
+    prior or on a preset as it stands, which no other prior flag or config
+    key changed."""
     if any(getattr(args, key, None) is not None for key in (
-            "prior_mean", "prior_precision", "prior_shape", "prior_rate", "prior_preset")):
+            "prior_mean", "prior_precision", "prior_shape", "prior_rate")):
         return ""
-    return (f"; the default prior (mean 0, precision {WEAK_PRIOR.coef_precision:g}, "
-            f"shape {WEAK_PRIOR.scale_shape:g}, rate {WEAK_PRIOR.scale_rate:g}) may not "
-            "suit the data: set --prior-mean, --prior-shape, --prior-rate or --prior-preset")
+    preset = getattr(args, "prior_preset", None)
+    if preset is None:
+        return (f"; the default prior (mean 0, precision {WEAK_PRIOR.coef_precision:g}, "
+                f"shape {WEAK_PRIOR.scale_shape:g}, rate {WEAK_PRIOR.scale_rate:g}) may not "
+                "suit the data: set --prior-mean, --prior-shape, --prior-rate or --prior-preset")
+    prior = _PRESETS[preset]
+    mean = ",".join(f"{v:g}" for v in prior.coef_mean)
+    return (f"; the {preset} prior preset (mean {mean}, precision {prior.coef_precision:g}, "
+            f"shape {prior.scale_shape:g}, rate {prior.scale_rate:g}) may not suit the "
+            "data: set --prior-mean, --prior-precision, --prior-shape or --prior-rate "
+            "to override it")
 
 
 def _methods(args, default: str) -> list:
@@ -271,10 +282,7 @@ def cmd_replicate(args) -> int:
 
 def cmd_approx_check(args) -> int:
     lin_sse, quad_sse = table_sse()
-    x = np.linspace(-8.0, 8.0, 100_001)
-    exact = softplus(x)
-    lin_max = float(np.max(np.abs(softplus_linear(x) - exact)))
-    quad_max = float(np.max(np.abs(softplus_quadratic(x) - exact)))
+    lin_max, quad_max = table_max_error()
     print("published-table audit on a 10000-point grid over [-5, 5]:")
     print(f"  linear    SSE {_fmt6(lin_sse)}   max|err| {_fmt6(lin_max)} on [-8, 8]")
     print(f"  quadratic SSE {_fmt6(quad_sse)}   max|err| {_fmt6(quad_max)} on [-8, 8]")
@@ -391,7 +399,7 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
-        print(f"numerical failure: {exc}{_default_prior_hint(args)}", file=sys.stderr)
+        print(f"numerical failure: {exc}{_prior_hint(args)}", file=sys.stderr)
         return 1
 
 

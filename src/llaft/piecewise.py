@@ -4,6 +4,9 @@ Two fixed lookup tables drive the conjugate variational updates: a six-piece
 linear table (slopes phi) and a five-piece quadratic table (linear rho,
 quadratic zeta). Outside [-5, 5] both coincide with the exact asymptotes 0
 and x. Segment intervals are left-open/right-closed, e.g. -5 < x <= -1.701.
+`table_max_error` gives each table's max|err| over the 100 001-point grid
+np.linspace(-8, 8, 100_001), located from the knots and the error's
+stationary points instead of by evaluating the whole grid.
 
 The module also carries an independent verifier: a brute-force segmented
 least-squares search that re-derives the linear table's knots and error from
@@ -15,7 +18,9 @@ included.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +40,7 @@ __all__ = [
     "softplus_quadratic",
     "segment_coefficients",
     "table_sse",
+    "table_max_error",
     "fit_linear_breakpoints",
 ]
 
@@ -59,6 +65,15 @@ _SCREEN_ELEMENTS = 2 ** 13
 # symmetric about 0.
 _GRID_SIZE = 10_000
 _LATTICE = np.arange(-99, 100) * 0.05
+
+# The max-error audit's grid np.linspace(-8, 8, _AUDIT_SIZE): point i is
+# i * _AUDIT_STEP - 8, bit for bit (the last comes out as exactly 8, the
+# value linspace sets).
+_AUDIT_SIZE = 100_001
+_AUDIT_STEP = 16.0 / (_AUDIT_SIZE - 1)
+# Grid points scored on each side of a candidate point. Its rounded index is
+# within one of the grid points on either side of it, so 3 leaves a margin.
+_AUDIT_REACH = 3
 
 for _knots in (LINEAR_KNOTS, LINEAR_INTERCEPTS, LINEAR_SLOPES, QUADRATIC_KNOTS,
                QUADRATIC_INTERCEPTS, QUADRATIC_LINEAR, QUADRATIC_QUADRATIC, _LATTICE):
@@ -97,7 +112,8 @@ def _quadratic_segment(x):
 
 
 def softplus_linear(x):
-    """Six-piece linear surrogate of softplus; scalar in, scalar out."""
+    """Six-piece linear surrogate of softplus; a float gives a float, an
+    array gives an array."""
     x = np.asarray(x, dtype=float)
     k = _linear_segment(x)
     out = LINEAR_INTERCEPTS[k] + LINEAR_SLOPES[k] * x
@@ -105,7 +121,8 @@ def softplus_linear(x):
 
 
 def softplus_quadratic(x):
-    """Five-piece quadratic surrogate of softplus."""
+    """Five-piece quadratic surrogate of softplus; a float gives a float, an
+    array gives an array."""
     x = np.asarray(x, dtype=float)
     k = _quadratic_segment(x)
     out = QUADRATIC_INTERCEPTS[k] + (QUADRATIC_LINEAR[k] + QUADRATIC_QUADRATIC[k] * x) * x
@@ -129,13 +146,91 @@ def _grid(grid_size: int):
     return x, softplus(x)
 
 
+@functools.cache
+def _verifier():
+    """The verifier's grid, softplus on it and their `_HingeLS`, built on
+    first use: they depend only on module constants. Read-only, as every
+    caller shares them."""
+    x, y = _grid(_GRID_SIZE)
+    ls = _HingeLS(x, y)
+    for a in (x, y, ls._suffix):
+        a.setflags(write=False)
+    return x, y, ls
+
+
 def table_sse() -> tuple[float, float]:
     """(linear, quadratic) sums of squared error of the published tables on
     the verifier's 10 000-point grid over [-5, 5]."""
-    x, y = _grid(_GRID_SIZE)
+    x, y, _ = _verifier()
     lin = float(np.sum((softplus_linear(x) - y) ** 2))
     quad = float(np.sum((softplus_quadratic(x) - y) ** 2))
     return lin, quad
+
+
+def table_max_error() -> tuple[float, float]:
+    """(linear, quadratic) max|err| of the published tables over the grid
+    np.linspace(-8, 8, 100_001), equal to a scan of every grid point."""
+    return (_max_error(LINEAR_KNOTS, LINEAR_INTERCEPTS, LINEAR_SLOPES,
+                       np.zeros_like(LINEAR_SLOPES)),
+            _max_error(QUADRATIC_KNOTS, QUADRATIC_INTERCEPTS, QUADRATIC_LINEAR,
+                       QUADRATIC_QUADRATIC))
+
+
+def _max_error(knots, intercepts, linear, quadratic) -> float:
+    """max|P(x) - softplus(x)| over the audit grid, for the table P that is
+    intercepts[k] + (linear[k] + quadratic[k] x) x on knots[k-1] < x <= knots[k].
+
+    On a piece the error's derivative is g(x) = linear + 2 quadratic x - sigma(x),
+    so between the roots of g the error is monotone, and on each run of grid
+    points between two such roots, knots or grid ends its largest magnitude
+    sits at the run's ends. g' = 2 quadratic - sigma (1 - sigma) vanishes only
+    where sigma = (1 +- sqrt(1 - 8 quadratic)) / 2, which needs
+    0 < 8 quadratic < 1, so each piece splits into at most three intervals
+    on which g is monotone, with at most one root each, found by bisection. A
+    linear piece's g is monotone: its one root, for a slope 0 < phi < 1, is
+    logit(phi), and the outer pieces (slope 0 or 1) have none. Only the grid
+    points within _AUDIT_REACH indices of these points are scored, with the
+    arithmetic of a scan of the whole grid.
+    """
+    points = []
+    bounds = [-math.inf, *knots, math.inf]
+    for k in range(len(knots) + 1):
+        # the piece's interval within [-8, 8]
+        lo, hi = max(float(bounds[k]), -8.0), min(float(bounds[k + 1]), 8.0)
+        if lo >= hi:
+            continue
+        lin, quad = float(linear[k]), float(quadratic[k])
+
+        def g(x):
+            return lin + 2.0 * quad * x - 1.0 / (1.0 + math.exp(-x))
+
+        cuts = [lo, hi]
+        if 0.0 < 8.0 * quad < 1.0:
+            # sigma (1 - sigma) = 2 quad at sigma = p and 1 - p, with p in
+            # a form that keeps its digits when quad is small
+            p = 4.0 * quad / (1.0 + math.sqrt(1.0 - 8.0 * quad))
+            t = math.log((1.0 - p) / p)
+            cuts += [c for c in (-t, t) if lo < c < hi]
+        cuts.sort()
+        points += cuts
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            above = g(a) > 0.0
+            if above == (g(b) > 0.0):
+                continue  # no sign change, so no root inside (a, b)
+            while b - a > _AUDIT_STEP:
+                m = 0.5 * (a + b)
+                if (g(m) > 0.0) == above:
+                    a = m
+                else:
+                    b = m
+            points.append(a)
+    near = np.rint((np.array(points) + 8.0) / _AUDIT_STEP).astype(np.intp)
+    i = np.unique(np.clip(near[:, None] + np.arange(-_AUDIT_REACH, _AUDIT_REACH + 1),
+                          0, _AUDIT_SIZE - 1))
+    x = i * _AUDIT_STEP - 8.0
+    k = np.searchsorted(knots, x, side="left")
+    table = intercepts[k] + (linear[k] + quadratic[k] * x) * x
+    return float(np.max(np.abs(table - softplus(x))))
 
 
 class _HingeLS:
@@ -368,9 +463,9 @@ def fit_linear_breakpoints(n_breakpoints: int = 3) -> BreakpointFit:
     """
     if not 0 <= n_breakpoints <= 3:
         raise ValueError("n_breakpoints must be between 0 and 3")
-    x, y = _grid(_GRID_SIZE)
+    _, y, ls = _verifier()
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     # y is softplus on a grid symmetric about 0, softplus(x) - x/2 is even and
     # the lattice is symmetric: a tuple and its mirror tie
-    sse, knots = _HingeLS(x, y).best(_LATTICE, n_breakpoints, mirror=True)
+    sse, knots = ls.best(_LATTICE, n_breakpoints, mirror=True)
     return BreakpointFit(knots, sse, 1.0 - sse / ss_tot)

@@ -157,6 +157,20 @@ class TestFitCommand:
         assert main(["fit", "--data", str(rhdnase_path()), "--prior-rate", "10"]) == 1
         assert "--prior-mean" not in capsys.readouterr().err
 
+    def test_failure_on_a_preset_names_the_preset_and_the_prior_flags(self, capsys):
+        # the strong preset as it stands cannot fit the bundled trial data
+        assert main(["fit", "--data", str(rhdnase_path()), "--prior-preset", "strong",
+                     "--methods", "vb"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert ("the strong prior preset (mean 0.3,0.1,1, precision 0.15, shape 11, rate 8)"
+                in err)
+        assert "--prior-mean" in err and "--prior-rate" in err
+        # a prior flag overriding the preset leaves the hint out
+        assert main(["fit", "--data", str(rhdnase_path()), "--prior-preset", "strong",
+                     "--prior-rate", "10", "--methods", "vb"]) == 1
+        assert "--prior-mean" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", ["inf", "nan"])
     def test_nonfinite_covariate_exit_2(self, tmp_path, capsys, bad):
         data = write(tmp_path / "bad.csv",

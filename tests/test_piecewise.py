@@ -8,9 +8,12 @@ from hypothesis import given, strategies as st
 
 import llaft.cli
 import llaft.piecewise
-from llaft.piecewise import (LINEAR_KNOTS, QUADRATIC_KNOTS, _grid, _HingeLS,
+from llaft.piecewise import (LINEAR_INTERCEPTS, LINEAR_KNOTS, LINEAR_SLOPES,
+                             QUADRATIC_INTERCEPTS, QUADRATIC_KNOTS, QUADRATIC_LINEAR,
+                             QUADRATIC_QUADRATIC, _grid, _HingeLS, _max_error,
                              fit_linear_breakpoints, segment_coefficients, softplus,
-                             softplus_linear, softplus_quadratic, table_sse)
+                             softplus_linear, softplus_quadratic, table_max_error,
+                             table_sse)
 
 # A knot lattice as coarse as the coarse grids below, symmetric about 0
 COARSE_LATTICE = np.arange(-19, 20) * 0.25
@@ -81,6 +84,55 @@ class TestSegmentCoefficients:
         assert a.zeta[0] == b.zeta[0]
 
 
+def _shifted(table, slope_shift, intercept_shift):
+    knots, intercepts, linear, quadratic = table
+    return knots, intercepts + intercept_shift, linear + slope_shift, quadratic
+
+
+def _interpolating(knots, nodes):
+    """The table through softplus at `nodes`, fractions of its width from the
+    left end, in each piece between two knots (linear for two nodes,
+    quadratic for three), with the asymptotes 0 and x outside: its error
+    vanishes at the nodes and peaks between them."""
+    pieces = []
+    for a, b in zip(knots[:-1], knots[1:]):
+        x = a + (b - a) * np.array(nodes)
+        pieces.append(np.polyfit(x, softplus(x), len(nodes) - 1)[::-1])
+    c, lin, *quad = np.array(pieces).T
+    quad = quad[0] if quad else np.zeros(len(pieces))
+    return (knots, np.r_[0.0, c, 0.0], np.r_[0.0, lin, 1.0], np.r_[0.0, quad, 0.0])
+
+
+_LINEAR_TABLE = (LINEAR_KNOTS, LINEAR_INTERCEPTS, LINEAR_SLOPES, np.zeros(6))
+_QUADRATIC_TABLE = (QUADRATIC_KNOTS, QUADRATIC_INTERCEPTS, QUADRATIC_LINEAR,
+                    QUADRATIC_QUADRATIC)
+_ALTERNATE = 0.01 * (-1.0) ** np.arange(6)
+# (knots, intercepts, linear, quadratic) tables whose max|err| on the audit
+# grid must equal a scan of every grid point
+OTHER_TABLES = [
+    # the published tables with slopes and intercepts shifted by +-0.01
+    *(_shifted(t, ds, dc) for t in (_LINEAR_TABLE, _QUADRATIC_TABLE)
+      for ds, dc in itertools.product((-0.01, 0.01), repeat=2)),
+    _shifted(_LINEAR_TABLE, _ALTERNATE, -_ALTERNATE),
+    _shifted(_QUADRATIC_TABLE, _ALTERNATE[:5], _ALTERNATE[:5]),
+    # the max at a stationary point: logit(phi) of a linear piece, and a root
+    # of g on a quadratic piece with 8 zeta < 1, where g has two critical
+    # points and two or three roots; knots on the grid's ends
+    _interpolating([-8.0, -3.0, -1.0, 1.0, 3.0, 8.0], (0, 1)),
+    _interpolating([-8.0, -6.0, 0.5, 2.0, 8.0], (0, 1)),
+    _interpolating([-8.0, -5.0, -2.5, 3.5, 8.0], (0, 0.5, 1)),
+    _interpolating([-8.0, -3.0, 3.0, 8.0], (0, 0.25, 1)),
+    # 8 zeta >= 1 and zeta < 0, where g is monotone
+    ([-3, 3], [0, 0.69, 0], [0, 0.5, 1], [0, 0.2, 0]),
+    ([-3, 3], [0, 0.69, 0], [0, 0.5, 1], [0, -0.05, 0]),
+    # interior linear pieces of slope 0 and 1
+    ([-5, -1, 1, 5], [0, 0.2, 0.7, 0.1, 0], [0, 0, 0.5, 1, 1], [0] * 5),
+    # knots on and beyond the grid's ends
+    ([-9, -8, 0, 8, 8.5], [0.1, 0.2, 0.7, 0.6, 0.5, 0.4],
+     [0.2, 0.3, 0.4, 0.6, 0.7, 0.8], [0, 0.01, 0.02, 0.01, 0, 0]),
+]
+
+
 class TestApproximationQuality:
     GRID = np.linspace(-8.0, 8.0, 100_001)
 
@@ -93,6 +145,20 @@ class TestApproximationQuality:
         err = np.max(np.abs(softplus_quadratic(self.GRID) - softplus(self.GRID)))
         assert err <= 0.03
         assert err == pytest.approx(0.01218, abs=5e-4)  # frozen observed bound
+
+    def test_max_error_equals_the_full_scan(self):
+        exact = softplus(self.GRID)
+        scan = (float(np.max(np.abs(softplus_linear(self.GRID) - exact))),
+                float(np.max(np.abs(softplus_quadratic(self.GRID) - exact))))
+        assert table_max_error() == scan  # bit for bit
+
+    @pytest.mark.parametrize("table", OTHER_TABLES)
+    def test_max_error_of_other_tables_equals_the_full_scan(self, table):
+        knots, intercepts, linear, quadratic = (np.array(a, float) for a in table)
+        k = np.searchsorted(knots, self.GRID, side="left")
+        values = intercepts[k] + (linear[k] + quadratic[k] * self.GRID) * self.GRID
+        scan = float(np.max(np.abs(values - softplus(self.GRID))))
+        assert _max_error(knots, intercepts, linear, quadratic) == scan  # bit for bit
 
     def test_monotone_up_to_table_artifacts(self):
         # The printed tables are not exactly nondecreasing: there are small
