@@ -168,15 +168,15 @@ def _prior_hint(args) -> str:
         return ""
     preset = getattr(args, "prior_preset", None)
     if preset is None:
-        return (f"; the default prior (mean 0, precision {WEAK_PRIOR.coef_precision:g}, "
-                f"shape {WEAK_PRIOR.scale_shape:g}, rate {WEAK_PRIOR.scale_rate:g}) may not "
-                "suit the data: set --prior-mean, --prior-shape, --prior-rate or --prior-preset")
-    prior = _PRESETS[preset]
-    mean = ",".join(f"{v:g}" for v in prior.coef_mean)
-    return (f"; the {preset} prior preset (mean {mean}, precision {prior.coef_precision:g}, "
-            f"shape {prior.scale_shape:g}, rate {prior.scale_rate:g}) may not suit the "
-            "data: set --prior-mean, --prior-precision, --prior-shape or --prior-rate "
-            "to override it")
+        prior, name, mean = WEAK_PRIOR, "the default prior", "0"
+        flags = "--prior-mean, --prior-shape, --prior-rate or --prior-preset"
+    else:
+        prior, name = _PRESETS[preset], f"the {preset} prior preset"
+        mean = ",".join(f"{v:g}" for v in prior.coef_mean)
+        flags = "--prior-mean, --prior-precision, --prior-shape or --prior-rate to override it"
+    return (f"; {name} (mean {mean}, precision {prior.coef_precision:g}, shape "
+            f"{prior.scale_shape:g}, rate {prior.scale_rate:g}) may not suit the data: "
+            f"set {flags}")
 
 
 def _methods(args, default: str) -> list:

@@ -75,8 +75,13 @@ _AUDIT_STEP = 16.0 / (_AUDIT_SIZE - 1)
 # within one of the grid points on either side of it, so 3 leaves a margin.
 _AUDIT_REACH = 3
 
-for _knots in (LINEAR_KNOTS, LINEAR_INTERCEPTS, LINEAR_SLOPES, QUADRATIC_KNOTS,
-               QUADRATIC_INTERCEPTS, QUADRATIC_LINEAR, QUADRATIC_QUADRATIC, _LATTICE):
+# The tables as the (knots, intercepts, linear, quadratic) arrays of
+# `_max_error`: piece k is intercepts[k] + (linear[k] + quadratic[k] x) x.
+_LINEAR_TABLE = (LINEAR_KNOTS, LINEAR_INTERCEPTS, LINEAR_SLOPES, np.zeros(6))
+_QUADRATIC_TABLE = (QUADRATIC_KNOTS, QUADRATIC_INTERCEPTS, QUADRATIC_LINEAR,
+                    QUADRATIC_QUADRATIC)
+
+for _knots in (*_LINEAR_TABLE, *_QUADRATIC_TABLE, _LATTICE):
     _knots.setflags(write=False)
 
 
@@ -170,10 +175,7 @@ def table_sse() -> tuple[float, float]:
 def table_max_error() -> tuple[float, float]:
     """(linear, quadratic) max|err| of the published tables over the grid
     np.linspace(-8, 8, 100_001), equal to a scan of every grid point."""
-    return (_max_error(LINEAR_KNOTS, LINEAR_INTERCEPTS, LINEAR_SLOPES,
-                       np.zeros_like(LINEAR_SLOPES)),
-            _max_error(QUADRATIC_KNOTS, QUADRATIC_INTERCEPTS, QUADRATIC_LINEAR,
-                       QUADRATIC_QUADRATIC))
+    return _max_error(*_LINEAR_TABLE), _max_error(*_QUADRATIC_TABLE)
 
 
 def _max_error(knots, intercepts, linear, quadratic) -> float:

@@ -8,12 +8,10 @@ from hypothesis import given, strategies as st
 
 import llaft.cli
 import llaft.piecewise
-from llaft.piecewise import (LINEAR_INTERCEPTS, LINEAR_KNOTS, LINEAR_SLOPES,
-                             QUADRATIC_INTERCEPTS, QUADRATIC_KNOTS, QUADRATIC_LINEAR,
-                             QUADRATIC_QUADRATIC, _grid, _HingeLS, _max_error,
-                             fit_linear_breakpoints, segment_coefficients, softplus,
-                             softplus_linear, softplus_quadratic, table_max_error,
-                             table_sse)
+from llaft.piecewise import (LINEAR_KNOTS, QUADRATIC_KNOTS, _LINEAR_TABLE, _QUADRATIC_TABLE,
+                             _grid, _HingeLS, _max_error, fit_linear_breakpoints,
+                             segment_coefficients, softplus, softplus_linear,
+                             softplus_quadratic, table_max_error, table_sse)
 
 # A knot lattice as coarse as the coarse grids below, symmetric about 0
 COARSE_LATTICE = np.arange(-19, 20) * 0.25
@@ -103,9 +101,6 @@ def _interpolating(knots, nodes):
     return (knots, np.r_[0.0, c, 0.0], np.r_[0.0, lin, 1.0], np.r_[0.0, quad, 0.0])
 
 
-_LINEAR_TABLE = (LINEAR_KNOTS, LINEAR_INTERCEPTS, LINEAR_SLOPES, np.zeros(6))
-_QUADRATIC_TABLE = (QUADRATIC_KNOTS, QUADRATIC_INTERCEPTS, QUADRATIC_LINEAR,
-                    QUADRATIC_QUADRATIC)
 _ALTERNATE = 0.01 * (-1.0) ** np.arange(6)
 # (knots, intercepts, linear, quadratic) tables whose max|err| on the audit
 # grid must equal a scan of every grid point
