@@ -18,11 +18,11 @@ from .cavi import FitConfig, fit
 from .exceptions import DataError, NumericalError
 from .model import PriorSpec, SurvivalDataset
 from .piecewise import LINEAR_KNOTS, fit_linear_breakpoints, table_max_error, table_sse
-from .posterior import hdi_from_draws, summarize_coefficients, summarize_scale
 from .reference import (MCMC_BURN_IN, MCMC_ITERATIONS, MCMC_SEED, check_chain_length, fit_mle,
                         sample_posterior)
 from .simulate import (STRONG_PRIOR, WEAK_PRIOR, SimulationScenario, _fmt6, check_methods,
-                       format_table, report_text_table, run_replication, write_report_csv)
+                       format_table, report_text_table, run_replication, summarize_fits,
+                       write_report_csv)
 
 __all__ = ["ingest_csv", "load_config", "main"]
 
@@ -116,6 +116,8 @@ def _merged(args: argparse.Namespace) -> argparse.Namespace:
     for key, value in cfg.items():
         if key not in _CONFIG_KEYS:
             raise DataError(f"unknown config key {key!r}")
+        if not hasattr(args, key):
+            raise DataError(f"config key {key!r} is not taken by {args.command}")
         if getattr(args, key, None) is None:
             try:
                 setattr(args, key, _CONFIG_KEYS[key](value))
@@ -198,39 +200,23 @@ def _mcmc_run(args) -> dict:
 
 
 def _method_summaries(method, data, prior, config, mcmc_run):
-    """[(parameter, mean, sd, low, high, kind)] plus the elapsed time."""
-    names = [f"beta{j}" for j in range(data.p)]
+    """[(parameter, mean, sd, low, high, kind)] plus the elapsed time; a fit
+    that did not settle is reported on stderr."""
     start = time.perf_counter()
     if method == "vb":
-        state = fit(data, prior, config)
-        coef = summarize_coefficients(state, names=names)
-        scale = summarize_scale(state)
-        rows = [(s.name, s.mean, s.sd, s.interval_low, s.interval_high, s.interval_kind)
-                for s in coef]
-        rows.append((scale.name, scale.mean, scale.sd, scale.interval_low,
-                     scale.interval_high, scale.interval_kind))
+        result = fit(data, prior, config)
     elif method == "mle":
-        res = fit_mle(data)
-        se = np.sqrt(np.diag(res.covariance))
-        ivs = res.wald_intervals()
-        rows = [(names[j], float(res.coefficients[j]), float(se[j]),
-                 ivs[j][0], ivs[j][1], "Wald") for j in range(data.p)]
-        rows.append(("scale", res.scale, res.scale_se, ivs[-1][0], ivs[-1][1],
-                     "Wald-log"))
-    else:  # mcmc
-        chain = sample_posterior(data, prior, **mcmc_run)
-        if chain.warning is not None:
-            print(f"warning: mcmc: {chain.warning}", file=sys.stderr)
-        rows = []
-        for j in range(data.p):
-            d = chain.coefficient_draws[:, j]
-            lo, hi = np.percentile(d, [2.5, 97.5])
-            rows.append((names[j], float(d.mean()), float(d.std(ddof=1)),
-                         float(lo), float(hi), "ETI"))
-        sd_draws = chain.scale_draws
-        lo, hi = hdi_from_draws(sd_draws)
-        rows.append(("scale", float(sd_draws.mean()), float(sd_draws.std(ddof=1)),
-                     lo, hi, "HDI"))
+        result = fit_mle(data)
+    else:
+        result = sample_posterior(data, prior, **mcmc_run)
+    outcome, = summarize_fits(method, [result])
+    if isinstance(outcome, NumericalError):
+        raise outcome
+    rows, settled, _ = outcome
+    if not settled:
+        why = (result.warning if method == "mcmc" else
+               f"stopped at the iteration cap after {result.iterations} iterations")
+        print(f"warning: {method}: {why}", file=sys.stderr)
     return rows, time.perf_counter() - start
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "generate_dataset",
     "aggregate_estimates",
     "check_methods",
+    "summarize_fits",
     "run_replication",
     "write_report_csv",
     "format_table",
@@ -163,48 +164,46 @@ def aggregate_estimates(estimates: np.ndarray, intervals: np.ndarray,
     return tuple(out)
 
 
-# Each _fit_* returns one outcome per dataset: (estimates, intervals,
-# settled, cycled), where settled is False for a fit that is kept but did not
-# converge and cycled is True for a VB fit stopped by cycle detection, or the
-# NumericalError that ruled the replicate out.
+def summarize_fits(method: str, fits, level: float = 0.95) -> list:
+    """One summary per fit of `method` ("vb", "mle" or "mcmc"), in order:
+    (rows, settled, cycled), or the fit's NumericalError passed through. The
+    CLI and the replication study both summarize here.
 
-def _fit_vb(datasets, prior, config, level):
-    states = fit_batch(datasets, prior, config)
-    outcomes = []
-    for state, scale in zip(states, summarize_scale(states, level)):
+    rows are (parameter, mean, sd, low, high, kind), beta0, beta1, ... and
+    then the scale. VB gives the ETI for beta and the HDI for b, with all
+    scales solved in one `summarize_scale` call; the MLE Wald intervals, on
+    the log scale for b; Metropolis each column's draw mean and SD,
+    percentile ETIs for beta and `hdi_from_draws` for b. settled is False
+    for a VB fit stopped at the iteration cap and for a flagged chain;
+    cycled marks a VB fit stopped by cycle detection."""
+    fits = list(fits)
+    # a VB fit's scale summary stands in for the fit where it failed
+    scales = summarize_scale(fits, level) if method == "vb" else fits
+    out = []
+    for fit, scale in zip(fits, scales):
         if isinstance(scale, NumericalError):
-            outcomes.append(scale)
-            continue
-        coef = summarize_coefficients(state, level)
-        est = np.array([s.mean for s in coef] + [scale.mean])
-        iv = np.array([[s.interval_low, s.interval_high] for s in coef]
-                      + [[scale.interval_low, scale.interval_high]])
-        outcomes.append((est, iv, state.converged, state.stop_reason == "cycle"))
-    return outcomes
-
-
-def _fit_mle(datasets, level):
-    outcomes = []
-    for res in fit_mle_batch(datasets):
-        if isinstance(res, NumericalError):
-            outcomes.append(res)
+            out.append(scale)
+        elif method == "vb":
+            rows = [(s.name, s.mean, s.sd, s.interval_low, s.interval_high, s.interval_kind)
+                    for s in summarize_coefficients(fit, level) + [scale]]
+            out.append((rows, fit.converged, fit.stop_reason == "cycle"))
+        elif method == "mle":
+            se = np.sqrt(np.diag(fit.covariance))
+            ends = fit.wald_intervals(level)
+            rows = [(f"beta{j}", float(m), float(s), *iv, "Wald")
+                    for j, (m, s, iv) in enumerate(zip(fit.coefficients, se, ends))]
+            rows.append(("scale", fit.scale, fit.scale_se, *ends[-1], "Wald-log"))
+            out.append((rows, True, False))
         else:
-            est = np.append(res.coefficients, res.scale)
-            outcomes.append((est, np.array(res.wald_intervals(level)), True, False))
-    return outcomes
-
-
-def _fit_mcmc(data, prior, level, seed, n_iterations, burn_in):
-    try:
-        chain = sample_posterior(data, prior, n_iterations, burn_in, seed)
-    except NumericalError as exc:
-        return exc
-    qs = [100.0 * (1.0 - level) / 2.0, 100.0 * (1.0 + level) / 2.0]
-    est = chain.draws.mean(axis=0)
-    iv = [np.percentile(chain.coefficient_draws[:, j], qs)
-          for j in range(chain.coefficient_draws.shape[1])]
-    iv.append(hdi_from_draws(chain.scale_draws, level))
-    return est, np.asarray(iv), chain.warning is None, False
+            q = [50.0 - 50.0 * level, 50.0 + 50.0 * level]
+            rows = [(f"beta{j}", float(d.mean()), float(d.std(ddof=1)),
+                     *map(float, np.percentile(d, q)), "ETI")
+                    for j, d in enumerate(fit.coefficient_draws.T)]
+            d = fit.scale_draws
+            rows.append(("scale", float(d.mean()), float(d.std(ddof=1)),
+                         *hdi_from_draws(d, level), "HDI"))
+            out.append((rows, fit.warning is None, False))
+    return out
 
 
 def check_methods(methods) -> list:
@@ -229,9 +228,11 @@ def run_replication(scenario: SimulationScenario, prior: PriorSpec,
     Replicates are generated in blocks of `_BLOCK_SIZE`; VB and the MLE fit
     a block as one batch, Metropolis one replicate at a time. Replicates on
     which a method breaks down numerically are excluded from that method's
-    aggregate; more than `max_failure_rate` of them fails the whole run. Fits
-    that are kept but did not converge are counted in each report's
-    `n_nonconverged`, and VB fits stopped by cycle detection in `n_cycles`.
+    aggregate; more than `max_failure_rate` of them, or all of them, fails
+    the whole run with NumericalError. Every fit is summarized by
+    `summarize_fits`. Fits that are kept but did not converge are counted in
+    each report's `n_nonconverged`, and VB fits stopped by cycle detection
+    in `n_cycles`.
     An empty or unknown method list, or an MCMC run that keeps fewer than two
     draws, raises ValueError before any work.
     """
@@ -254,21 +255,24 @@ def run_replication(scenario: SimulationScenario, prior: PriorSpec,
             bucket = per_method[m]
             start = time.perf_counter()
             if m == "vb":
-                outcomes = _fit_vb(block, prior, config, level)
+                fits = fit_batch(block, prior, config)
             elif m == "mle":
-                outcomes = _fit_mle(block, level)
+                fits = fit_mle_batch(block)
             else:
-                outcomes = [_fit_mcmc(data, prior, level,
-                                      stream_seed(scenario.seed, i, ROLE_MCMC),
-                                      mcmc_iterations, mcmc_burn_in)
-                            for i, data in zip(indices, block)]
-            for outcome in outcomes:
+                fits = []
+                for i, data in zip(indices, block):
+                    try:
+                        fits.append(sample_posterior(data, prior, mcmc_iterations, mcmc_burn_in,
+                                                     stream_seed(scenario.seed, i, ROLE_MCMC)))
+                    except NumericalError as exc:
+                        fits.append(exc)
+            for outcome in summarize_fits(m, fits, level):
                 if isinstance(outcome, NumericalError):
                     bucket["failures"] += 1
                     continue
-                est, iv, settled, cycled = outcome
-                bucket["est"].append(est)
-                bucket["iv"].append(iv)
+                rows, settled, cycled = outcome
+                bucket["est"].append([row[1] for row in rows])
+                bucket["iv"].append([row[3:5] for row in rows])
                 bucket["nonconverged"] += not settled
                 bucket["cycles"] += cycled
             bucket["time"] += time.perf_counter() - start
@@ -277,7 +281,7 @@ def run_replication(scenario: SimulationScenario, prior: PriorSpec,
     for m in methods:
         bucket = per_method[m]
         failures = bucket["failures"]
-        if failures > max_failure_rate * scenario.n_replicates:
+        if failures > max_failure_rate * scenario.n_replicates or not bucket["est"]:
             raise NumericalError(
                 f"method {m} failed on {failures}/{scenario.n_replicates} replicates")
         stats = aggregate_estimates(np.asarray(bucket["est"]),

@@ -7,6 +7,8 @@ import llaft.cli
 from llaft.cli import ingest_csv, load_config, main
 from llaft.datasets import rhdnase_path
 from llaft.exceptions import DataError
+from llaft.simulate import (ROLE_MCMC, WEAK_PRIOR, SimulationScenario, generate_dataset,
+                            run_replication, stream_seed)
 
 
 def write(path, text):
@@ -97,6 +99,16 @@ prior_precision = 0.2   # flat-ish
     def test_bad_line(self, tmp_path):
         cfg = write(tmp_path / "c.cfg", "just words\n")
         assert main(["replicate", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("command, line", [("compare", "methods = vb"),
+                                               ("fit", "n = 50")])
+    def test_key_the_subcommand_does_not_take(self, tmp_path, capsys, command, line):
+        cfg = write(tmp_path / "c.cfg", line + "\n")
+        assert main([command, "--config", cfg, "--data", str(rhdnase_path())]) == 2
+        captured = capsys.readouterr()
+        key = line.split()[0]
+        assert captured.err == f"error: config key {key!r} is not taken by {command}\n"
+        assert captured.out == ""
 
 
 class TestFitCommand:
@@ -408,3 +420,61 @@ class TestSamplerWarning:
         data = write(tmp_path / "d.csv", TINY)
         assert main(command + ["--data", data] + self.RUN) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestVbCapWarning:
+    """`fit` and `compare` report a VB fit stopped at the iteration cap on
+    stderr."""
+
+    RUN = ["--data", str(rhdnase_path()), "--prior-mean", "4.4,0.25,0.04",
+           "--prior-precision", "1", "--prior-shape", "501", "--prior-rate", "500",
+           "--mcmc-iterations", "1000", "--mcmc-burn-in", "200", "--seed", "1"]
+
+    @pytest.mark.parametrize("command", [["fit"], ["compare"]])
+    def test_cap_stop_is_reported(self, capsys, command):
+        assert main(command + self.RUN + ["--max-iter", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: vb: stopped at the iteration cap after 2 iterations\n"
+        assert "warning" not in captured.out
+
+    @pytest.mark.parametrize("command", [["fit"], ["compare"]])
+    def test_cycle_stop_prints_nothing(self, capsys, command):
+        # without the cap this fit stops by cycle detection after 11
+        # iterations, which counts as settled
+        assert main(command + self.RUN) == 0
+        assert capsys.readouterr().err == ""
+
+
+class TestOneSummaryPath:
+    def test_study_and_fit_summarize_a_chain_alike(self, tmp_path, monkeypatch):
+        # replicate 0 of a study, written to CSV and fitted by `fit` with
+        # the chain seed the study gives it: the same means and interval ends
+        sc = SimulationScenario(n=60, censor_bound=17.0, n_replicates=1, seed=5)
+        data = generate_dataset(sc, 0)
+        path = tmp_path / "d.csv"
+        path.write_text("time,status,x1,x2\n" + "".join(
+            f"{t!r},{e:.0f},{x1!r},{x2!r}\n" for t, e, (_, x1, x2) in zip(
+                data.time.tolist(), data.event.tolist(), data.covariates.tolist())))
+        read = ingest_csv(path)
+        assert np.array_equal(read.time, data.time)
+        assert np.array_equal(read.event, data.event)
+        assert np.array_equal(read.covariates, data.covariates)
+
+        seen = []
+        aggregate = llaft.simulate.aggregate_estimates
+
+        def spy(estimates, intervals, *rest):
+            seen.append((estimates[0].tolist(), intervals[0].tolist()))
+            return aggregate(estimates, intervals, *rest)
+
+        monkeypatch.setattr(llaft.simulate, "aggregate_estimates", spy)
+        run_replication(sc, WEAK_PRIOR, methods=("mcmc",), mcmc_iterations=1000,
+                        mcmc_burn_in=200)
+        out = tmp_path / "fit.csv"
+        assert main(["fit", "--data", str(path), "--methods", "mcmc", "--prior-preset",
+                     "weak", "--seed", str(stream_seed(sc.seed, 0, ROLE_MCMC)),
+                     "--mcmc-iterations", "1000", "--mcmc-burn-in", "200",
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert seen == [([float(r[2]) for r in rows],
+                         [[float(r[4]), float(r[5])] for r in rows])]

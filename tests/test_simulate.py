@@ -11,7 +11,7 @@ from llaft.numerics import uniform_stream
 from llaft.simulate import (ROLE_NOISE, ROLE_X1, STRONG_PRIOR, WEAK_PRIOR,
                             SimulationScenario, aggregate_estimates, check_methods,
                             generate_dataset, report_text_table, run_replication,
-                            write_report_csv)
+                            summarize_fits, write_report_csv)
 
 
 class TestUniformStream:
@@ -173,6 +173,13 @@ class TestRunReplication:
         with pytest.raises(NumericalError, match="failed on"):
             run_replication(sc, WEAK_PRIOR, methods=("mle",))
 
+    def test_method_that_keeps_no_replicate_fails_run(self):
+        # every MLE fit raises, and even a run that allows that has no fit
+        # left to aggregate
+        sc = SimulationScenario(n=3, n_replicates=2, seed=1)
+        with pytest.raises(NumericalError, match="method mle failed on 2/2"):
+            run_replication(sc, WEAK_PRIOR, methods=("mle",), max_failure_rate=1.0)
+
     def test_cycle_stops_are_counted_apart(self, tmp_path):
         # replicate 0 of seed 3 at n = 300 stops in a two-state cycle
         sc = SimulationScenario(n=300, censor_bound=0.0, n_replicates=5, seed=3)
@@ -210,8 +217,6 @@ class TestRunReplication:
         # scales are still summarized, in the same one call
         sc = SimulationScenario(n=60, censor_bound=17.0, n_replicates=4, seed=9)
         block = [generate_dataset(sc, i) for i in range(4)]
-        config = FitConfig()
-        good = llaft.simulate._fit_vb(block, WEAK_PRIOR, config, 0.95)
         fit_batch = llaft.simulate.fit_batch
 
         def one_bad_shape(datasets, prior, config):
@@ -219,11 +224,11 @@ class TestRunReplication:
             states[1] = replace(states[1], scale_shape=0.9)
             return states
 
-        monkeypatch.setattr(llaft.simulate, "fit_batch", one_bad_shape)
-        got = llaft.simulate._fit_vb(block, WEAK_PRIOR, config, 0.95)
+        good = summarize_fits("vb", fit_batch(block, WEAK_PRIOR, FitConfig()))
+        got = summarize_fits("vb", one_bad_shape(block, WEAK_PRIOR, FitConfig()))
         assert isinstance(got[1], NumericalError)
-        for a, b in zip(good[::2] + good[3:], got[::2] + got[3:]):
-            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert good[::2] + good[3:] == got[::2] + got[3:]
+        monkeypatch.setattr(llaft.simulate, "fit_batch", one_bad_shape)
         vb, = run_replication(sc, WEAK_PRIOR, methods=("vb",), max_failure_rate=0.5)
         assert (vb.n_failures, vb.n_replicates) == (1, 3)
 
