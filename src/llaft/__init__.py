@@ -6,7 +6,8 @@ right-censored data, plus a replication-study harness.
 """
 from .cavi import FitConfig, VariationalState, fit, fit_batch
 from .exceptions import DataError, NumericalError
-from .model import ModelParams, PriorSpec, SurvivalDataset, log_likelihood, log_posterior
+from .model import (DatasetStack, ModelParams, PriorSpec, SurvivalDataset, log_likelihood,
+                    log_posterior)
 from .numerics import InverseGammaParams
 from .posterior import (ParameterSummary, acceleration_factor,
                         summarize_coefficients, summarize_scale)
@@ -18,6 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DataError",
+    "DatasetStack",
     "FitConfig",
     "InverseGammaParams",
     "McmcChain",

@@ -26,12 +26,16 @@ assignment and parameters recur within the last three iterations (the
 surrogate switching can otherwise cycle forever), or at the iteration cap,
 and records which of the three rules fired in `stop_reason`.
 
-`fit_batch` runs that loop over many datasets of one (n, p) at once, from
-the start `initialize` gives: every update takes a DatasetStack and a state
-with a leading replicate axis, and a replicate leaves the batch when it
-stops or fails. `fit` is a batch of one, so a single dataset and a batch
+`fit_batch` runs that loop over the replicates of a DatasetStack at once,
+from the start `initialize` gives: every update takes a DatasetStack and a
+state with a leading replicate axis, and a replicate leaves the batch when
+it stops or fails. `fit` is a batch of one, so a single dataset and a batch
 go through the same arithmetic, and each replicate of a batch gets the
-result `fit` gives it alone, bit for bit.
+result `fit` gives it alone, bit for bit. Inside the loop y - X mu is
+computed once per new mu and serves the linear-segment lookup, the omega
+update, the ELBO and the next iteration's plug-in residuals; psi(alpha) is
+computed once per replicate per fit, since alpha = alpha0 + r is fixed. The
+public update functions compute the same values from a state alone.
 """
 from __future__ import annotations
 
@@ -43,7 +47,7 @@ import numpy as np
 
 from .exceptions import NumericalError
 from .model import DatasetStack, PriorSpec, SurvivalDataset
-from .numerics import InverseGammaParams, inverse_gamma_moments
+from .numerics import InverseGammaParams, _digammas, _moments, inverse_gamma_moments
 from .piecewise import (LINEAR_SLOPES, QUADRATIC_LINEAR, QUADRATIC_QUADRATIC,
                         PiecewiseCoefficients, _linear_segment, _quadratic_segment)
 
@@ -139,29 +143,26 @@ def initialize(stack: DatasetStack, prior: PriorSpec) -> VariationalState:
                             scale_rate=np.full(R, prior.scale_rate))
 
 
-def _take_state(state: VariationalState, index) -> VariationalState:
-    return VariationalState(
-        coef_mean=state.coef_mean[index],
-        coef_cov=None if state.coef_cov is None else state.coef_cov[index],
-        scale_shape=state.scale_shape[index], scale_rate=state.scale_rate[index])
-
-
 def plugin_residuals(stack: DatasetStack, state: VariationalState) -> np.ndarray:
     """Standardized residuals (y - X mu) * E[1/b] under the current state,
     (R, n)."""
-    return _residuals(stack, state.coef_mean, state.scale_moments[0])
+    return _residuals(stack, state.coef_mean) * state.scale_moments[0][:, None]
 
 
-def _residuals(stack, mu, e_inv):
-    resid = stack.log_time - np.matmul(stack.covariates, mu[..., None])[..., 0]
-    return resid * e_inv[:, None]
+def _residuals(stack, mu):
+    # y - X mu, (R, n)
+    return stack.log_time - np.matmul(stack.covariates, mu[..., None])[..., 0]
 
 
 def update_sigma(stack: DatasetStack, prior: PriorSpec, state: VariationalState,
                  coeffs: PiecewiseCoefficients) -> np.ndarray:
     """New coefficient covariances
     [v0 I + 2 E(1/b^2) sum_i (1+delta_i) zeta_i x_i x_i']^{-1}, (R, p, p)."""
-    _, e_inv2, _ = state.scale_moments
+    return _update_sigma(stack, prior, state.scale_moments, coeffs)
+
+
+def _update_sigma(stack, prior, moments, coeffs):
+    _, e_inv2, _ = moments
     X = stack.covariates
     weights = (1.0 + stack.event) * coeffs.zeta
     XtW = (2.0 * e_inv2)[:, None, None] * (X.transpose(0, 2, 1) * weights[:, None, :])
@@ -181,7 +182,11 @@ def update_mu(stack: DatasetStack, prior: PriorSpec, state: VariationalState,
               coeffs: PiecewiseCoefficients, sigma_new: np.ndarray) -> np.ndarray:
     """New coefficient means, the surrogate linear form times the new
     covariance, (R, p)."""
-    e_inv, e_inv2, _ = state.scale_moments
+    return _update_mu(stack, prior, state.scale_moments, coeffs, sigma_new)
+
+
+def _update_mu(stack, prior, moments, coeffs, sigma_new):
+    e_inv, e_inv2, _ = moments
     d = stack.event
     row = (e_inv[:, None] * (-d + (1.0 + d) * coeffs.rho)
            + 2.0 * e_inv2[:, None] * (1.0 + d) * stack.log_time * coeffs.zeta)
@@ -190,9 +195,9 @@ def update_mu(stack: DatasetStack, prior: PriorSpec, state: VariationalState,
     return np.matmul(sigma_new, linear[..., None])[..., 0]
 
 
-def _linear_form(stack, mu, phi):
-    # sum_i (delta_i - (1+delta_i) phi_i)(y_i - x_i' mu), per replicate
-    resid = stack.log_time - np.matmul(stack.covariates, mu[..., None])[..., 0]
+def _linear_form(stack, resid, phi):
+    # sum_i (delta_i - (1+delta_i) phi_i)(y_i - x_i' mu), per replicate, from
+    # the residuals y - X mu
     c = stack.event - (1.0 + stack.event) * phi
     return np.sum(c * resid, axis=-1)
 
@@ -201,7 +206,11 @@ def update_omega(stack: DatasetStack, prior: PriorSpec, coeffs: PiecewiseCoeffic
                  mu_new: np.ndarray) -> np.ndarray:
     """New rates omega0 - sum_i (delta_i - (1+delta_i) phi_i)(y_i - x_i' mu),
     (R,); a non-positive value is a numerical failure."""
-    omega = prior.scale_rate - _linear_form(stack, mu_new, coeffs.phi)
+    return _update_omega(prior, _linear_form(stack, _residuals(stack, mu_new), coeffs.phi))
+
+
+def _update_omega(prior, linear):
+    omega = prior.scale_rate - linear
     bad = omega <= 0
     if bad.any():
         raise NumericalError(
@@ -225,10 +234,16 @@ def elbo(stack: DatasetStack, prior: PriorSpec, state: VariationalState,
     """
     if state.coef_cov is None:
         raise ValueError("state has no covariance yet; run an update first")
+    linear = _linear_form(stack, _residuals(stack, state.coef_mean), coeffs.phi)
+    return _elbo(stack, prior, state, state.scale_moments, linear)
+
+
+def _elbo(stack, prior, state, moments, linear):
+    # L_L given the moments of q(b) and the likelihood's linear form
     mu, cov = state.coef_mean, state.coef_cov
     a, w = state.scale_shape, state.scale_rate
-    e_inv, _, e_log_b = state.scale_moments
-    likelihood = -stack.r * e_log_b + e_inv * _linear_form(stack, mu, coeffs.phi)
+    e_inv, _, e_log_b = moments
+    likelihood = -stack.r * e_log_b + e_inv * linear
 
     sign, logdet = np.linalg.slogdet(cov)
     if (sign <= 0).any():
@@ -249,70 +264,82 @@ def elbo(stack: DatasetStack, prior: PriorSpec, state: VariationalState,
     return value
 
 
-def _iterate(stack: DatasetStack, prior: PriorSpec, cur: VariationalState,
-             alpha: np.ndarray):
-    """One CAVI iteration on a stack: the new state, its ELBO, and per
-    replicate the segment key (quadratic segments at the start residuals,
-    then linear segments at the residuals after the beta-update)."""
-    kq = _quadratic_segment(plugin_residuals(stack, cur))
+def _iterate(stack: DatasetStack, prior: PriorSpec, moments: tuple, resid: np.ndarray,
+             alpha: np.ndarray, psi_alpha: np.ndarray):
+    """One CAVI iteration on a stack, from q(b) moments `moments` and the
+    residuals y - X mu of the current mu. Returns the new state, its q(b)
+    moments (psi_alpha is psi(alpha)), the residuals of its mu, its ELBO,
+    and per replicate the segment key (quadratic segments at the start
+    residuals, then linear segments at the residuals after the
+    beta-update). y - X mu is computed once per new mu."""
+    e_inv = moments[0][:, None]
+    kq = _quadratic_segment(resid * e_inv)
     # phi is looked up once mu has moved, below
     coeffs = PiecewiseCoefficients(phi=None, rho=QUADRATIC_LINEAR[kq],
                                    zeta=QUADRATIC_QUADRATIC[kq])
-    sigma = update_sigma(stack, prior, cur, coeffs)
-    mu = update_mu(stack, prior, cur, coeffs, sigma)
+    sigma = _update_sigma(stack, prior, moments, coeffs)
+    mu = _update_mu(stack, prior, moments, coeffs, sigma)
 
     # the b-update sees the freshest mu, so its linear surrogate is
     # re-anchored at the updated residuals, under the same q(b)
-    kl = _linear_segment(_residuals(stack, mu, cur.scale_moments[0]))
+    resid = _residuals(stack, mu)
+    kl = _linear_segment(resid * e_inv)
     coeffs = replace(coeffs, phi=LINEAR_SLOPES[kl])
-    omega = update_omega(stack, prior, coeffs, mu)
+    linear = _linear_form(stack, resid, coeffs.phi)
+    omega = _update_omega(prior, linear)
     new = VariationalState(coef_mean=mu, coef_cov=sigma,
                            scale_shape=alpha, scale_rate=omega)
-    value = elbo(stack, prior, new, coeffs)
+    moments = _moments(alpha, omega, psi_alpha)
+    value = _elbo(stack, prior, new, moments, linear)
     keys = np.concatenate([kq, kl], axis=1).astype(np.int8)
-    return new, value, keys
+    return new, moments, resid, value, keys
 
 
 def fit(data: SurvivalDataset, prior: PriorSpec,
         config: FitConfig | None = None) -> VariationalState:
     """Run the coordinate-ascent loop to convergence; a batch of one. See the
     module docstring for the exact update schedule and stopping rules."""
-    result, = fit_batch([data], prior, config)
+    result, = fit_batch(DatasetStack.of([data]), prior, config)
     if isinstance(result, NumericalError):
         raise result
     return result
 
 
-def fit_batch(datasets, prior: PriorSpec,
+def fit_batch(stack: DatasetStack, prior: PriorSpec,
               config: FitConfig | None = None) -> list:
-    """Fit each dataset of one (n, p) with the loop `fit` runs, all at once.
+    """Fit each replicate of a stack with the loop `fit` runs, all at once.
 
-    Returns one entry per dataset, in order: its VariationalState, or the
+    Returns one entry per replicate, in order: its VariationalState, or the
     NumericalError its fit raised, naming the iteration. A replicate leaves
     the batch when it stops by tolerance, cycle or cap, or fails; the others
-    carry on. Raises ValueError if the datasets disagree on (n, p).
+    carry on. psi(alpha) is computed once per replicate: for the prior
+    shape at the start, and for alpha0 + r, the shape of every update.
     """
     config = config or FitConfig()
-    stack = DatasetStack.of(datasets)
-    cur = initialize(stack, prior)
+    start = initialize(stack, prior)
+    moments = _moments(start.scale_shape, start.scale_rate, _digammas(start.scale_shape))
+    resid = _residuals(stack, start.coef_mean)
     results: list = [None] * len(stack)
     traces = [([], [], [], []) for _ in results]  # ELBO, omega, Sigma, key
 
     ids = np.arange(len(stack))  # the replicates still in the batch
     alpha = prior.scale_shape + stack.r
+    psi_alpha = _digammas(alpha)
     elbo_prev = np.zeros(len(ids))
     # the last _CYCLE_WINDOW (key, mu, omega), oldest overwritten first
     history = [None] * _CYCLE_WINDOW
 
     def keep(mask):
-        nonlocal ids, stack, alpha, cur, elbo_prev, history
-        ids, stack, alpha, elbo_prev = ids[mask], stack.take(mask), alpha[mask], elbo_prev[mask]
-        cur = _take_state(cur, mask)
+        nonlocal ids, stack, alpha, psi_alpha, moments, resid, elbo_prev, history
+        ids, stack, elbo_prev = ids[mask], stack.take(mask), elbo_prev[mask]
+        alpha, psi_alpha, resid = alpha[mask], psi_alpha[mask], resid[mask]
+        moments = tuple(x[mask] for x in moments)
         history = [None if h is None else tuple(x[mask] for x in h) for h in history]
 
     for m in range(1, config.max_iterations + 1):
         try:
-            new, value, keys = _iterate(stack, prior, cur, alpha)
+            new, new_moments, new_resid, value, keys = _iterate(
+                stack, prior, moments, resid, alpha, psi_alpha)
         except NumericalError:
             # rerun each replicate alone to find the ones that fail; the
             # others then run the iteration again as a batch
@@ -320,7 +347,8 @@ def fit_batch(datasets, prior: PriorSpec,
             for j in range(len(ids)):
                 one = np.arange(j, j + 1)
                 try:
-                    _iterate(stack.take(one), prior, _take_state(cur, one), alpha[one])
+                    _iterate(stack.take(one), prior, tuple(x[one] for x in moments),
+                             resid[one], alpha[one], psi_alpha[one])
                 except NumericalError as exc:
                     err = NumericalError(f"variational update failed at iteration {m}: {exc}")
                     err.__cause__ = exc
@@ -329,7 +357,8 @@ def fit_batch(datasets, prior: PriorSpec,
             keep(ok)
             if not len(ids):
                 break
-            new, value, keys = _iterate(stack, prior, cur, alpha)
+            new, new_moments, new_resid, value, keys = _iterate(
+                stack, prior, moments, resid, alpha, psi_alpha)
 
         mu, sigma, omega = new.coef_mean, new.coef_cov, new.scale_rate
         for i, v, w, s, k in zip(ids.tolist(), value.tolist(), omega.tolist(), sigma, keys):
@@ -363,7 +392,7 @@ def fit_batch(datasets, prior: PriorSpec,
                 iterations=m, converged=reason != "cap", stop_reason=reason)
 
         history[(m - 1) % _CYCLE_WINDOW] = (keys, mu, omega)
-        cur, elbo_prev = new, value
+        moments, resid, elbo_prev = new_moments, new_resid, value
         if stopped.any():
             keep(~stopped)
             if not len(ids):

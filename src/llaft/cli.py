@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 import time
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 
@@ -31,8 +33,9 @@ def ingest_csv(path) -> SurvivalDataset:
     """Load a dataset from CSV with required columns `time` and `status`.
 
     Every other column is taken as a covariate, order preserved, with an
-    intercept column prepended. Rows violating the domain (time <= 0, status
-    not 0/1, unparsable numbers) raise DataError naming the line.
+    intercept column prepended. Rows violating the domain (a time that is not
+    positive and finite, status not 0/1, a covariate that is not finite,
+    unparsable numbers) raise DataError naming the line.
     """
     try:
         fh = open(path, newline="")
@@ -61,8 +64,8 @@ def ingest_csv(path) -> SurvivalDataset:
                 t = float(row[t_col])
             except ValueError:
                 raise DataError(f"{path}:{lineno}: bad time value {row[t_col]!r}") from None
-            if not t > 0:
-                raise DataError(f"{path}:{lineno}: time must be positive, got {t}")
+            if not 0 < t < math.inf:
+                raise DataError(f"{path}:{lineno}: time must be positive and finite, got {t}")
             s = row[s_col].strip()
             if s not in ("0", "1"):
                 raise DataError(f"{path}:{lineno}: status must be 0 or 1, got {s!r}")
@@ -70,6 +73,8 @@ def ingest_csv(path) -> SurvivalDataset:
                 cov = [float(row[j]) for j in cov_cols]
             except ValueError:
                 raise DataError(f"{path}:{lineno}: bad covariate value") from None
+            if not all(map(math.isfinite, cov)):
+                raise DataError(f"{path}:{lineno}: covariates must be finite, got {cov}")
             times.append(t)
             events.append(float(s))
             rows.append(cov)
@@ -340,7 +345,9 @@ def _add_common(sp):
     sp.add_argument("--mcmc-burn-in", dest="mcmc_burn_in", type=int)
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: `parse_args` leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="llaft",
         description="Log-logistic AFT survival models: variational Bayes, "

@@ -157,9 +157,18 @@ def inverse_gamma_moments(params: InverseGammaParams) -> tuple:
     a, w = params.shape, params.scale
     if np.ndim(a) or np.ndim(w):
         a, w = np.asarray(a, float), np.asarray(w, float)
-        psi = np.array([digamma(x) for x in a.ravel().tolist()]).reshape(a.shape)
-        return a / w, (a + a * a) / (w * w), np.log(w) - psi
-    return a / w, (a + a * a) / (w * w), math.log(w) - digamma(a)
+        return _moments(a, w, _digammas(a))
+    return _moments(a, w, digamma(a), math.log)
+
+
+def _moments(a, w, psi, log=np.log):
+    # the closed forms above, given psi = psi(alpha)
+    return a / w, (a + a * a) / (w * w), log(w) - psi
+
+
+def _digammas(a: np.ndarray) -> np.ndarray:
+    """`digamma` element by element."""
+    return np.array([digamma(x) for x in a.ravel().tolist()]).reshape(a.shape)
 
 
 def inverse_gamma_log_pdf(params: InverseGammaParams, x: float) -> float:
@@ -372,12 +381,19 @@ def _stream_key(seed: int, replicate: int, role: int) -> int:
     return _mix64_int((k + role * _GOLDEN) & _MASK64)
 
 
+def _uniform_streams(seed: int, replicates, role: int, n: int, start: int = 0) -> np.ndarray:
+    """Values start, ..., start + n - 1 of the streams of (seed, r, role) for
+    each r in `replicates`, one row each: all rows are mixed in one pass, and
+    row j equals `uniform_stream(seed, replicates[j], role, n, start)`."""
+    keys = np.array([_stream_key(seed, r, role) for r in replicates], np.uint64)
+    idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    bits = _mix64(keys[:, None] + idx * np.uint64(_GOLDEN))
+    return ((bits >> _U11).astype(np.float64) + 0.5) * (2.0 ** -53)
+
+
 def uniform_stream(seed: int, replicate: int, role: int, n: int,
                    start: int = 0) -> np.ndarray:
     """Values start, ..., start + n - 1 of the stream of (seed, replicate,
     role): uniforms in (0, 1) from the top 53 bits of each mixed counter. A
     slice of a longer stream equals the shorter stream that starts there."""
-    key = _stream_key(seed, replicate, role)
-    idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-    bits = _mix64(np.uint64(key) + idx * np.uint64(_GOLDEN))
-    return ((bits >> _U11).astype(np.float64) + 0.5) * (2.0 ** -53)
+    return _uniform_streams(seed, [replicate], role, n, start)[0]

@@ -173,14 +173,14 @@ def _ascent_steps(hess, grad):
 def fit_mle(data: SurvivalDataset) -> MleResult:
     """Maximize the log-likelihood by damped Newton ascent in (beta, log b);
     a batch of one, see `fit_mle_batch`."""
-    result, = fit_mle_batch([data])
+    result, = fit_mle_batch(DatasetStack.of([data]))
     if isinstance(result, NumericalError):
         raise result
     return result
 
 
-def fit_mle_batch(datasets) -> list:
-    """Fit the MLE of each dataset of one (n, p), all at once.
+def fit_mle_batch(stack: DatasetStack) -> list:
+    """Fit the MLE of each replicate of a stack, all at once.
 
     Each replicate starts from least squares of log-time on the covariates,
     with the residual spread mapped to the logistic scale (sd * sqrt(3)/pi).
@@ -189,10 +189,8 @@ def fit_mle_batch(datasets) -> list:
     log-likelihood does not decrease. A replicate leaves the batch when its
     gradient norm reaches `_GRADIENT_TOLERANCE`, or when it fails; one still
     in it after `_NEWTON_ITERATIONS` iterations fails. Returns one entry
-    per dataset, in order: its MleResult, or the NumericalError it raised.
-    Raises ValueError if the datasets disagree on (n, p).
+    per replicate, in order: its MleResult, or the NumericalError it raised.
     """
-    stack = DatasetStack.of(datasets)
     results: list = [None] * len(stack)
     if stack.n <= stack.p:
         return [NumericalError(

@@ -5,6 +5,10 @@ Every variate comes from the counter-based streams of `numerics`
 the generated datasets are identical across platforms and never shift when
 methods are added to a study. Logistic and censoring draws invert their
 CDFs and normal draws go through the rational-approximation normal quantile.
+A study generates each block of replicates as one DatasetStack: each
+role's streams for the whole block in one pass, and every transform on
+(R, n) arrays except X beta, one product per replicate. A replicate's data
+are the same bits in any block, and `generate_dataset` is the block of one.
 The Metropolis chain of replicate i gets the seed `stream_seed(seed, i,
 ROLE_MCMC)`, and `reference.sample_posterior` reads its proposals and accept
 uniforms from the stream of that seed, so a study has one source of
@@ -19,10 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cavi import FitConfig, fit_batch
-from .exceptions import NumericalError
-from .model import PriorSpec, SurvivalDataset, _readonly
+from .exceptions import DataError, NumericalError
+from .model import DatasetStack, PriorSpec, SurvivalDataset, _readonly
 from .numerics import (ROLE_CENSOR, ROLE_MCMC, ROLE_NOISE, ROLE_X1, ROLE_X2, _stream_key,
-                       normal_quantile, uniform_stream)
+                       _uniform_streams, normal_quantile)
 from .posterior import hdi_from_draws, summarize_coefficients, summarize_scale
 from .reference import (MCMC_BURN_IN, MCMC_ITERATIONS, check_chain_length, fit_mle_batch,
                         sample_posterior)
@@ -94,23 +98,43 @@ class SimulationScenario:
 
 def generate_dataset(scenario: SimulationScenario, replicate_index: int) -> SurvivalDataset:
     """One synthetic dataset: x1 ~ N(1, 0.2^2), x2 ~ Bernoulli(1/2),
-    logistic noise, and Uniform(0, u) right censoring when u > 0."""
-    n, seed = scenario.n, scenario.seed
-    x1 = 1.0 + 0.2 * normal_quantile(uniform_stream(seed, replicate_index, ROLE_X1, n))
-    x2 = (uniform_stream(seed, replicate_index, ROLE_X2, n) < 0.5).astype(float)
-    u_noise = uniform_stream(seed, replicate_index, ROLE_NOISE, n)
+    logistic noise, and Uniform(0, u) right censoring when u > 0. It is the
+    block of one of `_generate_block`."""
+    stack, observed = _generate_block(scenario, [replicate_index])
+    return SurvivalDataset(time=observed[0], event=stack.event[0],
+                           covariates=stack.covariates[0])
+
+
+def _generate_block(scenario: SimulationScenario, indices) -> tuple:
+    """The replicates at `indices` as one DatasetStack, plus their observed
+    times, (R, n). Each role's streams are drawn for the whole block at once
+    and transformed as (R, n) arrays; only X beta is one product per
+    replicate, since NumPy does not promise that a stacked product rounds
+    as a single one does. Row j is
+    `generate_dataset(scenario, indices[j])` bit for bit. Raises DataError,
+    as SurvivalDataset would, on covariates or observed times that are not
+    finite or not positive."""
+    n, seed, R = scenario.n, scenario.seed, len(indices)
+    x1 = 1.0 + 0.2 * normal_quantile(_uniform_streams(seed, indices, ROLE_X1, n))
+    x2 = (_uniform_streams(seed, indices, ROLE_X2, n) < 0.5).astype(float)
+    u_noise = _uniform_streams(seed, indices, ROLE_NOISE, n)
     z = np.log(u_noise / (1.0 - u_noise))
-    X = np.column_stack([np.ones(n), x1, x2])
-    event_time = np.exp(X @ scenario.true_coefficients + scenario.true_scale * z)
+    X = np.stack([np.ones((R, n)), x1, x2], axis=-1)
+    linear = np.stack([Xj @ scenario.true_coefficients for Xj in X])
+    with np.errstate(over="ignore"):  # an overflow is the DataError below
+        event_time = np.exp(linear + scenario.true_scale * z)
     if scenario.censor_bound > 0:
-        censor_time = scenario.censor_bound * uniform_stream(
-            seed, replicate_index, ROLE_CENSOR, n)
+        censor_time = scenario.censor_bound * _uniform_streams(seed, indices, ROLE_CENSOR, n)
         observed = np.minimum(event_time, censor_time)
         event = (event_time <= censor_time).astype(float)
     else:
         observed = event_time
-        event = np.ones(n)
-    return SurvivalDataset(time=observed, event=event, covariates=X)
+        event = np.ones((R, n))
+    if not np.all(np.isfinite(X)):
+        raise DataError("covariates must be finite")
+    if np.any(observed <= 0) or not np.all(np.isfinite(observed)):
+        raise DataError("observed times must be positive and finite")
+    return DatasetStack(np.log(observed), event, X, event.sum(axis=-1)), observed
 
 
 @dataclass(frozen=True)
@@ -225,14 +249,15 @@ def run_replication(scenario: SimulationScenario, prior: PriorSpec,
     """Run the study: generate each replicate once, fit every requested
     method on it, and aggregate bias/SD/MSE/coverage/length per parameter.
 
-    Replicates are generated in blocks of `_BLOCK_SIZE`; VB and the MLE fit
-    a block as one batch, Metropolis one replicate at a time. Replicates on
-    which a method breaks down numerically are excluded from that method's
-    aggregate; more than `max_failure_rate` of them, or all of them, fails
-    the whole run with NumericalError. Every fit is summarized by
-    `summarize_fits`. Fits that are kept but did not converge are counted in
-    each report's `n_nonconverged`, and VB fits stopped by cycle detection
-    in `n_cycles`.
+    Replicates are generated in blocks of `_BLOCK_SIZE`, each as one
+    DatasetStack; VB and the MLE fit a block's stack as one batch, and
+    Metropolis one replicate at a time, on a SurvivalDataset built from
+    the block's rows. Replicates on which a method breaks down numerically
+    are excluded from that method's aggregate; more than `max_failure_rate`
+    of them, or all of them, fails the whole run with NumericalError. Every
+    fit is summarized by `summarize_fits`. Fits that are kept but did not
+    converge are counted in each report's `n_nonconverged`, and VB fits
+    stopped by cycle detection in `n_cycles`.
     An empty or unknown method list, or an MCMC run that keeps fewer than two
     draws, raises ValueError before any work.
     """
@@ -250,7 +275,7 @@ def run_replication(scenario: SimulationScenario, prior: PriorSpec,
                   for m in methods}
     for first in range(0, scenario.n_replicates, _BLOCK_SIZE):
         indices = range(first, min(first + _BLOCK_SIZE, scenario.n_replicates))
-        block = [generate_dataset(scenario, i) for i in indices]
+        block, observed = _generate_block(scenario, indices)
         for m in methods:
             bucket = per_method[m]
             start = time.perf_counter()
@@ -260,7 +285,9 @@ def run_replication(scenario: SimulationScenario, prior: PriorSpec,
                 fits = fit_mle_batch(block)
             else:
                 fits = []
-                for i, data in zip(indices, block):
+                for j, i in enumerate(indices):
+                    data = SurvivalDataset(time=observed[j], event=block.event[j],
+                                           covariates=block.covariates[j])
                     try:
                         fits.append(sample_posterior(data, prior, mcmc_iterations, mcmc_burn_in,
                                                      stream_seed(scenario.seed, i, ROLE_MCMC)))

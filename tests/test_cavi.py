@@ -417,7 +417,7 @@ class TestFitBatch:
         datasets = [generate_dataset(SimulationScenario(n=300, censor_bound=u,
                                                         n_replicates=10, seed=21), i)
                     for u in (0.0, 48.0, 17.0) for i in range(10)]
-        batch = fit_batch(datasets, WEAK_PRIOR)
+        batch = fit_batch(DatasetStack.of(datasets), WEAK_PRIOR)
         assert len(batch) == 30
         for data, state in zip(datasets, batch):
             assert_same_state(state, fit(data, WEAK_PRIOR))
@@ -430,7 +430,7 @@ class TestFitBatch:
         sc = SimulationScenario(n=60, censor_bound=17.0, n_replicates=6, seed=2)
         datasets = [generate_dataset(sc, i) for i in range(6)]
         config = FitConfig(max_iterations=4)
-        for data, state in zip(datasets, fit_batch(datasets, WEAK_PRIOR, config)):
+        for data, state in zip(datasets, fit_batch(DatasetStack.of(datasets), WEAK_PRIOR, config)):
             assert_same_state(state, fit(data, WEAK_PRIOR, config))
 
     def test_failing_dataset_fails_only_its_entry(self):
@@ -441,7 +441,7 @@ class TestFitBatch:
         rng = np.random.default_rng(3)
         good = [make_dataset(rng.normal(0.0, 0.3, 10), np.ones(10),
                              rng.normal(size=(10, 1))) for _ in range(3)]
-        batch = fit_batch([good[0], bad, good[1], good[2]], prior)
+        batch = fit_batch(DatasetStack.of([good[0], bad, good[1], good[2]]), prior)
         assert isinstance(batch[1], NumericalError)
         assert "iteration 1" in str(batch[1])
         assert "omega" in str(batch[1])
@@ -450,15 +450,16 @@ class TestFitBatch:
             assert_same_state(state, fit(data, prior))
 
     def test_mismatched_datasets_raise(self):
+        # a batch is a stack, and datasets of different (n, p) do not stack
         a = generate_dataset(SimulationScenario(n=30, n_replicates=1, seed=1), 0)
         b = generate_dataset(SimulationScenario(n=31, n_replicates=1, seed=1), 0)
         c = make_dataset([0.1, 0.2, 0.3], [1, 1, 0], [[1.0], [2.0], [3.0]])
         with pytest.raises(ValueError, match="disagree"):
-            fit_batch([a, b], WEAK_PRIOR)
+            DatasetStack.of([a, b])
         with pytest.raises(ValueError):
-            fit_batch([a, c], WEAK_PRIOR)
+            DatasetStack.of([a, c])
         with pytest.raises(ValueError):
-            fit_batch([], WEAK_PRIOR)
+            DatasetStack.of([])
 
 
 class TestFitConfig:

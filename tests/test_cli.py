@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -47,6 +48,14 @@ class TestIngest:
         with pytest.raises(DataError, match=":3"):
             ingest_csv(path)
 
+    def test_infinite_time_exits_2_naming_the_line(self, tmp_path, capsys):
+        path = write(tmp_path / "d.csv", "time,status,x\n1,1,0.5\ninf,1,0.5\n3,1,1.5\n")
+        message = f"{path}:3: time must be positive and finite"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}"):
+            ingest_csv(path)
+        assert main(["fit", "--data", path, "--methods", "mle"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_bad_status_rejected(self, tmp_path):
         path = write(tmp_path / "d.csv", "time,status,x\n1,2,0\n")
         with pytest.raises(DataError, match="status"):
@@ -70,6 +79,30 @@ class TestIngest:
         path = write(tmp_path / "d.csv", "b,time,a,status\n5,1,7,1\n")
         data = ingest_csv(path)
         assert np.array_equal(data.covariates, [[1.0, 5.0, 7.0]])
+
+
+class TestOneParser:
+    def test_parser_is_built_once(self):
+        assert llaft.cli._parser() is llaft.cli._parser()
+
+    def test_usage_error_leaves_later_calls_alone(self, tmp_path, capsys):
+        fit_argv = ["fit", "--data", write(tmp_path / "d.csv", TINY), "--methods", "vb,mle"]
+        rep_argv = ["replicate", "--n", "40", "--replicates", "3", "--censor-u", "17"]
+
+        def run(argv, name):
+            assert main([*argv, "--out", str(tmp_path / name)]) == 0
+            stdout = re.sub(r"\d+\.\d+s", "<t>s", capsys.readouterr().out)
+            return stdout, (tmp_path / name).read_bytes()
+
+        separate = []
+        for argv, name in ((fit_argv, "fit1.csv"), (rep_argv, "rep1.csv")):
+            llaft.cli._parser.cache_clear()
+            separate.append(run(argv, name))
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--no-such-flag"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert [run(fit_argv, "fit2.csv"), run(rep_argv, "rep2.csv")] == separate
 
 
 class TestConfig:
@@ -188,7 +221,7 @@ class TestFitCommand:
         data = write(tmp_path / "bad.csv",
                      f"time,status,x\n1,1,0.5\n2,0,{bad}\n3,1,1.5\n4,1,2\n")
         assert main(["fit", "--data", data, "--methods", "mle"]) == 2
-        assert "covariates must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {data}:3: covariates must be finite")
 
     def test_deterministic_output_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

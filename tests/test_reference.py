@@ -179,7 +179,7 @@ class TestFitMleBatch:
         datasets = [generate_dataset(SimulationScenario(n=300, censor_bound=u,
                                                         n_replicates=10, seed=21), i)
                     for u in (0.0, 48.0, 17.0) for i in range(10)]
-        batch = fit_mle_batch(datasets)
+        batch = fit_mle_batch(DatasetStack.of(datasets))
         assert len(batch) == 30
         for data, res in zip(datasets, batch):
             assert_same_mle(res, fit_mle(data))
@@ -189,7 +189,7 @@ class TestFitMleBatch:
         with pytest.raises(NumericalError, match="stalled"):
             fit_mle(separated_dataset())
         good = [random_dataset(rng, 10, p_extra=1, censored=False) for _ in range(3)]
-        batch = fit_mle_batch([good[0], good[1], separated_dataset(), good[2]])
+        batch = fit_mle_batch(DatasetStack.of([good[0], good[1], separated_dataset(), good[2]]))
         assert isinstance(batch[2], NumericalError)
         assert "stalled at Newton iteration" in str(batch[2])
         for data, res in zip(good, [batch[0], batch[1], batch[3]]):
@@ -197,11 +197,12 @@ class TestFitMleBatch:
 
     def test_underdetermined_batch_fails_every_entry(self):
         data = make_dataset([0.1, 0.2], [1, 1], [[1.0], [2.0]])
-        assert all(isinstance(r, NumericalError) for r in fit_mle_batch([data, data]))
+        assert all(isinstance(r, NumericalError) for r in fit_mle_batch(DatasetStack.of([data, data])))
 
     def test_mismatched_datasets_raise(self, rng):
+        # a batch is a stack, and datasets of different (n, p) do not stack
         with pytest.raises(ValueError, match="disagree"):
-            fit_mle_batch([random_dataset(rng, 10), random_dataset(rng, 11)])
+            DatasetStack.of([random_dataset(rng, 10), random_dataset(rng, 11)])
 
     def test_stacked_gradient_matches_single(self, rng):
         datasets = [random_dataset(rng, 25) for _ in range(4)]

@@ -6,12 +6,14 @@ import pytest
 
 import llaft.simulate
 from llaft.cavi import FitConfig, fit
-from llaft.exceptions import NumericalError
-from llaft.numerics import uniform_stream
-from llaft.simulate import (ROLE_NOISE, ROLE_X1, STRONG_PRIOR, WEAK_PRIOR,
-                            SimulationScenario, aggregate_estimates, check_methods,
-                            generate_dataset, report_text_table, run_replication,
-                            summarize_fits, write_report_csv)
+from llaft.exceptions import DataError, NumericalError
+from llaft.model import DatasetStack
+from llaft.numerics import _uniform_streams, normal_quantile, uniform_stream
+from llaft.simulate import (ROLE_CENSOR, ROLE_NOISE, ROLE_X1, ROLE_X2, STRONG_PRIOR,
+                            WEAK_PRIOR, SimulationScenario, _generate_block,
+                            aggregate_estimates, check_methods, generate_dataset,
+                            report_text_table, run_replication, summarize_fits,
+                            write_report_csv)
 
 
 class TestUniformStream:
@@ -34,6 +36,12 @@ class TestUniformStream:
         assert np.array_equal(uniform_stream(7, 3, ROLE_X1, 50, start=123), whole[123:173])
         blocks = [uniform_stream(7, 3, ROLE_X1, 7, start=s) for s in range(0, 500, 7)]
         assert np.array_equal(np.concatenate(blocks)[:500], whole)
+
+    def test_block_rows_equal_single_streams(self):
+        replicates = [0, 3, 50, 7, 1000]
+        block = _uniform_streams(7, replicates, ROLE_X1, 40, start=9)
+        for row, r in zip(block, replicates):
+            assert np.array_equal(row, uniform_stream(7, r, ROLE_X1, 40, start=9))
 
     def test_library_has_no_other_random_source(self):
         # every draw in the package comes from the counter-based streams
@@ -103,6 +111,60 @@ class TestGenerateDataset:
         rebuilt = data.covariates @ sc.true_coefficients + sc.true_scale * z
         assert np.allclose(data.log_time, rebuilt, atol=1e-12)
         assert np.log(0.5 / (1.0 - 0.5)) == 0.0
+
+
+def one_replicate(sc, i):
+    """Replicate i generated on its own from the per-replicate streams: the
+    formula the study's data have always followed."""
+    n, seed = sc.n, sc.seed
+    x1 = 1.0 + 0.2 * normal_quantile(uniform_stream(seed, i, ROLE_X1, n))
+    x2 = (uniform_stream(seed, i, ROLE_X2, n) < 0.5).astype(float)
+    u = uniform_stream(seed, i, ROLE_NOISE, n)
+    X = np.column_stack([np.ones(n), x1, x2])
+    event_time = np.exp(X @ sc.true_coefficients + sc.true_scale * np.log(u / (1.0 - u)))
+    if sc.censor_bound == 0:
+        return event_time, np.ones(n), X
+    censor_time = sc.censor_bound * uniform_stream(seed, i, ROLE_CENSOR, n)
+    return (np.minimum(event_time, censor_time),
+            (event_time <= censor_time).astype(float), X)
+
+
+class TestGenerateBlock:
+    @pytest.mark.parametrize("n", [1, 300])
+    @pytest.mark.parametrize("u", [0.0, 17.0])
+    @pytest.mark.parametrize("first", [0, 50])
+    @pytest.mark.parametrize("size", [1, 7, 50])
+    def test_rows_equal_generate_dataset(self, n, u, first, size):
+        sc = SimulationScenario(n=n, censor_bound=u, seed=4)
+        indices = range(first, first + size)
+        stack, observed = _generate_block(sc, indices)
+        assert np.array_equal(stack.r, stack.event.sum(axis=1))
+        for j, i in enumerate(indices):
+            one = generate_dataset(sc, i)
+            assert np.array_equal(observed[j], one.time)
+            assert np.array_equal(stack.event[j], one.event)
+            assert np.array_equal(stack.covariates[j], one.covariates)
+            assert np.array_equal(stack.log_time[j], one.log_time)
+
+    @pytest.mark.parametrize("u", [0.0, 17.0])
+    def test_generate_dataset_follows_the_per_replicate_formula(self, u):
+        sc = SimulationScenario(n=300, censor_bound=u, seed=11)
+        for i in (0, 1, 49, 50):
+            observed, event, X = one_replicate(sc, i)
+            data = generate_dataset(sc, i)
+            assert np.array_equal(data.time, observed)
+            assert np.array_equal(data.event, event)
+            assert np.array_equal(data.covariates, X)
+
+    def test_overflowing_times_raise_data_error(self):
+        sc = SimulationScenario(n=20, censor_bound=0.0, n_replicates=3, seed=1,
+                                true_coefficients=np.array([800.0, 0.2, 0.8]))
+        with pytest.raises(DataError, match="observed times must be positive and finite"):
+            _generate_block(sc, range(3))
+        with pytest.raises(DataError, match="observed times must be positive and finite"):
+            generate_dataset(sc, 0)
+        with pytest.raises(DataError, match="observed times must be positive and finite"):
+            run_replication(sc, WEAK_PRIOR)
 
 
 class TestAggregate:
@@ -207,6 +269,20 @@ class TestRunReplication:
             assert (a.n_failures, a.n_nonconverged, a.n_cycles) == (
                 b.n_failures, b.n_nonconverged, b.n_cycles)
 
+    def test_blocks_of_one_give_the_same_reports_for_every_method(self, monkeypatch):
+        # 60 replicates: one full block of 50 and a partial one of 10
+        sc = SimulationScenario(n=40, censor_bound=17.0, n_replicates=60, seed=8)
+        kwargs = dict(methods=("vb", "mle", "mcmc"), mcmc_iterations=300, mcmc_burn_in=100,
+                      max_failure_rate=0.1)
+        whole = run_replication(sc, WEAK_PRIOR, **kwargs)
+        monkeypatch.setattr(llaft.simulate, "_BLOCK_SIZE", 1)
+        ones = run_replication(sc, WEAK_PRIOR, **kwargs)
+        assert [r.method for r in whole] == ["vb", "mle", "mcmc"]
+        for a, b in zip(whole, ones):
+            assert a.stats == b.stats
+            assert (a.n_replicates, a.n_failures, a.n_nonconverged, a.n_cycles) == (
+                b.n_replicates, b.n_failures, b.n_nonconverged, b.n_cycles)
+
     def test_unknown_method_rejected(self):
         sc = SimulationScenario(n=10, censor_bound=0.0, n_replicates=1, seed=0)
         with pytest.raises(ValueError):
@@ -216,11 +292,11 @@ class TestRunReplication:
         # a state with shape <= 1 has no scale mean; the block's other
         # scales are still summarized, in the same one call
         sc = SimulationScenario(n=60, censor_bound=17.0, n_replicates=4, seed=9)
-        block = [generate_dataset(sc, i) for i in range(4)]
+        block = DatasetStack.of([generate_dataset(sc, i) for i in range(4)])
         fit_batch = llaft.simulate.fit_batch
 
-        def one_bad_shape(datasets, prior, config):
-            states = fit_batch(datasets, prior, config)
+        def one_bad_shape(stack, prior, config):
+            states = fit_batch(stack, prior, config)
             states[1] = replace(states[1], scale_shape=0.9)
             return states
 
