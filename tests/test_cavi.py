@@ -430,7 +430,8 @@ class TestFitBatch:
         sc = SimulationScenario(n=60, censor_bound=17.0, n_replicates=6, seed=2)
         datasets = [generate_dataset(sc, i) for i in range(6)]
         config = FitConfig(max_iterations=4)
-        for data, state in zip(datasets, fit_batch(DatasetStack.of(datasets), WEAK_PRIOR, config)):
+        batch = fit_batch(DatasetStack.of(datasets), WEAK_PRIOR, config)
+        for data, state in zip(datasets, batch):
             assert_same_state(state, fit(data, WEAK_PRIOR, config))
 
     def test_failing_dataset_fails_only_its_entry(self):

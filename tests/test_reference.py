@@ -189,7 +189,8 @@ class TestFitMleBatch:
         with pytest.raises(NumericalError, match="stalled"):
             fit_mle(separated_dataset())
         good = [random_dataset(rng, 10, p_extra=1, censored=False) for _ in range(3)]
-        batch = fit_mle_batch(DatasetStack.of([good[0], good[1], separated_dataset(), good[2]]))
+        stack = DatasetStack.of([good[0], good[1], separated_dataset(), good[2]])
+        batch = fit_mle_batch(stack)
         assert isinstance(batch[2], NumericalError)
         assert "stalled at Newton iteration" in str(batch[2])
         for data, res in zip(good, [batch[0], batch[1], batch[3]]):
@@ -197,7 +198,8 @@ class TestFitMleBatch:
 
     def test_underdetermined_batch_fails_every_entry(self):
         data = make_dataset([0.1, 0.2], [1, 1], [[1.0], [2.0]])
-        assert all(isinstance(r, NumericalError) for r in fit_mle_batch(DatasetStack.of([data, data])))
+        batch = fit_mle_batch(DatasetStack.of([data, data]))
+        assert all(isinstance(r, NumericalError) for r in batch)
 
     def test_mismatched_datasets_raise(self, rng):
         # a batch is a stack, and datasets of different (n, p) do not stack
