@@ -1,3 +1,4 @@
+import hashlib
 import re
 from dataclasses import replace
 
@@ -423,6 +424,17 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         assert "vb:mean" in out and "mcmc:mean" in out
         assert "mcmc/vb" in out
+
+    def test_trial_report_is_golden(self, tmp_path):
+        # the benchmark's trial_compare op at seed 1: the rhDNase file with
+        # the README prior; a change to the sampler's kernel must not move a
+        # byte of it
+        out = tmp_path / "compare.csv"
+        assert main(["compare", "--data", rhdnase_path(), "--prior-mean", "4.4,0.25,0.04",
+                     "--prior-precision", "1", "--prior-shape", "501",
+                     "--prior-rate", "500", "--seed", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "ffb7a398743475f832490bf53fde0da61515174bcf12609d5a833432b6a368ea")
 
 
 class TestSamplerWarning:
