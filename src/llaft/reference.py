@@ -4,11 +4,11 @@ Both serve as independent cross-checks of the variational fit. The MLE is a
 damped Newton ascent in (beta, log b) with analytic gradient and Hessian; the
 sampler is a joint Gaussian random-walk Metropolis in the same coordinates,
 with per-component proposal scales adapted during burn-in and frozen after.
-A chain builds its log posterior once: the parts that do not depend on the
-parameters are computed up front, so scoring a stack of K proposals takes one
-matrix product for z, one softplus and one dot product per row over the data.
-The chain scores its next _PREFETCH proposals in one such call and keeps the
-draws of a chain that scores them one at a time.
+A chain builds its log posterior once, from the parts that do not depend on
+the parameters; scoring a stack of K proposals then takes one matrix product
+for z, a softplus in place and two dot products per row. The chain scores its
+next _PREFETCH proposals in one such call and keeps the draws of a chain that
+scores them one at a time.
 
 The sampler's randomness comes from the counter-based streams of `numerics`,
 the ones that generate the study data: a chain's proposal normals and accept
@@ -291,36 +291,41 @@ def _chain_log_posterior(data, prior):
     (K, p+1) stack of parameter vectors; returns the K values.
 
     It includes the |db/ds| = b Jacobian and drops the normalizing constants.
-    With w = (beta, 1)/b, z = [-X, y] w, and event'z = (event'[-X, y]) w is a
-    product of two (p+1)-vectors. Everything that does not depend on theta
-    ([-X, y]', event'[-X, y], 1 + event and the prior constants) is built
-    here, once per chain.
+    With w = (beta, 1)/b and z = [-X, y] w, a row's value is
+    c'[w, (beta - mu0)^2, s] - (1 + event)' softplus(z), where c, built here
+    once per chain with [-X, y]', holds event'[-X, y] less omega0 on 1/b,
+    -v0/2 on each square and -(alpha0 + r) on s (-r s from the likelihood,
+    -alpha0 s from the prior with its Jacobian). The softplus is
+    log1p(exp(z)) in place, unless the stack's largest z is above 709 or NaN
+    (exp can overflow), where `_softplus` redoes the entries not finite.
 
     A row's value does not depend on the rows stacked with it: z is one
     matrix product (gemm, which sums each entry in the same order whatever
-    the number of rows), and the sums over the data are one BLAS dot
-    product per row (a matrix-vector product sums in an order that depends
-    on K). NumPy hands a one-row product to gemv, which rounds differently,
-    so a lone row is scored as a pair."""
+    the number of rows), both sums are one BLAS dot product per row (a
+    matrix-vector product sums in an order that depends on K), and the two
+    softplus paths give a finite entry the same bits. NumPy hands a one-row
+    product to gemv, which rounds differently, so a lone row is padded."""
     design = np.column_stack([-data.covariates, data.log_time])
-    event_design, event1 = data.event @ design, 1.0 + data.event
-    design_t = np.ascontiguousarray(design.T)
-    mu0 = prior.coef_mean
-    neg_half_precision = -0.5 * prior.coef_precision
-    # s enters linearly: -r s from the likelihood, -alpha0 s from the prior
-    # with its Jacobian
-    s_slope, rate = -(prior.scale_shape + data.r), prior.scale_rate
+    design_t, event1, mu0 = np.ascontiguousarray(design.T), 1.0 + data.event, prior.coef_mean
+    coef = np.concatenate([data.event @ design, np.full(data.p, -0.5 * prior.coef_precision),
+                           [-(prior.scale_shape + data.r)]])
+    coef[data.p] -= prior.scale_rate
 
     def log_posterior(thetas):
-        if len(thetas) == 1:
-            return log_posterior(np.repeat(thetas, 2, axis=0))[:1]
-        s = thetas[:, -1]
+        k = len(thetas)
+        if k == 1:
+            thetas = np.concatenate((thetas, thetas))
+        s = thetas[:, -1:]
         inv_b = np.exp(-s)
-        w = thetas * inv_b[:, None]
-        w[:, -1] = inv_b
-        ll = _dot(w, event_design) - _dot(_softplus(w @ design_t), event1)
-        diff = thetas[:, :-1] - mu0
-        return ll + neg_half_precision * _dot(diff, diff) + (s_slope * s - rate * inv_b)
+        w = thetas * inv_b
+        w[:, -1:] = inv_b
+        terms = np.concatenate((w, np.square(thetas[:, :-1] - mu0), s), axis=1)
+        z = w @ design_t
+        if np.maximum.reduce(z, axis=None, initial=-np.inf) <= 709.0:
+            np.log1p(np.exp(z, out=z), out=z)
+        else:
+            z = _softplus(z)
+        return (np.matmul(terms[:, None], coef) - np.matmul(z[:, None], event1))[:k, 0]
     return log_posterior
 
 
@@ -431,18 +436,18 @@ def _metropolis_block(log_posterior, theta, lp, increments, log_u, out):
     proposed from the old state and are dropped. Every increment of a block
     has the same scale, so the accept decisions, and the draws, are the
     one-at-a-time algorithm's own."""
-    accepted = k = 0
-    while k < len(increments):
+    k, n = 0, len(increments)
+    states, moves = [theta], [0]  # the chain moves to states[j] at step moves[j]
+    while k < n:
         proposals = theta + increments[k:k + _PREFETCH]
         for i, lp_proposal in enumerate(log_posterior(proposals).tolist()):
             if log_u[k + i] < lp_proposal - lp:
-                out[k:k + i] = theta
                 theta, lp = proposals[i], lp_proposal
-                out[k + i] = theta
-                accepted += 1
+                states.append(theta)
+                moves.append(k + i)
                 k += i + 1
                 break
         else:
-            out[k:k + len(proposals)] = theta
             k += len(proposals)
-    return theta, lp, accepted
+    out[:n] = np.repeat(states, np.diff(moves + [n]), axis=0)
+    return theta, lp, len(states) - 1

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import importlib.util
 import math
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -284,13 +286,22 @@ class TestSamplePosterior:
             assert np.array_equal(chain.draws, chains[0].draws)
             assert chain.acceptance_rate == chains[0].acceptance_rate
 
-    def test_draws_do_not_depend_on_prefetch_depth(self, monkeypatch):
-        # burn-in 350 ends inside a window, so the last burn-in block is partial
-        data = generate_dataset(SimulationScenario(n=40, censor_bound=17.0, seed=2), 0)
+    @pytest.mark.parametrize("dataset", ["simulated", "trial"])
+    def test_draws_do_not_depend_on_prefetch_depth(self, monkeypatch, request, dataset):
+        if dataset == "simulated":
+            # burn-in 350 ends inside a window, so the last burn-in block is partial
+            data = generate_dataset(SimulationScenario(n=40, censor_bound=17.0, seed=2), 0)
+            prior, depths, run = WEAK_PRIOR, (1, 2, 7, llaft.reference._PREFETCH), (1_500, 350, 4)
+        else:
+            # the chain of `compare` on the bundled file with the README prior
+            data = request.getfixturevalue("trial")
+            prior = PriorSpec(coef_mean=np.array([4.4, 0.25, 0.04]), coef_precision=1.0,
+                              scale_shape=501.0, scale_rate=500.0)
+            depths, run = (1, 2, 5, 6, 8), (5_000, 1_000, 1)
         chains = []
-        for depth in (1, 2, 7, llaft.reference._PREFETCH):
+        for depth in depths:
             monkeypatch.setattr(llaft.reference, "_PREFETCH", depth)
-            chains.append(sample_posterior(data, WEAK_PRIOR, 1_500, 350, seed=4))
+            chains.append(sample_posterior(data, prior, *run[:2], seed=run[2]))
         for chain in chains[1:]:
             assert np.array_equal(chain.draws, chains[0].draws)
             assert chain.acceptance_rate == chains[0].acceptance_rate
@@ -428,6 +439,17 @@ class TestChainLogPosterior:
                                   self.PRIOR) + theta[-1] for theta in thetas]
         self.assert_constant_offset(got, expected)
 
+    def test_overflow_check_starts_below_the_largest_finite_exp(self, trial):
+        # exp overflows above z = 709.78, so a stack whose largest z is just
+        # past it must take the np.logaddexp path (a warning is an error)
+        beta = np.array([4.1, 0.4, 0.02])
+        largest = float((trial.log_time - trial.covariates @ beta).max())
+        thetas = np.array([[*beta, math.log(largest / 709.9)], [4.1, 0.4, 0.02, -0.1]])
+        got = _chain_log_posterior(trial, self.PRIOR)(thetas)
+        expected = [log_posterior(trial, ModelParams(theta[:-1], math.exp(theta[-1])),
+                                  self.PRIOR) + theta[-1] for theta in thetas]
+        self.assert_constant_offset(got, expected)
+
     def test_no_data_gives_the_prior(self):
         data = SurvivalDataset(time=np.empty(0), event=np.empty(0),
                                covariates=np.empty((0, 3)))
@@ -439,6 +461,21 @@ class TestChainLogPosterior:
                     + inverse_gamma_log_pdf(WEAK_PRIOR.scale_params, math.exp(t[-1])) + t[-1]
                     for t in thetas]
         self.assert_constant_offset(got, expected)
+
+    def test_kernel_is_freed_without_the_cycle_collector(self, trial):
+        # the kernel and its copies of the data must not outlive the chain
+        # until a cyclic garbage collection, so it must not refer to itself
+        chain_lp = _chain_log_posterior(trial, self.PRIOR)
+        chain_lp(np.array([[4.1, 0.4, 0.02, -0.1]]))
+        alive = weakref.ref(chain_lp)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del chain_lp
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     @pytest.mark.parametrize("dataset", ["trial", "simulated"])
     def test_rows_do_not_depend_on_the_batch(self, trial, dataset):
