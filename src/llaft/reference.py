@@ -436,18 +436,18 @@ def _metropolis_block(log_posterior, theta, lp, increments, log_u, out):
     proposed from the old state and are dropped. Every increment of a block
     has the same scale, so the accept decisions, and the draws, are the
     one-at-a-time algorithm's own."""
-    k, n = 0, len(increments)
-    states, moves = [theta], [0]  # the chain moves to states[j] at step moves[j]
+    k, n, accepted = 0, len(increments), 0
+    held = 0  # the chain has held theta since step `held`
     while k < n:
         proposals = theta + increments[k:k + _PREFETCH]
         for i, lp_proposal in enumerate(log_posterior(proposals).tolist()):
             if log_u[k + i] < lp_proposal - lp:
-                theta, lp = proposals[i], lp_proposal
-                states.append(theta)
-                moves.append(k + i)
+                out[held:k + i] = theta
+                theta, lp, held = proposals[i], lp_proposal, k + i
+                accepted += 1
                 k += i + 1
                 break
         else:
             k += len(proposals)
-    out[:n] = np.repeat(states, np.diff(moves + [n]), axis=0)
-    return theta, lp, len(states) - 1
+    out[held:n] = theta
+    return theta, lp, accepted
