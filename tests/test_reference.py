@@ -291,17 +291,18 @@ class TestSamplePosterior:
         if dataset == "simulated":
             # burn-in 350 ends inside a window, so the last burn-in block is partial
             data = generate_dataset(SimulationScenario(n=40, censor_bound=17.0, seed=2), 0)
-            prior, depths, run = WEAK_PRIOR, (1, 2, 7, llaft.reference._PREFETCH), (1_500, 350, 4)
+            prior, depths = WEAK_PRIOR, (1, 2, 7, llaft.reference._PREFETCH)
+            length, seed = (1_500, 350), 4
         else:
             # the chain of `compare` on the bundled file with the README prior
             data = request.getfixturevalue("trial")
             prior = PriorSpec(coef_mean=np.array([4.4, 0.25, 0.04]), coef_precision=1.0,
                               scale_shape=501.0, scale_rate=500.0)
-            depths, run = (1, 2, 5, 6, 8), (5_000, 1_000, 1)
+            depths, length, seed = (1, 2, 5, 6, 8), (5_000, 1_000), 1
         chains = []
         for depth in depths:
             monkeypatch.setattr(llaft.reference, "_PREFETCH", depth)
-            chains.append(sample_posterior(data, prior, *run[:2], seed=run[2]))
+            chains.append(sample_posterior(data, prior, *length, seed=seed))
         for chain in chains[1:]:
             assert np.array_equal(chain.draws, chains[0].draws)
             assert chain.acceptance_rate == chains[0].acceptance_rate
