@@ -284,6 +284,21 @@ class TestReplicateCommand:
         assert "nonconverged  vb: 3  mle: 0" in table
         assert "cycles  vb: 0  mle: 0" in table
 
+    @pytest.mark.parametrize("u,digest", [
+        ("0", "4f35f9db9983bf9ab824543bae09a672816af23bb0e75e3bf20bcf749677d0f0"),
+        ("48", "fbacf141ee52ea29b6b47e2b0d7947d884a5e6b2fbb1c0f301677f03b0ff07a1"),
+        ("17", "04cadf3a654039a42053a45a09187c0e49c4ce8cdc7d5bcbf2d4f0ecf7303841"),
+    ])
+    def test_study_report_is_golden(self, tmp_path, u, digest):
+        # the benchmark's study_n300 op over its three censoring cells: a
+        # speed change to the batch fits or the summaries must not move a
+        # byte of the report
+        out = tmp_path / "study.csv"
+        assert main(["replicate", "--n", "300", "--censor-u", u, "--replicates", "10",
+                     "--prior-preset", "weak", "--methods", "vb,mle", "--seed", "1",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestFlagValidation:
     """Out-of-range flag values are usage errors: exit 2 and one error line,
