@@ -34,13 +34,14 @@ go through the same arithmetic, and each replicate of a batch gets the
 result `fit` gives it alone, bit for bit. Inside the loop y - X mu is
 computed once per new mu and serves the linear-segment lookup, the omega
 update, the ELBO and the next iteration's plug-in residuals; psi(alpha) is
-computed once per replicate per fit, since alpha = alpha0 + r is fixed. The
-public update functions compute the same values from a state alone.
+computed once per replicate per fit, since alpha = alpha0 + r is fixed, and
+so are 1 + delta, -delta, v0 I and v0 mu0. The public update functions
+compute the same values from a state alone, through the same kernels.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -154,19 +155,26 @@ def _residuals(stack, mu):
     return stack.log_time - np.matmul(stack.covariates, mu[..., None])[..., 0]
 
 
+def _block_terms(stack, prior):
+    # the updates' terms that no iteration changes: 1 + delta, -delta, v0 I, v0 mu0
+    return (1.0 + stack.event, -stack.event, prior.coef_precision * np.eye(stack.p),
+            prior.coef_precision * prior.coef_mean)
+
+
 def update_sigma(stack: DatasetStack, prior: PriorSpec, state: VariationalState,
                  coeffs: PiecewiseCoefficients) -> np.ndarray:
     """New coefficient covariances
     [v0 I + 2 E(1/b^2) sum_i (1+delta_i) zeta_i x_i x_i']^{-1}, (R, p, p)."""
-    return _update_sigma(stack, prior, state.scale_moments, coeffs)
+    return _update_sigma(stack, _block_terms(stack, prior), state.scale_moments, coeffs.zeta)
 
 
-def _update_sigma(stack, prior, moments, coeffs):
+def _update_sigma(stack, terms, moments, zeta):
+    event1, _, v0_eye, _ = terms
     _, e_inv2, _ = moments
     X = stack.covariates
-    weights = (1.0 + stack.event) * coeffs.zeta
+    weights = event1 * zeta
     XtW = (2.0 * e_inv2)[:, None, None] * (X.transpose(0, 2, 1) * weights[:, None, :])
-    A = prior.coef_precision * np.eye(stack.p) + np.matmul(XtW, X)
+    A = v0_eye + np.matmul(XtW, X)
     try:
         np.linalg.cholesky(A)
         sigma = np.linalg.inv(A)
@@ -182,31 +190,31 @@ def update_mu(stack: DatasetStack, prior: PriorSpec, state: VariationalState,
               coeffs: PiecewiseCoefficients, sigma_new: np.ndarray) -> np.ndarray:
     """New coefficient means, the surrogate linear form times the new
     covariance, (R, p)."""
-    return _update_mu(stack, prior, state.scale_moments, coeffs, sigma_new)
+    return _update_mu(stack, _block_terms(stack, prior), state.scale_moments,
+                      coeffs.rho, coeffs.zeta, sigma_new)
 
 
-def _update_mu(stack, prior, moments, coeffs, sigma_new):
+def _update_mu(stack, terms, moments, rho, zeta, sigma_new):
+    event1, neg_event, _, v0_mu0 = terms
     e_inv, e_inv2, _ = moments
-    d = stack.event
-    row = (e_inv[:, None] * (-d + (1.0 + d) * coeffs.rho)
-           + 2.0 * e_inv2[:, None] * (1.0 + d) * stack.log_time * coeffs.zeta)
-    linear = (prior.coef_precision * prior.coef_mean
-              + np.matmul(row[:, None, :], stack.covariates)[:, 0])
+    row = (e_inv[:, None] * (neg_event + event1 * rho)
+           + 2.0 * e_inv2[:, None] * event1 * stack.log_time * zeta)
+    linear = v0_mu0 + np.matmul(row[:, None, :], stack.covariates)[:, 0]
     return np.matmul(sigma_new, linear[..., None])[..., 0]
 
 
-def _linear_form(stack, resid, phi):
+def _linear_form(stack, event1, resid, phi):
     # sum_i (delta_i - (1+delta_i) phi_i)(y_i - x_i' mu), per replicate, from
     # the residuals y - X mu
-    c = stack.event - (1.0 + stack.event) * phi
-    return np.sum(c * resid, axis=-1)
+    return np.sum((stack.event - event1 * phi) * resid, axis=-1)
 
 
 def update_omega(stack: DatasetStack, prior: PriorSpec, coeffs: PiecewiseCoefficients,
                  mu_new: np.ndarray) -> np.ndarray:
     """New rates omega0 - sum_i (delta_i - (1+delta_i) phi_i)(y_i - x_i' mu),
     (R,); a non-positive value is a numerical failure."""
-    return _update_omega(prior, _linear_form(stack, _residuals(stack, mu_new), coeffs.phi))
+    return _update_omega(prior, _linear_form(stack, 1.0 + stack.event,
+                                             _residuals(stack, mu_new), coeffs.phi))
 
 
 def _update_omega(prior, linear):
@@ -234,14 +242,14 @@ def elbo(stack: DatasetStack, prior: PriorSpec, state: VariationalState,
     """
     if state.coef_cov is None:
         raise ValueError("state has no covariance yet; run an update first")
-    linear = _linear_form(stack, _residuals(stack, state.coef_mean), coeffs.phi)
-    return _elbo(stack, prior, state, state.scale_moments, linear)
+    linear = _linear_form(stack, 1.0 + stack.event, _residuals(stack, state.coef_mean),
+                          coeffs.phi)
+    return _elbo(stack, prior, state.coef_mean, state.coef_cov, state.scale_shape,
+                 state.scale_rate, state.scale_moments, linear)
 
 
-def _elbo(stack, prior, state, moments, linear):
+def _elbo(stack, prior, mu, cov, a, w, moments, linear):
     # L_L given the moments of q(b) and the likelihood's linear form
-    mu, cov = state.coef_mean, state.coef_cov
-    a, w = state.scale_shape, state.scale_rate
     e_inv, _, e_log_b = moments
     likelihood = -stack.r * e_log_b + e_inv * linear
 
@@ -264,35 +272,31 @@ def _elbo(stack, prior, state, moments, linear):
     return value
 
 
-def _iterate(stack: DatasetStack, prior: PriorSpec, moments: tuple, resid: np.ndarray,
-             alpha: np.ndarray, psi_alpha: np.ndarray):
-    """One CAVI iteration on a stack, from q(b) moments `moments` and the
-    residuals y - X mu of the current mu. Returns the new state, its q(b)
-    moments (psi_alpha is psi(alpha)), the residuals of its mu, its ELBO,
-    and per replicate the segment key (quadratic segments at the start
+def _iterate(stack: DatasetStack, prior: PriorSpec, terms: tuple, moments: tuple,
+             resid: np.ndarray, alpha: np.ndarray, psi_alpha: np.ndarray):
+    """One CAVI iteration on a stack, from the block's terms `terms` (see
+    `_block_terms`), q(b) moments `moments` and the residuals y - X mu of
+    the current mu. Returns the new (mu, Sigma, omega), their q(b) moments
+    (psi_alpha is psi(alpha)), the residuals of the new mu, its ELBO, and
+    per replicate the segment key (quadratic segments at the start
     residuals, then linear segments at the residuals after the
     beta-update). y - X mu is computed once per new mu."""
     e_inv = moments[0][:, None]
     kq = _quadratic_segment(resid * e_inv)
-    # phi is looked up once mu has moved, below
-    coeffs = PiecewiseCoefficients(phi=None, rho=QUADRATIC_LINEAR[kq],
-                                   zeta=QUADRATIC_QUADRATIC[kq])
-    sigma = _update_sigma(stack, prior, moments, coeffs)
-    mu = _update_mu(stack, prior, moments, coeffs, sigma)
+    zeta = QUADRATIC_QUADRATIC[kq]
+    sigma = _update_sigma(stack, terms, moments, zeta)
+    mu = _update_mu(stack, terms, moments, QUADRATIC_LINEAR[kq], zeta, sigma)
 
     # the b-update sees the freshest mu, so its linear surrogate is
     # re-anchored at the updated residuals, under the same q(b)
     resid = _residuals(stack, mu)
     kl = _linear_segment(resid * e_inv)
-    coeffs = replace(coeffs, phi=LINEAR_SLOPES[kl])
-    linear = _linear_form(stack, resid, coeffs.phi)
+    linear = _linear_form(stack, terms[0], resid, LINEAR_SLOPES[kl])
     omega = _update_omega(prior, linear)
-    new = VariationalState(coef_mean=mu, coef_cov=sigma,
-                           scale_shape=alpha, scale_rate=omega)
     moments = _moments(alpha, omega, psi_alpha)
-    value = _elbo(stack, prior, new, moments, linear)
+    value = _elbo(stack, prior, mu, sigma, alpha, omega, moments, linear)
     keys = np.concatenate([kq, kl], axis=1).astype(np.int8)
-    return new, moments, resid, value, keys
+    return (mu, sigma, omega), moments, resid, value, keys
 
 
 def fit(data: SurvivalDataset, prior: PriorSpec,
@@ -319,8 +323,9 @@ def fit_batch(stack: DatasetStack, prior: PriorSpec,
     start = initialize(stack, prior)
     moments = _moments(start.scale_shape, start.scale_rate, _digammas(start.scale_shape))
     resid = _residuals(stack, start.coef_mean)
+    terms = _block_terms(stack, prior)
     results: list = [None] * len(stack)
-    traces = [([], [], [], []) for _ in results]  # ELBO, omega, Sigma, key
+    traces = [[] for _ in results]  # per iteration (ELBO, omega, Sigma, key)
 
     ids = np.arange(len(stack))  # the replicates still in the batch
     alpha = prior.scale_shape + stack.r
@@ -330,16 +335,17 @@ def fit_batch(stack: DatasetStack, prior: PriorSpec,
     history = [None] * _CYCLE_WINDOW
 
     def keep(mask):
-        nonlocal ids, stack, alpha, psi_alpha, moments, resid, elbo_prev, history
+        nonlocal ids, stack, terms, alpha, psi_alpha, moments, resid, elbo_prev, history
         ids, stack, elbo_prev = ids[mask], stack.take(mask), elbo_prev[mask]
+        terms = (terms[0][mask], terms[1][mask], *terms[2:])
         alpha, psi_alpha, resid = alpha[mask], psi_alpha[mask], resid[mask]
         moments = tuple(x[mask] for x in moments)
         history = [None if h is None else tuple(x[mask] for x in h) for h in history]
 
     for m in range(1, config.max_iterations + 1):
         try:
-            new, new_moments, new_resid, value, keys = _iterate(
-                stack, prior, moments, resid, alpha, psi_alpha)
+            (mu, sigma, omega), new_moments, new_resid, value, keys = _iterate(
+                stack, prior, terms, moments, resid, alpha, psi_alpha)
         except NumericalError:
             # rerun each replicate alone to find the ones that fail; the
             # others then run the iteration again as a batch
@@ -347,8 +353,9 @@ def fit_batch(stack: DatasetStack, prior: PriorSpec,
             for j in range(len(ids)):
                 one = np.arange(j, j + 1)
                 try:
-                    _iterate(stack.take(one), prior, tuple(x[one] for x in moments),
-                             resid[one], alpha[one], psi_alpha[one])
+                    _iterate(stack.take(one), prior, (terms[0][one], terms[1][one], *terms[2:]),
+                             tuple(x[one] for x in moments), resid[one], alpha[one],
+                             psi_alpha[one])
                 except NumericalError as exc:
                     err = NumericalError(f"variational update failed at iteration {m}: {exc}")
                     err.__cause__ = exc
@@ -357,16 +364,12 @@ def fit_batch(stack: DatasetStack, prior: PriorSpec,
             keep(ok)
             if not len(ids):
                 break
-            new, new_moments, new_resid, value, keys = _iterate(
-                stack, prior, moments, resid, alpha, psi_alpha)
+            (mu, sigma, omega), new_moments, new_resid, value, keys = _iterate(
+                stack, prior, terms, moments, resid, alpha, psi_alpha)
 
-        mu, sigma, omega = new.coef_mean, new.coef_cov, new.scale_rate
-        for i, v, w, s, k in zip(ids.tolist(), value.tolist(), omega.tolist(), sigma, keys):
-            elbos, omegas, sigmas, segment_keys = traces[i]
-            elbos.append(v)
-            omegas.append(w)
-            sigmas.append(s)
-            segment_keys.append(k.tobytes())
+        for i, row in zip(ids.tolist(), zip(value.tolist(), omega.tolist(), sigma,
+                                            map(bytes, keys))):
+            traces[i].append(row)
 
         by_tolerance = np.abs(value - elbo_prev) <= config.elbo_tolerance
         cycled = np.zeros(len(ids), bool)
@@ -383,12 +386,12 @@ def fit_batch(stack: DatasetStack, prior: PriorSpec,
             stopped[:] = True
         for j in np.flatnonzero(stopped).tolist():
             reason = ("tolerance" if by_tolerance[j] else "cycle" if cycled[j] else "cap")
-            elbos, omegas, sigmas, segment_keys = traces[ids[j]]
+            elbos, omegas, sigmas, segment_keys = zip(*traces[ids[j]])
             results[ids[j]] = VariationalState(
                 coef_mean=mu[j], coef_cov=sigma[j],
                 scale_shape=float(alpha[j]), scale_rate=omegas[-1],
-                elbo_trace=tuple(elbos), omega_trace=tuple(omegas),
-                sigma_trace=tuple(sigmas), segment_trace=tuple(segment_keys),
+                elbo_trace=elbos, omega_trace=omegas,
+                sigma_trace=sigmas, segment_trace=segment_keys,
                 iterations=m, converged=reason != "cap", stop_reason=reason)
 
         history[(m - 1) % _CYCLE_WINDOW] = (keys, mu, omega)

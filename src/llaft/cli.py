@@ -208,15 +208,19 @@ def _method_summaries(method, data, prior, config, mcmc_run):
     """[(parameter, mean, sd, low, high, kind)] plus the elapsed time; a fit
     that did not settle is reported on stderr."""
     start = time.perf_counter()
-    if method == "vb":
-        result = fit(data, prior, config)
-    elif method == "mle":
-        result = fit_mle(data)
-    else:
-        result = sample_posterior(data, prior, **mcmc_run)
-    outcome, = summarize_fits(method, [result])
-    if isinstance(outcome, NumericalError):
-        raise outcome
+    try:
+        if method == "vb":
+            result = fit(data, prior, config)
+        elif method == "mle":
+            result = fit_mle(data)
+        else:
+            result = sample_posterior(data, prior, **mcmc_run)
+        outcome, = summarize_fits(method, [result])
+        if isinstance(outcome, NumericalError):
+            raise outcome
+    except NumericalError as exc:
+        exc.method = method
+        raise
     rows, settled, _ = outcome
     if not settled:
         why = (result.warning if method == "mcmc" else
@@ -392,7 +396,8 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
-        print(f"numerical failure: {exc}{_prior_hint(args)}", file=sys.stderr)
+        hint = "" if exc.method == "mle" else _prior_hint(args)  # the MLE takes no prior
+        print(f"numerical failure: {exc}{hint}", file=sys.stderr)
         return 1
 
 

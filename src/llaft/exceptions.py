@@ -8,6 +8,8 @@ class NumericalError(RuntimeError):
     The command-line interface maps this to exit code 1.
     """
 
+    method = None  # the estimator that failed, "vb", "mle" or "mcmc", where known
+
 
 class DataError(ValueError):
     """Malformed or out-of-domain input data (bad CSV, non-positive times,

@@ -107,13 +107,22 @@ def softplus(x):
     return np.logaddexp(0.0, x)
 
 
+def _segment(knots, x):
+    # left-open/right-closed intervals: index k means knots[k-1] < x <= knots[k].
+    # k counts the knots that x is not <=, which is np.searchsorted(knots, x,
+    # side="left") for every x, NaN (the last segment) included
+    k = len(knots) - (x <= knots[0]).view(np.int8)
+    for t in knots[1:]:
+        k -= (x <= t).view(np.int8)
+    return k.astype(np.intp)
+
+
 def _linear_segment(x):
-    # left-open/right-closed intervals: index k means knots[k-1] < x <= knots[k]
-    return np.searchsorted(LINEAR_KNOTS, x, side="left")
+    return _segment(LINEAR_KNOTS, x)
 
 
 def _quadratic_segment(x):
-    return np.searchsorted(QUADRATIC_KNOTS, x, side="left")
+    return _segment(QUADRATIC_KNOTS, x)
 
 
 def softplus_linear(x):

@@ -67,17 +67,20 @@ def summarize_coefficients(state: VariationalState, level: float = 0.95,
         raise ValueError("level must be in (0, 1)")
     if state.coef_cov is None:
         raise ValueError("state has no covariance; fit before summarizing")
-    z = normal_quantile(0.5 * (1.0 + level))
-    sds = np.sqrt(np.diag(state.coef_cov))
-    names = names or [f"beta{j}" for j in range(len(sds))]
-    out = []
-    for j, (m, s) in enumerate(zip(state.coef_mean, sds)):
-        out.append(ParameterSummary(
-            name=names[j], mean=float(m), sd=float(s),
-            interval_low=float(m - z * s), interval_high=float(m + z * s),
-            interval_kind="ETI",
-        ))
-    return out
+    rows, = _etis([state], normal_quantile(0.5 * (1.0 + level)))
+    names = names or [f"beta{j}" for j in range(len(rows))]
+    return [ParameterSummary(name, *row, interval_kind="ETI") for name, row in zip(names, rows)]
+
+
+def _etis(states, z) -> list:
+    """Per state, per coefficient, (mean, sd, mean - z sd, mean + z sd) as
+    floats, computed for the whole block of states at once."""
+    means = np.array([state.coef_mean for state in states])
+    sds = np.sqrt(np.diagonal(np.array([state.coef_cov for state in states]), axis1=1, axis2=2))
+    lows, highs = means - z * sds, means + z * sds
+    if not (lows < highs).all():
+        raise ValueError("interval_low must be below interval_high")
+    return [list(zip(*cols)) for cols in zip(*(x.tolist() for x in (means, sds, lows, highs)))]
 
 
 @functools.cache

@@ -83,7 +83,10 @@ class MleResult:
     def wald_intervals(self, level: float = 0.95) -> list[tuple[float, float]]:
         """Wald intervals: identity scale for coefficients, log scale
         (exponentiated) for b."""
-        z = normal_quantile(0.5 * (1.0 + level))
+        return self._wald_intervals(normal_quantile(0.5 * (1.0 + level)))
+
+    def _wald_intervals(self, z: float) -> list[tuple[float, float]]:
+        # the intervals of wald_intervals at its normal quantile z
         se = np.sqrt(np.diag(self.covariance))
         out = [(float(m - z * s), float(m + z * s))
                for m, s in zip(self.coefficients, se[:-1])]
@@ -130,11 +133,11 @@ def loglik_grad_hess(stack: DatasetStack, beta: np.ndarray, log_b: np.ndarray):
     b = np.exp(log_b)[:, None]
     d1 = 1.0 + d
     z, ll = _z_loglik(stack, beta, log_b, d1)
-    sig = np.empty_like(z)
-    pos = z >= 0
-    sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    sig[~pos] = ez / (1.0 + ez)
+    # sigma(z) as 1/(1 + e^-z) for z >= 0 and e^z/(1 + e^z) below, without
+    # masks; min(z, -z) is -|z| but keeps the sign of a NaN, as e^z does
+    e = np.exp(np.minimum(z, -z))
+    d_e = 1.0 + e
+    sig = np.where(z >= 0, 1.0 / d_e, e / d_e)
     g_i = d - d1 * sig
     w_i = d1 * sig * (1.0 - sig)
     Xt = X.transpose(0, 2, 1)
@@ -144,7 +147,7 @@ def loglik_grad_hess(stack: DatasetStack, beta: np.ndarray, log_b: np.ndarray):
     grad[:, :p] = -_dot(g_i, X) / b
     grad[:, p] = -stack.r - z_g
     hess = np.empty((R, p + 1, p + 1))
-    hess[:, :p, :p] = np.matmul(-(Xt * w_i[:, None, :]), X) / (b * b)[:, :, None]
+    hess[:, :p, :p] = -np.matmul(Xt * w_i[:, None, :], X) / (b * b)[:, :, None]
     cross = _dot(g_i - w_i * z, X) / b
     hess[:, :p, p] = cross
     hess[:, p, :p] = cross
@@ -196,7 +199,7 @@ def fit_mle_batch(stack: DatasetStack) -> list:
         return [NumericalError(
             f"need more observations than parameters (n={stack.n}, p={stack.p})")
             for _ in results]
-    theta = np.stack([_start(y, X) for y, X in zip(stack.log_time, stack.covariates)])
+    theta = _start(stack.log_time, stack.covariates)
     ids = np.arange(len(stack))  # the replicates still in the batch
     ll, grad, hess = loglik_grad_hess(stack, theta[:, :-1], theta[:, -1])
 
@@ -209,8 +212,10 @@ def fit_mle_batch(stack: DatasetStack) -> list:
         norm = np.linalg.norm(grad, axis=1)
         done = norm <= _GRADIENT_TOLERANCE
         if done.any():
-            for j in np.flatnonzero(done).tolist():
-                results[ids[j]] = _mle_result(theta[j], ll[j], hess[j], iterations, norm[j])
+            hits = np.flatnonzero(done)
+            for i, result in zip(ids[hits].tolist(), _mle_results(
+                    theta[hits], ll[hits], hess[hits], iterations, norm[hits])):
+                results[i] = result
             keep(~done)
             if not len(ids):
                 break
@@ -258,32 +263,36 @@ def _line_search(stack, theta, ll, grad, hess, step):
     return theta, ll, grad, hess, stalled
 
 
-def _start(y, X) -> np.ndarray:
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid_sd = float(np.std(y - X @ beta))
-    return np.append(beta, math.log(max(resid_sd * math.sqrt(3.0) / math.pi, 1e-3)))
+def _start(log_time, covariates) -> np.ndarray:
+    """The (R, p+1) starts (beta, log b): least squares per replicate, then
+    for the whole block the log of the residual SD times sqrt(3)/pi, at least
+    1e-3 (by math.log, which np.log does not match to the bit)."""
+    beta = np.stack([np.linalg.lstsq(X, y, rcond=None)[0]
+                     for y, X in zip(log_time, covariates)])
+    resid_sd = np.std(log_time - np.matmul(covariates, beta[..., None])[..., 0], axis=-1)
+    scale = np.maximum(resid_sd * math.sqrt(3.0) / math.pi, 1e-3)
+    return np.column_stack([beta, [math.log(v) for v in scale.tolist()]])
 
 
-def _mle_result(theta, ll, hess, iterations, gradient_norm):
-    """The MleResult at a converged theta, or the NumericalError of a
-    singular or indefinite observed information."""
+def _mle_results(theta, ll, hess, iterations, gradient_norm) -> list:
+    """Per converged replicate, the MleResult, or the NumericalError of a
+    singular or indefinite observed information. The informations are
+    inverted as one stack, and one at a time only when one is singular."""
     try:
-        covariance = np.linalg.inv(-hess)
+        covariances = np.linalg.inv(-hess)
     except np.linalg.LinAlgError as exc:
+        if len(hess) > 1:
+            return [_mle_results(theta[j:j + 1], ll[j:j + 1], hess[j:j + 1], iterations,
+                                 gradient_norm[j:j + 1])[0] for j in range(len(hess))]
         err = NumericalError(f"singular observed information: {exc}")
         err.__cause__ = exc
-        return err
-    covariance = 0.5 * (covariance + covariance.T)
-    if np.any(np.diag(covariance) < 0):
-        return NumericalError("observed information is not positive definite")
-    return MleResult(
-        coefficients=theta[:-1].copy(),
-        scale=math.exp(theta[-1]),
-        covariance=covariance,
-        log_likelihood_at_max=float(ll),
-        iterations=iterations,
-        gradient_norm=float(gradient_norm),
-    )
+        return [err]
+    covariances = 0.5 * (covariances + covariances.transpose(0, 2, 1))
+    return [NumericalError("observed information is not positive definite")
+            if np.any(np.diag(cov) < 0) else
+            MleResult(coefficients=t[:-1].copy(), scale=math.exp(t[-1]), covariance=cov,
+                      log_likelihood_at_max=v, iterations=iterations, gradient_norm=norm)
+            for t, v, cov, norm in zip(theta, ll.tolist(), covariances, gradient_norm.tolist())]
 
 
 def _chain_log_posterior(data, prior):
@@ -362,7 +371,7 @@ def sample_posterior(data: SurvivalDataset, prior: PriorSpec, n_iterations: int,
     dim = data.p + 1
 
     if data.n > data.p:
-        theta = _start(data.log_time, data.covariates)
+        theta = _start(data.log_time[None], data.covariates[None])[0]
     else:
         prior_scale_mean = prior.scale_rate / max(prior.scale_shape - 1.0, 0.5)
         theta = np.append(prior.coef_mean, math.log(prior_scale_mean))

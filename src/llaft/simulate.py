@@ -27,7 +27,7 @@ from .exceptions import DataError, NumericalError
 from .model import DatasetStack, PriorSpec, SurvivalDataset, _readonly
 from .numerics import (ROLE_CENSOR, ROLE_MCMC, ROLE_NOISE, ROLE_X1, ROLE_X2, _stream_key,
                        _uniform_streams, normal_quantile)
-from .posterior import hdi_from_draws, summarize_coefficients, summarize_scale
+from .posterior import _etis, hdi_from_draws, summarize_scale
 from .reference import (MCMC_BURN_IN, MCMC_ITERATIONS, check_chain_length, fit_mle_batch,
                         sample_posterior)
 
@@ -194,26 +194,31 @@ def summarize_fits(method: str, fits, level: float = 0.95) -> list:
     CLI and the replication study both summarize here.
 
     rows are (parameter, mean, sd, low, high, kind), beta0, beta1, ... and
-    then the scale. VB gives the ETI for beta and the HDI for b, with all
-    scales solved in one `summarize_scale` call; the MLE Wald intervals, on
-    the log scale for b; Metropolis each column's draw mean and SD,
-    percentile ETIs for beta and `hdi_from_draws` for b. settled is False
-    for a VB fit stopped at the iteration cap and for a flagged chain;
-    cycled marks a VB fit stopped by cycle detection."""
+    then the scale. VB gives the ETI for beta and the HDI for b, both for
+    all fits at once (the scales in one `summarize_scale` call); the MLE
+    Wald intervals, on the log scale for b; Metropolis each column's draw
+    mean and SD, percentile ETIs for beta and `hdi_from_draws` for b.
+    settled is False for a VB fit stopped at the iteration cap and for a
+    flagged chain; cycled marks a VB fit stopped by cycle detection."""
     fits = list(fits)
     # a VB fit's scale summary stands in for the fit where it failed
     scales = summarize_scale(fits, level) if method == "vb" else fits
+    z = normal_quantile(0.5 * (1.0 + level)) if method != "mcmc" else None
+    if method == "vb":
+        kept = [fit for fit, scale in zip(fits, scales) if not isinstance(scale, NumericalError)]
+        etis = iter(_etis(kept, z) if kept else ())
     out = []
     for fit, scale in zip(fits, scales):
         if isinstance(scale, NumericalError):
             out.append(scale)
         elif method == "vb":
-            rows = [(s.name, s.mean, s.sd, s.interval_low, s.interval_high, s.interval_kind)
-                    for s in summarize_coefficients(fit, level) + [scale]]
+            rows = [(f"beta{j}", *eti, "ETI") for j, eti in enumerate(next(etis))]
+            rows.append(("scale", scale.mean, scale.sd, scale.interval_low,
+                         scale.interval_high, scale.interval_kind))
             out.append((rows, fit.converged, fit.stop_reason == "cycle"))
         elif method == "mle":
             se = np.sqrt(np.diag(fit.covariance))
-            ends = fit.wald_intervals(level)
+            ends = fit._wald_intervals(z)
             rows = [(f"beta{j}", float(m), float(s), *iv, "Wald")
                     for j, (m, s, iv) in enumerate(zip(fit.coefficients, se, ends))]
             rows.append(("scale", fit.scale, fit.scale_se, *ends[-1], "Wald-log"))
@@ -270,7 +275,7 @@ def run_replication(scenario: SimulationScenario, prior: PriorSpec,
     names = [f"beta{j}" for j in range(p)] + ["scale"]
     truth = scenario.true_values
 
-    per_method = {m: {"est": [], "iv": [], "failures": 0, "nonconverged": 0,
+    per_method = {m: {"est": [], "iv": [], "failures": 0, "first": None, "nonconverged": 0,
                       "cycles": 0, "time": 0.0}
                   for m in methods}
     for first in range(0, scenario.n_replicates, _BLOCK_SIZE):
@@ -296,6 +301,7 @@ def run_replication(scenario: SimulationScenario, prior: PriorSpec,
             for outcome in summarize_fits(m, fits, level):
                 if isinstance(outcome, NumericalError):
                     bucket["failures"] += 1
+                    bucket["first"] = bucket["first"] or outcome
                     continue
                 rows, settled, cycled = outcome
                 bucket["est"].append([row[1] for row in rows])
@@ -309,8 +315,10 @@ def run_replication(scenario: SimulationScenario, prior: PriorSpec,
         bucket = per_method[m]
         failures = bucket["failures"]
         if failures > max_failure_rate * scenario.n_replicates or not bucket["est"]:
-            raise NumericalError(
-                f"method {m} failed on {failures}/{scenario.n_replicates} replicates")
+            err = NumericalError(f"method {m} failed on {failures}/{scenario.n_replicates} "
+                                 f"replicates; the first failure: {bucket['first']}")
+            err.method = m
+            raise err
         stats = aggregate_estimates(np.asarray(bucket["est"]),
                                     np.asarray(bucket["iv"]), truth, names)
         reports.append(ReplicationReport(

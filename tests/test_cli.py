@@ -217,6 +217,13 @@ class TestFitCommand:
                      "--prior-rate", "10", "--methods", "vb"]) == 1
         assert "--prior-mean" not in capsys.readouterr().err
 
+    def test_mle_failure_names_no_prior(self, tmp_path, capsys):
+        # the MLE takes no prior, so no prior hint follows its failure
+        data = write(tmp_path / "two.csv", "time,status,x\n1,1,0.5\n2,0,1.5\n")
+        assert main(["fit", "--data", data, "--methods", "mle"]) == 1
+        assert capsys.readouterr().err == (
+            "numerical failure: need more observations than parameters (n=2, p=2)\n")
+
     @pytest.mark.parametrize("bad", ["inf", "nan"])
     def test_nonfinite_covariate_exit_2(self, tmp_path, capsys, bad):
         data = write(tmp_path / "bad.csv",
@@ -283,6 +290,13 @@ class TestReplicateCommand:
         table = capsys.readouterr().out.splitlines()
         assert "nonconverged  vb: 3  mle: 0" in table
         assert "cycles  vb: 0  mle: 0" in table
+
+    def test_failed_study_names_the_first_failure_and_no_prior(self, capsys):
+        # n = 3 leaves the MLE no degree of freedom on either replicate
+        assert main(["replicate", "--n", "3", "--replicates", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "numerical failure: method mle failed on 2/2 replicates; the first failure: "
+            "need more observations than parameters (n=3, p=3)\n")
 
     @pytest.mark.parametrize("u,digest", [
         ("0", "4f35f9db9983bf9ab824543bae09a672816af23bb0e75e3bf20bcf749677d0f0"),

@@ -67,6 +67,18 @@ class TestSegmentCoefficients:
         c = segment_coefficients(np.array([z]))
         assert (c.phi[0], c.rho[0], c.zeta[0]) == (phi, rho, zeta)
 
+    @pytest.mark.parametrize("knots", [LINEAR_KNOTS, QUADRATIC_KNOTS])
+    def test_knot_count_is_searchsorted(self, knots):
+        # each knot, its neighbours on either side, the infinities and NaN
+        x = np.concatenate([knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+                            [-np.inf, np.inf, np.nan, -0.0, 0.0, -1e300, 1e300]])
+        expected = np.searchsorted(knots, x, side="left")
+        got = llaft.piecewise._segment(knots, x[None])
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got.ravel(), expected)
+        for v, k in zip(x, expected):
+            assert llaft.piecewise._segment(knots, np.asarray(v)) == k
+
     @given(st.floats(-8.0, 8.0), st.floats(1e-6, 1.0))
     def test_piecewise_constant_within_segment(self, z, frac):
         # nudging z toward the interior of its segment leaves coefficients fixed

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import importlib.util
 import math
+import warnings
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -76,6 +77,38 @@ class TestGradientAndHessian:
             e[j] = h
             fd = (g(theta + e) - g(theta - e)) / (2.0 * h)
             assert np.allclose(hess[:, j], fd, rtol=1e-4, atol=1e-5)
+
+    def test_mask_free_logistic_gives_the_masked_bits(self):
+        # z = y exactly at beta = 0, b = 1, across both tails, both zeros and
+        # NaN; the expected values follow the masked formula for sigma(z)
+        z = np.array([[-800.0, -40.0, -0.0, 0.0, 40.0, 800.0, 1.5],
+                      [0.3, -800.0, np.nan, 800.0, -0.0, -2.0, 40.0]])
+        d = np.array([[1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0]])
+        X = np.stack([np.ones_like(z), np.linspace(-1.0, 1.0, 7) + np.zeros_like(z)], axis=-1)
+        stack = DatasetStack(z, d, X, d.sum(axis=-1))
+        beta, log_b = np.zeros((2, 2)), np.zeros(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = loglik_grad_hess(stack, beta, log_b)
+
+        d1 = 1.0 + d
+        zz, ll = llaft.reference._z_loglik(stack, beta, log_b, d1)
+        assert np.array_equal(zz.view(np.int64), z.view(np.int64))
+        sig = np.empty_like(z)
+        pos = z >= 0
+        sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        sig[~pos] = ez / (1.0 + ez)
+        g, w = d - d1 * sig, d1 * sig * (1.0 - sig)
+        dot = llaft.reference._dot
+        grad = np.column_stack([-dot(g, X), -stack.r - dot(z, g)])
+        hess = np.empty((2, 3, 3))
+        hess[:, :2, :2] = np.matmul(-(X.transpose(0, 2, 1) * w[:, None, :]), X)
+        hess[:, :2, 2] = hess[:, 2, :2] = dot(g - w * z, X)
+        hess[:, 2, 2] = dot(z, g) - dot(w, z * z)
+        for a, b in zip(got, (ll, grad, hess)):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert np.isfinite(got[1][0]).all() and np.isnan(got[1][1]).all()
 
 
 class TestFitMle:
@@ -197,6 +230,26 @@ class TestFitMleBatch:
         assert "stalled at Newton iteration" in str(batch[2])
         for data, res in zip(good, [batch[0], batch[1], batch[3]]):
             assert_same_mle(res, fit_mle(data))
+
+    def test_a_singular_information_fails_only_its_entry(self, rng):
+        # the converged replicates' informations are inverted as one stack;
+        # a singular one among them fails alone, and the others are the
+        # results each gets by itself
+        fits = fit_mle_batch(DatasetStack.of([random_dataset(rng, 25) for _ in range(3)]))
+        theta = np.array([np.append(f.coefficients, math.log(f.scale)) for f in fits])
+        ll = np.array([f.log_likelihood_at_max for f in fits])
+        hess = -np.linalg.inv(np.array([f.covariance for f in fits]))
+        norm = np.array([f.gradient_norm for f in fits])
+        results = llaft.reference._mle_results
+        alone = [results(theta[j:j + 1], ll[j:j + 1], hess[j:j + 1], 5, norm[j:j + 1])[0]
+                 for j in range(3)]
+        for a, b in zip(results(theta, ll, hess, 5, norm), alone):
+            assert_same_mle(a, b)
+        hess[1] = 0.0
+        fallback = results(theta, ll, hess, 5, norm)
+        assert "singular observed information" in str(fallback[1])
+        assert_same_mle(fallback[0], alone[0])
+        assert_same_mle(fallback[2], alone[2])
 
     def test_underdetermined_batch_fails_every_entry(self):
         data = make_dataset([0.1, 0.2], [1, 1], [[1.0], [2.0]])
