@@ -35,7 +35,7 @@ result `fit` gives it alone, bit for bit. Inside the loop y - X mu is
 computed once per new mu and serves the linear-segment lookup, the omega
 update, the ELBO and the next iteration's plug-in residuals; psi(alpha) is
 computed once per replicate per fit, since alpha = alpha0 + r is fixed, and
-so are 1 + delta, -delta, v0 I and v0 mu0. The public update functions
+so are 1 + delta, v0 I and v0 mu0. The public update functions
 compute the same values from a state alone, through the same kernels.
 """
 from __future__ import annotations
@@ -156,8 +156,8 @@ def _residuals(stack, mu):
 
 
 def _block_terms(stack, prior):
-    # the updates' terms that no iteration changes: 1 + delta, -delta, v0 I, v0 mu0
-    return (1.0 + stack.event, -stack.event, prior.coef_precision * np.eye(stack.p),
+    # the updates' terms that no iteration changes: 1 + delta, v0 I and v0 mu0
+    return (1.0 + stack.event, prior.coef_precision * np.eye(stack.p),
             prior.coef_precision * prior.coef_mean)
 
 
@@ -169,7 +169,7 @@ def update_sigma(stack: DatasetStack, prior: PriorSpec, state: VariationalState,
 
 
 def _update_sigma(stack, terms, moments, zeta):
-    event1, _, v0_eye, _ = terms
+    event1, v0_eye, _ = terms
     _, e_inv2, _ = moments
     X = stack.covariates
     weights = event1 * zeta
@@ -195,9 +195,10 @@ def update_mu(stack: DatasetStack, prior: PriorSpec, state: VariationalState,
 
 
 def _update_mu(stack, terms, moments, rho, zeta, sigma_new):
-    event1, neg_event, _, v0_mu0 = terms
+    event1, _, v0_mu0 = terms
     e_inv, e_inv2, _ = moments
-    row = (e_inv[:, None] * (neg_event + event1 * rho)
+    # (1 + delta) rho - delta, which is -delta + (1 + delta) rho to the bit
+    row = (e_inv[:, None] * (event1 * rho - stack.event)
            + 2.0 * e_inv2[:, None] * event1 * stack.log_time * zeta)
     linear = v0_mu0 + np.matmul(row[:, None, :], stack.covariates)[:, 0]
     return np.matmul(sigma_new, linear[..., None])[..., 0]
@@ -274,13 +275,12 @@ def _elbo(stack, prior, mu, cov, a, w, moments, linear):
 
 def _iterate(stack: DatasetStack, prior: PriorSpec, terms: tuple, moments: tuple,
              resid: np.ndarray, alpha: np.ndarray, psi_alpha: np.ndarray):
-    """One CAVI iteration on a stack, from the block's terms `terms` (see
-    `_block_terms`), q(b) moments `moments` and the residuals y - X mu of
-    the current mu. Returns the new (mu, Sigma, omega), their q(b) moments
-    (psi_alpha is psi(alpha)), the residuals of the new mu, its ELBO, and
-    per replicate the segment key (quadratic segments at the start
-    residuals, then linear segments at the residuals after the
-    beta-update). y - X mu is computed once per new mu."""
+    """One CAVI iteration on a stack, from `_block_terms`, q(b) moments
+    `moments` and the residuals y - X mu of the current mu. Returns the new
+    (mu, Sigma, omega), their q(b) moments (psi_alpha is psi(alpha)), the
+    residuals of the new mu, its ELBO, and per replicate the segment key
+    (quadratic segments at the start residuals, then linear segments at the
+    residuals after the beta-update). y - X mu is computed once per new mu."""
     e_inv = moments[0][:, None]
     kq = _quadratic_segment(resid * e_inv)
     zeta = QUADRATIC_QUADRATIC[kq]
@@ -337,7 +337,7 @@ def fit_batch(stack: DatasetStack, prior: PriorSpec,
     def keep(mask):
         nonlocal ids, stack, terms, alpha, psi_alpha, moments, resid, elbo_prev, history
         ids, stack, elbo_prev = ids[mask], stack.take(mask), elbo_prev[mask]
-        terms = (terms[0][mask], terms[1][mask], *terms[2:])
+        terms = (terms[0][mask], *terms[1:])
         alpha, psi_alpha, resid = alpha[mask], psi_alpha[mask], resid[mask]
         moments = tuple(x[mask] for x in moments)
         history = [None if h is None else tuple(x[mask] for x in h) for h in history]
@@ -353,7 +353,7 @@ def fit_batch(stack: DatasetStack, prior: PriorSpec,
             for j in range(len(ids)):
                 one = np.arange(j, j + 1)
                 try:
-                    _iterate(stack.take(one), prior, (terms[0][one], terms[1][one], *terms[2:]),
+                    _iterate(stack.take(one), prior, (terms[0][one], *terms[1:]),
                              tuple(x[one] for x in moments), resid[one], alpha[one],
                              psi_alpha[one])
                 except NumericalError as exc:

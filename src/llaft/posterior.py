@@ -73,8 +73,7 @@ def summarize_coefficients(state: VariationalState, level: float = 0.95,
 
 
 def _etis(states, z) -> list:
-    """Per state, per coefficient, (mean, sd, mean - z sd, mean + z sd) as
-    floats, computed for the whole block of states at once."""
+    """Per state and coefficient, (mean, sd, mean -/+ z sd), for a block at once."""
     means = np.array([state.coef_mean for state in states])
     sds = np.sqrt(np.diagonal(np.array([state.coef_cov for state in states]), axis1=1, axis2=2))
     lows, highs = means - z * sds, means + z * sds
