@@ -27,40 +27,33 @@ surrogate switching can otherwise cycle forever), or at the iteration cap,
 and records which of the three rules fired in `stop_reason`.
 
 `fit_batch` runs that loop over the replicates of a DatasetStack at once,
-from the start `initialize` gives: every update takes a DatasetStack and a
-state with a leading replicate axis, and a replicate leaves the batch when
+from the start `initialize` gives: every update takes a DatasetStack and
+arrays with a leading replicate axis, and a replicate leaves the batch when
 it stops or fails. `fit` is a batch of one, so a single dataset and a batch
 go through the same arithmetic, and each replicate of a batch gets the
 result `fit` gives it alone, bit for bit. Inside the loop y - X mu is
 computed once per new mu and serves the linear-segment lookup, the omega
 update, the ELBO and the next iteration's plug-in residuals; psi(alpha) is
 computed once per replicate per fit, since alpha = alpha0 + r is fixed, and
-so are 1 + delta, v0 I and v0 mu0. The public update functions
-compute the same values from a state alone, through the same kernels.
+so are 1 + delta, v0 I and v0 mu0.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .exceptions import NumericalError
 from .model import DatasetStack, PriorSpec, SurvivalDataset
-from .numerics import InverseGammaParams, _digammas, _moments, inverse_gamma_moments
+from .numerics import _digammas, _moments
 from .piecewise import (LINEAR_SLOPES, QUADRATIC_LINEAR, QUADRATIC_QUADRATIC,
-                        PiecewiseCoefficients, _linear_segment, _quadratic_segment)
+                        _linear_segment, _quadratic_segment)
 
 __all__ = [
     "FitConfig",
     "VariationalState",
     "initialize",
-    "plugin_residuals",
-    "update_sigma",
-    "update_mu",
-    "update_omega",
-    "elbo",
     "fit",
     "fit_batch",
 ]
@@ -84,29 +77,22 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class VariationalState:
-    """Variational parameters plus per-iteration diagnostics.
+    """Variational parameters of a fit plus per-iteration diagnostics.
 
-    On a state `fit` returns, `coef_mean` is (p,), `coef_cov` (p, p), and
-    `scale_shape` and `scale_rate` are floats; `scale_shape` is the prior
-    shape plus the event count. The update functions take and return the
-    same parameters with a leading replicate axis, for a DatasetStack:
-    `coef_mean` (R, p), `coef_cov` (R, p, p), and `scale_shape` and
-    `scale_rate` (R,). There `scale_shape` is the shape the next update
-    takes expectations at: the prior shape on the state `initialize`
-    returns, and the prior shape plus the event count from the first update
-    of q(b) onward. `coef_cov` is None until the first update.
+    `coef_mean` is (p,), `coef_cov` (p, p), and `scale_shape` and
+    `scale_rate` are floats; `scale_shape` is the prior shape plus the event
+    count.
 
     The traces record, per iteration: the ELBO, the updated rate omega, the
     covariance matrix, and a compact key of the surrogate segment assignment
     in effect for that iteration's updates. `stop_reason` says why `fit`
     stopped: "tolerance" (the ELBO change fell to the tolerance), "cycle" (a
     segment assignment and parameters recurred) or "cap" (the iteration
-    cap); it is None on a state `fit` did not return. `converged` is False
-    only for "cap".
+    cap). `converged` is False only for "cap".
     """
 
     coef_mean: np.ndarray
-    coef_cov: np.ndarray | None
+    coef_cov: np.ndarray
     scale_shape: float
     scale_rate: float
     elbo_trace: tuple = ()
@@ -124,30 +110,16 @@ class VariationalState:
             raise NumericalError("scale mean undefined for shape <= 1")
         return self.scale_rate / (self.scale_shape - 1.0)
 
-    @cached_property
-    def scale_moments(self) -> tuple:
-        """(E[1/b], E[1/b^2], E[log b]) under q(b), from
-        `numerics.inverse_gamma_moments`, once per state: arrays with one
-        entry per replicate."""
-        return inverse_gamma_moments(InverseGammaParams(self.scale_shape, self.scale_rate))
 
-
-def initialize(stack: DatasetStack, prior: PriorSpec) -> VariationalState:
-    """The state `fit_batch` starts from, per replicate: mu = prior mean,
-    alpha = alpha0 and omega = omega0, so that the first beta-update
-    integrates against the prior Inverse-Gamma(alpha0, omega0). Raises
-    ValueError unless the prior mean has one entry per covariate."""
+def initialize(stack: DatasetStack, prior: PriorSpec) -> tuple:
+    """The start `fit_batch` runs from, per replicate: mu = prior mean (R, p),
+    alpha = alpha0 (R,) and omega = omega0 (R,), so that the first
+    beta-update integrates against the prior Inverse-Gamma(alpha0, omega0).
+    Raises ValueError unless the prior mean has one entry per covariate."""
     prior.check_dimension(stack.p)
     R = len(stack)
-    return VariationalState(coef_mean=np.tile(prior.coef_mean, (R, 1)), coef_cov=None,
-                            scale_shape=np.full(R, prior.scale_shape),
-                            scale_rate=np.full(R, prior.scale_rate))
-
-
-def plugin_residuals(stack: DatasetStack, state: VariationalState) -> np.ndarray:
-    """Standardized residuals (y - X mu) * E[1/b] under the current state,
-    (R, n)."""
-    return _residuals(stack, state.coef_mean) * state.scale_moments[0][:, None]
+    return (np.tile(prior.coef_mean, (R, 1)), np.full(R, prior.scale_shape),
+            np.full(R, prior.scale_rate))
 
 
 def _residuals(stack, mu):
@@ -161,14 +133,8 @@ def _block_terms(stack, prior):
             prior.coef_precision * prior.coef_mean)
 
 
-def update_sigma(stack: DatasetStack, prior: PriorSpec, state: VariationalState,
-                 coeffs: PiecewiseCoefficients) -> np.ndarray:
-    """New coefficient covariances
-    [v0 I + 2 E(1/b^2) sum_i (1+delta_i) zeta_i x_i x_i']^{-1}, (R, p, p)."""
-    return _update_sigma(stack, _block_terms(stack, prior), state.scale_moments, coeffs.zeta)
-
-
 def _update_sigma(stack, terms, moments, zeta):
+    # [v0 I + 2 E(1/b^2) sum_i (1+delta_i) zeta_i x_i x_i']^{-1}, (R, p, p)
     event1, v0_eye, _ = terms
     _, e_inv2, _ = moments
     X = stack.covariates
@@ -186,15 +152,8 @@ def _update_sigma(stack, terms, moments, zeta):
     return sigma
 
 
-def update_mu(stack: DatasetStack, prior: PriorSpec, state: VariationalState,
-              coeffs: PiecewiseCoefficients, sigma_new: np.ndarray) -> np.ndarray:
-    """New coefficient means, the surrogate linear form times the new
-    covariance, (R, p)."""
-    return _update_mu(stack, _block_terms(stack, prior), state.scale_moments,
-                      coeffs.rho, coeffs.zeta, sigma_new)
-
-
 def _update_mu(stack, terms, moments, rho, zeta, sigma_new):
+    # the surrogate linear form times the new covariance, (R, p)
     event1, _, v0_mu0 = terms
     e_inv, e_inv2, _ = moments
     # (1 + delta) rho - delta, which is -delta + (1 + delta) rho to the bit
@@ -210,15 +169,8 @@ def _linear_form(stack, event1, resid, phi):
     return np.sum((stack.event - event1 * phi) * resid, axis=-1)
 
 
-def update_omega(stack: DatasetStack, prior: PriorSpec, coeffs: PiecewiseCoefficients,
-                 mu_new: np.ndarray) -> np.ndarray:
-    """New rates omega0 - sum_i (delta_i - (1+delta_i) phi_i)(y_i - x_i' mu),
-    (R,); a non-positive value is a numerical failure."""
-    return _update_omega(prior, _linear_form(stack, 1.0 + stack.event,
-                                             _residuals(stack, mu_new), coeffs.phi))
-
-
 def _update_omega(prior, linear):
+    # omega0 minus the linear form, (R,); a non-positive value is a failure
     omega = prior.scale_rate - linear
     bad = omega <= 0
     if bad.any():
@@ -227,30 +179,20 @@ def _update_omega(prior, linear):
     return omega
 
 
-def elbo(stack: DatasetStack, prior: PriorSpec, state: VariationalState,
-         coeffs: PiecewiseCoefficients) -> np.ndarray:
+def _elbo(stack, prior, mu, cov, a, w, moments, linear):
     """Linear-surrogate evidence lower bound L_L, iteration-constant terms
-    dropped, (R,).
+    dropped, (R,), from the moments of q(b) and the likelihood's linear form
+    `_linear_form`.
 
-    L_L is the bound `update_omega` maximizes; `update_sigma` and `update_mu`
-    maximize the quadratic-surrogate bound instead, so a beta-update may
-    lower this value (see the module docstring).
+    L_L is the bound `_update_omega` maximizes; `_update_sigma` and
+    `_update_mu` maximize the quadratic-surrogate bound instead, so a
+    beta-update may lower this value (see the module docstring).
 
     Likelihood term: -r E(log b) + E(1/b) sum_i c_i (y_i - x_i' mu) with
     c_i = delta_i - (1+delta_i) phi_i. Coefficient term: -(v0/2)[tr Sigma +
     |mu - mu0|^2] + (1/2) log|Sigma|. Scale term: (alpha - alpha0) E(log b) +
     (omega - omega0) E(1/b) - alpha log omega.
     """
-    if state.coef_cov is None:
-        raise ValueError("state has no covariance yet; run an update first")
-    linear = _linear_form(stack, 1.0 + stack.event, _residuals(stack, state.coef_mean),
-                          coeffs.phi)
-    return _elbo(stack, prior, state.coef_mean, state.coef_cov, state.scale_shape,
-                 state.scale_rate, state.scale_moments, linear)
-
-
-def _elbo(stack, prior, mu, cov, a, w, moments, linear):
-    # L_L given the moments of q(b) and the likelihood's linear form
     e_inv, _, e_log_b = moments
     likelihood = -stack.r * e_log_b + e_inv * linear
 
@@ -320,9 +262,9 @@ def fit_batch(stack: DatasetStack, prior: PriorSpec,
     shape at the start, and for alpha0 + r, the shape of every update.
     """
     config = config or FitConfig()
-    start = initialize(stack, prior)
-    moments = _moments(start.scale_shape, start.scale_rate, _digammas(start.scale_shape))
-    resid = _residuals(stack, start.coef_mean)
+    mu0, alpha0, omega0 = initialize(stack, prior)
+    moments = _moments(alpha0, omega0, _digammas(alpha0))
+    resid = _residuals(stack, mu0)
     terms = _block_terms(stack, prior)
     results: list = [None] * len(stack)
     traces = [[] for _ in results]  # per iteration (ELBO, omega, Sigma, key)

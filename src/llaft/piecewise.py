@@ -33,12 +33,10 @@ __all__ = [
     "QUADRATIC_INTERCEPTS",
     "QUADRATIC_LINEAR",
     "QUADRATIC_QUADRATIC",
-    "PiecewiseCoefficients",
     "BreakpointFit",
     "softplus",
     "softplus_linear",
     "softplus_quadratic",
-    "segment_coefficients",
     "table_sse",
     "table_max_error",
     "fit_linear_breakpoints",
@@ -83,16 +81,6 @@ _QUADRATIC_TABLE = (QUADRATIC_KNOTS, QUADRATIC_INTERCEPTS, QUADRATIC_LINEAR,
 
 for _knots in (*_LINEAR_TABLE, *_QUADRATIC_TABLE, _LATTICE):
     _knots.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class PiecewiseCoefficients:
-    """Per-observation surrogate coefficients at a vector of standardized
-    residuals: linear slope phi and quadratic pair (rho, zeta)."""
-
-    phi: np.ndarray
-    rho: np.ndarray
-    zeta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -141,18 +129,6 @@ def softplus_quadratic(x):
     k = _quadratic_segment(x)
     out = QUADRATIC_INTERCEPTS[k] + (QUADRATIC_LINEAR[k] + QUADRATIC_QUADRATIC[k] * x) * x
     return float(out) if out.ndim == 0 else out
-
-
-def segment_coefficients(z_hat) -> PiecewiseCoefficients:
-    """Surrogate coefficients for the segments containing each z_hat value."""
-    z_hat = np.atleast_1d(np.asarray(z_hat, dtype=float))
-    kl = _linear_segment(z_hat)
-    kq = _quadratic_segment(z_hat)
-    return PiecewiseCoefficients(
-        phi=LINEAR_SLOPES[kl],
-        rho=QUADRATIC_LINEAR[kq],
-        zeta=QUADRATIC_QUADRATIC[kq],
-    )
 
 
 def _grid(grid_size: int):

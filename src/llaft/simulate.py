@@ -16,7 +16,6 @@ randomness.
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 

@@ -4,22 +4,21 @@ scale on pinned seeds; tolerances are fixed here and nowhere else.
 """
 import math
 import time
-from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 
-from llaft.cavi import (VariationalState, elbo, fit, plugin_residuals,
-                        update_mu, update_omega, update_sigma)
+from llaft.cavi import (_block_terms, _elbo, _linear_form, _residuals, _update_mu,
+                        _update_omega, _update_sigma, fit, initialize)
 from llaft.cli import ingest_csv, main
 from llaft.datasets import rhdnase_path
 from llaft.model import DatasetStack, PriorSpec
-from llaft.numerics import (InverseGammaParams, digamma, inverse_gamma_cdf,
-                            inverse_gamma_moments, inverse_gamma_quantile)
-from llaft.piecewise import (LINEAR_KNOTS, QUADRATIC_KNOTS,
-                             PiecewiseCoefficients, fit_linear_breakpoints,
-                             segment_coefficients, table_sse)
+from llaft.numerics import (InverseGammaParams, _digammas, _moments, digamma,
+                            inverse_gamma_cdf, inverse_gamma_moments,
+                            inverse_gamma_quantile)
+from llaft.piecewise import (LINEAR_KNOTS, LINEAR_SLOPES, QUADRATIC_KNOTS, QUADRATIC_LINEAR,
+                             QUADRATIC_QUADRATIC, fit_linear_breakpoints, table_sse)
 from llaft.posterior import summarize_coefficients, summarize_scale
 from llaft.reference import fit_mle, sample_posterior
 from llaft.simulate import (STRONG_PRIOR, WEAK_PRIOR, SimulationScenario,
@@ -251,9 +250,10 @@ def test_criterion7_nonpositive_rate_aborts_with_exit_code(tmp_path):
     print("CRITERION 7 (rate failure) PASS: omega <= 0 exits with code 1")
 
 
-def _quadratic_surrogate_bound(data, prior, mu, sigma, shape, rate, quad):
+def _quadratic_surrogate_bound(data, prior, mu, sigma, shape, rate, rho, zeta):
     """L_Q: the ELBO with softplus replaced by the quadratic surrogate
-    (rho, zeta), written out from the model log-likelihood
+    (rho, zeta), one pair per observation, written out from the model
+    log-likelihood
 
         l = -r log b + sum_i [delta_i z_i - (1 + delta_i) log(1 + e^{z_i})],
 
@@ -264,7 +264,6 @@ def _quadratic_surrogate_bound(data, prior, mu, sigma, shape, rate, quad):
     and fixed q(b) are dropped.
     """
     X, y, d = data.covariates, data.log_time, data.event
-    rho, zeta = quad.rho[0], quad.zeta[0]  # the coefficients of a stack of one
     e_inv = shape / rate
     e_inv2 = shape * (shape + 1.0) / (rate * rate)
     e_log_b = math.log(rate) - digamma(shape)
@@ -295,9 +294,11 @@ def test_criterion7_elbo_monotone_on_stable_stretches(acceptance_states):
     while segment assignments stay the same. What the method promises, and
     what is checked here on every iteration of every acceptance fit:
 
-    * a replay through the public update functions reproduces `elbo_trace`,
-      `omega_trace`, `sigma_trace` and `segment_trace` bit for bit (the first
-      iteration takes expectations at the prior shape alpha0);
+    * a replay through the kernels `fit_batch` runs reproduces `elbo_trace`,
+      `omega_trace`, `sigma_trace`, `segment_trace` and the final mean bit
+      for bit (the first iteration takes expectations at the prior shape
+      alpha0); the replay finds segments with `np.searchsorted` and takes
+      the surrogate coefficients from the tables itself;
     * from iteration 2 on, the beta-step does not lower L_Q, evaluated with
       that iteration's (rho, zeta), the old omega and shape alpha0 + r;
       L_Q is computed here from the model log-likelihood, independently of
@@ -314,48 +315,45 @@ def test_criterion7_elbo_monotone_on_stable_stretches(acceptance_states):
     stable_dips = []
     for state, prior, data in acceptance_states:
         stack = DatasetStack.of([data])
-        alpha = np.array([prior.scale_shape + data.r])
-        cur = VariationalState(coef_mean=prior.coef_mean[None].copy(), coef_cov=None,
-                               scale_shape=np.array([prior.scale_shape]),
-                               scale_rate=np.array([prior.scale_rate]))
+        terms = _block_terms(stack, prior)
+        mu, alpha, omega = initialize(stack, prior)
+        moments = _moments(alpha, omega, _digammas(alpha))
+        alpha = prior.scale_shape + stack.r  # the shape from the first omega-step on
+        psi_alpha = _digammas(alpha)
         for m in range(state.iterations):
-            z_start = plugin_residuals(stack, cur)
-            quad = segment_coefficients(z_start)
-            sigma = update_sigma(stack, prior, cur, quad)
-            mu = update_mu(stack, prior, cur, quad, sigma)
+            e_inv = moments[0][:, None]
+            kq = np.searchsorted(QUADRATIC_KNOTS, _residuals(stack, mu) * e_inv, side="left")
+            rho, zeta = QUADRATIC_LINEAR[kq], QUADRATIC_QUADRATIC[kq]
+            sigma = _update_sigma(stack, terms, moments, zeta)
+            mu_new = _update_mu(stack, terms, moments, rho, zeta, sigma)
             if m > 0:
                 before = _quadratic_surrogate_bound(
-                    data, prior, cur.coef_mean[0], cur.coef_cov[0], alpha[0],
-                    cur.scale_rate[0], quad)
+                    data, prior, mu[0], cov[0], alpha[0], omega[0], rho[0], zeta[0])
                 after = _quadratic_surrogate_bound(
-                    data, prior, mu[0], sigma[0], alpha[0], cur.scale_rate[0], quad)
+                    data, prior, mu_new[0], sigma[0], alpha[0], omega[0], rho[0], zeta[0])
                 beta_steps += 1
                 if after < before - tol:
                     beta_drops.append(before - after)
 
-            mid = replace(cur, coef_mean=mu, coef_cov=sigma)
-            z_mid = plugin_residuals(stack, mid)
-            lin = PiecewiseCoefficients(phi=segment_coefficients(z_mid).phi,
-                                        rho=quad.rho, zeta=quad.zeta)
-            omega = update_omega(stack, prior, lin, mu)
-            new = VariationalState(coef_mean=mu, coef_cov=sigma,
-                                   scale_shape=alpha, scale_rate=omega)
-            before = elbo(stack, prior, replace(mid, scale_shape=alpha), lin)[0]
-            after = elbo(stack, prior, new, lin)[0]
+            resid = _residuals(stack, mu_new)
+            kl = np.searchsorted(LINEAR_KNOTS, resid * e_inv, side="left")
+            linear = _linear_form(stack, terms[0], resid, LINEAR_SLOPES[kl])
+            omega_new = _update_omega(prior, linear)
+            before = _elbo(stack, prior, mu_new, sigma, alpha, omega,
+                           _moments(alpha, omega, psi_alpha), linear)[0]
+            moments = _moments(alpha, omega_new, psi_alpha)
+            after = _elbo(stack, prior, mu_new, sigma, alpha, omega_new, moments, linear)[0]
             omega_steps += 1
             if after < before - tol:
                 omega_drops.append(before - after)
 
-            key = (np.searchsorted(QUADRATIC_KNOTS, z_start, side="left")
-                   .astype(np.int8).tobytes()
-                   + np.searchsorted(LINEAR_KNOTS, z_mid, side="left")
-                   .astype(np.int8).tobytes())
+            key = kq.astype(np.int8).tobytes() + kl.astype(np.int8).tobytes()
             assert after == state.elbo_trace[m], (m, after, state.elbo_trace[m])
-            assert omega[0] == state.omega_trace[m], (m, omega, state.omega_trace[m])
+            assert omega_new[0] == state.omega_trace[m], (m, omega_new, state.omega_trace[m])
             assert np.array_equal(sigma[0], state.sigma_trace[m]), m
             assert key == state.segment_trace[m], m
-            cur = new
-        assert np.array_equal(cur.coef_mean[0], state.coef_mean)
+            mu, cov, omega = mu_new, sigma, omega_new
+        assert np.array_equal(mu[0], state.coef_mean)
 
         trace, segs = state.elbo_trace, state.segment_trace
         stable_dips.extend(
