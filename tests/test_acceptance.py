@@ -316,8 +316,8 @@ def test_criterion7_elbo_monotone_on_stable_stretches(acceptance_states):
     for state, prior, data in acceptance_states:
         stack = DatasetStack.of([data])
         terms = _block_terms(stack, prior)
-        mu, alpha, omega = initialize(stack, prior)
-        moments = _moments(alpha, omega, _digammas(alpha))
+        mu, alpha0, omega = initialize(stack, prior)
+        moments = _moments(alpha0, omega, _digammas(alpha0))
         alpha = prior.scale_shape + stack.r  # the shape from the first omega-step on
         psi_alpha = _digammas(alpha)
         for m in range(state.iterations):
