@@ -272,7 +272,7 @@ def fit_batch(stack: DatasetStack, prior: PriorSpec,
     ids = np.arange(len(stack))  # the replicates still in the batch
     alpha = prior.scale_shape + stack.r
     psi_alpha = _digammas(alpha)
-    elbo_prev = np.zeros(len(ids))
+    elbo_prev = np.full(len(ids), np.inf)  # the first iteration never stops by tolerance
     # the last _CYCLE_WINDOW (key, mu, omega), oldest overwritten first
     history = [None] * _CYCLE_WINDOW
 

@@ -221,11 +221,9 @@ def _method_summaries(method, data, prior, config, mcmc_run):
     except NumericalError as exc:
         exc.method = method
         raise
-    rows, settled, _ = outcome
-    if not settled:
-        why = (result.warning if method == "mcmc" else
-               f"stopped at the iteration cap after {result.iterations} iterations")
-        print(f"warning: {method}: {why}", file=sys.stderr)
+    rows, note, _ = outcome
+    if note is not None:
+        print(f"warning: {method}: {note}", file=sys.stderr)
     return rows, time.perf_counter() - start
 
 

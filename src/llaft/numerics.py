@@ -53,9 +53,8 @@ _DIGAMMA_TAIL = (
 class InverseGammaParams:
     """Shape/scale pair (alpha, omega) of an Inverse-Gamma distribution.
 
-    `inverse_gamma_moments` and `posterior.inverse_gamma_hdi` also take
-    arrays of shapes and scales, one distribution per element; every other
-    function here takes floats.
+    `posterior.inverse_gamma_hdi` also takes arrays of shapes and scales,
+    one distribution per element; every function here takes floats.
     """
 
     shape: float
@@ -152,12 +151,8 @@ def inverse_gamma_moments(params: InverseGammaParams) -> tuple:
     """(E[1/b], E[1/b^2], E[log b]) for b ~ Inverse-Gamma(shape, scale).
 
     Closed forms: alpha/omega, (alpha + alpha^2)/omega^2, log(omega) - psi(alpha).
-    Array parameters give arrays of moments, element by element.
     """
     a, w = params.shape, params.scale
-    if np.ndim(a) or np.ndim(w):
-        a, w = np.asarray(a, float), np.asarray(w, float)
-        return _moments(a, w, _digammas(a))
     return _moments(a, w, digamma(a), math.log)
 
 

@@ -167,29 +167,24 @@ class ReplicationReport:
 def aggregate_estimates(estimates: np.ndarray, intervals: np.ndarray,
                         truth: np.ndarray, names: list[str]) -> tuple:
     """Bias, sample SD, MSE, closed-interval coverage and average length,
-    parameter by parameter."""
-    out = []
-    n = estimates.shape[0]
-    for j, name in enumerate(names):
-        est = estimates[:, j]
-        bias = float(est.mean() - truth[j])
-        sd = float(est.std(ddof=1)) if n > 1 else 0.0
-        mse = float(np.mean((truth[j] - est) ** 2))
-        inside = (intervals[:, j, 0] <= truth[j]) & (truth[j] <= intervals[:, j, 1])
-        out.append(ParameterStats(
-            parameter=name,
-            bias=bias,
-            sample_sd=sd,
-            mse=mse,
-            coverage_percent=float(100.0 * inside.mean()),
-            avg_interval_length=float(np.mean(intervals[:, j, 1] - intervals[:, j, 0])),
-        ))
-    return tuple(out)
+    parameter by parameter. Each statistic is one reduction over the rows of
+    the transposed block: a contiguous row rounds as its column alone does,
+    where a reduction along axis 0 may not."""
+    est = np.ascontiguousarray(estimates.T)
+    low, high = np.ascontiguousarray(intervals.transpose(2, 1, 0))
+    t = truth[:, None]
+    bias = est.mean(axis=1) - truth
+    sd = est.std(axis=1, ddof=1) if est.shape[1] > 1 else np.zeros(len(names))
+    mse = ((t - est) ** 2).mean(axis=1)
+    coverage = 100.0 * ((low <= t) & (t <= high)).mean(axis=1)
+    length = (high - low).mean(axis=1)
+    return tuple(ParameterStats(name, *map(float, row))
+                 for name, *row in zip(names, bias, sd, mse, coverage, length))
 
 
 def summarize_fits(method: str, fits, level: float = 0.95) -> list:
     """One summary per fit of `method` ("vb", "mle" or "mcmc"), in order:
-    (rows, settled, cycled), or the fit's NumericalError passed through. The
+    (rows, note, cycled), or the fit's NumericalError passed through. The
     CLI and the replication study both summarize here.
 
     rows are (parameter, mean, sd, low, high, kind), beta0, beta1, ... and
@@ -197,8 +192,10 @@ def summarize_fits(method: str, fits, level: float = 0.95) -> list:
     all fits at once (the scales in one `summarize_scale` call); the MLE
     Wald intervals, on the log scale for b; Metropolis each column's draw
     mean and SD, percentile ETIs for beta and `hdi_from_draws` for b.
-    settled is False for a VB fit stopped at the iteration cap and for a
-    flagged chain; cycled marks a VB fit stopped by cycle detection."""
+    note says why a fit did not settle: "stopped at the iteration cap after
+    N iterations" for a VB fit, the sampler's warning for a flagged chain,
+    and None for a fit that settled. cycled marks a VB fit stopped by cycle
+    detection."""
     fits = list(fits)
     # a VB fit's scale summary stands in for the fit where it failed
     scales = summarize_scale(fits, level) if method == "vb" else fits
@@ -214,14 +211,16 @@ def summarize_fits(method: str, fits, level: float = 0.95) -> list:
             rows = [(f"beta{j}", *eti, "ETI") for j, eti in enumerate(next(etis))]
             rows.append(("scale", scale.mean, scale.sd, scale.interval_low,
                          scale.interval_high, scale.interval_kind))
-            out.append((rows, fit.converged, fit.stop_reason == "cycle"))
+            note = (None if fit.converged else
+                    f"stopped at the iteration cap after {fit.iterations} iterations")
+            out.append((rows, note, fit.stop_reason == "cycle"))
         elif method == "mle":
             se = np.sqrt(np.diag(fit.covariance))
             ends = fit._wald_intervals(z)
             rows = [(f"beta{j}", float(m), float(s), *iv, "Wald")
                     for j, (m, s, iv) in enumerate(zip(fit.coefficients, se, ends))]
             rows.append(("scale", fit.scale, fit.scale_se, *ends[-1], "Wald-log"))
-            out.append((rows, True, False))
+            out.append((rows, None, False))
         else:
             q = [50.0 - 50.0 * level, 50.0 + 50.0 * level]
             rows = [(f"beta{j}", float(d.mean()), float(d.std(ddof=1)),
@@ -230,7 +229,7 @@ def summarize_fits(method: str, fits, level: float = 0.95) -> list:
             d = fit.scale_draws
             rows.append(("scale", float(d.mean()), float(d.std(ddof=1)),
                          *hdi_from_draws(d, level), "HDI"))
-            out.append((rows, fit.warning is None, False))
+            out.append((rows, fit.warning, False))
     return out
 
 
@@ -259,9 +258,9 @@ def run_replication(scenario: SimulationScenario, prior: PriorSpec,
     the block's rows. Replicates on which a method breaks down numerically
     are excluded from that method's aggregate; more than `max_failure_rate`
     of them, or all of them, fails the whole run with NumericalError. Every
-    fit is summarized by `summarize_fits`. Fits that are kept but did not
-    converge are counted in each report's `n_nonconverged`, and VB fits
-    stopped by cycle detection in `n_cycles`.
+    fit is summarized by `summarize_fits`, and a method's report is read
+    from its list of outcomes: kept fits with a note (they did not settle)
+    count in `n_nonconverged`, and VB fits stopped in a cycle in `n_cycles`.
     An empty or unknown method list, or an MCMC run that keeps fewer than two
     draws, raises ValueError before any work.
     """
@@ -274,14 +273,12 @@ def run_replication(scenario: SimulationScenario, prior: PriorSpec,
     names = [f"beta{j}" for j in range(p)] + ["scale"]
     truth = scenario.true_values
 
-    per_method = {m: {"est": [], "iv": [], "failures": 0, "first": None, "nonconverged": 0,
-                      "cycles": 0, "time": 0.0}
-                  for m in methods}
+    outcomes = {m: [] for m in methods}
+    wall_time = dict.fromkeys(methods, 0.0)
     for first in range(0, scenario.n_replicates, _BLOCK_SIZE):
         indices = range(first, min(first + _BLOCK_SIZE, scenario.n_replicates))
         block, observed = _generate_block(scenario, indices)
         for m in methods:
-            bucket = per_method[m]
             start = time.perf_counter()
             if m == "vb":
                 fits = fit_batch(block, prior, config)
@@ -297,36 +294,26 @@ def run_replication(scenario: SimulationScenario, prior: PriorSpec,
                                                      stream_seed(scenario.seed, i, ROLE_MCMC)))
                     except NumericalError as exc:
                         fits.append(exc)
-            for outcome in summarize_fits(m, fits, level):
-                if isinstance(outcome, NumericalError):
-                    bucket["failures"] += 1
-                    bucket["first"] = bucket["first"] or outcome
-                    continue
-                rows, settled, cycled = outcome
-                bucket["est"].append([row[1] for row in rows])
-                bucket["iv"].append([row[3:5] for row in rows])
-                bucket["nonconverged"] += not settled
-                bucket["cycles"] += cycled
-            bucket["time"] += time.perf_counter() - start
+            outcomes[m] += summarize_fits(m, fits, level)
+            wall_time[m] += time.perf_counter() - start
 
     reports = []
     for m in methods:
-        bucket = per_method[m]
-        failures = bucket["failures"]
-        if failures > max_failure_rate * scenario.n_replicates or not bucket["est"]:
-            err = NumericalError(f"method {m} failed on {failures}/{scenario.n_replicates} "
-                                 f"replicates; the first failure: {bucket['first']}")
+        failed = [o for o in outcomes[m] if isinstance(o, NumericalError)]
+        kept = [o for o in outcomes[m] if not isinstance(o, NumericalError)]
+        if len(failed) > max_failure_rate * scenario.n_replicates or not kept:
+            err = NumericalError(f"method {m} failed on {len(failed)}/{scenario.n_replicates} "
+                                 f"replicates; the first failure: {failed[0]}")
             err.method = m
             raise err
-        stats = aggregate_estimates(np.asarray(bucket["est"]),
-                                    np.asarray(bucket["iv"]), truth, names)
+        stats = aggregate_estimates(np.array([[row[1] for row in rows] for rows, *_ in kept]),
+                                    np.array([[row[3:5] for row in rows] for rows, *_ in kept]),
+                                    truth, names)
         reports.append(ReplicationReport(
-            method=m, stats=stats,
-            n_replicates=scenario.n_replicates - failures,
-            n_failures=failures,
-            wall_time=bucket["time"],
-            n_nonconverged=bucket["nonconverged"],
-            n_cycles=bucket["cycles"],
+            method=m, stats=stats, n_replicates=len(kept), n_failures=len(failed),
+            wall_time=wall_time[m],
+            n_nonconverged=sum(note is not None for _, note, _ in kept),
+            n_cycles=sum(cycled for *_, cycled in kept),
         ))
     return reports
 

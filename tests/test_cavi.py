@@ -375,6 +375,22 @@ class TestFit:
         assert state.stop_reason == "cap"
         assert state.iterations == 3
 
+    def test_first_elbo_near_zero_does_not_stop_the_fit(self):
+        # the first ELBO here is 9.0e-4, within the default tolerance of 0;
+        # the first iteration has no previous ELBO to be within tolerance of
+        data = SurvivalDataset(time=np.array([1.0, 2.0, 0.5, 3.0]),
+                               event=np.array([1.0, 1.0, 0.0, 1.0]),
+                               covariates=np.column_stack([np.ones(4), [0.1, -0.3, 0.5, 0.2]]))
+        prior = PriorSpec(coef_mean=np.zeros(2), coef_precision=0.01,
+                          scale_shape=0.2, scale_rate=2.859375)
+        state = fit(data, prior)
+        assert abs(state.elbo_trace[0]) <= FitConfig().elbo_tolerance
+        assert (state.iterations, state.stop_reason) == (6, "tolerance")
+        assert state.coef_mean == pytest.approx([0.611, 0.235], abs=5e-4)
+        # where a tight tolerance settles
+        tight = fit(data, prior, FitConfig(elbo_tolerance=1e-9))
+        assert state.coef_mean == pytest.approx(tight.coef_mean, abs=5e-4)
+
     def test_stop_reason_names_the_rule_that_fired(self):
         config = FitConfig(max_iterations=8)
         reasons = set()
@@ -386,7 +402,7 @@ class TestFit:
                 reasons.add(state.stop_reason)
                 assert state.converged == (state.stop_reason != "cap")
                 gap = abs(state.elbo_trace[-1] - (state.elbo_trace[-2]
-                                                  if state.iterations > 1 else 0.0))
+                                                  if state.iterations > 1 else math.inf))
                 assert (gap <= config.elbo_tolerance) == (state.stop_reason == "tolerance")
                 if state.stop_reason == "cap":
                     assert state.iterations == config.max_iterations

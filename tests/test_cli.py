@@ -313,6 +313,16 @@ class TestReplicateCommand:
                      "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_three_method_study_report_is_golden(self, tmp_path):
+        # the study CI runs with every method: the chains' outcomes are
+        # gathered as the batch fits' are, and one VB fit stops in a cycle
+        out = tmp_path / "study.csv"
+        assert main(["replicate", "--n", "50", "--replicates", "3", "--methods",
+                     "vb,mle,mcmc", "--seed", "1", "--mcmc-iterations", "1000",
+                     "--mcmc-burn-in", "200", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "5c1675b61125527e1b7358783b337f86ff37b21375ce7ce1c624b54657f28564")
+
 
 class TestFlagValidation:
     """Out-of-range flag values are usage errors: exit 2 and one error line,

@@ -116,14 +116,6 @@ class TestInverseGammaMoments:
         mc_se = log_draws.std(ddof=1) / math.sqrt(log_draws.size)
         assert abs(log_draws.mean() - mean_log) < 3.0 * mc_se
 
-    def test_arrays_give_elementwise_moments(self):
-        shapes, rates = np.array([2.0, 11.0, 311.0]), np.array([4.0, 10.0, 250.0])
-        got = inverse_gamma_moments(InverseGammaParams(shapes, rates))
-        for j, (a, w) in enumerate(zip(shapes, rates)):
-            want = inverse_gamma_moments(InverseGammaParams(float(a), float(w)))
-            for g, v in zip(got, want):
-                assert g[j] == pytest.approx(v, rel=1e-15)
-
     def test_monte_carlo_agreement(self):
         # 20 random (shape, scale) pairs, 1e6 draws each, all three moments
         # within 3 Monte Carlo standard errors.

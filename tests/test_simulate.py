@@ -10,7 +10,7 @@ from llaft.exceptions import DataError, NumericalError
 from llaft.model import DatasetStack
 from llaft.numerics import _uniform_streams, normal_quantile, uniform_stream
 from llaft.simulate import (ROLE_CENSOR, ROLE_NOISE, ROLE_X1, ROLE_X2, STRONG_PRIOR,
-                            WEAK_PRIOR, SimulationScenario, _generate_block,
+                            WEAK_PRIOR, ParameterStats, SimulationScenario, _generate_block,
                             aggregate_estimates, check_methods, generate_dataset,
                             report_text_table, run_replication, summarize_fits,
                             write_report_csv)
@@ -197,6 +197,27 @@ class TestAggregate:
         iv = np.tile([[0.3, 0.9]], (4, 1)).reshape(4, 1, 2)
         stats, = aggregate_estimates(est, iv, np.array([0.3]), ["x"])
         assert stats.coverage_percent == 100.0
+
+    def test_each_statistic_is_its_column_formula_bit_for_bit(self, rng):
+        # random (n, P) blocks; every statistic must round as the formula on
+        # the column alone does
+        for n in range(1, 501):
+            P = 1 + n % 6
+            est = rng.normal(0.5, 0.3, size=(n, P))
+            half = rng.uniform(0.05, 0.6, size=(n, P))
+            iv = np.stack([est - half, est + half], axis=-1)
+            truth = rng.normal(0.5, 0.2, size=P)
+            names = [f"p{j}" for j in range(P)]
+            for j, s in enumerate(aggregate_estimates(est, iv, truth, names)):
+                col, t = est[:, j], truth[j]
+                inside = (iv[:, j, 0] <= t) & (t <= iv[:, j, 1])
+                assert s == ParameterStats(
+                    parameter=names[j],
+                    bias=float(col.mean() - t),
+                    sample_sd=float(col.std(ddof=1)) if n > 1 else 0.0,
+                    mse=float(np.mean((t - col) ** 2)),
+                    coverage_percent=float(100.0 * inside.mean()),
+                    avg_interval_length=float(np.mean(iv[:, j, 1] - iv[:, j, 0])))
 
 
 class TestRunReplication:
