@@ -36,6 +36,10 @@ computed once per new mu and serves the linear-segment lookup, the omega
 update, the ELBO and the next iteration's plug-in residuals; psi(alpha) is
 computed once per replicate per fit, since alpha = alpha0 + r is fixed, and
 so are 1 + delta, v0 I and v0 mu0.
+
+No update raises: `_iterate` names, per replicate, the first of its checks
+that fails (`_FAILURES`), and that replicate leaves the batch with the
+iteration's error while the others go on in the same block.
 """
 from __future__ import annotations
 
@@ -46,7 +50,7 @@ import numpy as np
 
 from .exceptions import NumericalError
 from .model import DatasetStack, PriorSpec, SurvivalDataset
-from .numerics import _digammas, _moments
+from .numerics import _digammas, _moments, _per_item
 from .piecewise import (LINEAR_SLOPES, QUADRATIC_LINEAR, QUADRATIC_QUADRATIC,
                         _linear_segment, _quadratic_segment)
 
@@ -60,6 +64,16 @@ __all__ = [
 
 _CYCLE_WINDOW = 3
 _CYCLE_ATOL = 1e-10
+
+# The checks of `_iterate` in the order it meets them, as a failed iteration
+# reports them (index 0 is none; the omega check shows the replicate's omega).
+_FAILURES = (None,
+             "covariance update is not positive definite: Matrix is not positive definite",
+             "covariance update is not positive definite: Singular matrix",
+             "non-finite covariance update",
+             "scale rate update produced omega={:.6g} <= 0",
+             "covariance has non-positive determinant",
+             "non-finite ELBO")
 
 
 @dataclass(frozen=True)
@@ -134,22 +148,17 @@ def _block_terms(stack, prior):
 
 
 def _update_sigma(stack, terms, moments, zeta):
-    # [v0 I + 2 E(1/b^2) sum_i (1+delta_i) zeta_i x_i x_i']^{-1}, (R, p, p)
+    # [v0 I + 2 E(1/b^2) sum_i (1+delta_i) zeta_i x_i x_i']^{-1}, (R, p, p), and
+    # per replicate whether the bracket has no Cholesky factor, and no inverse
     event1, v0_eye, _ = terms
     _, e_inv2, _ = moments
     X = stack.covariates
     weights = event1 * zeta
     XtW = (2.0 * e_inv2)[:, None, None] * (X.transpose(0, 2, 1) * weights[:, None, :])
     A = v0_eye + np.matmul(XtW, X)
-    try:
-        np.linalg.cholesky(A)
-        sigma = np.linalg.inv(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"covariance update is not positive definite: {exc}") from exc
-    sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
-    if not np.isfinite(sigma).all():
-        raise NumericalError("non-finite covariance update")
-    return sigma
+    _, no_factor = _per_item(np.linalg.cholesky, A)
+    sigma, singular = _per_item(np.linalg.inv, A)
+    return 0.5 * (sigma + sigma.transpose(0, 2, 1)), no_factor, singular
 
 
 def _update_mu(stack, terms, moments, rho, zeta, sigma_new):
@@ -171,18 +180,14 @@ def _linear_form(stack, event1, resid, phi):
 
 def _update_omega(prior, linear):
     # omega0 minus the linear form, (R,); a non-positive value is a failure
-    omega = prior.scale_rate - linear
-    bad = omega <= 0
-    if bad.any():
-        raise NumericalError(
-            f"scale rate update produced omega={omega[bad][0]:.6g} <= 0")
-    return omega
+    return prior.scale_rate - linear
 
 
 def _elbo(stack, prior, mu, cov, a, w, moments, linear):
     """Linear-surrogate evidence lower bound L_L, iteration-constant terms
     dropped, (R,), from the moments of q(b) and the likelihood's linear form
-    `_linear_form`.
+    `_linear_form`, and per replicate whether the covariance's determinant
+    is not positive.
 
     L_L is the bound `_update_omega` maximizes; `_update_sigma` and
     `_update_mu` maximize the quadratic-surrogate bound instead, so a
@@ -197,8 +202,6 @@ def _elbo(stack, prior, mu, cov, a, w, moments, linear):
     likelihood = -stack.r * e_log_b + e_inv * linear
 
     sign, logdet = np.linalg.slogdet(cov)
-    if (sign <= 0).any():
-        raise NumericalError("covariance has non-positive determinant")
     dmu = mu - prior.coef_mean
     coef_term = (-0.5 * prior.coef_precision
                  * (np.trace(cov, axis1=1, axis2=2)
@@ -209,10 +212,7 @@ def _elbo(stack, prior, mu, cov, a, w, moments, linear):
                   + (w - prior.scale_rate) * e_inv
                   - a * np.log(w))
 
-    value = likelihood + coef_term + scale_term
-    if not np.isfinite(value).all():
-        raise NumericalError("non-finite ELBO")
-    return value
+    return likelihood + coef_term + scale_term, sign <= 0
 
 
 def _iterate(stack: DatasetStack, prior: PriorSpec, terms: tuple, moments: tuple,
@@ -220,13 +220,19 @@ def _iterate(stack: DatasetStack, prior: PriorSpec, terms: tuple, moments: tuple
     """One CAVI iteration on a stack, from `_block_terms`, q(b) moments
     `moments` and the residuals y - X mu of the current mu. Returns the new
     (mu, Sigma, omega), their q(b) moments (psi_alpha is psi(alpha)), the
-    residuals of the new mu, its ELBO, and per replicate the segment key
+    residuals of the new mu, its ELBO, per replicate the segment key
     (quadratic segments at the start residuals, then linear segments at the
-    residuals after the beta-update). y - X mu is computed once per new mu."""
+    residuals after the beta-update), and None, or if a check fails, per
+    replicate the `_FAILURES` index of its first failed check (0 for none).
+    y - X mu is computed once per new mu."""
     e_inv = moments[0][:, None]
     kq = _quadratic_segment(resid * e_inv)
     zeta = QUADRATIC_QUADRATIC[kq]
-    sigma = _update_sigma(stack, terms, moments, zeta)
+    sigma, no_factor, singular = _update_sigma(stack, terms, moments, zeta)
+    sigma_failed = no_factor.any() or not np.isfinite(sigma).all()
+    if sigma_failed:  # NaN carries a failed covariance on without warnings
+        failed = no_factor | ~np.isfinite(sigma).all(axis=(1, 2))
+        sigma = np.where(failed[:, None, None], np.nan, sigma)
     mu = _update_mu(stack, terms, moments, QUADRATIC_LINEAR[kq], zeta, sigma)
 
     # the b-update sees the freshest mu, so its linear surrogate is
@@ -235,10 +241,16 @@ def _iterate(stack: DatasetStack, prior: PriorSpec, terms: tuple, moments: tuple
     kl = _linear_segment(resid * e_inv)
     linear = _linear_form(stack, terms[0], resid, LINEAR_SLOPES[kl])
     omega = _update_omega(prior, linear)
-    moments = _moments(alpha, omega, psi_alpha)
-    value = _elbo(stack, prior, mu, sigma, alpha, omega, moments, linear)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a failed omega <= 0, or NaN Sigma
+        moments = _moments(alpha, omega, psi_alpha)
+        value, bad_det = _elbo(stack, prior, mu, sigma, alpha, omega, moments, linear)
+    failures = None
+    if sigma_failed or (omega <= 0).any() or bad_det.any() or not np.isfinite(value).all():
+        # a covariance set to NaN above fails check 3 too, after the one that did it
+        failures = np.select([no_factor, singular, ~np.isfinite(sigma).all(axis=(1, 2)),
+                              omega <= 0, bad_det, ~np.isfinite(value)], range(1, len(_FAILURES)))
     keys = np.concatenate([kq, kl], axis=1).astype(np.int8)
-    return (mu, sigma, omega), moments, resid, value, keys
+    return (mu, sigma, omega), moments, resid, value, keys, failures
 
 
 def fit(data: SurvivalDataset, prior: PriorSpec,
@@ -256,10 +268,11 @@ def fit_batch(stack: DatasetStack, prior: PriorSpec,
     """Fit each replicate of a stack with the loop `fit` runs, all at once.
 
     Returns one entry per replicate, in order: its VariationalState, or the
-    NumericalError its fit raised, naming the iteration. A replicate leaves
-    the batch when it stops by tolerance, cycle or cap, or fails; the others
-    carry on. psi(alpha) is computed once per replicate: for the prior
-    shape at the start, and for alpha0 + r, the shape of every update.
+    NumericalError of the first check it failed, naming the iteration. A
+    replicate leaves the batch when it stops by tolerance, cycle or cap, or
+    fails; the others carry on. psi(alpha) is computed once per replicate:
+    for the prior shape at the start, and for alpha0 + r, the shape of
+    every update.
     """
     config = config or FitConfig()
     mu0, alpha0, omega0 = initialize(stack, prior)
@@ -285,29 +298,17 @@ def fit_batch(stack: DatasetStack, prior: PriorSpec,
         history = [None if h is None else tuple(x[mask] for x in h) for h in history]
 
     for m in range(1, config.max_iterations + 1):
-        try:
-            (mu, sigma, omega), new_moments, new_resid, value, keys = _iterate(
-                stack, prior, terms, moments, resid, alpha, psi_alpha)
-        except NumericalError:
-            # rerun each replicate alone to find the ones that fail; the
-            # others then run the iteration again as a batch
-            ok = np.ones(len(ids), bool)
-            for j in range(len(ids)):
-                one = np.arange(j, j + 1)
-                try:
-                    _iterate(stack.take(one), prior, (terms[0][one], *terms[1:]),
-                             tuple(x[one] for x in moments), resid[one], alpha[one],
-                             psi_alpha[one])
-                except NumericalError as exc:
-                    err = NumericalError(f"variational update failed at iteration {m}: {exc}")
-                    err.__cause__ = exc
-                    results[ids[j]] = err
-                    ok[j] = False
+        (mu, sigma, omega), moments, resid, value, keys, failures = _iterate(
+            stack, prior, terms, moments, resid, alpha, psi_alpha)
+        if failures is not None:  # the failed replicates leave the batch now
+            for j in np.flatnonzero(failures).tolist():
+                results[ids[j]] = NumericalError(f"variational update failed at iteration {m}: "
+                                                 + _FAILURES[failures[j]].format(omega[j]))
+            ok = failures == 0
             keep(ok)
             if not len(ids):
                 break
-            (mu, sigma, omega), new_moments, new_resid, value, keys = _iterate(
-                stack, prior, terms, moments, resid, alpha, psi_alpha)
+            mu, sigma, omega, value, keys = mu[ok], sigma[ok], omega[ok], value[ok], keys[ok]
 
         for i, row in zip(ids.tolist(), zip(value.tolist(), omega.tolist(), sigma,
                                             map(bytes, keys))):
@@ -337,7 +338,7 @@ def fit_batch(stack: DatasetStack, prior: PriorSpec,
                 iterations=m, converged=reason != "cap", stop_reason=reason)
 
         history[(m - 1) % _CYCLE_WINDOW] = (keys, mu, omega)
-        moments, resid, elbo_prev = new_moments, new_resid, value
+        elbo_prev = value
         if stopped.any():
             keep(~stopped)
             if not len(ids):

@@ -166,6 +166,22 @@ def _digammas(a: np.ndarray) -> np.ndarray:
     return np.array([digamma(x) for x in a.ravel().tolist()]).reshape(a.shape)
 
 
+def _per_item(routine, *stacks) -> tuple:
+    """`routine`, a NumPy linalg function, on stacks of items, and a mask of the
+    items it raised LinAlgError on. Only if the stack raises does each item run
+    alone; one that raises comes out NaN, shaped like the last stack's item."""
+    try:
+        return routine(*stacks), np.zeros(len(stacks[-1]), bool)
+    except np.linalg.LinAlgError:
+        out, failed = np.full(stacks[-1].shape, np.nan), np.zeros(len(stacks[-1]), bool)
+        for i, items in enumerate(zip(*stacks)):
+            try:
+                out[i] = routine(*items)
+            except np.linalg.LinAlgError:
+                failed[i] = True
+        return out, failed
+
+
 def inverse_gamma_log_pdf(params: InverseGammaParams, x: float) -> float:
     """Log density of Inverse-Gamma(shape, scale) at x > 0, constants included."""
     if not x > 0:

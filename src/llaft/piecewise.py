@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import _per_item
+
 __all__ = [
     "LINEAR_KNOTS",
     "LINEAR_INTERCEPTS",
@@ -304,7 +306,8 @@ class _HingeLS:
         """SSE for each row of a (T, k) array of increasing knot tuples; a
         tuple whose normal equations are numerically singular scores +inf."""
         M, rhs = self._normal_equations(np.asarray(knots, float))
-        sse = self.syy - np.einsum("ij,ij->i", _solve(M, rhs[..., None])[..., 0], rhs)
+        solution, _ = _per_item(np.linalg.solve, M, rhs[..., None])
+        sse = self.syy - np.einsum("ij,ij->i", solution[..., 0], rhs)
         # an interpolating tuple's SSE is 0 but can round below it
         return np.where(np.isnan(sse) | ~_nonsingular(M), np.inf, np.maximum(sse, 0.0))
 
@@ -420,25 +423,10 @@ def _nonsingular(M) -> np.ndarray:
     """Per Gram matrix of a (T, d, d) stack: whether every Cholesky pivot,
     the part of a column's squared norm that the columns before it leave
     unexplained, exceeds 1e-12 of that squared norm. The screen applies the
-    same test to each head's pivot."""
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        if len(M) == 1:
-            return np.zeros(1, bool)
-        return np.concatenate([_nonsingular(Mi[None]) for Mi in M])
+    same test to each head's pivot; a NaN pivot (no factor) fails it."""
+    L, _ = _per_item(np.linalg.cholesky, M)
     pivots = np.diagonal(L, axis1=1, axis2=2) ** 2
     return (pivots > 1e-12 * np.diagonal(M, axis1=1, axis2=2)).all(axis=1)
-
-
-def _solve(M, rhs):
-    """Batched np.linalg.solve; a singular system gets a NaN solution."""
-    try:
-        return np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError:
-        if len(M) == 1:
-            return np.full(rhs.shape, np.nan)
-        return np.concatenate([_solve(Mi[None], ri[None]) for Mi, ri in zip(M, rhs)])
 
 
 def fit_linear_breakpoints(n_breakpoints: int = 3) -> BreakpointFit:

@@ -65,8 +65,6 @@ def summarize_coefficients(state: VariationalState, level: float = 0.95,
     """Per-coefficient mean, SD and equal-tailed interval mu_j +/- z * sd_j."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    if state.coef_cov is None:
-        raise ValueError("state has no covariance; fit before summarizing")
     rows, = _etis([state], normal_quantile(0.5 * (1.0 + level)))
     names = names or [f"beta{j}" for j in range(len(rows))]
     return [ParameterSummary(name, *row, interval_kind="ETI") for name, row in zip(names, rows)]

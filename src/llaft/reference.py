@@ -24,8 +24,7 @@ import numpy as np
 
 from .exceptions import NumericalError
 from .model import DatasetStack, PriorSpec, SurvivalDataset, _softplus, _z_loglik
-from .numerics import ROLE_MCMC, normal_quantile, uniform_stream
-from .piecewise import _solve
+from .numerics import ROLE_MCMC, _per_item, normal_quantile, uniform_stream
 
 __all__ = [
     "MleResult",
@@ -166,7 +165,8 @@ def _dot(u, v):
 def _ascent_steps(hess, grad):
     """Per replicate, the Newton step when it points uphill, otherwise a
     normalized gradient step."""
-    step = _solve(hess, grad[..., None])[..., 0]
+    step, _ = _per_item(np.linalg.solve, hess, grad[..., None])
+    step = step[..., 0]
     # moving along -step must increase the objective: g'(-H^{-1}g) > 0
     uphill = np.isfinite(step).all(axis=1) & (_dot(grad, step) < 0.0)
     fallback = -grad / np.maximum(np.linalg.norm(grad, axis=1), 1.0)[:, None]
@@ -277,22 +277,16 @@ def _start(log_time, covariates) -> np.ndarray:
 def _mle_results(theta, ll, hess, iterations, gradient_norm) -> list:
     """Per converged replicate, the MleResult, or the NumericalError of a
     singular or indefinite observed information. The informations are
-    inverted as one stack, and one at a time only when one is singular."""
-    try:
-        covariances = np.linalg.inv(-hess)
-    except np.linalg.LinAlgError as exc:
-        if len(hess) > 1:
-            return [_mle_results(theta[j:j + 1], ll[j:j + 1], hess[j:j + 1], iterations,
-                                 gradient_norm[j:j + 1])[0] for j in range(len(hess))]
-        err = NumericalError(f"singular observed information: {exc}")
-        err.__cause__ = exc
-        return [err]
+    inverted as one stack (see `_per_item`)."""
+    covariances, singular = _per_item(np.linalg.inv, -hess)
     covariances = 0.5 * (covariances + covariances.transpose(0, 2, 1))
-    return [NumericalError("observed information is not positive definite")
+    return [NumericalError("singular observed information: Singular matrix") if bad else
+            NumericalError("observed information is not positive definite")
             if np.any(np.diag(cov) < 0) else
             MleResult(coefficients=t[:-1].copy(), scale=math.exp(t[-1]), covariance=cov,
                       log_likelihood_at_max=v, iterations=iterations, gradient_norm=norm)
-            for t, v, cov, norm in zip(theta, ll.tolist(), covariances, gradient_norm.tolist())]
+            for t, v, cov, norm, bad in zip(theta, ll.tolist(), covariances,
+                                            gradient_norm.tolist(), singular.tolist())]
 
 
 def _chain_log_posterior(data, prior):

@@ -289,11 +289,8 @@ def run_replication(scenario: SimulationScenario, prior: PriorSpec,
                 for j, i in enumerate(indices):
                     data = SurvivalDataset(time=observed[j], event=block.event[j],
                                            covariates=block.covariates[j])
-                    try:
-                        fits.append(sample_posterior(data, prior, mcmc_iterations, mcmc_burn_in,
-                                                     stream_seed(scenario.seed, i, ROLE_MCMC)))
-                    except NumericalError as exc:
-                        fits.append(exc)
+                    fits.append(sample_posterior(data, prior, mcmc_iterations, mcmc_burn_in,
+                                                 stream_seed(scenario.seed, i, ROLE_MCMC)))
             outcomes[m] += summarize_fits(m, fits, level)
             wall_time[m] += time.perf_counter() - start
 

@@ -324,7 +324,7 @@ def test_criterion7_elbo_monotone_on_stable_stretches(acceptance_states):
             e_inv = moments[0][:, None]
             kq = np.searchsorted(QUADRATIC_KNOTS, _residuals(stack, mu) * e_inv, side="left")
             rho, zeta = QUADRATIC_LINEAR[kq], QUADRATIC_QUADRATIC[kq]
-            sigma = _update_sigma(stack, terms, moments, zeta)
+            sigma, _, _ = _update_sigma(stack, terms, moments, zeta)
             mu_new = _update_mu(stack, terms, moments, rho, zeta, sigma)
             if m > 0:
                 before = _quadratic_surrogate_bound(
@@ -340,9 +340,9 @@ def test_criterion7_elbo_monotone_on_stable_stretches(acceptance_states):
             linear = _linear_form(stack, terms[0], resid, LINEAR_SLOPES[kl])
             omega_new = _update_omega(prior, linear)
             before = _elbo(stack, prior, mu_new, sigma, alpha, omega,
-                           _moments(alpha, omega, psi_alpha), linear)[0]
+                           _moments(alpha, omega, psi_alpha), linear)[0][0]
             moments = _moments(alpha, omega_new, psi_alpha)
-            after = _elbo(stack, prior, mu_new, sigma, alpha, omega_new, moments, linear)[0]
+            after = _elbo(stack, prior, mu_new, sigma, alpha, omega_new, moments, linear)[0][0]
             omega_steps += 1
             if after < before - tol:
                 omega_drops.append(before - after)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from llaft.cavi import (FitConfig, VariationalState, _block_terms, _elbo, _linear_form,
-                        _residuals, _update_mu, _update_omega, _update_sigma, fit,
-                        fit_batch, initialize)
+from llaft.cavi import (_FAILURES, FitConfig, VariationalState, _block_terms, _elbo,
+                        _iterate, _linear_form, _residuals, _update_mu, _update_omega,
+                        _update_sigma, fit, fit_batch, initialize)
 from llaft.exceptions import NumericalError
 from llaft.model import DatasetStack, PriorSpec, SurvivalDataset
 from llaft.numerics import _digammas, _moments
@@ -92,7 +92,8 @@ class TestUpdateSigma:
         assert np.all(zeta == 0.0)
         stack = stack_of(data)
         _, alpha, omega = initialize(stack, prior)
-        sigma = _update_sigma(stack, _block_terms(stack, prior), moments_at(alpha, omega), zeta)
+        sigma, _, _ = _update_sigma(stack, _block_terms(stack, prior),
+                                    moments_at(alpha, omega), zeta)
         assert np.allclose(sigma[0], np.eye(2) / 0.25, atol=1e-14)
 
     def test_scalar_hand_oracle(self):
@@ -103,8 +104,8 @@ class TestUpdateSigma:
         prior = PriorSpec(coef_mean=np.zeros(1), coef_precision=0.1,
                           scale_shape=2.0, scale_rate=2.0)
         stack = stack_of(data)
-        sigma = _update_sigma(stack, _block_terms(stack, prior), moments_at([12.0], [10.0]),
-                              np.array([[0.1138]]))
+        sigma, _, _ = _update_sigma(stack, _block_terms(stack, prior), moments_at([12.0], [10.0]),
+                                    np.array([[0.1138]]))
         expected = 1.0 / (0.1 + 2.0 * (156.0 / 100.0) * 2.0 * 0.1138)
         assert sigma[0, 0, 0] == pytest.approx(expected, rel=1e-14)
 
@@ -119,7 +120,7 @@ class TestUpdateSigma:
             mu, alpha, omega = initialize(stack, WEAK_PRIOR)
             moments = moments_at(alpha, omega)
             _, zeta = quadratic(plugin(stack, mu, moments))
-            sigma = _update_sigma(stack, _block_terms(stack, WEAK_PRIOR), moments, zeta)[0]
+            sigma = _update_sigma(stack, _block_terms(stack, WEAK_PRIOR), moments, zeta)[0][0]
             assert np.array_equal(sigma, sigma.T)
             assert np.all(np.linalg.eigvalsh(sigma) > 0)
 
@@ -142,7 +143,7 @@ class TestUpdateSigma:
         for i in range(n):
             xi = X[i]
             A = A + 2.0 * e_inv2 * 2.0 * zeta[0, i] * np.outer(xi, xi)
-        assert np.allclose(_update_sigma(stack, _block_terms(stack, prior), moments, zeta)[0],
+        assert np.allclose(_update_sigma(stack, _block_terms(stack, prior), moments, zeta)[0][0],
                            np.linalg.inv(A), rtol=1e-10)
 
 
@@ -153,7 +154,7 @@ class TestUpdateMu:
         moments = moments_at(alpha, omega)
         terms = _block_terms(stack, WEAK_PRIOR)
         rho, zeta = quadratic(np.empty((1, 0)))
-        sigma = _update_sigma(stack, terms, moments, zeta)
+        sigma, _, _ = _update_sigma(stack, terms, moments, zeta)
         mu = _update_mu(stack, terms, moments, rho, zeta, sigma)
         assert np.allclose(mu[0], WEAK_PRIOR.coef_mean, atol=1e-14)
 
@@ -169,7 +170,7 @@ class TestUpdateMu:
         moments = moments_at([12.0], [10.0])
         stack = stack_of(data)
         terms = _block_terms(stack, prior)
-        sigma = _update_sigma(stack, terms, moments, zeta)
+        sigma, _, _ = _update_sigma(stack, terms, moments, zeta)
         linear = 0.0 + 1.2 * 0.0 + 2.0 * 1.56 * 2.0 * 0.3 * 0.1138
         assert _update_mu(stack, terms, moments, rho, zeta, sigma)[0, 0] == pytest.approx(
             sigma[0, 0, 0] * linear, rel=1e-13)
@@ -190,7 +191,7 @@ class TestUpdateMu:
             moments = moments_at(alpha, omega)
             terms = _block_terms(stack, prior)
             rho, zeta = quadratic(plugin(stack, mu, moments))
-            sigma = _update_sigma(stack, terms, moments, zeta)
+            sigma, _, _ = _update_sigma(stack, terms, moments, zeta)
             mu = _update_mu(stack, terms, moments, rho, zeta, sigma)
             # direct recomputation oracle
             a, w = alpha[0], omega[0]
@@ -234,16 +235,17 @@ class TestUpdateOmega:
         again = _update_omega(WEAK_PRIOR, linear_form(stack, mu, phi))
         assert again[0] == pytest.approx(state.scale_rate, abs=1e-9)
 
-    def test_nonpositive_rate_raises(self):
-        # all censored, residuals pinned at -0.5 by an enormous prior precision
+    def test_nonpositive_rate_is_returned_for_the_caller_to_flag(self):
+        # all censored, residuals pinned at -0.5 by an enormous prior precision;
+        # the kernel raises nothing, and `_iterate` flags omega <= 0
         data = make_dataset([-0.5] * 10, [0] * 10, [[0.0]] * 10)
         prior = PriorSpec(coef_mean=np.zeros(2), coef_precision=1e9,
                           scale_shape=2.0, scale_rate=1.0)
         stack = stack_of(data)
         mu, alpha, omega = initialize(stack, prior)
         phi = slopes(plugin(stack, mu, moments_at(alpha, omega)))
-        with pytest.raises(NumericalError):
-            _update_omega(prior, linear_form(stack, np.zeros((1, 2)), phi))
+        got = _update_omega(prior, linear_form(stack, np.zeros((1, 2)), phi))
+        assert got[0] == pytest.approx(-0.526, rel=1e-12)
 
 
 class TestElbo:
@@ -260,7 +262,7 @@ class TestElbo:
         linear = linear_form(stack, mu, slopes(np.empty((1, 0))))
         expected = (-0.5 * v0 * (p / v0) + 0.5 * math.log(1.0 / v0 ** p)
                     - a0 * math.log(w0))
-        got = _elbo(stack, prior, mu, cov, alpha, omega, moments_at(alpha, omega), linear)
+        got, _ = _elbo(stack, prior, mu, cov, alpha, omega, moments_at(alpha, omega), linear)
         assert got[0] == pytest.approx(expected, rel=1e-12)
 
     def test_full_fixture_against_term_oracle(self):
@@ -273,7 +275,7 @@ class TestElbo:
         moments = moments_at(alpha, omega)
         phi = slopes(plugin(stack, mu, moments))
         got = _elbo(stack, WEAK_PRIOR, mu, cov, alpha, omega, moments,
-                    linear_form(stack, mu, phi))[0]
+                    linear_form(stack, mu, phi))[0][0]
         # frozen from the first verified run
         assert got == pytest.approx(-153.75516415237314, abs=1e-9)
         # independent term-by-term recomputation (mpmath digamma, fsum)
@@ -305,7 +307,7 @@ class TestElbo:
 
         def bound(omega):
             return _elbo(stack, WEAK_PRIOR, mu, cov, alpha, omega,
-                         moments_at(alpha, omega), linear)[0]
+                         moments_at(alpha, omega), linear)[0][0]
 
         best = bound(omega_star)
         for factor in (0.8, 0.95, 1.05, 1.3):
@@ -446,6 +448,30 @@ def assert_same_state(a, b):
         b.iterations, b.converged, b.stop_reason)
 
 
+# (id, dataset, prior precision, error after "variational update failed at
+# iteration ") for each check of `_iterate` that a fit can fail. In NEAR the
+# covariate is the intercept but for one ulp, so that with a tiny prior
+# precision the covariance bracket is singular to rounding. In the
+# non-finite case both residuals lie where the quadratic surrogate is flat
+# (zeta = 0), so the bracket is the subnormal precision alone, whose inverse
+# overflows; the two observations' terms of the mu-update's linear form
+# cancel to 0, and inf times 0 would warn there if the failed covariance did
+# not go on as NaN.
+NEAR = [[1.0], [1.0], [1.0 + 2.0 ** -52]]
+FAILING_FITS = [
+    ("no-cholesky-factor", make_dataset([0.1, -0.2, 0.3], [1, 0, 1], NEAR), 1e-16,
+     "1: covariance update is not positive definite: Matrix is not positive definite"),
+    ("singular", make_dataset([0.1, -0.2, 0.3], [1, 1, 1], NEAR), 1e-16,
+     "2: covariance update is not positive definite: Singular matrix"),
+    ("non-finite-covariance", make_dataset([60.0, -60.0], [0, 1], [[0.5], [0.5]]), 5e-324,
+     "1: non-finite covariance update"),
+    ("nonpositive-omega", make_dataset([-0.5] * 10, [0] * 10, [[0.0]] * 10), 1e9,
+     "1: scale rate update produced omega=-0.526 <= 0"),
+    ("nonpositive-determinant", make_dataset([1.0, -1.0, 0.5], [1, 0, 1], NEAR), 1e-16,
+     "1: covariance has non-positive determinant"),
+]
+
+
 class TestFitBatch:
     def test_each_entry_equals_its_own_fit(self):
         datasets = [generate_dataset(SimulationScenario(n=300, censor_bound=u,
@@ -468,21 +494,55 @@ class TestFitBatch:
         for data, state in zip(datasets, batch):
             assert_same_state(state, fit(data, WEAK_PRIOR, config))
 
-    def test_failing_dataset_fails_only_its_entry(self):
-        # the omega <= 0 data of criterion 7 between good datasets
-        prior = PriorSpec(coef_mean=np.zeros(2), coef_precision=1e9,
+    @pytest.mark.parametrize("case", FAILING_FITS, ids=[c[0] for c in FAILING_FITS])
+    def test_failing_dataset_fails_only_its_entry(self, case):
+        # each check a fit can fail, with the failing dataset between good ones
+        _, bad, precision, message = case
+        prior = PriorSpec(coef_mean=np.zeros(2), coef_precision=precision,
                           scale_shape=2.0, scale_rate=1.0)
-        bad = make_dataset([-0.5] * 10, [0] * 10, [[0.0]] * 10)
         rng = np.random.default_rng(3)
-        good = [make_dataset(rng.normal(0.0, 0.3, 10), np.ones(10),
-                             rng.normal(size=(10, 1))) for _ in range(3)]
+        good = [make_dataset(rng.normal(0.0, 0.3, bad.n), np.ones(bad.n),
+                             rng.normal(size=(bad.n, 1))) for _ in range(3)]
         batch = fit_batch(DatasetStack.of([good[0], bad, good[1], good[2]]), prior)
         assert isinstance(batch[1], NumericalError)
-        assert "iteration 1" in str(batch[1])
-        assert "omega" in str(batch[1])
+        assert str(batch[1]) == "variational update failed at iteration " + message
+        with pytest.raises(NumericalError) as alone:
+            fit(bad, prior)
+        assert str(alone.value) == str(batch[1])
         for data, state in zip(good, [batch[0], batch[2], batch[3]]):
             assert isinstance(state, VariationalState)
             assert_same_state(state, fit(data, prior))
+
+    def test_iterate_flags_a_non_finite_elbo_alone(self):
+        # no fit reaches this check without an overflow first, so a NaN
+        # psi(alpha) of replicate 1 makes its ELBO NaN; the others' outputs
+        # are those of their own iterations
+        prior = PriorSpec(coef_mean=np.zeros(2), coef_precision=0.1,
+                          scale_shape=2.0, scale_rate=1.0)
+        rng = np.random.default_rng(4)
+        stack = DatasetStack.of([make_dataset(rng.normal(0.0, 0.3, 10), np.ones(10),
+                                              rng.normal(size=(10, 1))) for _ in range(3)])
+        mu, alpha0, omega0 = initialize(stack, prior)
+        moments = _moments(alpha0, omega0, _digammas(alpha0))
+        alpha = prior.scale_shape + stack.r
+        psi_alpha = _digammas(alpha)
+        psi_alpha[1] = np.nan
+        terms, resid = _block_terms(stack, prior), _residuals(stack, mu)
+
+        def iterate(rows):
+            return _iterate(stack.take(rows), prior, (terms[0][rows], *terms[1:]),
+                            tuple(x[rows] for x in moments), resid[rows], alpha[rows],
+                            psi_alpha[rows])
+
+        (mu, sigma, omega), _, _, value, keys, failures = iterate(np.arange(3))
+        assert failures.tolist() == [0, 6, 0]
+        assert _FAILURES[6] == "non-finite ELBO"
+        for j in (0, 2):
+            (mu1, sigma1, omega1), _, _, value1, keys1, failures1 = iterate(np.array([j]))
+            assert failures1 is None
+            assert np.array_equal(mu1[0], mu[j]) and np.array_equal(sigma1[0], sigma[j])
+            assert omega1[0] == omega[j] and value1[0] == value[j]
+            assert np.array_equal(keys1[0], keys[j])
 
     def test_mismatched_datasets_raise(self):
         # a batch is a stack, and datasets of different (n, p) do not stack

@@ -7,10 +7,9 @@ from hypothesis import given, strategies as st
 from scipy import integrate, optimize, stats
 
 from llaft.exceptions import NumericalError
-from llaft.numerics import (InverseGammaParams, _lgamma, digamma, inverse_gamma_cdf,
-                            inverse_gamma_log_pdf, inverse_gamma_moments,
-                            inverse_gamma_quantile, normal_quantile,
-                            regularized_gamma_p)
+from llaft.numerics import (InverseGammaParams, _lgamma, _per_item, digamma,
+                            inverse_gamma_cdf, inverse_gamma_log_pdf, inverse_gamma_moments,
+                            inverse_gamma_quantile, normal_quantile, regularized_gamma_p)
 
 mpmath.mp.dps = 40
 
@@ -288,3 +287,27 @@ class TestNormal:
         assert len(q) >= 100_000
         scalar = np.array([normal_quantile(float(v)) for v in q])
         assert np.array_equal(scalar, normal_quantile(q))
+
+
+class TestPerItem:
+    def test_a_failing_item_comes_out_nan_alone(self):
+        # the singular matrix makes the stacked call raise; the other items
+        # get what they get by themselves, and the mask marks the one
+        M = np.stack([np.eye(2) * 2.0, np.ones((2, 2)), [[4.0, 1.0], [1.0, 3.0]]])
+        rhs = np.arange(6.0).reshape(3, 2, 1)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(M, rhs)
+        for routine, stacks in ((np.linalg.solve, (M, rhs)), (np.linalg.inv, (M,)),
+                                (np.linalg.cholesky, (M,))):
+            out, failed = _per_item(routine, *stacks)
+            assert out.shape == stacks[-1].shape
+            assert failed.tolist() == [False, True, False]
+            assert np.isnan(out[1]).all()
+            for j in (0, 2):
+                assert np.array_equal(out[j], routine(*(x[j] for x in stacks)))
+
+    def test_a_stack_that_succeeds_runs_once(self):
+        M = np.stack([np.eye(2) * 2.0, [[4.0, 1.0], [1.0, 3.0]]])
+        out, failed = _per_item(np.linalg.inv, M)
+        assert np.array_equal(out, np.linalg.inv(M))
+        assert not failed.any()

@@ -247,9 +247,19 @@ class TestFitMleBatch:
             assert_same_mle(a, b)
         hess[1] = 0.0
         fallback = results(theta, ll, hess, 5, norm)
-        assert "singular observed information" in str(fallback[1])
+        assert str(fallback[1]) == "singular observed information: Singular matrix"
         assert_same_mle(fallback[0], alone[0])
         assert_same_mle(fallback[2], alone[2])
+
+    def test_newton_cap_names_the_gradient_norm(self):
+        # replicate 0 of this heavily censored cell is still short of the
+        # gradient tolerance after the last Newton iteration
+        sc = SimulationScenario(n=50, censor_bound=1.0, seed=1,
+                                true_coefficients=[3, 0.2, 0.8])
+        result, = fit_mle_batch(DatasetStack.of([generate_dataset(sc, 0)]))
+        assert isinstance(result, NumericalError)
+        assert str(result) == ("MLE did not converge in 200 Newton iterations "
+                               "(gradient norm 6.25e-05)")
 
     def test_underdetermined_batch_fails_every_entry(self):
         data = make_dataset([0.1, 0.2], [1, 1], [[1.0], [2.0]])
