@@ -69,7 +69,7 @@ _CYCLE_ATOL = 1e-10
 # reports them (index 0 is none; the omega check shows the replicate's omega).
 _FAILURES = (None,
              "covariance update is not positive definite: Matrix is not positive definite",
-             "covariance update is not positive definite: Singular matrix",
+             "covariance update has no inverse: Singular matrix",
              "non-finite covariance update",
              "scale rate update produced omega={:.6g} <= 0",
              "covariance has non-positive determinant",

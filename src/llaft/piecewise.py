@@ -10,11 +10,13 @@ stationary points instead of by evaluating the whole grid.
 
 The module also carries an independent verifier: a brute-force segmented
 least-squares search that re-derives the linear table's knots and error from
-scratch on a 10 000-point grid, with knots on a 0.05 lattice. softplus(x) - x/2
-is even and the lattice is symmetric about 0, so a knot tuple and its mirror
-image fit equally well; the search screens one tuple of each such pair and
-rescores both exactly, so it returns what a scan of every tuple returns, ties
-included.
+scratch on a 10 000-point grid, with knots on a 0.05 lattice. It screens
+knot tuples in closed form, from arrays built once per first knot and read
+one rectangle per middle knot, then rescores the near-best tuples exactly,
+so it returns what a scan of every tuple returns, ties included.
+softplus(x) - x/2 is even and the lattice is symmetric about 0, so a knot
+tuple and its mirror image fit equally well, and the screen scores one tuple
+of each such pair.
 """
 from __future__ import annotations
 
@@ -55,11 +57,6 @@ QUADRATIC_KNOTS = np.array([-5.0, -1.7, 1.7, 5.0])
 QUADRATIC_INTERCEPTS = np.array([0.0, 0.3893, 0.6962, 0.3894, 0.0])
 QUADRATIC_LINEAR = np.array([0.0, 0.1696, 0.5000, 0.8303, 1.0])
 QUADRATIC_QUADRATIC = np.array([0.0, 0.0189, 0.1138, 0.0190, 0.0])
-
-# Elements per (rows, columns) block of the knot scan's screen (64 KB of
-# doubles), which bounds its memory. Timed on the k = 3 scan, 2**12 to 2**14
-# tie and from 2**15 up the scan slows.
-_SCREEN_ELEMENTS = 2 ** 13
 
 # The verifier's grid over [-5, 5] and its knot lattice in (-5, 5), both
 # symmetric about 0.
@@ -233,39 +230,45 @@ class _HingeLS:
     `best` scans every k-tuple of a candidate set, for k of at most 3. For
     k >= 2 it screens instead of solving per tuple. Once per call it projects
     [1, x] out of the Gram matrix of all candidate hinges (S0) and out of
-    their right-hand side (g0). Each tuple is a head (no knot for k = 2, its
-    first knot for k = 3) plus a tail pair i < j. One Gram-Schmidt step in S0
-    takes the head's hinge out of the tail hinges, which leaves the projected
-    Gram matrix S and right-hand side g of the tail hinges given
-    [1, x, head]; a head with a pivot at or below 1e-12 of its hinge's
-    squared norm is skipped, the rule of `_nonsingular`. With
-    d = diag(S)^-1/2, c_ij = S_ij d_i d_j, u = g d and B = [1, x, head],
-    every pair on the upper triangle scores
+    their right-hand side (g0). One Gram-Schmidt step per head h, a tuple's
+    first knot, then takes its hinge out of each later hinge t; with
+    q_ht = S0_ht / sqrt(S0_hh), it fills arrays with a row per head or middle
+    knot and a column per candidate, in place of S0: the normaliser
+    D = (S0_tt - q_ht^2)^-1/2, QN = q D, U = (g0_t - q_ht g0_h / sqrt(S0_hh)) D
+    and REST = SSE([1, x, h, t]). A head whose pivot S0_hh is at or below
+    1e-12 of its hinge's squared norm, the rule of `_nonsingular`, is NaN
+    throughout, as is a hinge t whose pivot given [1, x, h] fails the same
+    rule. Two knots score the upper triangle of REST. Three knots h < i < j
+    score one rectangle per middle knot i, heads 0..i-1 by tails i+1..n-1,
+    from slices of those arrays: with c = S0_ij D_hi D_hj - QN_hi QN_hj,
+    where row i gives S0_ij = sqrt(S0_ii) QN_ij / D_ij,
 
-        SSE = syy - r_B' M_BB^-1 r_B - u_j^2 - (u_i - c_ij u_j)^2 / (1 - c_ij^2),
+        SSE = REST_hj - (U_hi - c U_hj)^2 / (1 - c^2),
 
-    and pairs with 1 - c_ij^2 <= 1e-12, numerically collinear given the head,
-    are skipped. Near the optimum the closed form agrees with `sse` to a
-    few 1e-11 (less on ill-conditioned tuples far from it). That is enough
-    to reorder exact ties: softplus(x) - x/2 is even, so mirror-image tuples
-    tie, and on a 400-point grid the closed form ranks (-1.05, 1.1) before
-    (-1.1, 1.05). So the screen only shortlists: every tuple within
-    1e-9 * SSE + 1e-13 * syy of the screen's minimum is rescored with `sse`,
-    and the first lexicographic minimizer of those exact scores wins, as in
-    a scan that scores every tuple with `sse`. (Both scores round off in
-    proportion to syy.) On a grid as coarse as the lattice, where knot pairs
-    can be collinear, the result can differ from such a scan.
+    and pairs with 1 - c^2 <= 1e-12, numerically collinear given the head,
+    are skipped. The rectangles run from the centre out, where the best
+    tuples sit, so the lowest score falls early. Near the optimum the closed
+    form agrees with `sse` to a few 1e-11 (less on ill-conditioned tuples far
+    from it). That is enough to reorder exact ties: softplus(x) - x/2 is
+    even, so mirror-image tuples tie, and on a 400-point grid the closed form
+    ranks (-1.05, 1.1) before (-1.1, 1.05). So the screen only shortlists:
+    every tuple within 1e-9 * SSE + 1e-13 * syy of the screen's minimum is
+    rescored with `sse`, and the first lexicographic minimizer of those exact
+    scores wins, as in a scan that scores every tuple with `sse`. (Both
+    scores round off in proportion to syy.) On a grid as coarse as the
+    lattice, where knot pairs can be collinear, the result can differ from
+    such a scan.
 
     In mirror mode the caller states that y less a line is even on a grid
     symmetric about 0, and the candidates must satisfy cand == -cand[::-1]
     exactly. Then the tuple of candidate indices t_1 < t_2 < t_3 and its
     mirror image (n-1-t_3, n-1-t_2, n-1-t_1) tie, and for k = 3 the screen
-    scores one of each pair: the tuples whose middle knot, the first tail
-    knot, has an index of at most (n - 1) // 2. The mirror of each
-    shortlisted tuple is added back before the rescoring. The tie rule
-    survives because only exact scores pick the winner: a tuple and its
-    mirror differ in closed form by rounding alone, so a tuple that could win
-    has itself or its mirror in the window, and both reach `sse`.
+    scores one of each pair: the tuples whose middle knot has an index of at
+    most (n - 1) // 2, the last row it builds. The mirror of each shortlisted
+    tuple is added back before the rescoring. The tie rule survives because
+    only exact scores pick the winner: a tuple and its mirror differ in
+    closed form by rounding alone, so a tuple that could win has itself or
+    its mirror in the window, and both reach `sse`.
     """
 
     def __init__(self, x, y):
@@ -341,89 +344,85 @@ class _HingeLS:
                 return float(sse[t]), cand[tuples[t]]
         return np.inf, None  # no tuple, or every tuple singular
 
-    # the screen marks skipped tail knots and pairs with NaN, silently
+    # the screen marks skipped heads, tails and pairs with NaN, silently
     @np.errstate(divide="ignore", invalid="ignore")
     def _screen(self, cand, k, mirror=False) -> np.ndarray:
-        """(rows, k) candidate indices, k = 2 or 3, of every tuple whose
+        """(T, k) candidate indices, k = 2 or 3, of every tuple whose
         closed-form score lies within the window of the lowest score, plus a
-        few that were that close to the lowest score seen when their block was
-        screened. With `mirror` (k = 3), only the tuples whose middle knot has
-        an index of at most that of their mirror image's are screened."""
+        few that were that close to the lowest score seen when their
+        rectangle was screened. With `mirror` (k = 3), only the tuples whose
+        middle knot has an index of at most that of their mirror image's are
+        screened."""
         n = len(cand)
+        # the heads (a tuple's first knot) and for k = 3 the middle knots,
+        # which mirror mode takes up to index (n - 1) // 2
+        rows = (n + 1) // 2 if mirror else n - 1
         s0, s1, s2, t0, t1 = self._suffix[:, np.searchsorted(self.x, cand, side="right")]
-        # <h_a, h_b> uses the suffix sums at the larger knot: right for a <= b
-        hh = s2 - np.add.outer(cand, cand) * s1 + np.multiply.outer(cand, cand) * s0
-        hh = np.triu(hh) + np.triu(hh, 1).T
-        # project [1, x] out of every hinge once: S0 = hh - U' B^-1 U
-        U = np.stack([s1 - cand * s0, s2 - cand * s1])
+        # <h_a, h_b> uses the suffix sums at the larger knot, right for a <= b
+        Q = s2 - np.add.outer(cand[:rows], cand) * s1 + np.multiply.outer(cand[:rows], cand) * s0
+        norm = s2 - (cand + cand) * s1 + cand * cand * s0  # <h_t, h_t>
+        # project [1, x] out of every hinge once: S0 = hh - V' B^-1 V
+        V = np.stack([s1 - cand * s0, s2 - cand * s1])
         rB = np.array([self.sy, self.sxy])
-        W = np.linalg.solve([[self.n, self.sx], [self.sx, self.sxx]], np.c_[U, rB])
-        S0 = hh - U.T @ W[:, :n]
-        g0 = t1 - cand * t0 - U.T @ W[:, n]
+        W = np.linalg.solve([[self.n, self.sx], [self.sx, self.sxx]], np.c_[V, rB])
+        Q -= V[:, :rows].T @ W[:, :n]  # the rows of S0
+        pivot = norm - np.einsum("ij,ij->j", V, W[:, :n])  # diag(S0)
+        g0 = t1 - cand * t0 - V.T @ W[:, n]
         base0 = self.syy - rB @ W[:, n]
 
-        below = np.tri(n, n, -1, dtype=bool)
-        lowest, shortlist = np.inf, []
-        # the head's knot: none (index -1) for k = 2, each candidate for k = 3
-        for head in range(-1, 0) if k == 2 else range(n - 2):
-            m = n - 1 - head
-            # the first tail knot takes rows 0..rows-1, index head + 1 + row
-            rows = m - 1
-            if mirror:  # the middle knot: index <= (n - 1) // 2
-                rows = min(rows, (n - 1) // 2 - head)
-            if rows <= 0:  # and no row for any later head
-                break
-            St = S0[head + 1:, head + 1:]
-            # q: the tail hinges' components along the normalised head hinge
-            g, base, q = g0[head + 1:], base0, np.zeros(m)
-            if k == 3:
-                # one Gram-Schmidt step takes the head's hinge out of the tail
-                pivot = S0[head, head]
-                if not pivot > 1e-12 * hh[head, head]:  # _nonsingular's rule
-                    continue
-                q = S0[head, head + 1:] / np.sqrt(pivot)
-                gq = g0[head] / np.sqrt(pivot)
-                g = g - gq * q
-                base = base - gq * gq
-            # the tail hinges normalised given the head
-            d = 1.0 / np.sqrt(np.diagonal(St) - q * q)
-            u, qn = g * d, q * d
-            rest = base - u * u
-            i0 = 0
-            while i0 < rows:
-                # rows i0..i1 against columns i0+1..m: the upper triangle
-                i1 = min(rows, i0 + max(1, _SCREEN_ELEMENTS // (m - 1 - i0)))
-                ri, cj, sq = slice(i0, i1), slice(i0 + 1, m), i1 - i0
-                c = St[ri, cj] * d[ri, None]
-                c *= d[cj]
-                c -= np.multiply.outer(qn[ri], qn[cj])
-                score = u[ri, None] - c * u[cj]
-                score *= score
-                np.subtract(1.0, c * c, out=c)
-                # collinear pairs, and pairs j <= i in the square at the
-                # block's start, score NaN: no minimum or cutoff takes them
-                np.copyto(c, np.nan, where=c <= 1e-12)
-                np.copyto(c[:, :sq], np.nan, where=below[:sq, :sq])
-                score /= c
-                np.subtract(rest[cj], score, out=score)
+        # the per-head arrays, (rows, n) and read at t > h only, each built
+        # in place; by _nonsingular's rule a failing head is NaN throughout
+        root = np.sqrt(np.where(pivot > 1e-12 * norm, pivot, np.nan)[:rows])
+        Q /= root[:, None]  # q
+        gq = g0[:rows] / root
+        D = pivot - Q * Q  # t's pivot given [1, x, h], NaN where it fails
+        np.copyto(D, np.nan, where=D <= 1e-12 * norm)
+        np.divide(1.0, np.sqrt(D, out=D), out=D)
+        U = Q * gq[:, None]
+        np.subtract(g0, U, out=U)
+        U *= D
+        QN = np.multiply(Q, D, out=Q)
+        REST = U * U if k == 3 else np.square(U, out=U)  # k = 2 reads REST alone
+        np.subtract((base0 - gq * gq)[:, None], REST, out=REST)
 
-                block_low = float(np.fmin.reduce(score, axis=None))
-                lowest = min(lowest, block_low)  # a NaN block_low leaves it
-                cutoff = lowest + 1e-9 * abs(lowest) + 1e-13 * self.syy
-                if block_low <= cutoff < np.inf:
-                    i, j = np.nonzero(score <= cutoff)
-                    shortlist.append(np.column_stack(
-                        [np.full(len(i), head), head + 1 + i0 + i, head + 2 + i0 + j]))
-                i0 = i1
-        tuples = np.concatenate(shortlist) if shortlist else np.empty((0, 3), np.intp)
-        return tuples[:, 3 - k:]  # k = 2 drops the head column
+        def cutoff(low):
+            return low + 1e-9 * abs(low) + 1e-13 * self.syy
+
+        if k == 2:
+            # the pairs are the upper triangle of REST
+            np.copyto(REST, np.nan, where=np.tri(rows, n, dtype=bool))
+            return np.argwhere(REST <= cutoff(float(np.fmin.reduce(REST, None, initial=np.nan))))
+
+        lowest, shortlist = np.inf, []
+        # one rectangle per middle knot i, heads 0..i-1 by tails i+1..n-1,
+        # from the centre out, where the best tuples sit
+        for i in sorted(range(1, rows), key=lambda i: abs(2 * i - (n - 1))):
+            h, t = slice(0, i), slice(i + 1, n)
+            # c: the cosine of hinges i and t given [1, x, h], from S0_it
+            c = np.divide(QN[i, t], D[i, t]) * root[i] * D[h, i, None]
+            c *= D[h, t]
+            c -= QN[h, i, None] * QN[h, t]
+            score = U[h, i, None] - c * U[h, t]
+            score *= score
+            np.subtract(1.0, c * c, out=c)
+            np.copyto(c, np.nan, where=c <= 1e-12)  # collinear given the head
+            score /= c
+            np.subtract(REST[h, t], score, out=score)
+
+            low = float(np.fmin.reduce(score, axis=None))
+            lowest = min(lowest, low)  # a NaN low leaves it
+            if low <= cutoff(lowest) < np.inf:
+                a, b = np.nonzero(score <= cutoff(lowest))
+                shortlist.append(np.column_stack([a, np.full(len(a), i), i + 1 + b]))
+        return np.concatenate(shortlist) if shortlist else np.empty((0, 3), np.intp)
 
 
 def _nonsingular(M) -> np.ndarray:
     """Per Gram matrix of a (T, d, d) stack: whether every Cholesky pivot,
     the part of a column's squared norm that the columns before it leave
-    unexplained, exceeds 1e-12 of that squared norm. The screen applies the
-    same test to each head's pivot; a NaN pivot (no factor) fails it."""
+    unexplained, exceeds 1e-12 of that squared norm. The screen applies it
+    to each head and to each later knot given the head; a NaN pivot (no
+    factor) fails it."""
     L, _ = _per_item(np.linalg.cholesky, M)
     pivots = np.diagonal(L, axis1=1, axis2=2) ** 2
     return (pivots > 1e-12 * np.diagonal(M, axis1=1, axis2=2)).all(axis=1)

@@ -462,7 +462,7 @@ FAILING_FITS = [
     ("no-cholesky-factor", make_dataset([0.1, -0.2, 0.3], [1, 0, 1], NEAR), 1e-16,
      "1: covariance update is not positive definite: Matrix is not positive definite"),
     ("singular", make_dataset([0.1, -0.2, 0.3], [1, 1, 1], NEAR), 1e-16,
-     "2: covariance update is not positive definite: Singular matrix"),
+     "2: covariance update has no inverse: Singular matrix"),
     ("non-finite-covariance", make_dataset([60.0, -60.0], [0, 1], [[0.5], [0.5]]), 5e-324,
      "1: non-finite covariance update"),
     ("nonpositive-omega", make_dataset([-0.5] * 10, [0] * 10, [[0.0]] * 10), 1e9,

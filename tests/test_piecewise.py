@@ -304,6 +304,58 @@ class TestBreakpointSearch:
                 assert got_sse == sse[first], (problem, mirror)
                 assert np.array_equal(got, cand[combos[first]]), (problem, mirror)
 
+    @pytest.mark.parametrize("k,mirror,units", [
+        # the first head and the last middle knot screened without mirror
+        (3, False, [0, 19, 20]),
+        # the last middle knot screened in mirror mode: the centre, its own
+        # mirror image
+        (3, True, [7, 10, 13]),
+        # the last pair of the two-knot screen
+        (2, False, [19, 20]),
+    ])
+    def test_scan_reaches_the_screens_edges(self, k, mirror, units):
+        # y is a line plus hinges at the given candidates plus small noise, so
+        # the exhaustive optimum sits at the edge of what the mode screens
+        x = _grid(400)[0]
+        cand = np.arange(-10, 11) * 0.4
+        noise = np.random.default_rng(7).normal(size=len(x)) * 1e-3
+        if mirror:
+            # |x - a| is a line plus 2 (x - a)_+, and y less a line is even
+            y = np.abs(x + 1.2) + 2.0 * np.abs(x) + np.abs(x - 1.2) + noise + noise[::-1]
+        else:
+            y = 0.3 * x + noise + sum(w * np.maximum(x - cand[u], 0.0)
+                                      for w, u in zip([1.0, -2.0, 3.0][3 - k:], units))
+        ls = _HingeLS(x, y)
+        combos = np.array(list(itertools.combinations(range(len(cand)), k)))
+        sse = ls.sse(cand[combos])
+        first = int(np.argmin(sse))
+        assert combos[first].tolist() == units
+        got_sse, got = ls.best(cand, k, mirror=mirror)
+        assert got_sse == sse[first]
+        assert np.array_equal(got, cand[units])
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_screen_keeps_every_tuple_in_the_window(self, k):
+        # best() rescores only the screened tuples and their mirror images, so
+        # they must hold every tuple whose exact SSE is within the window of
+        # the exhaustive minimum, whatever order the screen scans in
+        x = np.linspace(-5.0, 5.0, 400)
+        cand = (np.arange(40) - 19.5) * 0.24  # symmetric about 0
+        walk = np.cumsum(np.random.default_rng(k).normal(size=len(x)))
+        # two knots screen every pair in either mode
+        for y, modes in [(softplus(x), (False, True) if k == 3 else (False,)),
+                         (walk, (False,))]:
+            ls = _HingeLS(x, y)
+            combos = np.array(list(itertools.combinations(range(len(cand)), k)))
+            sse = ls.sse(cand[combos])
+            low = sse.min()
+            window = {tuple(t) for t in combos[sse <= low + 1e-9 * low + 1e-13 * ls.syy].tolist()}
+            for mirror in modes:
+                screened = ls._screen(cand, k, mirror)
+                if mirror:
+                    screened = np.concatenate([screened, len(cand) - 1 - screened[:, ::-1]])
+                assert window <= {tuple(t) for t in screened.tolist()}, mirror
+
     def test_mirror_mode_needs_symmetric_candidates(self):
         x, y = _grid(400)
         ls = _HingeLS(x, y)
@@ -340,13 +392,15 @@ class TestBreakpointSearch:
         sse, _ = _HingeLS(*_grid(5)).best(COARSE_LATTICE, 2, mirror=True)
         assert 0.0 <= sse < 1e-6
 
-    def test_three_knot_scan_memory(self):
-        # the screen's arrays are bounded, so peak memory stays flat
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_three_knot_scan_memory(self, k):
+        # the screen's arrays are bounded, so peak memory stays flat with the
+        # per-head arrays of every head alive at once
         x, y = _grid(10_000)
         ls = _HingeLS(x, y)
         tracemalloc.start()
         try:
-            ls.best(np.arange(-99, 100) * 0.05, 3)
+            ls.best(np.arange(-99, 100) * 0.05, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
