@@ -13,10 +13,13 @@ least-squares search that re-derives the linear table's knots and error from
 scratch on a 10 000-point grid, with knots on a 0.05 lattice. It screens
 knot tuples in closed form, from arrays built once per first knot and read
 one rectangle per middle knot, then rescores the near-best tuples exactly,
-so it returns what a scan of every tuple returns, ties included.
-softplus(x) - x/2 is even and the lattice is symmetric about 0, so a knot
-tuple and its mirror image fit equally well, and the screen scores one tuple
-of each such pair.
+so it returns what a scan of every tuple returns, ties included. A lower
+bound on the SSE of every tuple through a middle knot, the best one-knot
+fits on either side of it, orders the rectangles and ends the scan once no
+rectangle left can reach the best score; on the verifier's grid one of 99
+is scored. softplus(x) - x/2 is even and the lattice is symmetric about 0,
+so a knot tuple and its mirror image fit equally well, and the screen scores
+one tuple of each such pair.
 """
 from __future__ import annotations
 
@@ -62,6 +65,11 @@ QUADRATIC_QUADRATIC = np.array([0.0, 0.0189, 0.1138, 0.0190, 0.0])
 # symmetric about 0.
 _GRID_SIZE = 10_000
 _LATTICE = np.arange(-99, 100) * 0.05
+
+# The three-knot screen skips a middle knot whose split bound exceeds the
+# window by more than this multiple of syy, the rounding margin of the bound
+# and of the closed-form scores.
+_BOUND_MARGIN = 1e-9
 
 # The max-error audit's grid np.linspace(-8, 8, _AUDIT_SIZE): point i is
 # i * _AUDIT_STEP - 8, bit for bit (the last comes out as exactly 8, the
@@ -222,8 +230,8 @@ def _max_error(knots, intercepts, linear, quadratic) -> float:
 class _HingeLS:
     """Least-squares SSE of y ~ 1 + x + sum_j (x - a_j)_+ for knot tuples.
 
-    All grid sums enter through suffix sums (of 1, x, x^2, y, xy over grid
-    points strictly above each knot), built once, so scoring a knot tuple
+    All grid sums enter through suffix sums (of 1, x, x^2, y, xy, y^2 over
+    grid points strictly above each knot), built once, so scoring a knot tuple
     never touches the grid again. `sse` scores a batch of tuples exactly, one
     (k+2)x(k+2) solve per tuple.
 
@@ -246,29 +254,55 @@ class _HingeLS:
         SSE = REST_hj - (U_hi - c U_hj)^2 / (1 - c^2),
 
     and pairs with 1 - c^2 <= 1e-12, numerically collinear given the head,
-    are skipped. The rectangles run from the centre out, where the best
-    tuples sit, so the lowest score falls early. Near the optimum the closed
-    form agrees with `sse` to a few 1e-11 (less on ill-conditioned tuples far
-    from it). That is enough to reorder exact ties: softplus(x) - x/2 is
-    even, so mirror-image tuples tie, and on a 400-point grid the closed form
-    ranks (-1.05, 1.1) before (-1.1, 1.05). So the screen only shortlists:
-    every tuple within 1e-9 * SSE + 1e-13 * syy of the screen's minimum is
-    rescored with `sse`, and the first lexicographic minimizer of those exact
-    scores wins, as in a scan that scores every tuple with `sse`. (Both
-    scores round off in proportion to syy.) On a grid as coarse as the
-    lattice, where knot pairs can be collinear, the result can differ from
-    such a scan.
+    are skipped. Near the optimum the closed form agrees with `sse` to a few
+    1e-11 (less on ill-conditioned tuples far from it). That is enough to
+    reorder exact ties: softplus(x) - x/2 is even, so mirror-image tuples
+    tie, and on a 400-point grid the closed form ranks (-1.05, 1.1) before
+    (-1.1, 1.05). So the screen only shortlists: every tuple within
+    1e-9 * SSE + 1e-13 * syy of the screen's minimum is rescored with `sse`,
+    and the first lexicographic minimizer of those exact scores wins, as in
+    a scan that scores every tuple with `sse`. (Both scores round off in
+    proportion to syy.) On a grid as coarse as the lattice, where knot pairs
+    can be collinear, the result can differ from such a scan.
+
+    Most rectangles are never scored. On the grid points x <= c_i the hinges
+    at i and j are zero, and on the points x > c_i the hinges at h and i are
+    lines. So on the left of c_i a tuple with middle knot i is a fit of
+    [1, x, (x - c_h)+], and on its right one of [1, x, (x - c_j)+]. Its SSE
+    is therefore at least B_i = L_i + R_i, where L_i is the least SSE of a
+    one-knot fit over the points x <= c_i with its knot at any h < i, and
+    R_i that over the points x > c_i with its knot at any t > i. On the left,
+    (x - c_h)+ is the line x - c_h plus (c_h - x)+, which covers x <= c_h
+    only, so both sides score their knots from 1-D prefix or suffix sums and
+    one 2x2 projection of [1, x] per side (`_split_bound`). A side whose
+    [1, x], or any of whose hinges, fails `_nonsingular`'s rule gives 0:
+    the least over the other hinges could exceed the truth. The rectangles
+    run in increasing B_i, and the scan stops at the first B_i that exceeds
+    the window of the lowest score by more than _BOUND_MARGIN * syy. Every
+    tuple of a skipped rectangle has an exact SSE above the window, and its
+    closed-form score is that SSE but for rounding, which the margin covers,
+    so it could not have entered the window. A tuple that enters the window
+    of a scan of every rectangle enters it here too, as skipping rectangles
+    can only raise the lowest score. Against exhaustive exact scores, B_i
+    rounds above the least SSE of its rectangle by at most ~2e-15 * syy on
+    the grids of the tests, so the margin is wide. On the verifier's grid B_i
+    at knot 0 equals the optimum (by the mirror symmetry the best fits of
+    the two sides meet at 0, so together they are a three-knot fit), every
+    other B_i lies 0.014 or more above it, and one rectangle of 99 is
+    scored.
 
     In mirror mode the caller states that y less a line is even on a grid
     symmetric about 0, and the candidates must satisfy cand == -cand[::-1]
-    exactly. Then the tuple of candidate indices t_1 < t_2 < t_3 and its
-    mirror image (n-1-t_3, n-1-t_2, n-1-t_1) tie, and for k = 3 the screen
-    scores one of each pair: the tuples whose middle knot has an index of at
-    most (n - 1) // 2, the last row it builds. The mirror of each shortlisted
-    tuple is added back before the rescoring. The tie rule survives because
-    only exact scores pick the winner: a tuple and its mirror differ in
-    closed form by rounding alone, so a tuple that could win has itself or
-    its mirror in the window, and both reach `sse`.
+    exactly. Then a tuple of candidate indices t_1 < ... < t_k and its
+    mirror image (n-1-t_k, ..., n-1-t_1) tie, and the screen scores one of
+    each pair: the tuples whose first (k = 2) or middle (k = 3) knot has an
+    index of at most (n - 1) // 2, the last row it builds. (A pair whose
+    first index is above it has a mirror whose first index is below it.)
+    The mirror of each shortlisted tuple is added back before the
+    rescoring. The tie rule survives because only exact scores pick the
+    winner: a tuple and its mirror differ in closed form by rounding alone,
+    so a tuple that could win has itself or its mirror in the window, and
+    both reach `sse`.
     """
 
     def __init__(self, x, y):
@@ -279,15 +313,15 @@ class _HingeLS:
         self.sy = float(y.sum())
         self.sxy = float((x * y).sum())
         self.syy = float((y * y).sum())
-        terms = np.stack([np.ones_like(x), x, x * x, y, x * y])
+        terms = np.stack([np.ones_like(x), x, x * x, y, x * y, y * y])
         self._suffix = np.concatenate(
-            [np.cumsum(terms[:, ::-1], axis=1)[:, ::-1], np.zeros((5, 1))], axis=1)
+            [np.cumsum(terms[:, ::-1], axis=1)[:, ::-1], np.zeros((6, 1))], axis=1)
 
     def _normal_equations(self, knots):
         """Gram matrices M and right-hand sides r of [1, x, hinges] for each
         row of a (T, k) array of increasing knot tuples."""
         T, k = knots.shape
-        s0, s1, s2, t0, t1 = self._suffix[:, np.searchsorted(self.x, knots, side="right")]
+        s0, s1, s2, t0, t1 = self._suffix[:5, np.searchsorted(self.x, knots, side="right")]
         d = k + 2
         M = np.empty((T, d, d))
         rhs = np.empty((T, d))
@@ -319,15 +353,14 @@ class _HingeLS:
         the increasing candidates `cand`: the first minimizer in
         lexicographic order; k is at most 3. `mirror` states that y less a
         line is even on a grid symmetric about 0, so that mirror-image tuples
-        tie; it needs cand == -cand[::-1] exactly, and for three knots screens
-        one tuple of each pair. (inf, None) when every tuple is singular."""
+        tie; it needs cand == -cand[::-1] exactly, and for two or three knots
+        screens one tuple of each pair. (inf, None) when every tuple is singular."""
         if mirror and not np.array_equal(cand, -cand[::-1]):
             raise ValueError("mirror mode needs candidates symmetric about 0")
         if k <= 1:
             tuples = list(itertools.combinations(range(len(cand)), k))
             tuples = np.array(tuples, dtype=np.intp).reshape(len(tuples), k)
         else:
-            mirror = mirror and k == 3  # the screen's mirror bound
             tuples = self._screen(cand, k, mirror)
             if mirror:
                 tuples = np.concatenate([tuples, len(cand) - 1 - tuples[:, ::-1]])
@@ -350,14 +383,17 @@ class _HingeLS:
         """(T, k) candidate indices, k = 2 or 3, of every tuple whose
         closed-form score lies within the window of the lowest score, plus a
         few that were that close to the lowest score seen when their
-        rectangle was screened. With `mirror` (k = 3), only the tuples whose
-        middle knot has an index of at most that of their mirror image's are
-        screened."""
+        rectangle was screened. With `mirror`, only the tuples whose first
+        (k = 2) or middle (k = 3) knot has an index of at most (n - 1) // 2
+        are screened."""
         n = len(cand)
         # the heads (a tuple's first knot) and for k = 3 the middle knots,
         # which mirror mode takes up to index (n - 1) // 2
-        rows = (n + 1) // 2 if mirror else n - 1
-        s0, s1, s2, t0, t1 = self._suffix[:, np.searchsorted(self.x, cand, side="right")]
+        rows = (n + 1) // 2 if mirror else max(n - 1, 0)
+        if k == 3:
+            # before the per-head arrays, so that its temporaries are gone
+            bound = self._split_bound(cand, rows)
+        s0, s1, s2, t0, t1 = self._suffix[:5, np.searchsorted(self.x, cand, side="right")]
         # <h_a, h_b> uses the suffix sums at the larger knot, right for a <= b
         Q = s2 - np.add.outer(cand[:rows], cand) * s1 + np.multiply.outer(cand[:rows], cand) * s0
         norm = s2 - (cand + cand) * s1 + cand * cand * s0  # <h_t, h_t>
@@ -394,9 +430,13 @@ class _HingeLS:
             return np.argwhere(REST <= cutoff(float(np.fmin.reduce(REST, None, initial=np.nan))))
 
         lowest, shortlist = np.inf, []
-        # one rectangle per middle knot i, heads 0..i-1 by tails i+1..n-1,
-        # from the centre out, where the best tuples sit
-        for i in sorted(range(1, rows), key=lambda i: abs(2 * i - (n - 1))):
+        # one rectangle per middle knot i, heads 0..i-1 by tails i+1..n-1, in
+        # increasing order of their bound (those without one first), until
+        # the bound leaves the window by more than its rounding margin
+        order = np.argsort(bound[1:], kind="stable") + 1
+        for i in order:
+            if bound[i] > cutoff(lowest) + _BOUND_MARGIN * self.syy:
+                break
             h, t = slice(0, i), slice(i + 1, n)
             # c: the cosine of hinges i and t given [1, x, h], from S0_it
             c = np.divide(QN[i, t], D[i, t]) * root[i] * D[h, i, None]
@@ -415,6 +455,59 @@ class _HingeLS:
                 a, b = np.nonzero(score <= cutoff(lowest))
                 shortlist.append(np.column_stack([a, np.full(len(a), i), i + 1 + b]))
         return np.concatenate(shortlist) if shortlist else np.empty((0, 3), np.intp)
+
+    @np.errstate(divide="ignore", invalid="ignore")
+    def _split_bound(self, cand, rows) -> np.ndarray:
+        """B_i <= the SSE of every tuple h < i < j of candidate indices, for
+        each middle knot i < rows (row 0 holds none and is not used):
+        B_i = L_i + R_i, the least one-knot SSE on each side of the split at
+        cand[i], where a side that gives no bound counts 0."""
+        at = self._suffix[:, np.searchsorted(self.x, cand, side="right")]
+        right = at[:, :rows]  # the grid points x > cand[i], a column per split
+        left = self._suffix[:, :1] - right  # and x <= cand[i]
+        # right of a split below c the hinge (x - c)+ is nonzero on x > c
+        # alone: the suffix sums at c. Left of a split above c it is the line
+        # x - c, which [1, x] absorbs, plus (c - x)+ = -(x - c) on x <= c
+        # alone: the prefix sums at c, with a sign that squares away
+        L = _one_knot_sse(left, left, cand[:rows]).min(
+            axis=1, initial=np.inf, where=np.tri(rows, rows, -1, dtype=bool))  # h < i
+        R = _one_knot_sse(right, at, cand).min(
+            axis=1, initial=np.inf, where=~np.tri(rows, len(cand), dtype=bool))  # t > i
+        # a side with a failing pivot is NaN and gives 0, as does one that
+        # rounds below 0
+        return np.fmax(L, 0.0) + np.fmax(R, 0.0)
+
+
+def _one_knot_sse(side, hinge, c) -> np.ndarray:
+    """(splits, knots) least SSE of y ~ 1 + x + hinge over one side of each
+    split, from the side's sums of 1, x, x^2, y, xy, y^2 (a column per
+    split) and those of the points that the hinge (x - c)+ or (c - x)+
+    covers (a column per knot c). NaN where the side's [1, x] or the
+    hinge's pivot given [1, x] fails `_nonsingular`'s rule."""
+    m, sx, sxx, sy, sxy, syy = side[:, :, None]
+    xbar, ybar = sx / m, sy / m
+    sxxc = sxx - sx * xbar  # the side's centred sums
+    sxyc = np.where(sxxc > 1e-12 * sxx, sxy - sx * ybar, np.nan)  # NaN if [1, x] fails
+    beta = sxyc / sxxc
+    base = syy - sy * ybar - sxyc * beta  # the side's SSE of [1, x]
+    h0, h1, h2, k0, k1, _ = hinge
+    a1, ax, ay = h1 - c * h0, h2 - c * h1, k1 - c * k0  # <a, 1>, <a, x>, <a, y>
+    aa = ax - c * a1  # <a, a>
+    d = np.multiply(xbar, a1)
+    np.subtract(ax, d, out=d)  # <a, x - xbar>
+    pivot = np.multiply(1.0 / m, a1 * a1)
+    np.subtract(aa, pivot, out=pivot)
+    tmp = np.square(d)
+    tmp /= sxxc
+    pivot -= tmp  # <a, a> given [1, x]
+    np.multiply(beta, d, out=tmp)
+    np.multiply(ybar, a1, out=d)
+    np.subtract(ay, d, out=d)
+    d -= tmp  # <a, y> given [1, x]
+    np.copyto(pivot, np.nan, where=pivot <= 1e-12 * aa)
+    d *= d
+    d /= pivot
+    return np.subtract(base, d, out=d)
 
 
 def _nonsingular(M) -> np.ndarray:

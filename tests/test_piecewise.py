@@ -9,10 +9,10 @@ from hypothesis import given, strategies as st
 import llaft.cli
 import llaft.piecewise
 from llaft.piecewise import (LINEAR_KNOTS, LINEAR_SLOPES, QUADRATIC_KNOTS, QUADRATIC_LINEAR,
-                             QUADRATIC_QUADRATIC, _LINEAR_TABLE, _QUADRATIC_TABLE, _grid,
-                             _HingeLS, _linear_segment, _max_error, _quadratic_segment,
-                             fit_linear_breakpoints, softplus, softplus_linear,
-                             softplus_quadratic, table_max_error, table_sse)
+                             QUADRATIC_QUADRATIC, _BOUND_MARGIN, _LATTICE, _LINEAR_TABLE,
+                             _QUADRATIC_TABLE, _grid, _HingeLS, _linear_segment, _max_error,
+                             _quadratic_segment, _verifier, fit_linear_breakpoints, softplus,
+                             softplus_linear, softplus_quadratic, table_max_error, table_sse)
 
 # A knot lattice as coarse as the coarse grids below, symmetric about 0
 COARSE_LATTICE = np.arange(-19, 20) * 0.25
@@ -223,6 +223,19 @@ def _dense_sse(x, y, knots):
     return float(np.linalg.lstsq(A, y, rcond=None)[1][0])
 
 
+def _assert_bound_holds(ls, cand, mirror):
+    """The split bound of each middle knot that the screen visits is at most
+    the least exact SSE of the tuples through it, up to the margin that the
+    screen allows for rounding."""
+    n = len(cand)
+    rows = (n + 1) // 2 if mirror else n - 1
+    bound = ls._split_bound(cand, rows)
+    for i in range(1, rows):
+        h, j = np.meshgrid(np.arange(i), np.arange(i + 1, n), indexing="ij")
+        tuples = np.column_stack([h.ravel(), np.full(h.size, i), j.ravel()])
+        assert bound[i] <= ls.sse(cand[tuples]).min() + _BOUND_MARGIN * ls.syy, (n, mirror, i)
+
+
 @pytest.fixture(scope="module")
 def knot_fits():
     return {k: fit_linear_breakpoints(k) for k in range(4)}
@@ -342,9 +355,7 @@ class TestBreakpointSearch:
         x = np.linspace(-5.0, 5.0, 400)
         cand = (np.arange(40) - 19.5) * 0.24  # symmetric about 0
         walk = np.cumsum(np.random.default_rng(k).normal(size=len(x)))
-        # two knots screen every pair in either mode
-        for y, modes in [(softplus(x), (False, True) if k == 3 else (False,)),
-                         (walk, (False,))]:
+        for y, modes in [(softplus(x), (False, True)), (walk, (False,))]:
             ls = _HingeLS(x, y)
             combos = np.array(list(itertools.combinations(range(len(cand)), k)))
             sse = ls.sse(cand[combos])
@@ -355,6 +366,41 @@ class TestBreakpointSearch:
                 if mirror:
                     screened = np.concatenate([screened, len(cand) - 1 - screened[:, ::-1]])
                 assert window <= {tuple(t) for t in screened.tolist()}, mirror
+
+    def test_split_bound_holds(self):
+        # the problems of test_scan_matches_exhaustive_sse[3], whose symmetric
+        # ones are screened in both modes, and the coarse grids
+        x = np.linspace(-5.0, 5.0, 400)
+        rng = np.random.default_rng(3)
+        for problem in range(12):
+            n_cand = int(rng.integers(12, 21))
+            if problem < 8:
+                y = softplus(x)
+                half = rng.choice(np.arange(1, 100), n_cand // 2, replace=False)
+                cand = np.sort(np.concatenate([-half, half])) * 0.05
+            else:
+                y = (np.cumsum(rng.normal(size=len(x))) if problem < 10
+                     else rng.normal(size=len(x)))
+                cand = np.sort(rng.choice(np.arange(-99, 100), n_cand, replace=False)) * 0.05
+            for mirror in (False, True) if problem < 8 else (False,):
+                _assert_bound_holds(_HingeLS(x, y), cand, mirror)
+        for grid_size in range(7, 13):
+            _assert_bound_holds(_HingeLS(*_grid(grid_size)), COARSE_LATTICE, True)
+
+    def test_split_bound_holds_on_the_verifier_grid(self):
+        _assert_bound_holds(_verifier()[2], _LATTICE, True)
+
+    def test_split_bound_leaves_one_rectangle_on_the_verifier_grid(self):
+        # the scan stops at the first bound beyond the window of the lowest
+        # score plus the margin: of every middle knot only 0 is within it
+        # of the optimum, so one rectangle is scored
+        ls = _verifier()[2]
+        low = fit_linear_breakpoints(3).sse
+        bound = ls._split_bound(_LATTICE, len(_LATTICE) - 1)
+        near = bound[1:] <= low + 1e-9 * low + 1e-13 * ls.syy + _BOUND_MARGIN * ls.syy
+        assert _LATTICE[1:-1][near].tolist() == [0.0]
+        # there it equals the optimum but for rounding
+        assert bound[len(_LATTICE) // 2] == pytest.approx(low, rel=1e-9)
 
     def test_mirror_mode_needs_symmetric_candidates(self):
         x, y = _grid(400)
