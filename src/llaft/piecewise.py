@@ -8,18 +8,16 @@ and x. Segment intervals are left-open/right-closed, e.g. -5 < x <= -1.701.
 np.linspace(-8, 8, 100_001), located from the knots and the error's
 stationary points instead of by evaluating the whole grid.
 
-The module also carries an independent verifier: a brute-force segmented
-least-squares search that re-derives the linear table's knots and error from
-scratch on a 10 000-point grid, with knots on a 0.05 lattice. It screens
-knot tuples in closed form, from arrays built once per first knot and read
-one rectangle per middle knot, then rescores the near-best tuples exactly,
-so it returns what a scan of every tuple returns, ties included. A lower
-bound on the SSE of every tuple through a middle knot, the best one-knot
-fits on either side of it, orders the rectangles and ends the scan once no
-rectangle left can reach the best score; on the verifier's grid one of 99
-is scored. softplus(x) - x/2 is even and the lattice is symmetric about 0,
-so a knot tuple and its mirror image fit equally well, and the screen scores
-one tuple of each such pair.
+The module also carries an independent verifier: a segmented least-squares
+search that re-derives the linear table's knots and error from scratch on a
+10 000-point grid, with knots on a 0.05 lattice. It returns what an exact
+scan of every knot tuple returns, ties included, but scores exactly only the
+tuples that a lower bound cannot rule out: a tuple's SSE is at least the
+sum of the best fits on either side of one of its knots, each a fit with at
+most one knot. On the verifier's grid the three-knot search scores one
+tuple. softplus(x) - x/2 is even and the lattice is symmetric about 0, so a
+knot tuple and its mirror image fit equally well, and the search scans one
+tuple of each such pair.
 """
 from __future__ import annotations
 
@@ -66,9 +64,8 @@ QUADRATIC_QUADRATIC = np.array([0.0, 0.0189, 0.1138, 0.0190, 0.0])
 _GRID_SIZE = 10_000
 _LATTICE = np.arange(-99, 100) * 0.05
 
-# The three-knot screen skips a middle knot whose split bound exceeds the
-# window by more than this multiple of syy, the rounding margin of the bound
-# and of the closed-form scores.
+# The knot scan skips a tuple whose split bound exceeds the lowest exact score
+# by more than this multiple of syy, the rounding margin of bound and score.
 _BOUND_MARGIN = 1e-9
 
 # The max-error audit's grid np.linspace(-8, 8, _AUDIT_SIZE): point i is
@@ -232,77 +229,51 @@ class _HingeLS:
 
     All grid sums enter through suffix sums (of 1, x, x^2, y, xy, y^2 over
     grid points strictly above each knot), built once, so scoring a knot tuple
-    never touches the grid again. `sse` scores a batch of tuples exactly, one
-    (k+2)x(k+2) solve per tuple.
+    never touches the grid again. `sse`, the one scorer, scores a batch of
+    tuples exactly, one (k+2)x(k+2) solve per tuple.
 
-    `best` scans every k-tuple of a candidate set, for k of at most 3. For
-    k >= 2 it screens instead of solving per tuple. Once per call it projects
-    [1, x] out of the Gram matrix of all candidate hinges (S0) and out of
-    their right-hand side (g0). One Gram-Schmidt step per head h, a tuple's
-    first knot, then takes its hinge out of each later hinge t; with
-    q_ht = S0_ht / sqrt(S0_hh), it fills arrays with a row per head or middle
-    knot and a column per candidate, in place of S0: the normaliser
-    D = (S0_tt - q_ht^2)^-1/2, QN = q D, U = (g0_t - q_ht g0_h / sqrt(S0_hh)) D
-    and REST = SSE([1, x, h, t]). A head whose pivot S0_hh is at or below
-    1e-12 of its hinge's squared norm, the rule of `_nonsingular`, is NaN
-    throughout, as is a hinge t whose pivot given [1, x, h] fails the same
-    rule. Two knots score the upper triangle of REST. Three knots h < i < j
-    score one rectangle per middle knot i, heads 0..i-1 by tails i+1..n-1,
-    from slices of those arrays: with c = S0_ij D_hi D_hj - QN_hi QN_hj,
-    where row i gives S0_ij = sqrt(S0_ii) QN_ij / D_ij,
-
-        SSE = REST_hj - (U_hi - c U_hj)^2 / (1 - c^2),
-
-    and pairs with 1 - c^2 <= 1e-12, numerically collinear given the head,
-    are skipped. Near the optimum the closed form agrees with `sse` to a few
-    1e-11 (less on ill-conditioned tuples far from it). That is enough to
-    reorder exact ties: softplus(x) - x/2 is even, so mirror-image tuples
-    tie, and on a 400-point grid the closed form ranks (-1.05, 1.1) before
-    (-1.1, 1.05). So the screen only shortlists: every tuple within
-    1e-9 * SSE + 1e-13 * syy of the screen's minimum is rescored with `sse`,
-    and the first lexicographic minimizer of those exact scores wins, as in
-    a scan that scores every tuple with `sse`. (Both scores round off in
-    proportion to syy.) On a grid as coarse as the lattice, where knot pairs
-    can be collinear, the result can differ from such a scan.
-
-    Most rectangles are never scored. On the grid points x <= c_i the hinges
-    at i and j are zero, and on the points x > c_i the hinges at h and i are
-    lines. So on the left of c_i a tuple with middle knot i is a fit of
-    [1, x, (x - c_h)+], and on its right one of [1, x, (x - c_j)+]. Its SSE
-    is therefore at least B_i = L_i + R_i, where L_i is the least SSE of a
-    one-knot fit over the points x <= c_i with its knot at any h < i, and
-    R_i that over the points x > c_i with its knot at any t > i. On the left,
+    `best` returns what scoring every k-tuple of a candidate set with `sse`
+    returns, for k of at most 3, the first of exactly tied tuples included.
+    For k >= 2 it scores only the tuples that a lower bound leaves. Each
+    tuple is split at one of its knots s, its middle knot for k = 3 and its
+    first for k = 2. On the grid points x <= c_s the hinges at s and after
+    it are zero, and on the points x > c_s the hinges at s and before it are
+    lines. So on the left of c_s a tuple h < s < t is a fit of
+    [1, x, (x - c_h)+] (of [1, x] alone for k = 2), and on its right one of
+    [1, x, (x - c_t)+]. Its SSE is therefore at least lo[s, h] + hi[s, t],
+    the least SSEs of those fits on each side (`_split_sse`). On the left,
     (x - c_h)+ is the line x - c_h plus (c_h - x)+, which covers x <= c_h
     only, so both sides score their knots from 1-D prefix or suffix sums and
-    one 2x2 projection of [1, x] per side (`_split_bound`). A side whose
-    [1, x], or any of whose hinges, fails `_nonsingular`'s rule gives 0:
-    the least over the other hinges could exceed the truth. The rectangles
-    run in increasing B_i, and the scan stops at the first B_i that exceeds
-    the window of the lowest score by more than _BOUND_MARGIN * syy. Every
-    tuple of a skipped rectangle has an exact SSE above the window, and its
-    closed-form score is that SSE but for rounding, which the margin covers,
-    so it could not have entered the window. A tuple that enters the window
-    of a scan of every rectangle enters it here too, as skipping rectangles
-    can only raise the lowest score. Against exhaustive exact scores, B_i
-    rounds above the least SSE of its rectangle by at most ~2e-15 * syy on
-    the grids of the tests, so the margin is wide. On the verifier's grid B_i
-    at knot 0 equals the optimum (by the mirror symmetry the best fits of
-    the two sides meet at 0, so together they are a three-knot fit), every
-    other B_i lies 0.014 or more above it, and one rectangle of 99 is
-    scored.
+    one 2x2 projection of [1, x] per side. A side whose [1, x] or hinge fails
+    `_nonsingular`'s rule bounds nothing and counts 0.
+
+    The rows of tuples that share a split knot run in increasing order of
+    their least bound. In a row, `sse` scores each tuple whose bound is at
+    most the lowest exact score so far plus _BOUND_MARGIN * syy (while no
+    tuple has scored below +inf, the least bounds first), and the scan stops
+    at the first row whose least bound exceeds that (a row without tuples
+    has +inf). A tuple left out has a bound above the final lowest score
+    plus the margin, and the margin covers the rounding of bound and score
+    (both round in proportion to syy; on the grids of the tests the bound
+    rounds above the exact SSE by at most ~2e-15 * syy), so its exact SSE
+    exceeds the lowest: it can neither win nor tie. On the verifier's grid
+    the bound of (-1.7, 0, 1.7) at split 0 equals the optimum (by the mirror
+    symmetry the best fits of the two sides meet at 0, so together they are
+    a three-knot fit), every other row's least bound lies 0.014 or more
+    above it, and three knots score that one tuple; two knots score three
+    tuples in two rows.
 
     In mirror mode the caller states that y less a line is even on a grid
     symmetric about 0, and the candidates must satisfy cand == -cand[::-1]
     exactly. Then a tuple of candidate indices t_1 < ... < t_k and its
-    mirror image (n-1-t_k, ..., n-1-t_1) tie, and the screen scores one of
-    each pair: the tuples whose first (k = 2) or middle (k = 3) knot has an
-    index of at most (n - 1) // 2, the last row it builds. (A pair whose
-    first index is above it has a mirror whose first index is below it.)
-    The mirror of each shortlisted tuple is added back before the
-    rescoring. The tie rule survives because only exact scores pick the
-    winner: a tuple and its mirror differ in closed form by rounding alone,
-    so a tuple that could win has itself or its mirror in the window, and
-    both reach `sse`.
+    mirror image (n-1-t_k, ..., n-1-t_1) tie, and only the rows whose split
+    knot has an index of at most (n - 1) // 2 are scanned: a tuple whose
+    split index is above it has a mirror whose split index is below it. The
+    mirror of each scored tuple is added back, and the first lexicographic
+    minimizer of the exact scores wins. A tuple and its mirror differ in
+    exact score by rounding alone, which the margin also covers, so the
+    winner of a scan of every tuple or its mirror is scored, and then both
+    are.
     """
 
     def __init__(self, x, y):
@@ -343,10 +314,15 @@ class _HingeLS:
         """SSE for each row of a (T, k) array of increasing knot tuples; a
         tuple whose normal equations are numerically singular scores +inf."""
         M, rhs = self._normal_equations(np.asarray(knots, float))
-        solution, _ = _per_item(np.linalg.solve, M, rhs[..., None])
-        sse = self.syy - np.einsum("ij,ij->i", solution[..., 0], rhs)
+        # only the tuples that pass are solved, so that a singular one does
+        # not send the whole stack through `_per_item` one tuple at a time
+        ok = _nonsingular(M)
+        solution, _ = _per_item(np.linalg.solve, M[ok], rhs[ok, :, None])
+        fit = self.syy - np.einsum("ij,ij->i", solution[..., 0], rhs[ok])
+        sse = np.full(len(M), np.inf)
         # an interpolating tuple's SSE is 0 but can round below it
-        return np.where(np.isnan(sse) | ~_nonsingular(M), np.inf, np.maximum(sse, 0.0))
+        sse[ok] = np.where(np.isnan(fit), np.inf, np.maximum(fit, 0.0))
+        return sse
 
     def best(self, cand, k, *, mirror=False) -> tuple[float, np.ndarray]:
         """(sse, knots) of the best k-knot fit over every increasing k-tuple of
@@ -354,18 +330,18 @@ class _HingeLS:
         lexicographic order; k is at most 3. `mirror` states that y less a
         line is even on a grid symmetric about 0, so that mirror-image tuples
         tie; it needs cand == -cand[::-1] exactly, and for two or three knots
-        screens one tuple of each pair. (inf, None) when every tuple is singular."""
+        scans one tuple of each pair. (inf, None) when every tuple is singular."""
         if mirror and not np.array_equal(cand, -cand[::-1]):
             raise ValueError("mirror mode needs candidates symmetric about 0")
         if k <= 1:
             tuples = list(itertools.combinations(range(len(cand)), k))
             tuples = np.array(tuples, dtype=np.intp).reshape(len(tuples), k)
         else:
-            tuples = self._screen(cand, k, mirror)
+            tuples = self._scan(cand, k, mirror)
             if mirror:
                 tuples = np.concatenate([tuples, len(cand) - 1 - tuples[:, ::-1]])
             # lexicographic order, each tuple once: a tuple and its mirror can
-            # both have been screened
+            # both have been scored
             tuples = tuples[np.lexsort(tuples.T[::-1])]
             repeat = np.zeros(len(tuples), bool)
             repeat[1:] = (tuples[1:] == tuples[:-1]).all(axis=1)
@@ -377,113 +353,68 @@ class _HingeLS:
                 return float(sse[t]), cand[tuples[t]]
         return np.inf, None  # no tuple, or every tuple singular
 
-    # the screen marks skipped heads, tails and pairs with NaN, silently
-    @np.errstate(divide="ignore", invalid="ignore")
-    def _screen(self, cand, k, mirror=False) -> np.ndarray:
-        """(T, k) candidate indices, k = 2 or 3, of every tuple whose
-        closed-form score lies within the window of the lowest score, plus a
-        few that were that close to the lowest score seen when their
-        rectangle was screened. With `mirror`, only the tuples whose first
-        (k = 2) or middle (k = 3) knot has an index of at most (n - 1) // 2
-        are screened."""
+    def _scan(self, cand, k, mirror) -> np.ndarray:
+        """(T, k) candidate indices, k = 2 or 3, of the tuples that the split
+        bound leaves, each scored with `sse` on the way. With `mirror`, only
+        tuples whose split knot has an index of at most (n - 1) // 2."""
         n = len(cand)
-        # the heads (a tuple's first knot) and for k = 3 the middle knots,
-        # which mirror mode takes up to index (n - 1) // 2
         rows = (n + 1) // 2 if mirror else max(n - 1, 0)
-        if k == 3:
-            # before the per-head arrays, so that its temporaries are gone
-            bound = self._split_bound(cand, rows)
-        s0, s1, s2, t0, t1 = self._suffix[:5, np.searchsorted(self.x, cand, side="right")]
-        # <h_a, h_b> uses the suffix sums at the larger knot, right for a <= b
-        Q = s2 - np.add.outer(cand[:rows], cand) * s1 + np.multiply.outer(cand[:rows], cand) * s0
-        norm = s2 - (cand + cand) * s1 + cand * cand * s0  # <h_t, h_t>
-        # project [1, x] out of every hinge once: S0 = hh - V' B^-1 V
-        V = np.stack([s1 - cand * s0, s2 - cand * s1])
-        rB = np.array([self.sy, self.sxy])
-        W = np.linalg.solve([[self.n, self.sx], [self.sx, self.sxx]], np.c_[V, rB])
-        Q -= V[:, :rows].T @ W[:, :n]  # the rows of S0
-        pivot = norm - np.einsum("ij,ij->j", V, W[:, :n])  # diag(S0)
-        g0 = t1 - cand * t0 - V.T @ W[:, n]
-        base0 = self.syy - rB @ W[:, n]
-
-        # the per-head arrays, (rows, n) and read at t > h only, each built
-        # in place; by _nonsingular's rule a failing head is NaN throughout
-        root = np.sqrt(np.where(pivot > 1e-12 * norm, pivot, np.nan)[:rows])
-        Q /= root[:, None]  # q
-        gq = g0[:rows] / root
-        D = pivot - Q * Q  # t's pivot given [1, x, h], NaN where it fails
-        np.copyto(D, np.nan, where=D <= 1e-12 * norm)
-        np.divide(1.0, np.sqrt(D, out=D), out=D)
-        U = Q * gq[:, None]
-        np.subtract(g0, U, out=U)
-        U *= D
-        QN = np.multiply(Q, D, out=Q)
-        REST = U * U if k == 3 else np.square(U, out=U)  # k = 2 reads REST alone
-        np.subtract((base0 - gq * gq)[:, None], REST, out=REST)
-
-        def cutoff(low):
-            return low + 1e-9 * abs(low) + 1e-13 * self.syy
-
-        if k == 2:
-            # the pairs are the upper triangle of REST
-            np.copyto(REST, np.nan, where=np.tri(rows, n, dtype=bool))
-            return np.argwhere(REST <= cutoff(float(np.fmin.reduce(REST, None, initial=np.nan))))
-
-        lowest, shortlist = np.inf, []
-        # one rectangle per middle knot i, heads 0..i-1 by tails i+1..n-1, in
-        # increasing order of their bound (those without one first), until
-        # the bound leaves the window by more than its rounding margin
-        order = np.argsort(bound[1:], kind="stable") + 1
-        for i in order:
-            if bound[i] > cutoff(lowest) + _BOUND_MARGIN * self.syy:
-                break
-            h, t = slice(0, i), slice(i + 1, n)
-            # c: the cosine of hinges i and t given [1, x, h], from S0_it
-            c = np.divide(QN[i, t], D[i, t]) * root[i] * D[h, i, None]
-            c *= D[h, t]
-            c -= QN[h, i, None] * QN[h, t]
-            score = U[h, i, None] - c * U[h, t]
-            score *= score
-            np.subtract(1.0, c * c, out=c)
-            np.copyto(c, np.nan, where=c <= 1e-12)  # collinear given the head
-            score /= c
-            np.subtract(REST[h, t], score, out=score)
-
-            low = float(np.fmin.reduce(score, axis=None))
-            lowest = min(lowest, low)  # a NaN low leaves it
-            if low <= cutoff(lowest) < np.inf:
-                a, b = np.nonzero(score <= cutoff(lowest))
-                shortlist.append(np.column_stack([a, np.full(len(a), i), i + 1 + b]))
-        return np.concatenate(shortlist) if shortlist else np.empty((0, 3), np.intp)
+        lo, hi = self._split_sse(cand, k, rows)
+        heads = np.tri(rows, rows, -1, dtype=bool) if k == 3 else True  # h < s
+        least = (lo.min(axis=1, initial=np.inf, where=heads)
+                 + hi.min(axis=1, initial=np.inf, where=~np.tri(rows, n, dtype=bool)))  # t > s
+        margin = _BOUND_MARGIN * self.syy
+        lowest, scored = np.inf, []
+        for s in np.argsort(least, kind="stable"):
+            if least[s] > lowest + margin:
+                break  # no tuple left can reach the lowest score
+            # a head (k = 3) by tail array of the row's bounds, flattened
+            bound = (lo[s, :s if k == 3 else 1, None] + hi[s, s + 1:]).ravel()
+            todo = np.ones(len(bound), bool)
+            while todo.any():
+                if lowest < np.inf:
+                    pick = np.flatnonzero(todo & (bound <= lowest + margin))
+                else:  # the least bounds, as many as are done plus one
+                    left = np.flatnonzero(todo)
+                    m = min(len(bound) - len(left) + 1, len(left))
+                    pick = left[np.argpartition(bound[left], m - 1)[:m]]
+                if not len(pick):
+                    break
+                todo[pick] = False
+                h, t = np.divmod(pick, n - 1 - s)
+                tuples = np.column_stack([h, np.full_like(h, s), s + 1 + t])[:, 3 - k:]
+                lowest = min(lowest, float(self.sse(cand[tuples]).min()))
+                scored.append(tuples)
+        return np.concatenate(scored) if scored else np.empty((0, k), np.intp)
 
     @np.errstate(divide="ignore", invalid="ignore")
-    def _split_bound(self, cand, rows) -> np.ndarray:
-        """B_i <= the SSE of every tuple h < i < j of candidate indices, for
-        each middle knot i < rows (row 0 holds none and is not used):
-        B_i = L_i + R_i, the least one-knot SSE on each side of the split at
-        cand[i], where a side that gives no bound counts 0."""
+    def _split_sse(self, cand, k, rows) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) for each split knot s < rows, so that lo[s, h] + hi[s, t]
+        <= the SSE of every tuple of candidate indices split at s: hi[s, t]
+        is the least SSE of [1, x, (x - cand[t])+] on the grid points
+        x > cand[s], read at t > s, and lo[s, h] that of [1, x, (x - cand[h])+]
+        on x <= cand[s], read at h < s, for k = 3; for k = 2, lo[s, 0] is that
+        of [1, x] alone. A side that gives no bound, NaN or below 0, is 0."""
         at = self._suffix[:, np.searchsorted(self.x, cand, side="right")]
-        right = at[:, :rows]  # the grid points x > cand[i], a column per split
-        left = self._suffix[:, :1] - right  # and x <= cand[i]
+        right = at[:, :rows]  # the grid points x > cand[s], a column per split
+        left = self._suffix[:, :1] - right  # and x <= cand[s]
         # right of a split below c the hinge (x - c)+ is nonzero on x > c
         # alone: the suffix sums at c. Left of a split above c it is the line
         # x - c, which [1, x] absorbs, plus (c - x)+ = -(x - c) on x <= c
         # alone: the prefix sums at c, with a sign that squares away
-        L = _one_knot_sse(left, left, cand[:rows]).min(
-            axis=1, initial=np.inf, where=np.tri(rows, rows, -1, dtype=bool))  # h < i
-        R = _one_knot_sse(right, at, cand).min(
-            axis=1, initial=np.inf, where=~np.tri(rows, len(cand), dtype=bool))  # t > i
-        # a side with a failing pivot is NaN and gives 0, as does one that
-        # rounds below 0
-        return np.fmax(L, 0.0) + np.fmax(R, 0.0)
+        knots = rows if k == 3 else 0  # for k = 2 the left side is [1, x] alone
+        base, lo = _one_knot_sse(left, left[:, :knots], cand[:knots])
+        hi = _one_knot_sse(right, at, cand)[1]
+        return np.fmax(lo if k == 3 else base, 0.0), np.fmax(hi, 0.0)
 
 
-def _one_knot_sse(side, hinge, c) -> np.ndarray:
-    """(splits, knots) least SSE of y ~ 1 + x + hinge over one side of each
-    split, from the side's sums of 1, x, x^2, y, xy, y^2 (a column per
-    split) and those of the points that the hinge (x - c)+ or (c - x)+
-    covers (a column per knot c). NaN where the side's [1, x] or the
-    hinge's pivot given [1, x] fails `_nonsingular`'s rule."""
+def _one_knot_sse(side, hinge, c) -> tuple[np.ndarray, np.ndarray]:
+    """(base, sse) over one side of each split, from the side's sums of 1, x,
+    x^2, y, xy, y^2 (a column per split) and those of the points that the
+    hinge (x - c)+ or (c - x)+ covers (a column per knot c): the (splits, 1)
+    SSE of y ~ 1 + x and the (splits, knots) least SSE of y ~ 1 + x + hinge.
+    NaN where the side's [1, x] or the hinge's pivot given [1, x] fails
+    `_nonsingular`'s rule."""
     m, sx, sxx, sy, sxy, syy = side[:, :, None]
     xbar, ybar = sx / m, sy / m
     sxxc = sxx - sx * xbar  # the side's centred sums
@@ -507,15 +438,15 @@ def _one_knot_sse(side, hinge, c) -> np.ndarray:
     np.copyto(pivot, np.nan, where=pivot <= 1e-12 * aa)
     d *= d
     d /= pivot
-    return np.subtract(base, d, out=d)
+    return base, np.subtract(base, d, out=d)
 
 
 def _nonsingular(M) -> np.ndarray:
     """Per Gram matrix of a (T, d, d) stack: whether every Cholesky pivot,
     the part of a column's squared norm that the columns before it leave
-    unexplained, exceeds 1e-12 of that squared norm. The screen applies it
-    to each head and to each later knot given the head; a NaN pivot (no
-    factor) fails it."""
+    unexplained, exceeds 1e-12 of that squared norm. `_one_knot_sse` applies
+    it to [1, x] and to the hinge given [1, x]; a NaN pivot (no factor)
+    fails it."""
     L, _ = _per_item(np.linalg.cholesky, M)
     pivots = np.diagonal(L, axis1=1, axis2=2) ** 2
     return (pivots > 1e-12 * np.diagonal(M, axis1=1, axis2=2)).all(axis=1)
@@ -526,7 +457,8 @@ def fit_linear_breakpoints(n_breakpoints: int = 3) -> BreakpointFit:
 
     The fit is by least squares on a 10 000-point grid, with 0 to 3 knots (the
     paper's linear table has 3) on the 0.05 lattice -4.95, -4.9, ..., 4.95.
-    The search is exhaustive over all increasing tuples.
+    It returns the first best tuple in lexicographic order, as a scan of every
+    increasing tuple would (`_HingeLS.best`).
     """
     if not 0 <= n_breakpoints <= 3:
         raise ValueError("n_breakpoints must be between 0 and 3")

@@ -223,17 +223,39 @@ def _dense_sse(x, y, knots):
     return float(np.linalg.lstsq(A, y, rcond=None)[1][0])
 
 
-def _assert_bound_holds(ls, cand, mirror):
-    """The split bound of each middle knot that the screen visits is at most
-    the least exact SSE of the tuples through it, up to the margin that the
-    screen allows for rounding."""
+def _problems(seed):
+    """(x, y, cand, modes) of the 12 problems on a 400-point grid that the
+    scan is checked on, with the modes to scan each in: 8 of softplus with
+    candidates symmetric about 0, then 2 random walks and 2 white noises."""
+    x = np.linspace(-5.0, 5.0, 400)
+    rng = np.random.default_rng(seed)
+    for problem in range(12):
+        n_cand = int(rng.integers(12, 21))
+        if problem < 8:
+            # softplus(x) - x/2 is even: mirror-image tuples tie
+            half = rng.choice(np.arange(1, 100), n_cand // 2, replace=False)
+            yield x, softplus(x), np.sort(np.concatenate([-half, half])) * 0.05, (False, True)
+        else:
+            y = (np.cumsum(rng.normal(size=len(x))) if problem < 10
+                 else rng.normal(size=len(x)))
+            cand = np.sort(rng.choice(np.arange(-99, 100), n_cand, replace=False)) * 0.05
+            yield x, y, cand, (False,)
+
+
+def _assert_bound_holds(ls, cand, k, mirror):
+    """lo[s, h] + hi[s, t] is at most the exact SSE of each tuple split at s
+    (its middle knot for k = 3, its first for k = 2) in every row that the
+    scan can visit, up to the margin that the scan allows for rounding."""
     n = len(cand)
     rows = (n + 1) // 2 if mirror else n - 1
-    bound = ls._split_bound(cand, rows)
-    for i in range(1, rows):
-        h, j = np.meshgrid(np.arange(i), np.arange(i + 1, n), indexing="ij")
-        tuples = np.column_stack([h.ravel(), np.full(h.size, i), j.ravel()])
-        assert bound[i] <= ls.sse(cand[tuples]).min() + _BOUND_MARGIN * ls.syy, (n, mirror, i)
+    lo, hi = ls._split_sse(cand, k, rows)
+    for s in range(1 if k == 3 else 0, rows):
+        heads = np.arange(s) if k == 3 else np.array([0])  # k = 2 reads lo[s, 0]
+        h, t = np.meshgrid(heads, np.arange(s + 1, n), indexing="ij")
+        tuples = np.column_stack([h.ravel(), np.full(h.size, s), t.ravel()])[:, 3 - k:]
+        bound = lo[s, h.ravel()] + hi[s, t.ravel()]
+        sse = ls.sse(cand[tuples])
+        assert np.all(bound <= sse + _BOUND_MARGIN * ls.syy), (n, k, mirror, s)
 
 
 @pytest.fixture(scope="module")
@@ -290,45 +312,35 @@ class TestBreakpointSearch:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_scan_matches_exhaustive_sse(self, k):
-        # best() screens in closed form and rescores a shortlist with sse();
-        # it must return what scoring every tuple with sse() returns, bit for
-        # bit, including the first of exactly tied tuples
-        x = np.linspace(-5.0, 5.0, 400)
-        rng = np.random.default_rng(k)
-        for problem in range(12):
-            n_cand = int(rng.integers(12, 21))
-            if problem < 8:
-                # softplus(x) - x/2 is even: mirror-image tuples tie
-                y = softplus(x)
-                half = rng.choice(np.arange(1, 100), n_cand // 2, replace=False)
-                cand = np.sort(np.concatenate([-half, half])) * 0.05
-            else:
-                y = (np.cumsum(rng.normal(size=len(x))) if problem < 10
-                     else rng.normal(size=len(x)))
-                cand = np.sort(rng.choice(np.arange(-99, 100), n_cand, replace=False)) * 0.05
+        # best() scores with sse() only the tuples that its bound leaves; it
+        # must return what scoring every tuple with sse() returns, bit for
+        # bit, including the first of exactly tied tuples. The coarse grids
+        # hold singular tuples (+inf) and many that interpolate (0)
+        coarse = [(*_grid(g), COARSE_LATTICE, (False, True)) for g in range(5, 13)]
+        for problem, (x, y, cand, modes) in enumerate([*_problems(k), *coarse]):
             ls = _HingeLS(x, y)
             combos = np.array(list(itertools.combinations(range(len(cand)), k)))
             sse = ls.sse(cand[combos])
             first = int(np.argmin(sse))
-            # the symmetric problems once more screening one tuple of each
+            # the symmetric problems once more scanning one tuple of each
             # mirror pair
-            for mirror in (False, True) if problem < 8 else (False,):
+            for mirror in modes:
                 got_sse, got = ls.best(cand, k, mirror=mirror)
                 assert got_sse == sse[first], (problem, mirror)
                 assert np.array_equal(got, cand[combos[first]]), (problem, mirror)
 
     @pytest.mark.parametrize("k,mirror,units", [
-        # the first head and the last middle knot screened without mirror
+        # the first head and the last middle knot scanned without mirror
         (3, False, [0, 19, 20]),
-        # the last middle knot screened in mirror mode: the centre, its own
+        # the last middle knot scanned in mirror mode: the centre, its own
         # mirror image
         (3, True, [7, 10, 13]),
-        # the last pair of the two-knot screen
+        # the last pair of the two-knot scan
         (2, False, [19, 20]),
     ])
     def test_scan_reaches_the_screens_edges(self, k, mirror, units):
         # y is a line plus hinges at the given candidates plus small noise, so
-        # the exhaustive optimum sits at the edge of what the mode screens
+        # the exhaustive optimum sits at the edge of what the mode scans
         x = _grid(400)[0]
         cand = np.arange(-10, 11) * 0.4
         noise = np.random.default_rng(7).normal(size=len(x)) * 1e-3
@@ -348,59 +360,42 @@ class TestBreakpointSearch:
         assert np.array_equal(got, cand[units])
 
     @pytest.mark.parametrize("k", [2, 3])
-    def test_screen_keeps_every_tuple_in_the_window(self, k):
-        # best() rescores only the screened tuples and their mirror images, so
-        # they must hold every tuple whose exact SSE is within the window of
-        # the exhaustive minimum, whatever order the screen scans in
-        x = np.linspace(-5.0, 5.0, 400)
-        cand = (np.arange(40) - 19.5) * 0.24  # symmetric about 0
-        walk = np.cumsum(np.random.default_rng(k).normal(size=len(x)))
-        for y, modes in [(softplus(x), (False, True)), (walk, (False,))]:
-            ls = _HingeLS(x, y)
-            combos = np.array(list(itertools.combinations(range(len(cand)), k)))
-            sse = ls.sse(cand[combos])
-            low = sse.min()
-            window = {tuple(t) for t in combos[sse <= low + 1e-9 * low + 1e-13 * ls.syy].tolist()}
-            for mirror in modes:
-                screened = ls._screen(cand, k, mirror)
-                if mirror:
-                    screened = np.concatenate([screened, len(cand) - 1 - screened[:, ::-1]])
-                assert window <= {tuple(t) for t in screened.tolist()}, mirror
+    def test_split_bound_holds(self, k):
+        # the problems of test_scan_matches_exhaustive_sse[k] and the coarse
+        # grids, every row of which the scan without mirror mode can visit,
+        # and the verifier's grid in the mirror mode that the search runs
+        for x, y, cand, _ in _problems(k):
+            _assert_bound_holds(_HingeLS(x, y), cand, k, False)
+        for grid_size in range(5, 13):
+            _assert_bound_holds(_HingeLS(*_grid(grid_size)), COARSE_LATTICE, k, False)
+        _assert_bound_holds(_verifier()[2], _LATTICE, k, True)
 
-    def test_split_bound_holds(self):
-        # the problems of test_scan_matches_exhaustive_sse[3], whose symmetric
-        # ones are screened in both modes, and the coarse grids
-        x = np.linspace(-5.0, 5.0, 400)
-        rng = np.random.default_rng(3)
-        for problem in range(12):
-            n_cand = int(rng.integers(12, 21))
-            if problem < 8:
-                y = softplus(x)
-                half = rng.choice(np.arange(1, 100), n_cand // 2, replace=False)
-                cand = np.sort(np.concatenate([-half, half])) * 0.05
-            else:
-                y = (np.cumsum(rng.normal(size=len(x))) if problem < 10
-                     else rng.normal(size=len(x)))
-                cand = np.sort(rng.choice(np.arange(-99, 100), n_cand, replace=False)) * 0.05
-            for mirror in (False, True) if problem < 8 else (False,):
-                _assert_bound_holds(_HingeLS(x, y), cand, mirror)
-        for grid_size in range(7, 13):
-            _assert_bound_holds(_HingeLS(*_grid(grid_size)), COARSE_LATTICE, True)
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_split_bound_leaves_few_tuples_on_the_verifier_grid(self, monkeypatch, k):
+        # the scan visits a row only while its least bound is within the
+        # margin of the lowest exact score. Three knots score one tuple, in
+        # the row at knot 0, where the bound equals the optimum but for
+        # rounding; two knots score three, in two rows. The last sse() call
+        # is the final pick over those tuples and their mirror images
+        calls = []
+        sse = _HingeLS.sse
 
-    def test_split_bound_holds_on_the_verifier_grid(self):
-        _assert_bound_holds(_verifier()[2], _LATTICE, True)
+        def counting(self, knots):
+            calls.append(knots)
+            return sse(self, knots)
 
-    def test_split_bound_leaves_one_rectangle_on_the_verifier_grid(self):
-        # the scan stops at the first bound beyond the window of the lowest
-        # score plus the margin: of every middle knot only 0 is within it
-        # of the optimum, so one rectangle is scored
-        ls = _verifier()[2]
-        low = fit_linear_breakpoints(3).sse
-        bound = ls._split_bound(_LATTICE, len(_LATTICE) - 1)
-        near = bound[1:] <= low + 1e-9 * low + 1e-13 * ls.syy + _BOUND_MARGIN * ls.syy
-        assert _LATTICE[1:-1][near].tolist() == [0.0]
-        # there it equals the optimum but for rounding
-        assert bound[len(_LATTICE) // 2] == pytest.approx(low, rel=1e-9)
+        monkeypatch.setattr(_HingeLS, "sse", counting)
+        fit = fit_linear_breakpoints(k)
+        visited = np.concatenate(calls[:-1])
+        rows, scored = {2: ([-1.1, -1.05], 3), 3: ([0.0], 1)}[k]
+        assert len(visited) == scored
+        assert sorted(set(visited[:, k - 2].tolist())) == rows
+        assert any(np.array_equal(fit.breakpoints, t) for t in calls[-1])
+        if k == 3:
+            # the bound of the winner (-1.7, 0, 1.7), lattice indices 65, 99, 133
+            ls = _verifier()[2]
+            lo, hi = ls._split_sse(_LATTICE, 3, (len(_LATTICE) + 1) // 2)
+            assert lo[99, 65] + hi[99, 133] == pytest.approx(fit.sse, rel=1e-9)
 
     def test_mirror_mode_needs_symmetric_candidates(self):
         x, y = _grid(400)
@@ -422,8 +417,8 @@ class TestBreakpointSearch:
 
     @pytest.mark.parametrize("grid_size", [400, 10_000])
     def test_mirror_tie_returns_first_tuple(self, grid_size):
-        # (-1.1, 1.05) and (-1.05, 1.1) tie exactly in sse(); on the
-        # 400-point grid the closed-form screen alone ranks the second first
+        # (-1.1, 1.05) and (-1.05, 1.1) tie exactly in sse(); best() must
+        # return the first whichever of them its scan scores first
         x, y = _grid(grid_size)
         ls = _HingeLS(x, y)
         first, mirror = np.array([[-22, 21], [-21, 22]]) * 0.05
@@ -440,8 +435,8 @@ class TestBreakpointSearch:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_three_knot_scan_memory(self, k):
-        # the screen's arrays are bounded, so peak memory stays flat with the
-        # per-head arrays of every head alive at once
+        # the scan holds (split knots x candidates) bound arrays and one row's
+        # bounds at a time, so peak memory stays flat
         x, y = _grid(10_000)
         ls = _HingeLS(x, y)
         tracemalloc.start()
@@ -497,3 +492,24 @@ class TestBreakpointSearch:
                                [-1.0, 1.0, 2.0, 3.0]]))
         assert np.all(np.isinf(got))
         assert np.isfinite(ls.sse(np.array([[-1.0, 1.0]])))
+
+    def test_singular_tuple_leaves_the_stack_one_solve(self, monkeypatch):
+        # a hinge at 6 is zero on the grid, so that tuple's normal equations
+        # are exactly singular and a stack holding it would raise in solve;
+        # it is left out of the stack, which is solved in one call
+        x, y = _grid(400)
+        ls = _HingeLS(x, y)
+        knots = np.array([[-1.0, 1.0], [-1.0, 6.0], [0.5, 2.0]])
+        alone = [ls.sse(row[None])[0] for row in knots]
+        calls = []
+        solve = np.linalg.solve
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        got = ls.sse(knots)
+        assert calls == [2]
+        assert np.isinf(got[1])
+        assert got.tolist() == alone  # bit for bit
