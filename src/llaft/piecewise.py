@@ -250,9 +250,12 @@ class _HingeLS:
     The rows of tuples that share a split knot run in increasing order of
     their least bound. In a row, `sse` scores each tuple whose bound is at
     most the lowest exact score so far plus _BOUND_MARGIN * syy (while no
-    tuple has scored below +inf, the least bounds first), and the scan stops
-    at the first row whose least bound exceeds that (a row without tuples
-    has +inf). A tuple left out has a bound above the final lowest score
+    tuple has scored below +inf, the least bound first, then the least
+    bounds, as many as are done plus one), and the scan stops at the first
+    row whose least bound exceeds that (a row without tuples has +inf). The
+    scan keeps each exact score it makes, and the first lexicographic
+    minimizer of those scores wins, so no tuple is scored twice. A tuple
+    left out has a bound above the final lowest score
     plus the margin, and the margin covers the rounding of bound and score
     (both round in proportion to syy; on the grids of the tests the bound
     rounds above the exact SSE by at most ~2e-15 * syy), so its exact SSE
@@ -261,7 +264,7 @@ class _HingeLS:
     symmetry the best fits of the two sides meet at 0, so together they are
     a three-knot fit), every other row's least bound lies 0.014 or more
     above it, and three knots score that one tuple; two knots score three
-    tuples in two rows.
+    tuples, mirrors included, in two rows.
 
     In mirror mode the caller states that y less a line is even on a grid
     symmetric about 0, and the candidates must satisfy cand == -cand[::-1]
@@ -269,11 +272,12 @@ class _HingeLS:
     mirror image (n-1-t_k, ..., n-1-t_1) tie, and only the rows whose split
     knot has an index of at most (n - 1) // 2 are scanned: a tuple whose
     split index is above it has a mirror whose split index is below it. The
-    mirror of each scored tuple is added back, and the first lexicographic
-    minimizer of the exact scores wins. A tuple and its mirror differ in
-    exact score by rounding alone, which the margin also covers, so the
-    winner of a scan of every tuple or its mirror is scored, and then both
-    are.
+    mirror of each picked tuple is scored in the same `sse` call, unless it
+    is the tuple itself, like (-1.7, 0, 1.7), or was scored already, and a
+    picked tuple scored already as another's mirror is not scored again. A
+    tuple and its mirror differ in exact score by rounding alone, which the
+    margin also covers, so the winner of a scan of every tuple or its
+    mirror is scored, and then both are.
     """
 
     def __init__(self, x, y):
@@ -292,7 +296,8 @@ class _HingeLS:
         """Gram matrices M and right-hand sides r of [1, x, hinges] for each
         row of a (T, k) array of increasing knot tuples."""
         T, k = knots.shape
-        s0, s1, s2, t0, t1 = self._suffix[:5, np.searchsorted(self.x, knots, side="right")]
+        above = np.searchsorted(self.x, knots, side="right")
+        s0, s1, s2, t0, t1 = self._suffix[:5, above]
         d = k + 2
         M = np.empty((T, d, d))
         rhs = np.empty((T, d))
@@ -305,9 +310,9 @@ class _HingeLS:
         M[:, 1, 2:] = M[:, 2:, 1] = s2 - knots * s1
         rhs[:, 2:] = t1 - knots * t0
         # inner products of two hinges use the suffix at the larger knot
-        later = np.maximum.outer(np.arange(k), np.arange(k))
+        p0, p1, p2 = self._suffix[:3, np.maximum(above[:, :, None], above[:, None, :])]
         a, b = knots[:, :, None], knots[:, None, :]
-        M[:, 2:, 2:] = s2[:, later] - (a + b) * s1[:, later] + a * b * s0[:, later]
+        M[:, 2:, 2:] = p2 - (a + b) * p1 + a * b * p0
         return M, rhs
 
     def sse(self, knots) -> np.ndarray:
@@ -330,33 +335,31 @@ class _HingeLS:
         lexicographic order; k is at most 3. `mirror` states that y less a
         line is even on a grid symmetric about 0, so that mirror-image tuples
         tie; it needs cand == -cand[::-1] exactly, and for two or three knots
-        scans one tuple of each pair. (inf, None) when every tuple is singular."""
+        scans one tuple of each pair. Each tuple is scored once, and the
+        scores the scan made pick the winner. (inf, None) when every tuple is
+        singular."""
         if mirror and not np.array_equal(cand, -cand[::-1]):
             raise ValueError("mirror mode needs candidates symmetric about 0")
         if k <= 1:
             tuples = list(itertools.combinations(range(len(cand)), k))
             tuples = np.array(tuples, dtype=np.intp).reshape(len(tuples), k)
-        else:
-            tuples = self._scan(cand, k, mirror)
-            if mirror:
-                tuples = np.concatenate([tuples, len(cand) - 1 - tuples[:, ::-1]])
-            # lexicographic order, each tuple once: a tuple and its mirror can
-            # both have been scored
-            tuples = tuples[np.lexsort(tuples.T[::-1])]
-            repeat = np.zeros(len(tuples), bool)
-            repeat[1:] = (tuples[1:] == tuples[:-1]).all(axis=1)
-            tuples = tuples[~repeat]
-        if len(tuples):
             sse = self.sse(cand[tuples])
-            t = int(np.argmin(sse))
+        else:
+            tuples, sse = self._scan(cand, k, mirror)
+        if len(tuples):
+            # the least score, and of tied ones the first tuple
+            t = np.lexsort((*tuples.T[::-1], sse))[0]
             if sse[t] < np.inf:
                 return float(sse[t]), cand[tuples[t]]
         return np.inf, None  # no tuple, or every tuple singular
 
-    def _scan(self, cand, k, mirror) -> np.ndarray:
-        """(T, k) candidate indices, k = 2 or 3, of the tuples that the split
-        bound leaves, each scored with `sse` on the way. With `mirror`, only
-        tuples whose split knot has an index of at most (n - 1) // 2."""
+    def _scan(self, cand, k, mirror) -> tuple[np.ndarray, np.ndarray]:
+        """(tuples, sse): the (T, k) candidate indices, k = 2 or 3, of the
+        tuples that the split bound leaves, each with its exact `sse`. With
+        `mirror`, only the rows whose split knot has an index of at most
+        (n - 1) // 2 are scanned, and each picked tuple's mirror image is
+        scored in the same `sse` call. No tuple is scored twice: neither a
+        self-mirror nor one already scored as another tuple's mirror."""
         n = len(cand)
         rows = (n + 1) // 2 if mirror else max(n - 1, 0)
         lo, hi = self._split_sse(cand, k, rows)
@@ -364,7 +367,7 @@ class _HingeLS:
         least = (lo.min(axis=1, initial=np.inf, where=heads)
                  + hi.min(axis=1, initial=np.inf, where=~np.tri(rows, n, dtype=bool)))  # t > s
         margin = _BOUND_MARGIN * self.syy
-        lowest, scored = np.inf, []
+        lowest, scored = np.inf, {}  # the sse of each tuple scored, by its candidate indices
         for s in np.argsort(least, kind="stable"):
             if least[s] > lowest + margin:
                 break  # no tuple left can reach the lowest score
@@ -374,6 +377,8 @@ class _HingeLS:
             while todo.any():
                 if lowest < np.inf:
                     pick = np.flatnonzero(todo & (bound <= lowest + margin))
+                elif todo.all():  # the row's first pick: its least bound
+                    pick = np.argmin(bound, keepdims=True)
                 else:  # the least bounds, as many as are done plus one
                     left = np.flatnonzero(todo)
                     m = min(len(bound) - len(left) + 1, len(left))
@@ -383,9 +388,16 @@ class _HingeLS:
                 todo[pick] = False
                 h, t = np.divmod(pick, n - 1 - s)
                 tuples = np.column_stack([h, np.full_like(h, s), s + 1 + t])[:, 3 - k:]
-                lowest = min(lowest, float(self.sse(cand[tuples]).min()))
-                scored.append(tuples)
-        return np.concatenate(scored) if scored else np.empty((0, k), np.intp)
+                if mirror:
+                    tuples = np.concatenate([tuples, n - 1 - tuples[:, ::-1]])
+                # each tuple once: a self-mirror, or one scored already as a mirror
+                new = [u for u in dict.fromkeys(map(tuple, tuples.tolist())) if u not in scored]
+                if new:
+                    sse = self.sse(cand[np.array(new)])
+                    scored.update(zip(new, sse.tolist()))
+                    lowest = min(lowest, float(sse.min()))
+        return (np.array(list(scored), np.intp).reshape(len(scored), k),
+                np.fromiter(scored.values(), float, len(scored)))
 
     @np.errstate(divide="ignore", invalid="ignore")
     def _split_sse(self, cand, k, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -462,8 +474,8 @@ def fit_linear_breakpoints(n_breakpoints: int = 3) -> BreakpointFit:
     """
     if not 0 <= n_breakpoints <= 3:
         raise ValueError("n_breakpoints must be between 0 and 3")
-    _, y, ls = _verifier()
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    ls = _verifier()[2]
+    ss_tot = ls.syy - ls.sy ** 2 / ls.n  # the total sum of squares about the mean
     # y is softplus on a grid symmetric about 0, softplus(x) - x/2 is even and
     # the lattice is symmetric: a tuple and its mirror tie
     sse, knots = ls.best(_LATTICE, n_breakpoints, mirror=True)

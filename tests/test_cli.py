@@ -454,6 +454,11 @@ class TestApproxCheckCommand:
         assert not (tmp_path / "x.csv").exists()
 
 
+# sha256 of the compare report of the benchmark's trial_compare op at seed 1:
+# the bundled rhDNase file with the README prior
+TRIAL_REPORT_SHA256 = "ffb7a398743475f832490bf53fde0da61515174bcf12609d5a833432b6a368ea"
+
+
 class TestCompareCommand:
     def test_side_by_side(self, tmp_path, capsys):
         data = write(tmp_path / "d.csv", TINY)
@@ -472,8 +477,7 @@ class TestCompareCommand:
         assert main(["compare", "--data", rhdnase_path(), "--prior-mean", "4.4,0.25,0.04",
                      "--prior-precision", "1", "--prior-shape", "501",
                      "--prior-rate", "500", "--seed", "1", "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "ffb7a398743475f832490bf53fde0da61515174bcf12609d5a833432b6a368ea")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == TRIAL_REPORT_SHA256
 
 
 class TestSamplerWarning:

@@ -373,29 +373,56 @@ class TestBreakpointSearch:
     @pytest.mark.parametrize("k", [2, 3])
     def test_split_bound_leaves_few_tuples_on_the_verifier_grid(self, monkeypatch, k):
         # the scan visits a row only while its least bound is within the
-        # margin of the lowest exact score. Three knots score one tuple, in
-        # the row at knot 0, where the bound equals the optimum but for
-        # rounding; two knots score three, in two rows. The last sse() call
-        # is the final pick over those tuples and their mirror images
-        calls = []
+        # margin of the lowest exact score, and scores each tuple it picks
+        # in one sse() call with its mirror image, no tuple twice. Three
+        # knots score one tuple, its own mirror, in the row at knot 0, where
+        # the bound equals the optimum but for rounding; two knots score
+        # three, mirrors included, in two rows. The winner is one of them,
+        # with the score the scan gave it
+        scored = []
         sse = _HingeLS.sse
 
-        def counting(self, knots):
-            calls.append(knots)
-            return sse(self, knots)
+        def recording(self, knots):
+            got = sse(self, knots)
+            scored.extend(zip(map(tuple, knots.tolist()), got.tolist()))
+            return got
 
-        monkeypatch.setattr(_HingeLS, "sse", counting)
+        monkeypatch.setattr(_HingeLS, "sse", recording)
         fit = fit_linear_breakpoints(k)
-        visited = np.concatenate(calls[:-1])
-        rows, scored = {2: ([-1.1, -1.05], 3), 3: ([0.0], 1)}[k]
-        assert len(visited) == scored
-        assert sorted(set(visited[:, k - 2].tolist())) == rows
-        assert any(np.array_equal(fit.breakpoints, t) for t in calls[-1])
+        tuples = [t for t, _ in scored]
+        assert len(set(tuples)) == len(tuples)  # no tuple passed twice
+        rows, distinct = {2: ([-1.1, -1.05], 3), 3: ([0.0], 1)}[k]
+        assert len(tuples) == distinct
+        assert sorted({t[k - 2] for t in tuples}) == rows
+        assert (tuple(fit.breakpoints.tolist()), fit.sse) in scored
         if k == 3:
             # the bound of the winner (-1.7, 0, 1.7), lattice indices 65, 99, 133
             ls = _verifier()[2]
             lo, hi = ls._split_sse(_LATTICE, 3, (len(_LATTICE) + 1) // 2)
             assert lo[99, 65] + hi[99, 133] == pytest.approx(fit.sse, rel=1e-9)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_mirror_scan_scores_each_tuple_once_with_its_mirror(self, monkeypatch, k):
+        # the symmetric problems of test_scan_matches_exhaustive_sse[k] and
+        # the coarse grids, whose singular tuples make the scan pick many
+        # tuples: a tuple is scored once, whether it is its own mirror or a
+        # mirror already scored, and the mirror of every scored tuple is
+        # scored
+        scored = []
+        sse = _HingeLS.sse
+
+        def recording(self, knots):
+            scored.extend(map(tuple, knots.tolist()))
+            return sse(self, knots)
+
+        monkeypatch.setattr(_HingeLS, "sse", recording)
+        symmetric = [(x, y, cand) for x, y, cand, modes in _problems(k) if True in modes]
+        coarse = [(*_grid(g), COARSE_LATTICE) for g in range(5, 13)]
+        for problem, (x, y, cand) in enumerate(symmetric + coarse):
+            scored.clear()
+            _HingeLS(x, y).best(cand, k, mirror=True)
+            assert len(set(scored)) == len(scored), problem
+            assert set(scored) == {tuple(-a for a in t[::-1]) for t in scored}, problem
 
     def test_mirror_mode_needs_symmetric_candidates(self):
         x, y = _grid(400)

@@ -361,7 +361,8 @@ class TestSamplePosterior:
             data = request.getfixturevalue("trial")
             prior = PriorSpec(coef_mean=np.array([4.4, 0.25, 0.04]), coef_precision=1.0,
                               scale_shape=501.0, scale_rate=500.0)
-            depths, length, seed = (1, 2, 5, 6, 8), (5_000, 1_000), 1
+            depths = (1, 2, 5, 6, 8, llaft.reference._PREFETCH)
+            length, seed = (5_000, 1_000), 1
         chains = []
         for depth in depths:
             monkeypatch.setattr(llaft.reference, "_PREFETCH", depth)
