@@ -235,17 +235,24 @@ def _write_summary_csv(path, all_rows):
                 fh.write(f"{method},{name},{mean!r},{sd!r},{lo!r},{hi!r},{kind}\n")
 
 
-def cmd_fit(args) -> int:
+def _dataset_fits(args):
+    """Yields (data, method, rows, elapsed) as each fit of `fit` (its
+    --methods) or `compare` (all three) on --data completes. Checked before
+    any fit, in order: --data, the methods, the chain length, the file."""
     if not args.data:
-        raise DataError("fit requires --data")
-    methods = _methods(args, "vb")
+        raise DataError(f"{args.command} requires --data")
+    methods = _methods(args, "vb") if args.command == "fit" else ("vb", "mle", "mcmc")
     mcmc_run = _mcmc_run(args) if "mcmc" in methods else None
     data = ingest_csv(args.data)
     prior = _build_prior(args, data.p)
     config = _fit_config(args)
-    all_rows = []
     for method in methods:
-        rows, elapsed = _method_summaries(method, data, prior, config, mcmc_run)
+        yield data, method, *_method_summaries(method, data, prior, config, mcmc_run)
+
+
+def cmd_fit(args) -> int:
+    all_rows = []
+    for data, method, rows, elapsed in _dataset_fits(args):
         all_rows.append((method, rows))
         print(f"[{method}] fit of {args.data} (n={data.n}, p={data.p}, events={data.r}), "
               f"{elapsed:.3f}s")
@@ -297,16 +304,8 @@ def cmd_approx_check(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if not args.data:
-        raise DataError("compare requires --data")
-    mcmc_run = _mcmc_run(args)
-    data = ingest_csv(args.data)
-    prior = _build_prior(args, data.p)
-    config = _fit_config(args)
-    timings = {}
-    all_rows = []
-    for method in ("vb", "mle", "mcmc"):
-        rows, elapsed = _method_summaries(method, data, prior, config, mcmc_run)
+    timings, all_rows = {}, []
+    for _, method, rows, elapsed in _dataset_fits(args):
         timings[method] = elapsed
         all_rows.append((method, rows))
     header = ["parameter"]

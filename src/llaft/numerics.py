@@ -379,24 +379,19 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U31)
 
 
-def _mix64_int(z: int) -> int:
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
-
-
-def _stream_key(seed: int, replicate: int, role: int) -> int:
-    k = _mix64_int(((seed & _MASK64) * _GOLDEN + _GOLDEN) & _MASK64)
-    k = _mix64_int((k + replicate * _GOLDEN) & _MASK64)
-    return _mix64_int((k + role * _GOLDEN) & _MASK64)
+def _stream_keys(seed: int, replicates, role: int) -> np.ndarray:
+    """The uint64 keys of the streams of (seed, r, role), one for each r in
+    `replicates`, mixed in one pass; every int counts modulo 2^64."""
+    k = _mix64(np.array([((seed & _MASK64) * _GOLDEN + _GOLDEN) & _MASK64], np.uint64))
+    k = _mix64(k + np.array([r & _MASK64 for r in replicates], np.uint64) * np.uint64(_GOLDEN))
+    return _mix64(k + np.uint64((role * _GOLDEN) & _MASK64))
 
 
 def _uniform_streams(seed: int, replicates, role: int, n: int, start: int = 0) -> np.ndarray:
     """Values start, ..., start + n - 1 of the streams of (seed, r, role) for
     each r in `replicates`, one row each: all rows are mixed in one pass, and
     row j equals `uniform_stream(seed, replicates[j], role, n, start)`."""
-    keys = np.array([_stream_key(seed, r, role) for r in replicates], np.uint64)
+    keys = _stream_keys(seed, replicates, role)
     idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
     bits = _mix64(keys[:, None] + idx * np.uint64(_GOLDEN))
     return ((bits >> _U11).astype(np.float64) + 0.5) * (2.0 ** -53)

@@ -219,7 +219,7 @@ def _max_error(knots, intercepts, linear, quadratic) -> float:
     i = np.unique(np.clip(near[:, None] + np.arange(-_AUDIT_REACH, _AUDIT_REACH + 1),
                           0, _AUDIT_SIZE - 1))
     x = i * _AUDIT_STEP - 8.0
-    k = np.searchsorted(knots, x, side="left")
+    k = _segment(knots, x)
     table = intercepts[k] + (linear[k] + quadratic[k] * x) * x
     return float(np.max(np.abs(table - softplus(x))))
 

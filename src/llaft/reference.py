@@ -301,9 +301,9 @@ def _chain_log_posterior(data, prior):
     c'[w, (beta - mu0)^2, s] - (1 + event)' softplus(z), where c, built here
     once per chain with [-X, y]', holds event'[-X, y] less omega0 on 1/b,
     -v0/2 on each square and -(alpha0 + r) on s (-r s from the likelihood,
-    -alpha0 s from the prior with its Jacobian). The softplus is
-    log1p(exp(z)) in place, unless the stack's largest z is above 709 or NaN
-    (exp can overflow), where `_softplus` redoes the entries not finite.
+    -alpha0 s from the prior with its Jacobian). `_softplus` computes the
+    softplus in place in z, unless the stack's largest z is above 709 or NaN
+    (exp can overflow), where it redoes the entries not finite.
 
     A row's value does not depend on the rows stacked with it: z is one
     matrix product (gemm, which sums each entry in the same order whatever
@@ -327,10 +327,7 @@ def _chain_log_posterior(data, prior):
         w[:, -1:] = inv_b
         terms = np.concatenate((w, np.square(thetas[:, :-1] - mu0), s), axis=1)
         z = w @ design_t
-        if np.maximum.reduce(z, axis=None, initial=-np.inf) <= 709.0:
-            np.log1p(np.exp(z, out=z), out=z)
-        else:
-            z = _softplus(z)
+        z = _softplus(z, out=z)
         return (np.matmul(terms[:, None], coef) - np.matmul(z[:, None], event1))[:k, 0]
     return log_posterior
 

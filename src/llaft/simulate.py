@@ -24,7 +24,7 @@ import numpy as np
 from .cavi import FitConfig, fit_batch
 from .exceptions import DataError, NumericalError
 from .model import DatasetStack, PriorSpec, SurvivalDataset, _readonly
-from .numerics import (ROLE_CENSOR, ROLE_MCMC, ROLE_NOISE, ROLE_X1, ROLE_X2, _stream_key,
+from .numerics import (ROLE_CENSOR, ROLE_MCMC, ROLE_NOISE, ROLE_X1, ROLE_X2, _stream_keys,
                        _uniform_streams, normal_quantile)
 from .posterior import _etis, hdi_from_draws, summarize_scale
 from .reference import (MCMC_BURN_IN, MCMC_ITERATIONS, check_chain_length, fit_mle_batch,
@@ -63,7 +63,7 @@ _METHODS = ("vb", "mle", "mcmc")
 
 def stream_seed(seed: int, replicate: int, role: int) -> int:
     """A derived integer seed (e.g. for the Metropolis sampler)."""
-    return _stream_key(seed, replicate, role)
+    return int(_stream_keys(seed, [replicate], role)[0])
 
 
 @dataclass(frozen=True)

@@ -242,6 +242,19 @@ class TestFitCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+# sha256 of the report of `replicate --n 300 --censor-u U --replicates 10
+# --prior-preset weak --methods vb,mle --seed 1`, the benchmark's study_n300
+# op, for each of its censoring cells U
+STUDY_REPORT_SHA256 = {
+    "0": "4f35f9db9983bf9ab824543bae09a672816af23bb0e75e3bf20bcf749677d0f0",
+    "48": "fbacf141ee52ea29b6b47e2b0d7947d884a5e6b2fbb1c0f301677f03b0ff07a1",
+    "17": "04cadf3a654039a42053a45a09187c0e49c4ce8cdc7d5bcbf2d4f0ecf7303841",
+}
+# sha256 of the report of `replicate --n 50 --replicates 3 --methods
+# vb,mle,mcmc --seed 1 --mcmc-iterations 1000 --mcmc-burn-in 200`
+THREE_METHOD_STUDY_SHA256 = "5c1675b61125527e1b7358783b337f86ff37b21375ce7ce1c624b54657f28564"
+
+
 class TestReplicateCommand:
     def test_report_shape_and_default_prior(self, tmp_path):
         out = tmp_path / "rep.csv"
@@ -298,11 +311,7 @@ class TestReplicateCommand:
             "numerical failure: method mle failed on 2/2 replicates; the first failure: "
             "need more observations than parameters (n=3, p=3)\n")
 
-    @pytest.mark.parametrize("u,digest", [
-        ("0", "4f35f9db9983bf9ab824543bae09a672816af23bb0e75e3bf20bcf749677d0f0"),
-        ("48", "fbacf141ee52ea29b6b47e2b0d7947d884a5e6b2fbb1c0f301677f03b0ff07a1"),
-        ("17", "04cadf3a654039a42053a45a09187c0e49c4ce8cdc7d5bcbf2d4f0ecf7303841"),
-    ])
+    @pytest.mark.parametrize("u,digest", STUDY_REPORT_SHA256.items())
     def test_study_report_is_golden(self, tmp_path, u, digest):
         # the benchmark's study_n300 op over its three censoring cells: a
         # speed change to the batch fits or the summaries must not move a
@@ -320,8 +329,7 @@ class TestReplicateCommand:
         assert main(["replicate", "--n", "50", "--replicates", "3", "--methods",
                      "vb,mle,mcmc", "--seed", "1", "--mcmc-iterations", "1000",
                      "--mcmc-burn-in", "200", "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "5c1675b61125527e1b7358783b337f86ff37b21375ce7ce1c624b54657f28564")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == THREE_METHOD_STUDY_SHA256
 
 
 class TestFlagValidation:
@@ -478,6 +486,58 @@ class TestCompareCommand:
                      "--prior-precision", "1", "--prior-shape", "501",
                      "--prior-rate", "500", "--seed", "1", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == TRIAL_REPORT_SHA256
+
+
+class TestSharedCommandPath:
+    """`fit` and `compare` run one setup: its checks come in one order, all
+    before any fit, and the same fits give the same report rows."""
+
+    BURN_IN = ("error: burn_in must be nonnegative and keep at least two draws, "
+               "got burn_in=-1 with n_iterations=5000\n")
+    METHODS = "error: methods must be a nonempty list from vb,mle,mcmc, got 'bogus'\n"
+    TRIAL = ["--data", str(rhdnase_path()), "--prior-mean", "4.4,0.25,0.04",
+             "--prior-precision", "1", "--prior-shape", "501", "--prior-rate", "500",
+             "--seed", "1"]
+
+    @pytest.mark.parametrize("argv, err", [
+        (["fit", "--methods", "bogus", "--mcmc-burn-in", "-1"],
+         "error: fit requires --data\n"),
+        (["compare", "--mcmc-burn-in", "-1"], "error: compare requires --data\n"),
+        (["fit", "--data", "MISSING", "--methods", "bogus", "--mcmc-burn-in", "-1"], METHODS),
+        (["fit", "--data", "MISSING", "--methods", "vb,mcmc", "--mcmc-burn-in", "-1"],
+         BURN_IN),
+        (["compare", "--data", "MISSING", "--mcmc-burn-in", "-1"], BURN_IN),
+    ])
+    def test_the_first_failing_check_wins(self, tmp_path, capsys, argv, err):
+        missing = str(tmp_path / "nope.csv")
+        assert main([missing if a == "MISSING" else a for a in argv]) == 2
+        assert capsys.readouterr().err == err
+
+    def test_the_chain_length_is_checked_only_for_a_chain(self, tmp_path, capsys):
+        missing = tmp_path / "nope.csv"
+        assert main(["fit", "--data", str(missing), "--methods", "vb,mle",
+                     "--mcmc-burn-in", "-1"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot open {missing}: ")
+
+    def test_fit_prints_each_table_before_the_next_fit_runs(self, capsys, monkeypatch):
+        printed = []
+        fit_mle = llaft.cli.fit_mle
+
+        def spy(*args, **kwargs):
+            printed.append(capsys.readouterr().out)
+            return fit_mle(*args, **kwargs)
+
+        monkeypatch.setattr(llaft.cli, "fit_mle", spy)
+        assert main(["fit", "--methods", "vb,mle", *self.TRIAL]) == 0
+        assert printed[0].startswith("[vb] fit of ") and "scale" in printed[0]
+        assert capsys.readouterr().out.startswith("[mle] fit of ")
+
+    def test_fit_and_compare_write_the_same_report(self, tmp_path):
+        fit_out, compare_out = tmp_path / "fit.csv", tmp_path / "compare.csv"
+        assert main(["fit", "--methods", "vb,mle,mcmc", *self.TRIAL,
+                     "--out", str(fit_out)]) == 0
+        assert main(["compare", *self.TRIAL, "--out", str(compare_out)]) == 0
+        assert fit_out.read_bytes() == compare_out.read_bytes()
 
 
 class TestSamplerWarning:

@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -7,9 +8,11 @@ from hypothesis import given, strategies as st
 from scipy import integrate, optimize, stats
 
 from llaft.exceptions import NumericalError
-from llaft.numerics import (InverseGammaParams, _lgamma, _per_item, digamma,
+from llaft.numerics import (InverseGammaParams, _lgamma, _per_item, _stream_keys, digamma,
                             inverse_gamma_cdf, inverse_gamma_log_pdf, inverse_gamma_moments,
-                            inverse_gamma_quantile, normal_quantile, regularized_gamma_p)
+                            inverse_gamma_quantile, normal_quantile, regularized_gamma_p,
+                            uniform_stream)
+from llaft.simulate import stream_seed
 
 mpmath.mp.dps = 40
 
@@ -311,3 +314,57 @@ class TestPerItem:
         out, failed = _per_item(np.linalg.inv, M)
         assert np.array_equal(out, np.linalg.inv(M))
         assert not failed.any()
+
+
+_MASK, _GOLDEN = (1 << 64) - 1, 0x9E3779B97F4A7C15
+
+
+def _splitmix(z):
+    # the SplitMix64 finalizer in Python ints, written out independently of
+    # the package's uint64 arrays
+    z &= _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _splitmix_key(seed, replicate, role):
+    k = _splitmix(((seed & _MASK) * _GOLDEN + _GOLDEN) & _MASK)
+    k = _splitmix((k + replicate * _GOLDEN) & _MASK)
+    return _splitmix((k + role * _GOLDEN) & _MASK)
+
+
+class TestStreamKeys:
+    def test_against_python_ints_on_random_triples(self):
+        draw = random.Random(30)
+        triples = [(s, r, role) for s in (0, _MASK, 1 << 64, -1)
+                   for r in (0, 10 ** 6, -1) for role in range(8)]
+        while len(triples) < 2_500:
+            seed = draw.choice([draw.randrange(1 << 64), draw.randrange(1 << 64, 1 << 90),
+                                -draw.randrange(1, 1 << 70)])
+            replicate = draw.choice([draw.randrange(10 ** 6 + 1), -draw.randrange(1, 10 ** 6)])
+            triples.append((seed, replicate, draw.randrange(8)))
+        for seed, replicate, role in triples:
+            keys = _stream_keys(seed, [replicate], role)
+            assert keys.dtype == np.uint64 and keys.shape == (1,)
+            assert int(keys[0]) == _splitmix_key(seed, replicate, role)
+
+    @pytest.mark.parametrize("replicates", [range(50), [7, -3, 1 << 70, 0, 10 ** 6, 7]])
+    def test_a_block_equals_its_keys_one_at_a_time(self, replicates):
+        for seed, role in ((1, 0), (-5, 4), (1 << 66, 7)):
+            block = _stream_keys(seed, replicates, role).tolist()
+            assert block == [int(_stream_keys(seed, [r], role)[0]) for r in replicates]
+            assert block == [_splitmix_key(seed, r, role) for r in replicates]
+
+    def test_stream_values_mix_the_key_and_the_counter(self):
+        # value i keeps the top 53 bits of the mixed key + (i + 1) golden,
+        # here on a stream that a negative replicate names
+        key = _splitmix_key(3, -1, 2)
+        expected = [((_splitmix(key + (i + 1) * _GOLDEN) >> 11) + 0.5) * 2.0 ** -53
+                    for i in range(5, 9)]
+        assert uniform_stream(3, -1, 2, 4, start=5).tolist() == expected
+
+    @pytest.mark.parametrize("seed, replicate, role", [(7, 0, 4), (-2, 1 << 65, 3)])
+    def test_stream_seed_is_the_key_as_an_int(self, seed, replicate, role):
+        derived = stream_seed(seed, replicate, role)
+        assert type(derived) is int and derived == _splitmix_key(seed, replicate, role)
