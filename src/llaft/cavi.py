@@ -38,8 +38,8 @@ computed once per replicate per fit, since alpha = alpha0 + r is fixed, and
 so are 1 + delta, v0 I and v0 mu0.
 
 No update raises: `_iterate` names, per replicate, the first of its checks
-that fails (`_FAILURES`), and that replicate leaves the batch with the
-iteration's error while the others go on in the same block.
+that fails (`_FAILURES`); that replicate leaves the batch with the
+iteration's error, as the stopped ones do, and the others go on.
 """
 from __future__ import annotations
 
@@ -269,10 +269,10 @@ def fit_batch(stack: DatasetStack, prior: PriorSpec,
 
     Returns one entry per replicate, in order: its VariationalState, or the
     NumericalError of the first check it failed, naming the iteration. A
-    replicate leaves the batch when it stops by tolerance, cycle or cap, or
-    fails; the others carry on. psi(alpha) is computed once per replicate:
-    for the prior shape at the start, and for alpha0 + r, the shape of
-    every update.
+    replicate leaves the batch after an iteration in which it stops by
+    tolerance, cycle or cap, or fails (then it never stops, even at the
+    cap); the others carry on. psi(alpha) is computed once per replicate:
+    for the prior shape at the start, and for alpha0 + r, every update's.
     """
     config = config or FitConfig()
     mu0, alpha0, omega0 = initialize(stack, prior)
@@ -300,16 +300,12 @@ def fit_batch(stack: DatasetStack, prior: PriorSpec,
     for m in range(1, config.max_iterations + 1):
         (mu, sigma, omega), moments, resid, value, keys, failures = _iterate(
             stack, prior, terms, moments, resid, alpha, psi_alpha)
-        if failures is not None:  # the failed replicates leave the batch now
+        ok = True
+        if failures is not None:  # the failed replicates leave with the stopped ones
+            ok = failures == 0
             for j in np.flatnonzero(failures).tolist():
                 results[ids[j]] = NumericalError(f"variational update failed at iteration {m}: "
                                                  + _FAILURES[failures[j]].format(omega[j]))
-            ok = failures == 0
-            keep(ok)
-            if not len(ids):
-                break
-            mu, sigma, omega, value, keys = mu[ok], sigma[ok], omega[ok], value[ok], keys[ok]
-
         for i, row in zip(ids.tolist(), zip(value.tolist(), omega.tolist(), sigma,
                                             map(bytes, keys))):
             traces[i].append(row)
@@ -324,9 +320,7 @@ def fit_batch(stack: DatasetStack, prior: PriorSpec,
             if same.any():
                 cycled |= (same & (pk == keys).all(axis=1)
                            & (np.abs(pm - mu) <= _CYCLE_ATOL).all(axis=1))
-        stopped = by_tolerance | cycled
-        if m == config.max_iterations:
-            stopped[:] = True
+        stopped = (by_tolerance | cycled | (m == config.max_iterations)) & ok
         for j in np.flatnonzero(stopped).tolist():
             reason = ("tolerance" if by_tolerance[j] else "cycle" if cycled[j] else "cap")
             elbos, omegas, sigmas, segment_keys = zip(*traces[ids[j]])
@@ -339,8 +333,9 @@ def fit_batch(stack: DatasetStack, prior: PriorSpec,
 
         history[(m - 1) % _CYCLE_WINDOW] = (keys, mu, omega)
         elbo_prev = value
-        if stopped.any():
-            keep(~stopped)
+        going = ok & ~stopped
+        if not going.all():
+            keep(going)
             if not len(ids):
                 break
     return results

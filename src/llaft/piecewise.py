@@ -248,11 +248,11 @@ class _HingeLS:
     `_nonsingular`'s rule bounds nothing and counts 0.
 
     The rows of tuples that share a split knot run in increasing order of
-    their least bound. In a row, `sse` scores each tuple whose bound is at
-    most the lowest exact score so far plus _BOUND_MARGIN * syy (while no
-    tuple has scored below +inf, the least bound first, then the least
-    bounds, as many as are done plus one), and the scan stops at the first
-    row whose least bound exceeds that (a row without tuples has +inf). The
+    their least bound, two passes per row: while no tuple has scored below
+    +inf, `sse` scores the row's least-bound tuple; then each tuple whose
+    bound is at most the lowest exact score so far plus _BOUND_MARGIN * syy
+    (the whole row while that is +inf). The scan stops at the first row
+    whose least bound exceeds that or is +inf (a row without tuples). The
     scan keeps each exact score it makes, and the first lexicographic
     minimizer of those scores wins, so no tuple is scored twice. A tuple
     left out has a bound above the final lowest score
@@ -369,23 +369,15 @@ class _HingeLS:
         margin = _BOUND_MARGIN * self.syy
         lowest, scored = np.inf, {}  # the sse of each tuple scored, by its candidate indices
         for s in np.argsort(least, kind="stable"):
-            if least[s] > lowest + margin:
-                break  # no tuple left can reach the lowest score
+            if least[s] == np.inf or least[s] > lowest + margin:
+                break  # no tuple is left, or none left can reach the lowest score
             # a head (k = 3) by tail array of the row's bounds, flattened
             bound = (lo[s, :s if k == 3 else 1, None] + hi[s, s + 1:]).ravel()
-            todo = np.ones(len(bound), bool)
-            while todo.any():
-                if lowest < np.inf:
-                    pick = np.flatnonzero(todo & (bound <= lowest + margin))
-                elif todo.all():  # the row's first pick: its least bound
-                    pick = np.argmin(bound, keepdims=True)
-                else:  # the least bounds, as many as are done plus one
-                    left = np.flatnonzero(todo)
-                    m = min(len(bound) - len(left) + 1, len(left))
-                    pick = left[np.argpartition(bound[left], m - 1)[:m]]
-                if not len(pick):
-                    break
-                todo[pick] = False
+            # the least bound first while no score is finite, then each bound
+            # within the margin of the lowest score (all while that is +inf)
+            for least_only in (True, False) if lowest == np.inf else (False,):
+                pick = (np.argmin(bound, keepdims=True) if least_only
+                        else np.flatnonzero(bound <= lowest + margin))
                 h, t = np.divmod(pick, n - 1 - s)
                 tuples = np.column_stack([h, np.full_like(h, s), s + 1 + t])[:, 3 - k:]
                 if mirror:

@@ -242,28 +242,26 @@ def _line_search(stack, theta, ll, grad, hess, step):
     """Per replicate, the first of theta - step, theta - step/2, ... (while
     the factor exceeds 1e-12) whose log-likelihood is finite and not below
     ll - 1e-13. Returns the new (theta, ll, grad, hess) and a mask of the
-    replicates where no factor gave one; those keep their old values."""
+    replicates where no factor gave one; those keep their old values. Each
+    factor scores the whole batch and merges in the rows it accepts first;
+    one that every row accepts, nearly always the full step, is returned."""
     lam = 1.0
-    pending = np.arange(len(theta))  # replicates without an accepted step
+    pending = np.ones(len(theta), bool)  # replicates without an accepted step
     while lam > 1e-12:
-        sub = stack if len(pending) == len(theta) else stack.take(pending)
-        cand = theta[pending] - lam * step[pending]
+        cand = theta - lam * step
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            ll_new, grad_new, hess_new = loglik_grad_hess(sub, cand[:, :-1], cand[:, -1])
-        ok = np.isfinite(ll_new) & (ll_new >= ll[pending] - 1e-13)
-        if ok.all() and len(pending) == len(theta):
-            return cand, ll_new, grad_new, hess_new, np.zeros(len(theta), bool)
-        if lam == 1.0:
-            theta, ll, grad, hess = theta.copy(), ll.copy(), grad.copy(), hess.copy()
-        up = pending[ok]
-        theta[up], ll[up], grad[up], hess[up] = cand[ok], ll_new[ok], grad_new[ok], hess_new[ok]
-        pending = pending[~ok]
-        if not len(pending):
+            ll_new, grad_new, hess_new = loglik_grad_hess(stack, cand[:, :-1], cand[:, -1])
+        ok = pending & np.isfinite(ll_new) & (ll_new >= ll - 1e-13)
+        if ok.all():
+            return cand, ll_new, grad_new, hess_new, ~ok
+        theta, ll = np.where(ok[:, None], cand, theta), np.where(ok, ll_new, ll)
+        grad = np.where(ok[:, None], grad_new, grad)
+        hess = np.where(ok[:, None, None], hess_new, hess)
+        pending &= ~ok
+        if not pending.any():
             break
         lam *= 0.5
-    stalled = np.zeros(len(theta), bool)
-    stalled[pending] = True
-    return theta, ll, grad, hess, stalled
+    return theta, ll, grad, hess, pending
 
 
 def _start(log_time, covariates) -> np.ndarray:
@@ -344,11 +342,12 @@ def sample_posterior(data: SurvivalDataset, prior: PriorSpec, n_iterations: int,
                      burn_in: int, seed: int) -> McmcChain:
     """Joint Gaussian random-walk Metropolis over (beta, log b).
 
-    During burn-in a global step multiplier chases a 20-40% acceptance rate
-    (checked every 100 iterations) while per-component scales track running
-    posterior spreads; both freeze at the end of burn-in. Draws are returned
-    with the scale mapped back to b. The acceptance rate, and the warning
-    when it is pathological, count the post-burn-in iterations only.
+    Burn-in runs in windows of _WINDOW iterations. After each full one (a
+    last, shorter one adapts nothing) a global step multiplier chases a
+    20-40% acceptance rate and per-component scales track running posterior
+    spreads. Sampling then runs, with both frozen, in blocks of _BLOCK.
+    Draws are returned with the scale mapped back to b. The acceptance rate,
+    and the warning when it is pathological, count the kept draws only.
 
     Iteration t reads values t(d+1), ..., t(d+1) + d of the stream
     `uniform_stream(seed, 0, ROLE_MCMC)`, with d = p + 1: the first d become
@@ -378,44 +377,40 @@ def sample_posterior(data: SurvivalDataset, prior: PriorSpec, n_iterations: int,
     # states so far, with the squared deviations seeded at 1e-4
     count, mean, m2 = 1, theta.copy(), np.full(dim, 1e-4)
     window = np.empty((_WINDOW, dim))  # the states of the current window
-    accept_window = accepted_kept = 0
 
-    draws = np.empty((n_iterations - burn_in, dim))
-    t = 0
-    while t < n_iterations:
-        if t < burn_in:
-            end = min(t - t % _WINDOW + _WINDOW, burn_in)
-            out = window[t % _WINDOW:]
-        else:
-            end = n_iterations
-            out = draws[t - burn_in:]
-        end = min(end, t + _BLOCK)
-        u = uniform_stream(seed, 0, ROLE_MCMC, (end - t) * (dim + 1),
-                           start=t * (dim + 1)).reshape(end - t, dim + 1)
-        theta, lp, accepted = _metropolis_block(
+    def run(t, out):
+        # `_metropolis_block` of the steps t, t + 1, ..., one per row of out
+        u = uniform_stream(seed, 0, ROLE_MCMC, len(out) * (dim + 1),
+                           start=t * (dim + 1)).reshape(len(out), dim + 1)
+        return _metropolis_block(
             log_posterior, theta, lp, normal_quantile(u[:, :dim]) * (mult * scales),
             np.log(u[:, dim].copy()).tolist(), out)
-        accept_window += accepted
-        if t >= burn_in:  # no block straddles the end of burn-in
-            accepted_kept += accepted
-        t = end
-        if t <= burn_in and t % _WINDOW == 0:
-            rate = accept_window / _WINDOW
-            if rate < 0.20:
-                mult *= 0.8
-            elif rate > 0.40:
-                mult *= 1.25
-            # fold the window into the running moments (the pairwise update
-            # of Chan, Golub and LeVeque)
-            window_mean = window.mean(axis=0)
-            delta = window_mean - mean
-            total = count + _WINDOW
-            mean = mean + delta * (_WINDOW / total)
-            m2 = (m2 + ((window - window_mean) ** 2).sum(axis=0)
-                  + delta * delta * (count * _WINDOW / total))
-            count = total
-            scales = np.maximum(np.sqrt(m2 / (count - 1)), 1e-3)
-            accept_window = 0
+
+    for t in range(0, burn_in, _WINDOW):
+        theta, lp, accepted = run(t, window[:burn_in - t])
+        if burn_in - t < _WINDOW:  # the last, shorter window adapts nothing
+            break
+        rate = accepted / _WINDOW
+        if rate < 0.20:
+            mult *= 0.8
+        elif rate > 0.40:
+            mult *= 1.25
+        # fold the window into the running moments (the pairwise update
+        # of Chan, Golub and LeVeque)
+        window_mean = window.mean(axis=0)
+        delta = window_mean - mean
+        total = count + _WINDOW
+        mean = mean + delta * (_WINDOW / total)
+        m2 = (m2 + ((window - window_mean) ** 2).sum(axis=0)
+              + delta * delta * (count * _WINDOW / total))
+        count = total
+        scales = np.maximum(np.sqrt(m2 / (count - 1)), 1e-3)
+
+    draws = np.empty((n_iterations - burn_in, dim))
+    accepted_kept = 0
+    for t in range(burn_in, n_iterations, _BLOCK):
+        theta, lp, accepted = run(t, draws[t - burn_in:t - burn_in + _BLOCK])
+        accepted_kept += accepted
 
     draws[:, -1] = np.exp(draws[:, -1])
     rate = accepted_kept / (n_iterations - burn_in)

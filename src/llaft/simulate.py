@@ -57,6 +57,9 @@ STRONG_PRIOR = PriorSpec(coef_mean=np.array([0.3, 0.1, 1.0]), coef_precision=0.1
 # as fast as blocks of 100 or 200, and a block holds ~0.4 MB of covariates.
 _BLOCK_SIZE = 50
 
+# The level of every interval a study summary reports.
+_LEVEL = 0.95
+
 # The estimators a study can run, in the order its reports list them.
 _METHODS = ("vb", "mle", "mcmc")
 
@@ -182,24 +185,25 @@ def aggregate_estimates(estimates: np.ndarray, intervals: np.ndarray,
                  for name, *row in zip(names, bias, sd, mse, coverage, length))
 
 
-def summarize_fits(method: str, fits, level: float = 0.95) -> list:
+def summarize_fits(method: str, fits) -> list:
     """One summary per fit of `method` ("vb", "mle" or "mcmc"), in order:
     (rows, note, cycled), or the fit's NumericalError passed through. The
     CLI and the replication study both summarize here.
 
     rows are (parameter, mean, sd, low, high, kind), beta0, beta1, ... and
-    then the scale. VB gives the ETI for beta and the HDI for b, both for
-    all fits at once (the scales in one `summarize_scale` call); the MLE
-    Wald intervals, on the log scale for b; Metropolis each column's draw
-    mean and SD, percentile ETIs for beta and `hdi_from_draws` for b.
+    then the scale, with intervals at the level `_LEVEL` (95%). VB gives
+    the ETI for beta and the HDI for b, both for all fits at once (the
+    scales in one `summarize_scale` call); the MLE Wald intervals, on the
+    log scale for b; Metropolis each column's draw mean and SD, percentile
+    ETIs for beta and `hdi_from_draws` for b.
     note says why a fit did not settle: "stopped at the iteration cap after
     N iterations" for a VB fit, the sampler's warning for a flagged chain,
     and None for a fit that settled. cycled marks a VB fit stopped by cycle
     detection."""
     fits = list(fits)
     # a VB fit's scale summary stands in for the fit where it failed
-    scales = summarize_scale(fits, level) if method == "vb" else fits
-    z = normal_quantile(0.5 * (1.0 + level)) if method != "mcmc" else None
+    scales = summarize_scale(fits, _LEVEL) if method == "vb" else fits
+    z = normal_quantile(0.5 * (1.0 + _LEVEL)) if method != "mcmc" else None
     if method == "vb":
         kept = [fit for fit, scale in zip(fits, scales) if not isinstance(scale, NumericalError)]
         etis = iter(_etis(kept, z) if kept else ())
@@ -222,13 +226,13 @@ def summarize_fits(method: str, fits, level: float = 0.95) -> list:
             rows.append(("scale", fit.scale, fit.scale_se, *ends[-1], "Wald-log"))
             out.append((rows, None, False))
         else:
-            q = [50.0 - 50.0 * level, 50.0 + 50.0 * level]
+            q = [50.0 - 50.0 * _LEVEL, 50.0 + 50.0 * _LEVEL]
             rows = [(f"beta{j}", float(d.mean()), float(d.std(ddof=1)),
                      *map(float, np.percentile(d, q)), "ETI")
                     for j, d in enumerate(fit.coefficient_draws.T)]
             d = fit.scale_draws
             rows.append(("scale", float(d.mean()), float(d.std(ddof=1)),
-                         *hdi_from_draws(d, level), "HDI"))
+                         *hdi_from_draws(d, _LEVEL), "HDI"))
             out.append((rows, fit.warning, False))
     return out
 
@@ -246,8 +250,7 @@ def check_methods(methods) -> list:
 
 def run_replication(scenario: SimulationScenario, prior: PriorSpec,
                     methods=("vb", "mle"), config: FitConfig | None = None,
-                    level: float = 0.95, mcmc_iterations: int = MCMC_ITERATIONS,
-                    mcmc_burn_in: int = MCMC_BURN_IN,
+                    mcmc_iterations: int = MCMC_ITERATIONS, mcmc_burn_in: int = MCMC_BURN_IN,
                     max_failure_rate: float = 0.01) -> list[ReplicationReport]:
     """Run the study: generate each replicate once, fit every requested
     method on it, and aggregate bias/SD/MSE/coverage/length per parameter.
@@ -291,7 +294,7 @@ def run_replication(scenario: SimulationScenario, prior: PriorSpec,
                                            covariates=block.covariates[j])
                     fits.append(sample_posterior(data, prior, mcmc_iterations, mcmc_burn_in,
                                                  stream_seed(scenario.seed, i, ROLE_MCMC)))
-            outcomes[m] += summarize_fits(m, fits, level)
+            outcomes[m] += summarize_fits(m, fits)
             wall_time[m] += time.perf_counter() - start
 
     reports = []

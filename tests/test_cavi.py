@@ -494,24 +494,31 @@ class TestFitBatch:
         for data, state in zip(datasets, batch):
             assert_same_state(state, fit(data, WEAK_PRIOR, config))
 
+    # at one iteration every case but "singular", which fails at iteration 2,
+    # fails at the cap, where the good ones stop
+    @pytest.mark.parametrize("max_iterations", [1, 2, 100])
     @pytest.mark.parametrize("case", FAILING_FITS, ids=[c[0] for c in FAILING_FITS])
-    def test_failing_dataset_fails_only_its_entry(self, case):
+    def test_failing_dataset_fails_only_its_entry(self, case, max_iterations):
         # each check a fit can fail, with the failing dataset between good ones
         _, bad, precision, message = case
+        config = FitConfig(max_iterations=max_iterations)
         prior = PriorSpec(coef_mean=np.zeros(2), coef_precision=precision,
                           scale_shape=2.0, scale_rate=1.0)
         rng = np.random.default_rng(3)
         good = [make_dataset(rng.normal(0.0, 0.3, bad.n), np.ones(bad.n),
                              rng.normal(size=(bad.n, 1))) for _ in range(3)]
-        batch = fit_batch(DatasetStack.of([good[0], bad, good[1], good[2]]), prior)
-        assert isinstance(batch[1], NumericalError)
-        assert str(batch[1]) == "variational update failed at iteration " + message
-        with pytest.raises(NumericalError) as alone:
-            fit(bad, prior)
-        assert str(alone.value) == str(batch[1])
+        batch = fit_batch(DatasetStack.of([good[0], bad, good[1], good[2]]), prior, config)
+        if int(message.split(":")[0]) > max_iterations:  # the cap comes first
+            assert_same_state(batch[1], fit(bad, prior, config))
+        else:
+            assert isinstance(batch[1], NumericalError)
+            assert str(batch[1]) == "variational update failed at iteration " + message
+            with pytest.raises(NumericalError) as alone:
+                fit(bad, prior, config)
+            assert str(alone.value) == str(batch[1])
         for data, state in zip(good, [batch[0], batch[2], batch[3]]):
             assert isinstance(state, VariationalState)
-            assert_same_state(state, fit(data, prior))
+            assert_same_state(state, fit(data, prior, config))
 
     def test_iterate_flags_a_non_finite_elbo_alone(self):
         # no fit reaches this check without an overflow first, so a NaN

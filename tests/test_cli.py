@@ -465,6 +465,10 @@ class TestApproxCheckCommand:
 # sha256 of the compare report of the benchmark's trial_compare op at seed 1:
 # the bundled rhDNase file with the README prior
 TRIAL_REPORT_SHA256 = "ffb7a398743475f832490bf53fde0da61515174bcf12609d5a833432b6a368ea"
+# sha256 of the `fit --methods mcmc` report on the same data and prior at seed
+# 5, with a schedule (2301 iterations, burn-in 1999) whose burn-in ends inside
+# an adaptation window and whose sampling ends inside a stream block
+ODD_SCHEDULE_CHAIN_SHA256 = "2f6532eb27d988fe08aefff23ca8926ea2ecdb16b28deab248ffa34aac012fcb"
 
 
 class TestCompareCommand:
@@ -486,6 +490,14 @@ class TestCompareCommand:
                      "--prior-precision", "1", "--prior-shape", "501",
                      "--prior-rate", "500", "--seed", "1", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == TRIAL_REPORT_SHA256
+
+    def test_odd_schedule_chain_is_golden(self, tmp_path):
+        out = tmp_path / "chain.csv"
+        assert main(["fit", "--data", rhdnase_path(), "--prior-mean", "4.4,0.25,0.04",
+                     "--prior-precision", "1", "--prior-shape", "501",
+                     "--prior-rate", "500", "--methods", "mcmc", "--mcmc-iterations", "2301",
+                     "--mcmc-burn-in", "1999", "--seed", "5", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == ODD_SCHEDULE_CHAIN_SHA256
 
 
 class TestSharedCommandPath:

@@ -19,7 +19,7 @@ from llaft.model import (DatasetStack, ModelParams, PriorSpec, SurvivalDataset,
 from llaft.numerics import inverse_gamma_log_pdf
 from llaft.reference import (_ascent_steps, _chain_log_posterior, fit_mle, fit_mle_batch,
                              loglik_grad_hess, sample_posterior)
-from llaft.simulate import WEAK_PRIOR, SimulationScenario, generate_dataset
+from llaft.simulate import WEAK_PRIOR, SimulationScenario, _generate_block, generate_dataset
 
 
 def random_dataset(rng, n, p_extra=2, censored=True):
@@ -261,6 +261,30 @@ class TestFitMleBatch:
         assert str(result) == ("MLE did not converge in 200 Newton iterations "
                                "(gradient norm 6.25e-05)")
 
+    def test_a_halving_line_search_in_a_mixed_batch(self, monkeypatch):
+        # in this block a few line searches halve their step while the
+        # others take the full step; each entry must still be its own fit
+        sc = SimulationScenario(n=50, censor_bound=3.0, n_replicates=50, seed=11)
+        block, _ = _generate_block(sc, range(50))
+        scores = [0]  # the start's scoring calls, then those of each line search
+        score, search = llaft.reference.loglik_grad_hess, llaft.reference._line_search
+
+        def score_spy(*args):
+            scores[-1] += 1
+            return score(*args)
+
+        def search_spy(*args):
+            scores.append(0)
+            return search(*args)
+
+        monkeypatch.setattr(llaft.reference, "loglik_grad_hess", score_spy)
+        monkeypatch.setattr(llaft.reference, "_line_search", search_spy)
+        batch = fit_mle_batch(block)
+        monkeypatch.undo()
+        assert max(scores[1:]) > 1
+        for j, res in enumerate(batch):
+            assert_same_mle(res, fit_mle(generate_dataset(sc, j)))
+
     def test_underdetermined_batch_fails_every_entry(self):
         data = make_dataset([0.1, 0.2], [1, 1], [[1.0], [2.0]])
         batch = fit_mle_batch(DatasetStack.of([data, data]))
@@ -470,6 +494,30 @@ class TestTrialData:
                                            0.02655530629264133, 0.9173658983217103]
         assert hashlib.sha256(chain.draws.tobytes()).hexdigest() == (
             "1c6e75110292af1d57022e4b0e97edf327ca8f45b59bddc713339cc9d8cb64e7")
+
+
+# (n_iterations, burn_in) of chains whose burn-in ends inside a window of
+# `_WINDOW` or whose sampling ends inside a block of `_BLOCK`, and the golden
+# chain's schedule
+ODD_SCHEDULES = [(1050, 250), (2301, 1999), (2399, 199), (1234, 100), (100, 98), (3, 1),
+                 (2501, 0), (5000, 1000)]
+# sha256 of every chain of ODD_SCHEDULES at seed 5 on the trial data with the
+# README prior, then on a simulated dataset with WEAK_PRIOR: the draws, the
+# acceptance rate and the warning of each
+ODD_SCHEDULES_SHA256 = "a9abea3a86e6cb3c64b99319496888b1faae9bc77b0fc86df54b59a5aafa00b0"
+
+
+def test_chain_at_odd_schedules(trial):
+    readme_prior = PriorSpec(coef_mean=np.array([4.4, 0.25, 0.04]), coef_precision=1.0,
+                             scale_shape=501.0, scale_rate=500.0)
+    simulated = generate_dataset(SimulationScenario(n=50, censor_bound=3.0, seed=7), 2)
+    digest = hashlib.sha256()
+    for data, prior in [(trial, readme_prior), (simulated, WEAK_PRIOR)]:
+        for n_iterations, burn_in in ODD_SCHEDULES:
+            chain = sample_posterior(data, prior, n_iterations, burn_in, seed=5)
+            digest.update(chain.draws.tobytes())
+            digest.update(f"{chain.acceptance_rate!r} {chain.warning!r}".encode())
+    assert digest.hexdigest() == ODD_SCHEDULES_SHA256
 
 
 class TestChainLogPosterior:
