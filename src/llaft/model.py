@@ -182,15 +182,14 @@ class DatasetStack:
                             self.covariates[index], self.r[index])
 
 
-def _softplus(z: np.ndarray, out=None) -> np.ndarray:
-    """log(1 + e^z) elementwise, as log1p(exp(z)) into `out` (a new array if
-    None; it may be z), for an array z of at least one axis. exp overflows
-    only where z > ~709.78, so when the maximum of z is above 709, or NaN,
-    the entries that come out not finite are redone with np.logaddexp(0, z),
-    which costs ~4x as much, into a new array: use the returned array. NaN
+def _softplus(z: np.ndarray) -> np.ndarray:
+    """log(1 + e^z) elementwise, as log1p(exp(z)) in a new array, for an
+    array z of at least one axis. exp overflows only where z > ~709.78, so
+    when the maximum of z is above 709, or NaN, the entries that come out not
+    finite are redone with np.logaddexp(0, z), which costs ~4x as much. NaN
     propagates without a floating-point warning."""
     if np.maximum.reduce(z, axis=None, initial=-np.inf) <= 709.0:
-        out = np.exp(z, out=out)
+        out = np.exp(z)
         return np.log1p(out, out=out)
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.log1p(np.exp(z))

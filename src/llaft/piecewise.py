@@ -102,7 +102,8 @@ def softplus(x):
 def _segment(knots, x):
     # left-open/right-closed intervals: index k means knots[k-1] < x <= knots[k].
     # k counts the knots that x is not <=, which is np.searchsorted(knots, x,
-    # side="left") for every x, NaN (the last segment) included
+    # side="left") for every x, NaN (the last segment) included, and faster:
+    # 12 against 17 us on a (10, 300) block, 27 against 227 us on (50, 300)
     k = len(knots) - (x <= knots[0]).view(np.int8)
     for t in knots[1:]:
         k -= (x <= t).view(np.int8)
@@ -374,7 +375,8 @@ class _HingeLS:
             # a head (k = 3) by tail array of the row's bounds, flattened
             bound = (lo[s, :s if k == 3 else 1, None] + hi[s, s + 1:]).ravel()
             # the least bound first while no score is finite, then each bound
-            # within the margin of the lowest score (all while that is +inf)
+            # within the margin of the lowest score (all while that is +inf);
+            # without that first pick k = 3 scores 9,801 tuples (25 ms), not 1
             for least_only in (True, False) if lowest == np.inf else (False,):
                 pick = (np.argmin(bound, keepdims=True) if least_only
                         else np.flatnonzero(bound <= lowest + margin))
@@ -428,6 +430,7 @@ def _one_knot_sse(side, hinge, c) -> tuple[np.ndarray, np.ndarray]:
     h0, h1, h2, k0, k1, _ = hinge
     a1, ax, ay = h1 - c * h0, h2 - c * h1, k1 - c * k0  # <a, 1>, <a, x>, <a, y>
     aa = ax - c * a1  # <a, a>
+    # in place: with a fresh array per operation, knot_audit ran 12% slower
     d = np.multiply(xbar, a1)
     np.subtract(ax, d, out=d)  # <a, x - xbar>
     pivot = np.multiply(1.0 / m, a1 * a1)

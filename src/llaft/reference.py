@@ -6,7 +6,7 @@ sampler is a joint Gaussian random-walk Metropolis in the same coordinates,
 with per-component proposal scales adapted during burn-in and frozen after.
 A chain builds its log posterior once, from the parts that do not depend on
 the parameters; scoring a stack of K proposals then takes one matrix product
-for z, a softplus in place and two dot products per row. The chain scores its
+for z, a softplus and two dot products per row. The chain scores its
 next _PREFETCH proposals in one such call and keeps the draws of a chain that
 scores them one at a time.
 
@@ -85,10 +85,7 @@ class MleResult:
     def wald_intervals(self, level: float = 0.95) -> list[tuple[float, float]]:
         """Wald intervals: identity scale for coefficients, log scale
         (exponentiated) for b."""
-        return self._wald_intervals(normal_quantile(0.5 * (1.0 + level)))
-
-    def _wald_intervals(self, z: float) -> list[tuple[float, float]]:
-        # the intervals of wald_intervals at its normal quantile z
+        z = normal_quantile(0.5 * (1.0 + level))
         se = np.sqrt(np.diag(self.covariance))
         out = [(float(m - z * s), float(m + z * s))
                for m, s in zip(self.coefficients, se[:-1])]
@@ -193,9 +190,10 @@ def fit_mle_batch(stack: DatasetStack) -> list:
     Each Newton iteration falls back to a scaled gradient step where the
     Hessian solve fails, and halves each replicate's step until its
     log-likelihood does not decrease. A replicate leaves the batch when its
-    gradient norm reaches `_GRADIENT_TOLERANCE`, or when it fails; one still
-    in it after `_NEWTON_ITERATIONS` iterations fails. Returns one entry
-    per replicate, in order: its MleResult, or the NumericalError it raised.
+    gradient norm reaches `_GRADIENT_TOLERANCE`, or when it fails; one whose
+    gradient norm is still above it after `_NEWTON_ITERATIONS` steps fails.
+    Returns one entry per replicate, in order: its MleResult, or the
+    NumericalError it raised.
     """
     results: list = [None] * len(stack)
     if stack.n <= stack.p:
@@ -211,7 +209,8 @@ def fit_mle_batch(stack: DatasetStack) -> list:
         ids, stack, theta = ids[mask], stack.take(mask), theta[mask]
         ll, grad, hess = ll[mask], grad[mask], hess[mask]
 
-    for iterations in range(1, _NEWTON_ITERATIONS + 1):
+    # check m follows m - 1 steps, and check _NEWTON_ITERATIONS + 1 takes no step
+    for iterations in range(1, _NEWTON_ITERATIONS + 2):
         norm = np.linalg.norm(grad, axis=1)
         done = norm <= _GRADIENT_TOLERANCE
         if done.any():
@@ -220,17 +219,15 @@ def fit_mle_batch(stack: DatasetStack) -> list:
                     theta[hits], ll[hits], hess[hits], iterations, norm[hits])):
                 results[i] = result
             keep(~done)
-            if not len(ids):
-                break
+        if not len(ids) or iterations > _NEWTON_ITERATIONS:
+            break
         step = _ascent_steps(hess, grad)
         theta, ll, grad, hess, stalled = _line_search(stack, theta, ll, grad, hess, step)
         if stalled.any():
             for j in np.flatnonzero(stalled).tolist():
                 results[ids[j]] = NumericalError(
                     f"MLE line search stalled at Newton iteration {iterations}")
-            keep(~stalled)
-            if not len(ids):
-                break
+            keep(~stalled)  # an empty batch ends at the next check
     for j, i in enumerate(ids.tolist()):
         results[i] = NumericalError(
             f"MLE did not converge in {_NEWTON_ITERATIONS} Newton iterations "
@@ -252,7 +249,7 @@ def _line_search(stack, theta, ll, grad, hess, step):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             ll_new, grad_new, hess_new = loglik_grad_hess(stack, cand[:, :-1], cand[:, -1])
         ok = pending & np.isfinite(ll_new) & (ll_new >= ll - 1e-13)
-        if ok.all():
+        if ok.all():  # skips the merges: 140 against 150 us on a 10 x 300 block
             return cand, ll_new, grad_new, hess_new, ~ok
         theta, ll = np.where(ok[:, None], cand, theta), np.where(ok, ll_new, ll)
         grad = np.where(ok[:, None], grad_new, grad)
@@ -299,9 +296,9 @@ def _chain_log_posterior(data, prior):
     c'[w, (beta - mu0)^2, s] - (1 + event)' softplus(z), where c, built here
     once per chain with [-X, y]', holds event'[-X, y] less omega0 on 1/b,
     -v0/2 on each square and -(alpha0 + r) on s (-r s from the likelihood,
-    -alpha0 s from the prior with its Jacobian). `_softplus` computes the
-    softplus in place in z, unless the stack's largest z is above 709 or NaN
-    (exp can overflow), where it redoes the entries not finite.
+    -alpha0 s from the prior with its Jacobian). `_softplus` redoes the
+    entries not finite when the stack's largest z is above 709 or NaN (exp
+    can overflow).
 
     A row's value does not depend on the rows stacked with it: z is one
     matrix product (gemm, which sums each entry in the same order whatever
@@ -324,8 +321,7 @@ def _chain_log_posterior(data, prior):
         w = thetas * inv_b
         w[:, -1:] = inv_b
         terms = np.concatenate((w, np.square(thetas[:, :-1] - mu0), s), axis=1)
-        z = w @ design_t
-        z = _softplus(z, out=z)
+        z = _softplus(w @ design_t)
         return (np.matmul(terms[:, None], coef) - np.matmul(z[:, None], event1))[:k, 0]
     return log_posterior
 

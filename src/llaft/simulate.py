@@ -203,10 +203,9 @@ def summarize_fits(method: str, fits) -> list:
     fits = list(fits)
     # a VB fit's scale summary stands in for the fit where it failed
     scales = summarize_scale(fits, _LEVEL) if method == "vb" else fits
-    z = normal_quantile(0.5 * (1.0 + _LEVEL)) if method != "mcmc" else None
     if method == "vb":
         kept = [fit for fit, scale in zip(fits, scales) if not isinstance(scale, NumericalError)]
-        etis = iter(_etis(kept, z) if kept else ())
+        etis = iter(_etis(kept, normal_quantile(0.5 * (1.0 + _LEVEL))) if kept else ())
     out = []
     for fit, scale in zip(fits, scales):
         if isinstance(scale, NumericalError):
@@ -220,7 +219,7 @@ def summarize_fits(method: str, fits) -> list:
             out.append((rows, note, fit.stop_reason == "cycle"))
         elif method == "mle":
             se = np.sqrt(np.diag(fit.covariance))
-            ends = fit._wald_intervals(z)
+            ends = fit.wald_intervals(_LEVEL)
             rows = [(f"beta{j}", float(m), float(s), *iv, "Wald")
                     for j, (m, s, iv) in enumerate(zip(fit.coefficients, se, ends))]
             rows.append(("scale", fit.scale, fit.scale_se, *ends[-1], "Wald-log"))

@@ -183,6 +183,22 @@ def assert_same_mle(a, b):
     assert (a.iterations, a.gradient_norm) == (b.iterations, b.gradient_norm)
 
 
+class TestNewtonCap:
+    def test_a_fit_converged_by_its_last_allowed_step_is_returned(self, trial, monkeypatch):
+        # the gradient is checked once more after the last step, so a cap of
+        # one step fewer than the fit's checks still returns the same fit
+        full = fit_mle(trial)
+        assert full.iterations == 8
+        monkeypatch.setattr(llaft.reference, "_NEWTON_ITERATIONS", full.iterations - 1)
+        assert_same_mle(fit_mle(trial), full)
+
+    def test_a_fit_one_step_short_of_the_tolerance_fails(self, trial, monkeypatch):
+        cap = fit_mle(trial).iterations - 2
+        monkeypatch.setattr(llaft.reference, "_NEWTON_ITERATIONS", cap)
+        with pytest.raises(NumericalError, match=f"did not converge in {cap} Newton iterations"):
+            fit_mle(trial)
+
+
 def separated_dataset():
     # events at y = 0 in one group, censoring at y = 3 in the other: the
     # likelihood has no maximum, and the Newton steps run out of ascent

@@ -263,6 +263,16 @@ class TestRunReplication:
         with pytest.raises(NumericalError, match="method mle failed on 2/2"):
             run_replication(sc, WEAK_PRIOR, methods=("mle",), max_failure_rate=1.0)
 
+    @pytest.mark.xfail(strict=True, raises=NumericalError, reason=(
+        "ROADMAP item 1: VB starts at the prior mean 0, far from the intercept 3, "
+        "and 419 of the 500 fits fail (omega <= 0)"))
+    def test_vb_keeps_its_fits_when_the_intercept_is_far_from_the_prior_mean(self):
+        # 79% censored, n = 50: the OLS start where r > p fails 4 of 500
+        sc = SimulationScenario(n=50, censor_bound=25.0, n_replicates=500, seed=11,
+                                true_coefficients=np.array([3.0, 0.2, 0.8]))
+        report, = run_replication(sc, WEAK_PRIOR, methods=("vb",))
+        assert report.n_failures <= 5
+
     def test_cycle_stops_are_counted_apart(self, tmp_path):
         # replicate 0 of seed 3 at n = 300 stops in a two-state cycle
         sc = SimulationScenario(n=300, censor_bound=0.0, n_replicates=5, seed=3)
