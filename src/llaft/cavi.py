@@ -35,7 +35,7 @@ result `fit` gives it alone, bit for bit. Inside the loop y - X mu is
 computed once per new mu and serves the linear-segment lookup, the omega
 update, the ELBO and the next iteration's plug-in residuals; psi(alpha) is
 computed once per replicate per fit, since alpha = alpha0 + r is fixed, and
-so are 1 + delta, v0 I and v0 mu0.
+so are v0 I and v0 mu0. The stack carries 1 + delta.
 
 No update raises: `_iterate` names, per replicate, the first of its checks
 that fails (`_FAILURES`); that replicate leaves the batch with the
@@ -50,7 +50,7 @@ import numpy as np
 
 from .exceptions import NumericalError
 from .model import DatasetStack, PriorSpec, SurvivalDataset
-from .numerics import _digammas, _moments, _per_item
+from .numerics import _digammas, _dot, _moments, _per_item
 from .piecewise import (LINEAR_SLOPES, QUADRATIC_LINEAR, QUADRATIC_QUADRATIC,
                         _linear_segment, _quadratic_segment)
 
@@ -139,24 +139,18 @@ def initialize(stack: DatasetStack, prior: PriorSpec) -> tuple:
             np.full(R, prior.scale_rate))
 
 
-def _residuals(stack, mu):
-    # y - X mu, (R, n)
-    return stack.log_time - np.matmul(stack.covariates, mu[..., None])[..., 0]
-
-
 def _block_terms(stack, prior):
-    # the updates' terms that no iteration changes: 1 + delta, v0 I and v0 mu0
-    return (1.0 + stack.event, prior.coef_precision * np.eye(stack.p),
-            prior.coef_precision * prior.coef_mean)
+    # the prior's terms of the updates, which no iteration changes: v0 I and v0 mu0
+    return prior.coef_precision * np.eye(stack.p), prior.coef_precision * prior.coef_mean
 
 
 def _update_sigma(stack, terms, moments, zeta):
     # [v0 I + 2 E(1/b^2) sum_i (1+delta_i) zeta_i x_i x_i']^{-1}, (R, p, p), and
     # per replicate whether the bracket has no Cholesky factor, and no inverse
-    event1, v0_eye, _ = terms
+    v0_eye, _ = terms
     _, e_inv2, _ = moments
     X = stack.covariates
-    weights = event1 * zeta
+    weights = stack.event1 * zeta
     XtW = (2.0 * e_inv2)[:, None, None] * (X.transpose(0, 2, 1) * weights[:, None, :])
     A = v0_eye + np.matmul(XtW, X)
     _, no_factor = _per_item(np.linalg.cholesky, A)
@@ -166,19 +160,19 @@ def _update_sigma(stack, terms, moments, zeta):
 
 def _update_mu(stack, terms, moments, rho, zeta, sigma_new):
     # the surrogate linear form times the new covariance, (R, p)
-    event1, _, v0_mu0 = terms
+    _, v0_mu0 = terms
     e_inv, e_inv2, _ = moments
     # (1 + delta) rho - delta, which is -delta + (1 + delta) rho to the bit
-    row = (e_inv[:, None] * (event1 * rho - stack.event)
-           + 2.0 * e_inv2[:, None] * event1 * stack.log_time * zeta)
-    linear = v0_mu0 + np.matmul(row[:, None, :], stack.covariates)[:, 0]
+    row = (e_inv[:, None] * (stack.event1 * rho - stack.event)
+           + 2.0 * e_inv2[:, None] * stack.event1 * stack.log_time * zeta)
+    linear = v0_mu0 + _dot(row, stack.covariates)
     return np.matmul(sigma_new, linear[..., None])[..., 0]
 
 
-def _linear_form(stack, event1, resid, phi):
+def _linear_form(stack, resid, phi):
     # sum_i (delta_i - (1+delta_i) phi_i)(y_i - x_i' mu), per replicate, from
     # the residuals y - X mu
-    return np.sum((stack.event - event1 * phi) * resid, axis=-1)
+    return np.sum((stack.event - stack.event1 * phi) * resid, axis=-1)
 
 
 def _update_omega(prior, linear):
@@ -207,8 +201,7 @@ def _elbo(stack, prior, mu, cov, a, w, moments, linear):
     sign, logdet = np.linalg.slogdet(cov)
     dmu = mu - prior.coef_mean
     coef_term = (-0.5 * prior.coef_precision
-                 * (np.trace(cov, axis1=1, axis2=2)
-                    + np.matmul(dmu[:, None, :], dmu[:, :, None])[:, 0, 0])
+                 * (np.trace(cov, axis1=1, axis2=2) + _dot(dmu, dmu))
                  + 0.5 * logdet)
 
     scale_term = ((a - prior.scale_shape) * e_log_b
@@ -240,9 +233,9 @@ def _iterate(stack: DatasetStack, prior: PriorSpec, terms: tuple, moments: tuple
 
     # the b-update sees the freshest mu, so its linear surrogate is
     # re-anchored at the updated residuals, under the same q(b)
-    resid = _residuals(stack, mu)
+    resid = stack.residuals(mu)
     kl = _linear_segment(resid * e_inv)
-    linear = _linear_form(stack, terms[0], resid, LINEAR_SLOPES[kl])
+    linear = _linear_form(stack, resid, LINEAR_SLOPES[kl])
     omega = _update_omega(prior, linear)
     with np.errstate(divide="ignore", invalid="ignore"):  # a failed omega <= 0, or NaN Sigma
         moments = _moments(alpha, omega, psi_alpha)
@@ -280,7 +273,7 @@ def fit_batch(stack: DatasetStack, prior: PriorSpec,
     config = config or FitConfig()
     mu0, alpha0, omega0 = initialize(stack, prior)
     moments = _moments(alpha0, omega0, _digammas(alpha0))
-    resid = _residuals(stack, mu0)
+    resid = stack.residuals(mu0)
     terms = _block_terms(stack, prior)
     results: list = [None] * len(stack)
     traces = [[] for _ in results]  # per iteration (ELBO, omega, Sigma, key)
@@ -293,9 +286,8 @@ def fit_batch(stack: DatasetStack, prior: PriorSpec,
     history = [None] * _CYCLE_WINDOW
 
     def keep(mask):
-        nonlocal ids, stack, terms, alpha, psi_alpha, moments, resid, elbo_prev, history
+        nonlocal ids, stack, alpha, psi_alpha, moments, resid, elbo_prev, history
         ids, stack, elbo_prev = ids[mask], stack.take(mask), elbo_prev[mask]
-        terms = (terms[0][mask], *terms[1:])
         alpha, psi_alpha, resid = alpha[mask], psi_alpha[mask], resid[mask]
         moments = tuple(x[mask] for x in moments)
         history = [None if h is None else tuple(x[mask] for x in h) for h in history]

@@ -30,7 +30,8 @@ __all__ = ["ingest_csv", "load_config", "main"]
 
 
 def ingest_csv(path) -> SurvivalDataset:
-    """Load a dataset from CSV with required columns `time` and `status`.
+    """Load a dataset from UTF-8 CSV (a byte-order mark is skipped) whose
+    header has the columns `time` and `status` once each, or raise DataError.
 
     Every other column is taken as a covariate, order preserved, with an
     intercept column prepended. Rows violating the domain (a time that is not
@@ -38,7 +39,7 @@ def ingest_csv(path) -> SurvivalDataset:
     unparsable numbers) raise DataError naming the line.
     """
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
@@ -48,10 +49,10 @@ def ingest_csv(path) -> SurvivalDataset:
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        if "time" not in header or "status" not in header:
-            raise DataError(f"{path}: header must contain 'time' and 'status', got {header}")
-        t_col = header.index("time")
-        s_col = header.index("status")
+        for name in ("time", "status"):
+            if header.count(name) != 1:
+                raise DataError(f"{path}: header must contain {name!r} once, got {header}")
+        t_col, s_col = header.index("time"), header.index("status")
         cov_cols = [j for j in range(len(header)) if j not in (t_col, s_col)]
 
         times, events, rows = [], [], []

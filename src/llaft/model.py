@@ -142,14 +142,19 @@ class DatasetStack:
     """Datasets of one (n, p), stacked on a leading replicate axis.
 
     `log_time` and `event` are (R, n), `covariates` is (R, n, p) and `r`
-    holds the R event counts as floats. The CAVI and likelihood kernels take
-    one; a single dataset enters them as a stack of one.
+    holds the R event counts as floats; `event1` = 1 + event is derived at
+    construction and `residuals` gives y - X beta, each row its replicate's
+    own. Every kernel on the data takes one; a dataset enters as a stack of one.
     """
 
     log_time: np.ndarray
     event: np.ndarray
     covariates: np.ndarray
     r: np.ndarray
+    event1: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "event1", 1.0 + self.event)
 
     @classmethod
     def of(cls, datasets) -> "DatasetStack":
@@ -181,6 +186,10 @@ class DatasetStack:
         return DatasetStack(self.log_time[index], self.event[index],
                             self.covariates[index], self.r[index])
 
+    def residuals(self, beta: np.ndarray) -> np.ndarray:
+        """y - X beta, (R, n), for the (R, p) coefficients beta."""
+        return self.log_time - np.matmul(self.covariates, beta[..., None])[..., 0]
+
 
 def _softplus(z: np.ndarray) -> np.ndarray:
     """log(1 + e^z) elementwise, as log1p(exp(z)) in a new array, for an
@@ -196,18 +205,16 @@ def _softplus(z: np.ndarray) -> np.ndarray:
         return np.where(np.isfinite(out), out, np.logaddexp(0.0, z))
 
 
-def _z_loglik(stack: DatasetStack, beta, log_b, event1):
+def _z_loglik(stack: DatasetStack, beta, log_b):
     """z = (y - X beta) / b and the log-likelihood above for each replicate
     of a stack: beta is (R, p) and log_b is (R,), and both results carry the
-    replicate axis. The caller passes event1 = 1 + event, which does not
-    depend on (beta, b). It validates nothing.
+    replicate axis. It validates nothing.
 
     Each row is summed pairwise: the sequential sums of a stacked matmul
     round enough to flip the MLE line search's 1e-13 acceptance test."""
-    z = ((stack.log_time - np.matmul(stack.covariates, beta[..., None])[..., 0])
-         / np.exp(log_b)[..., None])
+    z = stack.residuals(beta) / np.exp(log_b)[..., None]
     return z, -stack.r * log_b + ((stack.event * z).sum(axis=-1)
-                                  - (event1 * _softplus(z)).sum(axis=-1))
+                                  - (stack.event1 * _softplus(z)).sum(axis=-1))
 
 
 def log_likelihood(data: SurvivalDataset, params: ModelParams) -> float:
@@ -217,9 +224,8 @@ def log_likelihood(data: SurvivalDataset, params: ModelParams) -> float:
         raise DataError("log_likelihood requires a nonempty dataset")
     if params.coefficients.shape[0] != data.p:
         raise ValueError("coefficient vector does not match covariate dimension")
-    stack = DatasetStack.of([data])
-    value = float(_z_loglik(stack, params.coefficients[None],
-                            np.array([math.log(params.scale)]), 1.0 + stack.event)[1][0])
+    value = float(_z_loglik(DatasetStack.of([data]), params.coefficients[None],
+                            np.array([math.log(params.scale)]))[1][0])
     if not math.isfinite(value):
         raise NumericalError(f"non-finite log-likelihood at scale={params.scale}")
     return value

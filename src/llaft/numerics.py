@@ -182,6 +182,14 @@ def _per_item(routine, *stacks) -> tuple:
         return out, failed
 
 
+def _dot(u, v):
+    # per replicate u' v for (R, n) u and (R, n), (R, n, k) or shared (n,) v,
+    # one BLAS call per replicate, so a row's value does not depend on R
+    if v.ndim == 2:
+        return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+    return np.matmul(u[:, None, :], v)[:, 0]
+
+
 def inverse_gamma_log_pdf(params: InverseGammaParams, x: float) -> float:
     """Log density of Inverse-Gamma(shape, scale) at x > 0, constants included."""
     if not x > 0:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .exceptions import NumericalError
 from .model import DatasetStack, PriorSpec, SurvivalDataset, _softplus, _z_loglik
-from .numerics import ROLE_MCMC, _per_item, normal_quantile, uniform_stream
+from .numerics import ROLE_MCMC, _dot, _per_item, normal_quantile, uniform_stream
 
 __all__ = [
     "MleResult",
@@ -127,11 +127,10 @@ def loglik_grad_hess(stack: DatasetStack, beta: np.ndarray, log_b: np.ndarray):
 
     z and the log-likelihood come from the model's own formula.
     """
-    d, X = stack.event, stack.covariates
+    d, d1, X = stack.event, stack.event1, stack.covariates
     R, p = len(stack), stack.p
     b = np.exp(log_b)[:, None]
-    d1 = 1.0 + d
-    z, ll = _z_loglik(stack, beta, log_b, d1)
+    z, ll = _z_loglik(stack, beta, log_b)
     # sigma(z) as 1/(1 + e^-z) for z >= 0 and e^z/(1 + e^z) below, without
     # masks; min(z, -z) is -|z| but keeps the sign of a NaN, as e^z does
     e = np.exp(np.minimum(z, -z))
@@ -152,14 +151,6 @@ def loglik_grad_hess(stack: DatasetStack, beta: np.ndarray, log_b: np.ndarray):
     hess[:, p, :p] = cross
     hess[:, p, p] = z_g - _dot(w_i, z * z)
     return ll, grad, hess
-
-
-def _dot(u, v):
-    # per replicate u' v for (R, n) u and (R, n), (R, n, k) or shared (n,) v,
-    # one BLAS call per replicate, so a row's value does not depend on R
-    if v.ndim == 2:
-        return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
-    return np.matmul(u[:, None, :], v)[:, 0]
 
 
 def _ascent_steps(hess, grad):
@@ -200,7 +191,7 @@ def fit_mle_batch(stack: DatasetStack) -> list:
         return [NumericalError(
             f"need more observations than parameters (n={stack.n}, p={stack.p})")
             for _ in results]
-    theta = _start(stack.log_time, stack.covariates)
+    theta = _start(stack)
     ids = np.arange(len(stack))  # the replicates still in the batch
     ll, grad, hess = loglik_grad_hess(stack, theta[:, :-1], theta[:, -1])
 
@@ -261,13 +252,14 @@ def _line_search(stack, theta, ll, grad, hess, step):
     return theta, ll, grad, hess, pending
 
 
-def _start(log_time, covariates) -> np.ndarray:
-    """The (R, p+1) starts (beta, log b): least squares per replicate, then
-    for the whole block the log of the residual SD times sqrt(3)/pi, at least
-    1e-3 (by math.log, which np.log does not match to the bit)."""
+def _start(stack) -> np.ndarray:
+    """The (R, p+1) starts (beta, log b) of a stack: least squares per
+    replicate, then for the whole block the log of the residual SD times
+    sqrt(3)/pi, at least 1e-3 (by math.log, which np.log does not match to
+    the bit)."""
     beta = np.stack([np.linalg.lstsq(X, y, rcond=None)[0]
-                     for y, X in zip(log_time, covariates)])
-    resid_sd = np.std(log_time - np.matmul(covariates, beta[..., None])[..., 0], axis=-1)
+                     for y, X in zip(stack.log_time, stack.covariates)])
+    resid_sd = np.std(stack.residuals(beta), axis=-1)
     scale = np.maximum(resid_sd * math.sqrt(3.0) / math.pi, 1e-3)
     return np.column_stack([beta, [math.log(v) for v in scale.tolist()]])
 
@@ -287,9 +279,9 @@ def _mle_results(theta, ll, hess, iterations, gradient_norm) -> list:
                                             gradient_norm.tolist(), singular.tolist())]
 
 
-def _chain_log_posterior(data, prior):
-    """The log posterior in (beta, log b) of one chain, as a function of a
-    (K, p+1) stack of parameter vectors; returns the K values.
+def _chain_log_posterior(stack, prior):
+    """The log posterior in (beta, log b) of one chain on a stack of one, as
+    a function of a (K, p+1) stack of parameter vectors; returns the K values.
 
     It includes the |db/ds| = b Jacobian and drops the normalizing constants.
     With w = (beta, 1)/b and z = [-X, y] w, a row's value is
@@ -306,11 +298,11 @@ def _chain_log_posterior(data, prior):
     matrix-vector product sums in an order that depends on K), and the two
     softplus paths give a finite entry the same bits. NumPy hands a one-row
     product to gemv, which rounds differently, so a lone row is padded."""
-    design = np.column_stack([-data.covariates, data.log_time])
-    design_t, event1, mu0 = np.ascontiguousarray(design.T), 1.0 + data.event, prior.coef_mean
-    coef = np.concatenate([data.event @ design, np.full(data.p, -0.5 * prior.coef_precision),
-                           [-(prior.scale_shape + data.r)]])
-    coef[data.p] -= prior.scale_rate
+    design = np.column_stack([-stack.covariates[0], stack.log_time[0]])
+    design_t, event1, mu0 = np.ascontiguousarray(design.T), stack.event1[0], prior.coef_mean
+    coef = np.concatenate([stack.event[0] @ design, np.full(stack.p, -0.5 * prior.coef_precision),
+                           [-(prior.scale_shape + stack.r[0])]])
+    coef[stack.p] -= prior.scale_rate
 
     def log_posterior(thetas):
         k = len(thetas)
@@ -359,13 +351,14 @@ def sample_posterior(data: SurvivalDataset, prior: PriorSpec, n_iterations: int,
     prior.check_dimension(data.p)
     dim = data.p + 1
 
+    stack = DatasetStack.of([data])
     if data.n > data.p:
-        theta = _start(data.log_time[None], data.covariates[None])[0]
+        theta = _start(stack)[0]
     else:
         prior_scale_mean = prior.scale_rate / max(prior.scale_shape - 1.0, 0.5)
         theta = np.append(prior.coef_mean, math.log(prior_scale_mean))
 
-    log_posterior = _chain_log_posterior(data, prior)
+    log_posterior = _chain_log_posterior(stack, prior)
     lp = float(log_posterior(theta[None])[0])
     scales = np.full(dim, 0.1)
     mult = 1.0

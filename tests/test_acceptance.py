@@ -9,8 +9,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from llaft.cavi import (_block_terms, _elbo, _linear_form, _residuals, _update_mu,
-                        _update_omega, _update_sigma, fit, initialize)
+from llaft.cavi import (_block_terms, _elbo, _linear_form, _update_mu, _update_omega,
+                        _update_sigma, fit, initialize)
 from llaft.cli import ingest_csv, main
 from llaft.datasets import rhdnase_path
 from llaft.model import DatasetStack, PriorSpec
@@ -322,7 +322,7 @@ def test_criterion7_elbo_monotone_on_stable_stretches(acceptance_states):
         psi_alpha = _digammas(alpha)
         for m in range(state.iterations):
             e_inv = moments[0][:, None]
-            kq = np.searchsorted(QUADRATIC_KNOTS, _residuals(stack, mu) * e_inv, side="left")
+            kq = np.searchsorted(QUADRATIC_KNOTS, stack.residuals(mu) * e_inv, side="left")
             rho, zeta = QUADRATIC_LINEAR[kq], QUADRATIC_QUADRATIC[kq]
             sigma, _, _ = _update_sigma(stack, terms, moments, zeta)
             mu_new = _update_mu(stack, terms, moments, rho, zeta, sigma)
@@ -335,9 +335,9 @@ def test_criterion7_elbo_monotone_on_stable_stretches(acceptance_states):
                 if after < before - tol:
                     beta_drops.append(before - after)
 
-            resid = _residuals(stack, mu_new)
+            resid = stack.residuals(mu_new)
             kl = np.searchsorted(LINEAR_KNOTS, resid * e_inv, side="left")
-            linear = _linear_form(stack, terms[0], resid, LINEAR_SLOPES[kl])
+            linear = _linear_form(stack, resid, LINEAR_SLOPES[kl])
             omega_new = _update_omega(prior, linear)
             before = _elbo(stack, prior, mu_new, sigma, alpha, omega,
                            _moments(alpha, omega, psi_alpha), linear)[0][0]

@@ -7,8 +7,8 @@ import pytest
 
 from conftest import make_dataset
 from llaft.cavi import (_FAILURES, FitConfig, VariationalState, _block_terms, _elbo,
-                        _iterate, _linear_form, _residuals, _update_mu, _update_omega,
-                        _update_sigma, fit, fit_batch, initialize)
+                        _iterate, _linear_form, _update_mu, _update_omega, _update_sigma,
+                        fit, fit_batch, initialize)
 from llaft.exceptions import NumericalError
 from llaft.model import DatasetStack, PriorSpec, SurvivalDataset
 from llaft.numerics import _digammas, _moments
@@ -40,7 +40,7 @@ def moments_at(a, w):
 
 def plugin(stack, mu, moments):
     """Standardized residuals (y - X mu) E[1/b], (R, n)."""
-    return _residuals(stack, mu) * moments[0][:, None]
+    return stack.residuals(mu) * moments[0][:, None]
 
 
 def quadratic(z):
@@ -56,7 +56,7 @@ def slopes(z):
 
 def linear_form(stack, mu, phi):
     """sum_i (delta_i - (1+delta_i) phi_i)(y_i - x_i' mu), (R,)."""
-    return _linear_form(stack, 1.0 + stack.event, _residuals(stack, mu), phi)
+    return _linear_form(stack, stack.residuals(mu), phi)
 
 
 class TestInitialize:
@@ -543,10 +543,10 @@ class TestFitBatch:
         alpha = prior.scale_shape + stack.r
         psi_alpha = _digammas(alpha)
         psi_alpha[1] = np.nan
-        terms, resid = _block_terms(stack, prior), _residuals(stack, mu)
+        terms, resid = _block_terms(stack, prior), stack.residuals(mu)
 
         def iterate(rows):
-            return _iterate(stack.take(rows), prior, (terms[0][rows], *terms[1:]),
+            return _iterate(stack.take(rows), prior, terms,
                             tuple(x[rows] for x in moments), resid[rows], alpha[rows],
                             psi_alpha[rows])
 

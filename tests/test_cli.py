@@ -81,6 +81,28 @@ class TestIngest:
         data = ingest_csv(path)
         assert np.array_equal(data.covariates, [[1.0, 5.0, 7.0]])
 
+    @pytest.mark.parametrize("header, name", [("time,status,x,time", "time"),
+                                              ("status,time, status ,x", "status")])
+    def test_repeated_required_column_is_named(self, tmp_path, capsys, header, name):
+        # a second time or status column would otherwise enter the design
+        path = write(tmp_path / "d.csv", header + "\n" + "".join(
+            f"{t},1,{x},1\n" for t, x in ((1, 0), (2, 1), (3, 0), (4, 1))))
+        message = f"{path}: header must contain {name!r} once"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}"):
+            ingest_csv(path)
+        assert main(["fit", "--data", path, "--methods", "mle"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet programs save "CSV UTF-8" with a leading mark
+        text = "time,status,x\n1,1,0\n2.5,0,1.5\n"
+        plain = ingest_csv(write(tmp_path / "plain.csv", text))
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        marked = ingest_csv(path)
+        for name in ("time", "event", "covariates"):
+            assert getattr(marked, name).tobytes() == getattr(plain, name).tobytes()
+
 
 class TestOneParser:
     def test_parser_is_built_once(self):

@@ -6,9 +6,10 @@ import pytest
 
 from conftest import make_dataset
 from llaft.exceptions import DataError
-from llaft.model import (ModelParams, PriorSpec, SurvivalDataset, _softplus,
+from llaft.model import (DatasetStack, ModelParams, PriorSpec, SurvivalDataset, _softplus,
                          log_likelihood, log_posterior)
 from llaft.numerics import InverseGammaParams, inverse_gamma_log_pdf
+from llaft.simulate import SimulationScenario, _generate_block, generate_dataset
 
 mpmath.mp.dps = 50
 
@@ -72,6 +73,40 @@ class TestSurvivalDataset:
     def test_arrays_are_immutable(self, five_obs):
         with pytest.raises(ValueError):
             five_obs.time[0] = 2.0
+
+
+class TestDatasetStack:
+    SCENARIO = SimulationScenario(n=40, censor_bound=17.0, seed=5)
+
+    def stack_and_replicates(self, source):
+        """A stack built by `source` and the dataset of each of its rows."""
+        datasets = [generate_dataset(self.SCENARIO, i) for i in range(5)]
+        if source == "of":
+            return DatasetStack.of(datasets), datasets
+        if source == "take_mask":
+            mask = np.array([True, False, True, True, False])
+            return (DatasetStack.of(datasets).take(mask),
+                    [d for d, keep in zip(datasets, mask) if keep])
+        if source == "take_index":
+            index = np.array([4, 1, 1, 0])
+            return DatasetStack.of(datasets).take(index), [datasets[i] for i in index]
+        indices = [3, 0, 7]
+        return (_generate_block(self.SCENARIO, indices)[0],
+                [generate_dataset(self.SCENARIO, i) for i in indices])
+
+    @pytest.mark.parametrize("source", ["of", "take_mask", "take_index", "generate_block"])
+    def test_rows_are_each_replicate_alone(self, source):
+        # the batch kernels drop and keep rows of a stack, so 1 + delta and
+        # y - X beta of a row must be its replicate's own, bit for bit
+        stack, datasets = self.stack_and_replicates(source)
+        beta = np.random.default_rng(4).normal(size=(len(stack), stack.p))
+        residuals = stack.residuals(beta)
+        assert stack.event1.shape == residuals.shape == (len(datasets), stack.n)
+        for j, data in enumerate(datasets):
+            alone = DatasetStack.of([data])
+            assert np.array_equal(alone.event1[0], 1.0 + data.event)
+            assert stack.event1[j].tobytes() == alone.event1[0].tobytes()
+            assert residuals[j].tobytes() == alone.residuals(beta[j:j + 1])[0].tobytes()
 
 
 class TestSoftplus:

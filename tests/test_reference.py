@@ -16,7 +16,7 @@ from llaft.cavi import fit
 from llaft.exceptions import NumericalError
 from llaft.model import (DatasetStack, ModelParams, PriorSpec, SurvivalDataset,
                          log_likelihood, log_posterior)
-from llaft.numerics import inverse_gamma_log_pdf
+from llaft.numerics import _dot, inverse_gamma_log_pdf
 from llaft.reference import (_ascent_steps, _chain_log_posterior, fit_mle, fit_mle_batch,
                              loglik_grad_hess, sample_posterior)
 from llaft.simulate import WEAK_PRIOR, SimulationScenario, _generate_block, generate_dataset
@@ -92,7 +92,7 @@ class TestGradientAndHessian:
             got = loglik_grad_hess(stack, beta, log_b)
 
         d1 = 1.0 + d
-        zz, ll = llaft.reference._z_loglik(stack, beta, log_b, d1)
+        zz, ll = llaft.reference._z_loglik(stack, beta, log_b)
         assert np.array_equal(zz.view(np.int64), z.view(np.int64))
         sig = np.empty_like(z)
         pos = z >= 0
@@ -100,12 +100,11 @@ class TestGradientAndHessian:
         ez = np.exp(z[~pos])
         sig[~pos] = ez / (1.0 + ez)
         g, w = d - d1 * sig, d1 * sig * (1.0 - sig)
-        dot = llaft.reference._dot
-        grad = np.column_stack([-dot(g, X), -stack.r - dot(z, g)])
+        grad = np.column_stack([-_dot(g, X), -stack.r - _dot(z, g)])
         hess = np.empty((2, 3, 3))
         hess[:, :2, :2] = np.matmul(-(X.transpose(0, 2, 1) * w[:, None, :]), X)
-        hess[:, :2, 2] = hess[:, 2, :2] = dot(g - w * z, X)
-        hess[:, 2, 2] = dot(z, g) - dot(w, z * z)
+        hess[:, :2, 2] = hess[:, 2, :2] = _dot(g - w * z, X)
+        hess[:, 2, 2] = _dot(z, g) - _dot(w, z * z)
         for a, b in zip(got, (ll, grad, hess)):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
         assert np.isfinite(got[1][0]).all() and np.isnan(got[1][1]).all()
@@ -562,7 +561,7 @@ class TestChainLogPosterior:
     def test_matches_model_log_posterior(self, trial):
         thetas = self.thetas_with_overflow(trial, np.random.default_rng(7),
                                            [4.1, 0.4, 0.02, -0.1], [0.3, 0.3, 0.01, 0.3], -1)
-        got = _chain_log_posterior(trial, self.PRIOR)(thetas)
+        got = _chain_log_posterior(DatasetStack.of([trial]), self.PRIOR)(thetas)
         assert got.shape == (60,)
         expected = [log_posterior(trial, ModelParams(theta[:-1], math.exp(theta[-1])),
                                   self.PRIOR) + theta[-1] for theta in thetas]
@@ -574,7 +573,7 @@ class TestChainLogPosterior:
         beta = np.array([4.1, 0.4, 0.02])
         largest = float((trial.log_time - trial.covariates @ beta).max())
         thetas = np.array([[*beta, math.log(largest / 709.9)], [4.1, 0.4, 0.02, -0.1]])
-        got = _chain_log_posterior(trial, self.PRIOR)(thetas)
+        got = _chain_log_posterior(DatasetStack.of([trial]), self.PRIOR)(thetas)
         expected = [log_posterior(trial, ModelParams(theta[:-1], math.exp(theta[-1])),
                                   self.PRIOR) + theta[-1] for theta in thetas]
         self.assert_constant_offset(got, expected)
@@ -584,7 +583,7 @@ class TestChainLogPosterior:
                                covariates=np.empty((0, 3)))
         rng = np.random.default_rng(8)
         thetas = rng.normal(0.0, 1.0, size=(50, 4))
-        got = _chain_log_posterior(data, WEAK_PRIOR)(thetas)
+        got = _chain_log_posterior(DatasetStack.of([data]), WEAK_PRIOR)(thetas)
         v0 = WEAK_PRIOR.coef_precision
         expected = [-0.5 * v0 * float((t[:-1] - WEAK_PRIOR.coef_mean) @ (t[:-1] - WEAK_PRIOR.coef_mean))
                     + inverse_gamma_log_pdf(WEAK_PRIOR.scale_params, math.exp(t[-1])) + t[-1]
@@ -594,7 +593,7 @@ class TestChainLogPosterior:
     def test_kernel_is_freed_without_the_cycle_collector(self, trial):
         # the kernel and its copies of the data must not outlive the chain
         # until a cyclic garbage collection, so it must not refer to itself
-        chain_lp = _chain_log_posterior(trial, self.PRIOR)
+        chain_lp = _chain_log_posterior(DatasetStack.of([trial]), self.PRIOR)
         chain_lp(np.array([[4.1, 0.4, 0.02, -0.1]]))
         alive = weakref.ref(chain_lp)
         enabled = gc.isenabled()
@@ -618,7 +617,7 @@ class TestChainLogPosterior:
         else:
             data, prior = generate_dataset(SimulationScenario(n=40, seed=2), 0), WEAK_PRIOR
             thetas = self.thetas_with_overflow(data, rng, [0.5, 1.0, -1.0, 0.0], 0.5, 17)
-        chain_lp = _chain_log_posterior(data, prior)
+        chain_lp = _chain_log_posterior(DatasetStack.of([data]), prior)
         alone = np.concatenate([chain_lp(theta[None]) for theta in thetas])
         assert np.all(np.isfinite(alone))
         for k in range(1, 10):
