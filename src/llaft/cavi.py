@@ -27,15 +27,17 @@ surrogate switching can otherwise cycle forever), or at the iteration cap,
 and records which of the three rules fired in `stop_reason`.
 
 `fit_batch` runs that loop over the replicates of a DatasetStack at once,
-from the start `initialize` gives: every update takes a DatasetStack and
-arrays with a leading replicate axis, and a replicate leaves the batch when
-it stops or fails. `fit` is a batch of one, so a single dataset and a batch
-go through the same arithmetic, and each replicate of a batch gets the
-result `fit` gives it alone, bit for bit. Inside the loop y - X mu is
-computed once per new mu and serves the linear-segment lookup, the omega
-update, the ELBO and the next iteration's plug-in residuals; psi(alpha) is
-computed once per replicate per fit, since alpha = alpha0 + r is fixed, and
-so are v0 I and v0 mu0. The stack carries 1 + delta.
+from the start `initialize` gives (the stack's least-squares start where a
+replicate has more events than covariates, the prior mean elsewhere): every
+update takes a DatasetStack and arrays with a leading replicate axis, and a
+replicate leaves the batch when it stops or fails. `fit` is a batch of one,
+so a single dataset and a batch go through the same arithmetic, and each
+replicate of a batch gets the result `fit` gives it alone, bit for bit.
+Inside the loop y - X mu is computed once per new mu and serves the
+linear-segment lookup, the omega update, the ELBO and the next iteration's
+plug-in residuals; psi(alpha) is computed once per replicate per fit, since
+alpha = alpha0 + r is fixed, and so are v0 I and v0 mu0. The stack carries
+1 + delta.
 
 No update raises: `_iterate` names, per replicate, the first of its checks
 that fails (`_FAILURES`); that replicate leaves the batch with the
@@ -129,14 +131,20 @@ class VariationalState:
 
 
 def initialize(stack: DatasetStack, prior: PriorSpec) -> tuple:
-    """The start `fit_batch` runs from, per replicate: mu = prior mean (R, p),
-    alpha = alpha0 (R,) and omega = omega0 (R,), so that the first
-    beta-update integrates against the prior Inverse-Gamma(alpha0, omega0).
-    Raises ValueError unless the prior mean has one entry per covariate."""
+    """The start `fit_batch` runs from, per replicate: mu (R, p) is the
+    least-squares beta of `stack.start` where the replicate has more events
+    than covariates (r > p), and the prior mean elsewhere, since least
+    squares on censored log-times ignores the censoring; alpha = alpha0 (R,)
+    and omega = omega0 (R,), so that the first beta-update integrates against
+    the prior Inverse-Gamma(alpha0, omega0). Raises ValueError unless the
+    prior mean has one entry per covariate."""
     prior.check_dimension(stack.p)
     R = len(stack)
-    return (np.tile(prior.coef_mean, (R, 1)), np.full(R, prior.scale_shape),
-            np.full(R, prior.scale_rate))
+    mu = np.tile(prior.coef_mean, (R, 1))
+    fits = stack.r > stack.p
+    if fits.any():
+        mu[fits] = stack.start[fits, :-1]
+    return mu, np.full(R, prior.scale_shape), np.full(R, prior.scale_rate)
 
 
 def _block_terms(stack, prior):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
 import time
@@ -36,49 +37,53 @@ def ingest_csv(path) -> SurvivalDataset:
     Every other column is taken as a covariate, order preserved, with an
     intercept column prepended. Rows violating the domain (a time that is not
     positive and finite, status not 0/1, a covariate that is not finite,
-    unparsable numbers) raise DataError naming the line.
+    unparsable numbers) raise DataError naming the line; bytes that are not
+    UTF-8 raise DataError naming the file.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8-sig")
+        with open(path, "rb") as fh:  # decoded whole, so an error has its file offset
+            text = fh.read().decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        for name in ("time", "status"):
-            if header.count(name) != 1:
-                raise DataError(f"{path}: header must contain {name!r} once, got {header}")
-        t_col, s_col = header.index("time"), header.index("status")
-        cov_cols = [j for j in range(len(header)) if j not in (t_col, s_col)]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+                        f"at offset {exc.start}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    for name in ("time", "status"):
+        if header.count(name) != 1:
+            raise DataError(f"{path}: header must contain {name!r} once, got {header}")
+    t_col, s_col = header.index("time"), header.index("status")
+    cov_cols = [j for j in range(len(header)) if j not in (t_col, s_col)]
 
-        times, events, rows = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                t = float(row[t_col])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad time value {row[t_col]!r}") from None
-            if not 0 < t < math.inf:
-                raise DataError(f"{path}:{lineno}: time must be positive and finite, got {t}")
-            s = row[s_col].strip()
-            if s not in ("0", "1"):
-                raise DataError(f"{path}:{lineno}: status must be 0 or 1, got {s!r}")
-            try:
-                cov = [float(row[j]) for j in cov_cols]
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad covariate value") from None
-            if not all(map(math.isfinite, cov)):
-                raise DataError(f"{path}:{lineno}: covariates must be finite, got {cov}")
-            times.append(t)
-            events.append(float(s))
-            rows.append(cov)
+    times, events, rows = [], [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+        try:
+            t = float(row[t_col])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad time value {row[t_col]!r}") from None
+        if not 0 < t < math.inf:
+            raise DataError(f"{path}:{lineno}: time must be positive and finite, got {t}")
+        s = row[s_col].strip()
+        if s not in ("0", "1"):
+            raise DataError(f"{path}:{lineno}: status must be 0 or 1, got {s!r}")
+        try:
+            cov = [float(row[j]) for j in cov_cols]
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad covariate value") from None
+        if not all(map(math.isfinite, cov)):
+            raise DataError(f"{path}:{lineno}: covariates must be finite, got {cov}")
+        times.append(t)
+        events.append(float(s))
+        rows.append(cov)
 
     if not times:
         raise DataError(f"{path}: no data rows")
@@ -157,7 +162,11 @@ def _build_prior(args, p: int) -> PriorSpec:
     else:
         base, mean = WEAK_PRIOR, np.zeros(p)
     if args.prior_mean is not None:
-        mean = np.array([float(v) for v in str(args.prior_mean).split(",")])
+        try:
+            mean = np.array([float(v) for v in str(args.prior_mean).split(",")])
+        except ValueError:
+            raise DataError(f"prior mean must be comma-separated numbers, "
+                            f"got {args.prior_mean!r}") from None
         if mean.shape[0] == 1:
             mean = np.full(p, mean[0])
         if mean.shape[0] != p:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -143,8 +144,9 @@ class DatasetStack:
 
     `log_time` and `event` are (R, n), `covariates` is (R, n, p) and `r`
     holds the R event counts as floats; `event1` = 1 + event is derived at
-    construction and `residuals` gives y - X beta, each row its replicate's
-    own. Every kernel on the data takes one; a dataset enters as a stack of one.
+    construction, `residuals` gives y - X beta and `start` the least-squares
+    start of the fits, each row its replicate's own. Every kernel on the data
+    takes one; a dataset enters as a stack of one.
     """
 
     log_time: np.ndarray
@@ -189,6 +191,20 @@ class DatasetStack:
     def residuals(self, beta: np.ndarray) -> np.ndarray:
         """y - X beta, (R, n), for the (R, p) coefficients beta."""
         return self.log_time - np.matmul(self.covariates, beta[..., None])[..., 0]
+
+    @cached_property
+    def start(self) -> np.ndarray:
+        """The (R, p+1) least-squares starts (beta, log b), read-only:
+        least squares of log-time on the covariates per replicate, then the
+        log of the residual SD times sqrt(3)/pi (the logistic scale of that
+        spread), at least 1e-3, by math.log, which np.log does not match to
+        the bit. Computed once per stack, on first use; `take` does not
+        carry it."""
+        beta = np.stack([np.linalg.lstsq(X, y, rcond=None)[0]
+                         for y, X in zip(self.log_time, self.covariates)])
+        resid_sd = np.std(self.residuals(beta), axis=-1)
+        scale = np.maximum(resid_sd * math.sqrt(3.0) / math.pi, 1e-3)
+        return _readonly(np.column_stack([beta, [math.log(v) for v in scale.tolist()]]))
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:

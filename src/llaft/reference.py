@@ -176,8 +176,9 @@ def fit_mle(data: SurvivalDataset) -> MleResult:
 def fit_mle_batch(stack: DatasetStack) -> list:
     """Fit the MLE of each replicate of a stack, all at once.
 
-    Each replicate starts from least squares of log-time on the covariates,
-    with the residual spread mapped to the logistic scale (sd * sqrt(3)/pi).
+    Each replicate starts from its row of `stack.start` (least squares of
+    log-time on the covariates, with the residual spread mapped to the
+    logistic scale), which the stack computes once for every fit that reads it.
     Each Newton iteration falls back to a scaled gradient step where the
     Hessian solve fails, and halves each replicate's step until its
     log-likelihood does not decrease. A replicate leaves the batch when its
@@ -191,7 +192,7 @@ def fit_mle_batch(stack: DatasetStack) -> list:
         return [NumericalError(
             f"need more observations than parameters (n={stack.n}, p={stack.p})")
             for _ in results]
-    theta = _start(stack)
+    theta = stack.start
     ids = np.arange(len(stack))  # the replicates still in the batch
     ll, grad, hess = loglik_grad_hess(stack, theta[:, :-1], theta[:, -1])
 
@@ -250,18 +251,6 @@ def _line_search(stack, theta, ll, grad, hess, step):
             break
         lam *= 0.5
     return theta, ll, grad, hess, pending
-
-
-def _start(stack) -> np.ndarray:
-    """The (R, p+1) starts (beta, log b) of a stack: least squares per
-    replicate, then for the whole block the log of the residual SD times
-    sqrt(3)/pi, at least 1e-3 (by math.log, which np.log does not match to
-    the bit)."""
-    beta = np.stack([np.linalg.lstsq(X, y, rcond=None)[0]
-                     for y, X in zip(stack.log_time, stack.covariates)])
-    resid_sd = np.std(stack.residuals(beta), axis=-1)
-    scale = np.maximum(resid_sd * math.sqrt(3.0) / math.pi, 1e-3)
-    return np.column_stack([beta, [math.log(v) for v in scale.tolist()]])
 
 
 def _mle_results(theta, ll, hess, iterations, gradient_norm) -> list:
@@ -353,7 +342,7 @@ def sample_posterior(data: SurvivalDataset, prior: PriorSpec, n_iterations: int,
 
     stack = DatasetStack.of([data])
     if data.n > data.p:
-        theta = _start(stack)[0]
+        theta = stack.start[0]
     else:
         prior_scale_mean = prior.scale_rate / max(prior.scale_shape - 1.0, 0.5)
         theta = np.append(prior.coef_mean, math.log(prior_scale_mean))

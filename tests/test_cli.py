@@ -29,6 +29,11 @@ TINY = """time,status,x
 4.0,0,0.3
 """
 
+# 160 censored times at log time -0.5 on two covariates: with no events, VB
+# starts at the prior mean, and the default and strong priors both fail
+ALL_CENSORED = "time,status,x1,x2\n" + "".join(
+    f"0.6065306597126334,0,{i % 2},{i % 3}\n" for i in range(160))
+
 
 class TestIngest:
     def test_basic_row_semantics(self, tmp_path):
@@ -102,6 +107,17 @@ class TestIngest:
         marked = ingest_csv(path)
         for name in ("time", "event", "covariates"):
             assert getattr(marked, name).tobytes() == getattr(plain, name).tobytes()
+
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"])
+    def test_non_utf8_bytes_name_the_file(self, tmp_path, capsys, mark):
+        # a Latin-1 byte once left the decoder's own message, naming no file
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(mark + b"time,status,x\n1,1,0.5\n2,0,x\xe9\n")
+        message = f"{path}: not UTF-8 text: byte 0xe9 at offset {len(mark) + 27}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            ingest_csv(path)
+        assert main(["fit", "--data", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestOneParser:
@@ -216,18 +232,25 @@ class TestFitCommand:
                      "--prior-rate", "1"])
         assert code == 1
 
-    def test_failure_on_the_default_prior_names_the_prior_flags(self, capsys):
-        # the zero-mean default prior cannot fit the bundled trial data
-        assert main(["fit", "--data", str(rhdnase_path())]) == 1
+    def test_bundled_trial_file_fits_at_the_default_prior(self):
+        # the least-squares start reaches the trial's intercept of ~4 that the
+        # zero prior mean is far from
+        assert main(["fit", "--data", str(rhdnase_path()), "--methods", "vb,mle"]) == 0
+
+    def test_failure_on_the_default_prior_names_the_prior_flags(self, tmp_path, capsys):
+        # no events, so VB starts at the prior mean, and omega falls below 0
+        data = write(tmp_path / "censored.csv", ALL_CENSORED)
+        assert main(["fit", "--data", data]) == 1
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ")
         assert "default prior" in err and "--prior-mean" in err
-        assert main(["fit", "--data", str(rhdnase_path()), "--prior-rate", "10"]) == 1
+        assert main(["fit", "--data", data, "--prior-rate", "10"]) == 1
         assert "--prior-mean" not in capsys.readouterr().err
 
-    def test_failure_on_a_preset_names_the_preset_and_the_prior_flags(self, capsys):
-        # the strong preset as it stands cannot fit the bundled trial data
-        assert main(["fit", "--data", str(rhdnase_path()), "--prior-preset", "strong",
+    def test_failure_on_a_preset_names_the_preset_and_the_prior_flags(self, tmp_path, capsys):
+        # the strong preset as it stands cannot fit the all-censored data
+        data = write(tmp_path / "censored.csv", ALL_CENSORED)
+        assert main(["fit", "--data", data, "--prior-preset", "strong",
                      "--methods", "vb"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ")
@@ -235,7 +258,7 @@ class TestFitCommand:
                 in err)
         assert "--prior-mean" in err and "--prior-rate" in err
         # a prior flag overriding the preset leaves the hint out
-        assert main(["fit", "--data", str(rhdnase_path()), "--prior-preset", "strong",
+        assert main(["fit", "--data", data, "--prior-preset", "strong",
                      "--prior-rate", "10", "--methods", "vb"]) == 1
         assert "--prior-mean" not in capsys.readouterr().err
 
@@ -268,13 +291,13 @@ class TestFitCommand:
 # --prior-preset weak --methods vb,mle --seed 1`, the benchmark's study_n300
 # op, for each of its censoring cells U
 STUDY_REPORT_SHA256 = {
-    "0": "4f35f9db9983bf9ab824543bae09a672816af23bb0e75e3bf20bcf749677d0f0",
-    "48": "fbacf141ee52ea29b6b47e2b0d7947d884a5e6b2fbb1c0f301677f03b0ff07a1",
-    "17": "04cadf3a654039a42053a45a09187c0e49c4ce8cdc7d5bcbf2d4f0ecf7303841",
+    "0": "a7af6d6838c511d455bf74a5561e50df14b964876269f2b76054e0e30d17713d",
+    "48": "d5d848655e87bacce6b5493dca9124e70fbb044ecefb35baf910b3df7cf17087",
+    "17": "d5f3aae704d0a13dedd3133725e6a3683f167629cacf2e07dcffd30f1855207e",
 }
 # sha256 of the report of `replicate --n 50 --replicates 3 --methods
 # vb,mle,mcmc --seed 1 --mcmc-iterations 1000 --mcmc-burn-in 200`
-THREE_METHOD_STUDY_SHA256 = "5c1675b61125527e1b7358783b337f86ff37b21375ce7ce1c624b54657f28564"
+THREE_METHOD_STUDY_SHA256 = "9ab83c95178a6474514727bf0426701c03ad2b1950c77ef0035748d281593dd9"
 
 
 class TestReplicateCommand:
@@ -398,6 +421,18 @@ class TestFlagValidation:
         assert err.startswith("error: burn_in") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_numeric_prior_mean_names_the_prior_mean(self, tmp_path, capsys, source):
+        # float()'s own message named neither the flag nor the config key
+        if source == "flag":
+            argv, value = ["--prior-mean", "a,b,c"], "a,b,c"
+        else:
+            argv, value = ["--config", write(tmp_path / "c.cfg", "prior_mean = x\n")], "x"
+        assert main(["replicate", "--replicates", "1", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: prior mean must be comma-separated numbers, got {value!r}\n"
+
     @pytest.mark.parametrize("argv,field", [
         (["fit", "--prior-mean", "nan", "--methods", "mcmc"], "coef_mean"),
         (["fit", "--prior-precision", "inf", "--methods", "vb,mcmc"], "coef_precision"),
@@ -486,7 +521,7 @@ class TestApproxCheckCommand:
 
 # sha256 of the compare report of the benchmark's trial_compare op at seed 1:
 # the bundled rhDNase file with the README prior
-TRIAL_REPORT_SHA256 = "ffb7a398743475f832490bf53fde0da61515174bcf12609d5a833432b6a368ea"
+TRIAL_REPORT_SHA256 = "a3f17db6261f0447699a0c2ec2e309dfcfe7e172d1855dd1237ef82078554319"
 # sha256 of the `fit --methods mcmc` report on the same data and prior at seed
 # 5, with a schedule (2301 iterations, burn-in 1999) whose burn-in ends inside
 # an adaptation window and whose sampling ends inside a stream block

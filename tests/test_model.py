@@ -96,17 +96,39 @@ class TestDatasetStack:
 
     @pytest.mark.parametrize("source", ["of", "take_mask", "take_index", "generate_block"])
     def test_rows_are_each_replicate_alone(self, source):
-        # the batch kernels drop and keep rows of a stack, so 1 + delta and
-        # y - X beta of a row must be its replicate's own, bit for bit
+        # the batch kernels drop and keep rows of a stack, so 1 + delta,
+        # y - X beta and the start of a row must be its replicate's own, bit
+        # for bit
         stack, datasets = self.stack_and_replicates(source)
         beta = np.random.default_rng(4).normal(size=(len(stack), stack.p))
         residuals = stack.residuals(beta)
         assert stack.event1.shape == residuals.shape == (len(datasets), stack.n)
+        assert stack.start.shape == (len(datasets), stack.p + 1)
         for j, data in enumerate(datasets):
             alone = DatasetStack.of([data])
             assert np.array_equal(alone.event1[0], 1.0 + data.event)
             assert stack.event1[j].tobytes() == alone.event1[0].tobytes()
             assert residuals[j].tobytes() == alone.residuals(beta[j:j + 1])[0].tobytes()
+            assert stack.start[j].tobytes() == alone.start[0].tobytes()
+
+    def test_start_is_least_squares_and_the_logistic_scale_of_its_residuals(self):
+        data = generate_dataset(self.SCENARIO, 2)
+        start = DatasetStack.of([data]).start[0]
+        beta = np.linalg.lstsq(data.covariates, data.log_time, rcond=None)[0]
+        sd = np.std(data.log_time - data.covariates @ beta)
+        assert np.allclose(start[:-1], beta, rtol=1e-12, atol=0.0)
+        assert start[-1] == pytest.approx(math.log(sd * math.sqrt(3.0) / math.pi), rel=1e-12)
+        # residuals of an exact fit give the floor of the scale, 1e-3
+        exact = make_dataset([0.5, 1.0, 1.5], [1, 1, 0], [[0.0], [1.0], [2.0]])
+        assert DatasetStack.of([exact]).start[0, -1] == math.log(1e-3)
+
+    def test_start_is_computed_once_and_read_only(self):
+        stack, _ = self.stack_and_replicates("of")
+        start = stack.start
+        assert stack.start is start
+        assert not start.flags.writeable
+        with pytest.raises(ValueError):
+            start[0, 0] = 0.0
 
 
 class TestSoftplus:

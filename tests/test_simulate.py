@@ -263,11 +263,9 @@ class TestRunReplication:
         with pytest.raises(NumericalError, match="method mle failed on 2/2"):
             run_replication(sc, WEAK_PRIOR, methods=("mle",), max_failure_rate=1.0)
 
-    @pytest.mark.xfail(strict=True, raises=NumericalError, reason=(
-        "ROADMAP item 1: VB starts at the prior mean 0, far from the intercept 3, "
-        "and 419 of the 500 fits fail (omega <= 0)"))
     def test_vb_keeps_its_fits_when_the_intercept_is_far_from_the_prior_mean(self):
-        # 79% censored, n = 50: the OLS start where r > p fails 4 of 500
+        # 79% censored, n = 50: the least-squares start where r > p fails 4 of
+        # 500; the prior mean 0, far from the intercept 3, failed 419
         sc = SimulationScenario(n=50, censor_bound=25.0, n_replicates=500, seed=11,
                                 true_coefficients=np.array([3.0, 0.2, 0.8]))
         report, = run_replication(sc, WEAK_PRIOR, methods=("vb",))
@@ -289,6 +287,19 @@ class TestRunReplication:
         at = lines.index("# nonconverged: vb=0 mle=0")
         assert lines[at + 1] == f"# cycles: vb={vb.n_cycles} mle=0"
         assert f"cycles  vb: {vb.n_cycles}  mle: 0" in report_text_table([vb, mle], sc)
+
+    def test_vb_and_the_mle_share_one_least_squares_start(self, monkeypatch):
+        # every replicate has r > p, so both fits of each block (3, 3 and 1
+        # replicates) read the block's start, one least-squares solve per
+        # replicate
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        monkeypatch.setattr(llaft.simulate, "_BLOCK_SIZE", 3)
+        sc = SimulationScenario(n=40, n_replicates=7, seed=5)
+        vb, mle = run_replication(sc, WEAK_PRIOR, methods=("vb", "mle"))
+        assert vb.n_replicates == mle.n_replicates == 7
+        assert len(calls) == 7
 
     def test_block_size_does_not_change_reports(self, monkeypatch):
         sc = SimulationScenario(n=40, censor_bound=17.0, n_replicates=7, seed=5)
