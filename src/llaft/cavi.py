@@ -46,6 +46,7 @@ iteration's error, as the stopped ones do, and the others go on.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +88,9 @@ class FitConfig:
         if not 0 < self.elbo_tolerance < math.inf:
             raise ValueError(f"elbo_tolerance must be positive and finite, "
                              f"got {self.elbo_tolerance}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        if not (isinstance(self.max_iterations, numbers.Integral) and self.max_iterations >= 1):
+            raise ValueError(f"max_iterations must be an integer of at least 1, "
+                             f"got {self.max_iterations!r}")
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ scores them one at a time.
 
 The sampler's randomness comes from the counter-based streams of `numerics`,
 the ones that generate the study data: a chain's proposal normals and accept
-uniforms are values of the stream of (seed, ROLE_MCMC), read a block of
-iterations at a time, the normals through `normal_quantile`.
+uniforms are values of the stream of (seed, ROLE_MCMC), read once per
+chain, the normals through `normal_quantile`.
 """
 from __future__ import annotations
 
@@ -46,11 +46,7 @@ MCMC_ITERATIONS = 5000
 MCMC_BURN_IN = 1000
 MCMC_SEED = 0
 
-# Burn-in adapts the proposal at the end of each window of _WINDOW
-# iterations. A chain reads its stream at most _BLOCK iterations at a time,
-# so its working memory does not grow with n_iterations.
-_WINDOW = 100
-_BLOCK = 1000
+_WINDOW = 100  # burn-in adapts the proposal at the end of each window of this many steps
 # Proposals scored in one call of the chain's log posterior. A call costs
 # about as much as five rows, and at the rhDNase chain's acceptance rate of
 # 0.33 the chain moves 2.4 steps per call of 4 rows (2.8 of 6), which makes 4
@@ -322,7 +318,7 @@ def sample_posterior(data: SurvivalDataset, prior: PriorSpec, n_iterations: int,
     Burn-in runs in windows of _WINDOW iterations. After each full one (a
     last, shorter one adapts nothing) a global step multiplier chases a
     20-40% acceptance rate and per-component scales track running posterior
-    spreads. Sampling then runs, with both frozen, in blocks of _BLOCK.
+    spreads. Sampling then runs, with both frozen, as one block of steps.
     Draws are returned with the scale mapped back to b. The acceptance rate,
     and the warning when it is pathological, count the kept draws only.
 
@@ -332,9 +328,10 @@ def sample_posterior(data: SurvivalDataset, prior: PriorSpec, n_iterations: int,
     uniform. So the draws are a pure function of the arguments, and a chain
     with the same seed and burn-in but fewer iterations is a prefix of this
     one. The proposals are scored _PREFETCH at a time (see
-    `_metropolis_block`), with the same draws as one at a time. Raises
-    ValueError when `check_chain_length` does, or on a prior mean whose
-    dimension is not the data's.
+    `_metropolis_block`), with the same draws as one at a time. The chain
+    reads its whole stream at once, so its memory is a small multiple of its
+    draws. Raises ValueError when `check_chain_length` does, or on a prior
+    mean whose dimension is not the data's.
     """
     check_chain_length(n_iterations, burn_in)
     prior.check_dimension(data.p)
@@ -355,18 +352,16 @@ def sample_posterior(data: SurvivalDataset, prior: PriorSpec, n_iterations: int,
     # states so far, with the squared deviations seeded at 1e-4
     count, mean, m2 = 1, theta.copy(), np.full(dim, 1e-4)
     window = np.empty((_WINDOW, dim))  # the states of the current window
-
-    def run(t, out):
-        # `_metropolis_block` of the steps t, t + 1, ..., one per row of out
-        u = uniform_stream(seed, 0, ROLE_MCMC, len(out) * (dim + 1),
-                           start=t * (dim + 1)).reshape(len(out), dim + 1)
-        return _metropolis_block(
-            log_posterior, theta, lp, normal_quantile(u[:, :dim]) * (mult * scales),
-            np.log(u[:, dim].copy()).tolist(), out)
+    u = uniform_stream(seed, 0, ROLE_MCMC, n_iterations * (dim + 1)).reshape(-1, dim + 1)
+    normals, log_u = normal_quantile(u[:, :dim]), np.log(u[:, dim].copy()).tolist()
+    del u
 
     for t in range(0, burn_in, _WINDOW):
-        theta, lp, accepted = run(t, window[:burn_in - t])
-        if burn_in - t < _WINDOW:  # the last, shorter window adapts nothing
+        end = min(t + _WINDOW, burn_in)
+        theta, lp, accepted = _metropolis_block(
+            log_posterior, theta, lp, normals[t:end] * (mult * scales), log_u[t:end],
+            window[:end - t])
+        if end - t < _WINDOW:  # the last, shorter window adapts nothing
             break
         rate = accepted / _WINDOW
         if rate < 0.20:
@@ -385,10 +380,8 @@ def sample_posterior(data: SurvivalDataset, prior: PriorSpec, n_iterations: int,
         scales = np.maximum(np.sqrt(m2 / (count - 1)), 1e-3)
 
     draws = np.empty((n_iterations - burn_in, dim))
-    accepted_kept = 0
-    for t in range(burn_in, n_iterations, _BLOCK):
-        theta, lp, accepted = run(t, draws[t - burn_in:t - burn_in + _BLOCK])
-        accepted_kept += accepted
+    accepted_kept = _metropolis_block(
+        log_posterior, theta, lp, normals[burn_in:] * (mult * scales), log_u[burn_in:], draws)[2]
 
     draws[:, -1] = np.exp(draws[:, -1])
     rate = accepted_kept / (n_iterations - burn_in)

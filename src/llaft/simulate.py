@@ -91,7 +91,13 @@ class SimulationScenario:
         if not 0 <= self.censor_bound < np.inf:
             raise ValueError(f"censor_bound must be nonnegative and finite, "
                              f"got {self.censor_bound}")
-        object.__setattr__(self, "true_coefficients", _readonly(self.true_coefficients))
+        if not 0 < self.true_scale < np.inf:
+            raise ValueError(f"true_scale must be positive and finite, got {self.true_scale}")
+        coefficients = _readonly(self.true_coefficients)
+        if coefficients.shape != (3,) or not np.isfinite(coefficients).all():
+            raise ValueError("true_coefficients must be 3 finite numbers (intercept, x1, x2), "
+                             f"got {self.true_coefficients!r}")
+        object.__setattr__(self, "true_coefficients", coefficients)
 
     @property
     def true_values(self) -> np.ndarray:

@@ -596,6 +596,10 @@ class TestFitConfig:
             FitConfig(elbo_tolerance=0.0)
         with pytest.raises(ValueError):
             FitConfig(max_iterations=0)
+        for value in (2.5, 100.0, "100", None):
+            with pytest.raises(ValueError, match="max_iterations must be an integer"):
+                FitConfig(max_iterations=value)
+        assert FitConfig(max_iterations=np.int64(3)).max_iterations == 3
 
     def test_defaults(self):
         cfg = FitConfig()

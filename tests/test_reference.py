@@ -377,16 +377,16 @@ class TestSamplePosterior:
             m.append(np.median(chain.draws, axis=0))
         assert np.all(np.abs(m[0] - m[1]) < 0.08)
 
-    def test_draws_do_not_depend_on_block_size(self, monkeypatch):
-        # burn-in 350 ends inside a window, so the last burn-in block is partial
+    def test_chain_reads_its_stream_once(self, monkeypatch):
         data = generate_dataset(SimulationScenario(n=40, censor_bound=17.0, seed=2), 0)
-        chains = []
-        for block in (1, 7, llaft.reference._BLOCK):
-            monkeypatch.setattr(llaft.reference, "_BLOCK", block)
-            chains.append(sample_posterior(data, WEAK_PRIOR, 1_500, 350, seed=4))
-        for chain in chains[1:]:
-            assert np.array_equal(chain.draws, chains[0].draws)
-            assert chain.acceptance_rate == chains[0].acceptance_rate
+        calls = {"uniform_stream": 0, "normal_quantile": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(llaft.reference, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(llaft.reference, name, counted)
+        sample_posterior(data, WEAK_PRIOR, 5_000, 1_000, seed=4)
+        assert calls == {"uniform_stream": 1, "normal_quantile": 1}
 
     @pytest.mark.parametrize("dataset", ["simulated", "trial"])
     def test_draws_do_not_depend_on_prefetch_depth(self, monkeypatch, request, dataset):
@@ -512,8 +512,8 @@ class TestTrialData:
 
 
 # (n_iterations, burn_in) of chains whose burn-in ends inside a window of
-# `_WINDOW` or whose sampling ends inside a block of `_BLOCK`, and the golden
-# chain's schedule
+# `_WINDOW`, is empty, or is whole windows before an odd-length sampling
+# phase, and the golden chain's schedule
 ODD_SCHEDULES = [(1050, 250), (2301, 1999), (2399, 199), (1234, 100), (100, 98), (3, 1),
                  (2501, 0), (5000, 1000)]
 # sha256 of every chain of ODD_SCHEDULES at seed 5 on the trial data with the

@@ -64,6 +64,17 @@ class TestSimulationScenario:
         with pytest.raises(ValueError, match="censor_bound"):
             SimulationScenario(n=10, censor_bound=bound)
 
+    @pytest.mark.parametrize("scale", [-0.5, 0.0, np.nan, np.inf])
+    def test_true_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(ValueError, match="true_scale"):
+            SimulationScenario(n=10, true_scale=scale)
+
+    @pytest.mark.parametrize("coefficients", [[0.5, 0.2], [0.5, 0.2, 0.8, 0.1], [[0.5, 0.2, 0.8]],
+                                              [0.5, np.nan, 0.8], [np.inf, 0.2, 0.8]])
+    def test_true_coefficients_must_be_three_finite_numbers(self, coefficients):
+        with pytest.raises(ValueError, match="true_coefficients"):
+            SimulationScenario(n=10, true_coefficients=np.array(coefficients))
+
 
 class TestGenerateDataset:
     def test_covariate_distributions(self):
