@@ -17,17 +17,30 @@ from functools import cache
 
 import numpy as np
 
-from .cavi import FitConfig, fit
+from .cavi import FitConfig
 from .exceptions import DataError, NumericalError
-from .model import PriorSpec, SurvivalDataset
+from .model import DatasetStack, PriorSpec, SurvivalDataset
 from .piecewise import LINEAR_KNOTS, fit_linear_breakpoints, table_max_error, table_sse
-from .reference import (MCMC_BURN_IN, MCMC_ITERATIONS, MCMC_SEED, check_chain_length, fit_mle,
-                        sample_posterior)
-from .simulate import (STRONG_PRIOR, WEAK_PRIOR, SimulationScenario, _fmt6, check_methods,
-                       format_table, report_text_table, run_replication, summarize_fits,
-                       write_report_csv)
+from .reference import MCMC_BURN_IN, MCMC_ITERATIONS, MCMC_SEED, check_chain_length
+from .simulate import (_METHODS, STRONG_PRIOR, WEAK_PRIOR, SimulationScenario, _fmt6,
+                       check_methods, fit_summaries, format_table, report_text_table,
+                       run_replication, write_report_csv)
 
 __all__ = ["ingest_csv", "load_config", "main"]
+
+
+def _read_utf8(path, what: str) -> str:
+    """The text of a UTF-8 file (a byte-order mark is skipped), or DataError:
+    "cannot open {what}{path}: ...", or the file and offset of a byte that
+    is not UTF-8."""
+    try:
+        with open(path, "rb") as fh:  # decoded whole, so an error has its file offset
+            return fh.read().decode("utf-8").removeprefix("\ufeff")
+    except OSError as exc:
+        raise DataError(f"cannot open {what}{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+                        f"at offset {exc.start}") from None
 
 
 def ingest_csv(path) -> SurvivalDataset:
@@ -40,15 +53,7 @@ def ingest_csv(path) -> SurvivalDataset:
     unparsable numbers) raise DataError naming the line; bytes that are not
     UTF-8 raise DataError naming the file.
     """
-    try:
-        with open(path, "rb") as fh:  # decoded whole, so an error has its file offset
-            text = fh.read().decode("utf-8").removeprefix("\ufeff")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
-                        f"at offset {exc.start}") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(_read_utf8(path, ""), newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -93,21 +98,18 @@ def ingest_csv(path) -> SurvivalDataset:
 
 
 def load_config(path) -> dict:
-    """Flat key = value configuration file; '#' starts a comment."""
+    """Flat key = value configuration file in UTF-8, read as `ingest_csv`
+    reads its file; '#' starts a comment."""
     out = {}
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise DataError(f"cannot open config {path}: {exc}") from exc
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+    lines = io.StringIO(_read_utf8(path, "config "), newline=None)  # any line ending
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}:{lineno}: expected key = value, got {raw!r}")
+        key, value = line.split("=", 1)
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
@@ -205,36 +207,14 @@ def _fit_config(args) -> FitConfig:
     return FitConfig(**_given(args, elbo_tolerance="elbo_tol", max_iterations="max_iter"))
 
 
-def _mcmc_run(args) -> dict:
-    """The chain's length, burn-in and seed, checked before any fit runs."""
+def _mcmc_run(args) -> tuple:
+    """The chain's length, burn-in and seeds (the one --seed), checked
+    before any fit runs."""
     run = {"n_iterations": MCMC_ITERATIONS, "burn_in": MCMC_BURN_IN, "seed": MCMC_SEED,
            **_given(args, n_iterations="mcmc_iterations", burn_in="mcmc_burn_in",
                     seed="seed")}
     check_chain_length(run["n_iterations"], run["burn_in"])
-    return run
-
-
-def _method_summaries(method, data, prior, config, mcmc_run):
-    """[(parameter, mean, sd, low, high, kind)] plus the elapsed time; a fit
-    that did not settle is reported on stderr."""
-    start = time.perf_counter()
-    try:
-        if method == "vb":
-            result = fit(data, prior, config)
-        elif method == "mle":
-            result = fit_mle(data)
-        else:
-            result = sample_posterior(data, prior, **mcmc_run)
-        outcome, = summarize_fits(method, [result])
-        if isinstance(outcome, NumericalError):
-            raise outcome
-    except NumericalError as exc:
-        exc.method = method
-        raise
-    rows, note, _ = outcome
-    if note is not None:
-        print(f"warning: {method}: {note}", file=sys.stderr)
-    return rows, time.perf_counter() - start
+    return run["n_iterations"], run["burn_in"], [run["seed"]]
 
 
 def _write_summary_csv(path, all_rows):
@@ -247,17 +227,28 @@ def _write_summary_csv(path, all_rows):
 
 def _dataset_fits(args):
     """Yields (data, method, rows, elapsed) as each fit of `fit` (its
-    --methods) or `compare` (all three) on --data completes. Checked before
-    any fit, in order: --data, the methods, the chain length, the file."""
+    --methods) or `compare` (every method) on --data completes. Checked before
+    any fit, in order: --data, the methods, the chain length, the file. The
+    methods fit one stack of the data, which solves its least-squares start
+    once, and a fit that did not settle is reported on stderr."""
     if not args.data:
         raise DataError(f"{args.command} requires --data")
-    methods = _methods(args, "vb") if args.command == "fit" else ("vb", "mle", "mcmc")
-    mcmc_run = _mcmc_run(args) if "mcmc" in methods else None
+    methods = _methods(args, "vb") if args.command == "fit" else list(_METHODS)
+    chain = _mcmc_run(args) if "mcmc" in methods else None
     data = ingest_csv(args.data)
     prior = _build_prior(args, data.p)
     config = _fit_config(args)
+    stack = DatasetStack.of([data])
     for method in methods:
-        yield data, method, *_method_summaries(method, data, prior, config, mcmc_run)
+        start = time.perf_counter()
+        outcome, = fit_summaries(method, stack, prior, config, chain)
+        if isinstance(outcome, NumericalError):  # the fits return their errors
+            outcome.method = method
+            raise outcome
+        rows, note, _ = outcome
+        if note is not None:
+            print(f"warning: {method}: {note}", file=sys.stderr)
+        yield data, method, rows, time.perf_counter() - start
 
 
 def cmd_fit(args) -> int:
@@ -330,8 +321,8 @@ def cmd_compare(args) -> int:
         table.append(row)
     print(format_table(table))
     ratio = timings["mcmc"] / max(timings["vb"], 1e-9)
-    print(f"\ntimings: vb {timings['vb']:.3f}s, mle {timings['mle']:.3f}s, "
-          f"mcmc {timings['mcmc']:.3f}s  (mcmc/vb = {ratio:.0f}x)")
+    print(f"\ntimings: {', '.join(f'{m} {t:.3f}s' for m, t in timings.items())}"
+          f"  (mcmc/vb = {ratio:.0f}x)")
     if args.out:
         _write_summary_csv(args.out, all_rows)
     return 0

@@ -311,9 +311,10 @@ def check_chain_length(n_iterations: int, burn_in: int) -> None:
                          f"burn_in={burn_in} with n_iterations={n_iterations}")
 
 
-def sample_posterior(data: SurvivalDataset, prior: PriorSpec, n_iterations: int,
-                     burn_in: int, seed: int) -> McmcChain:
-    """Joint Gaussian random-walk Metropolis over (beta, log b).
+def sample_posterior(data: SurvivalDataset | DatasetStack, prior: PriorSpec,
+                     n_iterations: int, burn_in: int, seed: int) -> McmcChain:
+    """Joint Gaussian random-walk Metropolis over (beta, log b), on a
+    dataset or a DatasetStack of one.
 
     Burn-in runs in windows of _WINDOW iterations. After each full one (a
     last, shorter one adapts nothing) a global step multiplier chases a
@@ -330,14 +331,16 @@ def sample_posterior(data: SurvivalDataset, prior: PriorSpec, n_iterations: int,
     one. The proposals are scored _PREFETCH at a time (see
     `_metropolis_block`), with the same draws as one at a time. The chain
     reads its whole stream at once, so its memory is a small multiple of its
-    draws. Raises ValueError when `check_chain_length` does, or on a prior
-    mean whose dimension is not the data's.
+    draws. Raises ValueError when `check_chain_length` does, on a prior
+    mean whose dimension is not the data's, or on a stack of more than one.
     """
     check_chain_length(n_iterations, burn_in)
     prior.check_dimension(data.p)
+    stack = data if isinstance(data, DatasetStack) else DatasetStack.of([data])
+    if len(stack) != 1:
+        raise ValueError(f"a chain runs on one dataset, got a stack of {len(stack)}")
     dim = data.p + 1
 
-    stack = DatasetStack.of([data])
     if data.n > data.p:
         theta = stack.start[0]
     else:

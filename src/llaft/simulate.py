@@ -9,10 +9,14 @@ A study generates each block of replicates as one DatasetStack: each
 role's streams for the whole block in one pass, and every transform on
 (R, n) arrays except X beta, one product per replicate. A replicate's data
 are the same bits in any block, and `generate_dataset` is the block of one.
-The Metropolis chain of replicate i gets the seed `stream_seed(seed, i,
-ROLE_MCMC)`, and `reference.sample_posterior` reads its proposals and accept
-uniforms from the stream of that seed, so a study has one source of
-randomness.
+
+The estimators are one table, `_METHODS`: per name (vb, mle, mcmc, in the
+order reports list them), a function that fits a DatasetStack, one result
+or NumericalError per replicate, and one that summarizes those. A study
+block and the CLI's `fit` and `compare` (a block of one) run it through
+`fit_summaries`. The chain of replicate i gets the seed `stream_seed(seed,
+i, ROLE_MCMC)`, whose stream `reference.sample_posterior` reads, so a study
+has one source of randomness.
 """
 from __future__ import annotations
 
@@ -39,6 +43,7 @@ __all__ = [
     "generate_dataset",
     "aggregate_estimates",
     "check_methods",
+    "fit_summaries",
     "summarize_fits",
     "run_replication",
     "write_report_csv",
@@ -59,9 +64,6 @@ _BLOCK_SIZE = 50
 
 # The level of every interval a study summary reports.
 _LEVEL = 0.95
-
-# The estimators a study can run, in the order its reports list them.
-_METHODS = ("vb", "mle", "mcmc")
 
 
 def stream_seed(seed: int, replicate: int, role: int) -> int:
@@ -191,10 +193,70 @@ def aggregate_estimates(estimates: np.ndarray, intervals: np.ndarray,
                  for name, *row in zip(names, bias, sd, mse, coverage, length))
 
 
+def _vb_summaries(fits) -> list:
+    # a VB fit's scale summary stands in for the fit where it failed
+    scales = summarize_scale(fits, _LEVEL)
+    kept = [fit for fit, scale in zip(fits, scales) if not isinstance(scale, NumericalError)]
+    etis = iter(_etis(kept, normal_quantile(0.5 * (1.0 + _LEVEL))) if kept else ())
+    out = []
+    for fit, scale in zip(fits, scales):
+        if isinstance(scale, NumericalError):
+            out.append(scale)
+            continue
+        rows = [(f"beta{j}", *eti, "ETI") for j, eti in enumerate(next(etis))]
+        rows.append(("scale", scale.mean, scale.sd, scale.interval_low,
+                     scale.interval_high, scale.interval_kind))
+        note = (None if fit.converged else
+                f"stopped at the iteration cap after {fit.iterations} iterations")
+        out.append((rows, note, fit.stop_reason == "cycle"))
+    return out
+
+
+def _each(summary):
+    """Summarizes fits one at a time, passing errors through."""
+    return lambda fits: [fit if isinstance(fit, NumericalError) else summary(fit)
+                         for fit in fits]
+
+
+def _mle_summary(fit) -> tuple:
+    se = np.sqrt(np.diag(fit.covariance))
+    ends = fit.wald_intervals(_LEVEL)
+    rows = [(f"beta{j}", float(m), float(s), *iv, "Wald")
+            for j, (m, s, iv) in enumerate(zip(fit.coefficients, se, ends))]
+    rows.append(("scale", fit.scale, fit.scale_se, *ends[-1], "Wald-log"))
+    return rows, None, False
+
+
+def _mcmc_summary(chain) -> tuple:
+    q = [50.0 - 50.0 * _LEVEL, 50.0 + 50.0 * _LEVEL]
+    rows = [(f"beta{j}", float(d.mean()), float(d.std(ddof=1)),
+             *map(float, np.percentile(d, q)), "ETI")
+            for j, d in enumerate(chain.coefficient_draws.T)]
+    d = chain.scale_draws
+    rows.append(("scale", float(d.mean()), float(d.std(ddof=1)),
+                 *hdi_from_draws(d, _LEVEL), "HDI"))
+    return rows, chain.warning, False
+
+
+def _chains(stack, prior, config, chain) -> list:
+    """One chain per replicate; a stack of one runs as it is, with its start."""
+    n_iterations, burn_in, seeds = chain
+    return [sample_posterior(stack if len(stack) == 1 else stack.take([j]), prior,
+                             n_iterations, burn_in, seed) for j, seed in enumerate(seeds)]
+
+
+# Each fit looks fit_batch, fit_mle_batch or sample_posterior up by its name
+# here when it runs, so a patched or traced one is the one called.
+_METHODS = {
+    "vb": (lambda stack, prior, config, chain: fit_batch(stack, prior, config), _vb_summaries),
+    "mle": (lambda stack, prior, config, chain: fit_mle_batch(stack), _each(_mle_summary)),
+    "mcmc": (_chains, _each(_mcmc_summary)),
+}
+
+
 def summarize_fits(method: str, fits) -> list:
-    """One summary per fit of `method` ("vb", "mle" or "mcmc"), in order:
-    (rows, note, cycled), or the fit's NumericalError passed through. The
-    CLI and the replication study both summarize here.
+    """One summary per fit of `method`, in order: (rows, note, cycled), or
+    the fit's NumericalError passed through.
 
     rows are (parameter, mean, sd, low, high, kind), beta0, beta1, ... and
     then the scale, with intervals at the level `_LEVEL` (95%). VB gives
@@ -206,40 +268,15 @@ def summarize_fits(method: str, fits) -> list:
     N iterations" for a VB fit, the sampler's warning for a flagged chain,
     and None for a fit that settled. cycled marks a VB fit stopped by cycle
     detection."""
-    fits = list(fits)
-    # a VB fit's scale summary stands in for the fit where it failed
-    scales = summarize_scale(fits, _LEVEL) if method == "vb" else fits
-    if method == "vb":
-        kept = [fit for fit, scale in zip(fits, scales) if not isinstance(scale, NumericalError)]
-        etis = iter(_etis(kept, normal_quantile(0.5 * (1.0 + _LEVEL))) if kept else ())
-    out = []
-    for fit, scale in zip(fits, scales):
-        if isinstance(scale, NumericalError):
-            out.append(scale)
-        elif method == "vb":
-            rows = [(f"beta{j}", *eti, "ETI") for j, eti in enumerate(next(etis))]
-            rows.append(("scale", scale.mean, scale.sd, scale.interval_low,
-                         scale.interval_high, scale.interval_kind))
-            note = (None if fit.converged else
-                    f"stopped at the iteration cap after {fit.iterations} iterations")
-            out.append((rows, note, fit.stop_reason == "cycle"))
-        elif method == "mle":
-            se = np.sqrt(np.diag(fit.covariance))
-            ends = fit.wald_intervals(_LEVEL)
-            rows = [(f"beta{j}", float(m), float(s), *iv, "Wald")
-                    for j, (m, s, iv) in enumerate(zip(fit.coefficients, se, ends))]
-            rows.append(("scale", fit.scale, fit.scale_se, *ends[-1], "Wald-log"))
-            out.append((rows, None, False))
-        else:
-            q = [50.0 - 50.0 * _LEVEL, 50.0 + 50.0 * _LEVEL]
-            rows = [(f"beta{j}", float(d.mean()), float(d.std(ddof=1)),
-                     *map(float, np.percentile(d, q)), "ETI")
-                    for j, d in enumerate(fit.coefficient_draws.T)]
-            d = fit.scale_draws
-            rows.append(("scale", float(d.mean()), float(d.std(ddof=1)),
-                         *hdi_from_draws(d, _LEVEL), "HDI"))
-            out.append((rows, fit.warning, False))
-    return out
+    return _METHODS[method][1](list(fits))
+
+
+def fit_summaries(method: str, stack: DatasetStack, prior: PriorSpec, config: FitConfig,
+                  chain: tuple | None) -> list:
+    """`summarize_fits` of `method`'s fits of the stack, one per replicate;
+    chain = (n_iterations, burn_in, a seed per replicate) runs mcmc."""
+    fit, summarize = _METHODS[method]
+    return summarize(fit(stack, prior, config, chain))
 
 
 def check_methods(methods) -> list:
@@ -261,14 +298,13 @@ def run_replication(scenario: SimulationScenario, prior: PriorSpec,
     method on it, and aggregate bias/SD/MSE/coverage/length per parameter.
 
     Replicates are generated in blocks of `_BLOCK_SIZE`, each as one
-    DatasetStack; VB and the MLE fit a block's stack as one batch, and
-    Metropolis one replicate at a time, on a SurvivalDataset built from
-    the block's rows. Replicates on which a method breaks down numerically
-    are excluded from that method's aggregate; more than `max_failure_rate`
-    of them, or all of them, fails the whole run with NumericalError. Every
-    fit is summarized by `summarize_fits`, and a method's report is read
-    from its list of outcomes: kept fits with a note (they did not settle)
-    count in `n_nonconverged`, and VB fits stopped in a cycle in `n_cycles`.
+    DatasetStack, and each method fits and summarizes a block in one
+    `fit_summaries` call. Replicates on which a method breaks down
+    numerically are excluded from that method's aggregate; more than
+    `max_failure_rate` of them, or all of them, fails the whole run with
+    NumericalError. A method's report is read from its list of outcomes:
+    kept fits with a note (they did not settle) count in `n_nonconverged`,
+    and VB fits stopped in a cycle in `n_cycles`.
     An empty or unknown method list, or an MCMC run that keeps fewer than two
     draws, raises ValueError before any work.
     """
@@ -285,21 +321,12 @@ def run_replication(scenario: SimulationScenario, prior: PriorSpec,
     wall_time = dict.fromkeys(methods, 0.0)
     for first in range(0, scenario.n_replicates, _BLOCK_SIZE):
         indices = range(first, min(first + _BLOCK_SIZE, scenario.n_replicates))
-        block, observed = _generate_block(scenario, indices)
+        block, _ = _generate_block(scenario, indices)
+        chain = (mcmc_iterations, mcmc_burn_in,
+                 _stream_keys(scenario.seed, indices, ROLE_MCMC).tolist())
         for m in methods:
             start = time.perf_counter()
-            if m == "vb":
-                fits = fit_batch(block, prior, config)
-            elif m == "mle":
-                fits = fit_mle_batch(block)
-            else:
-                fits = []
-                for j, i in enumerate(indices):
-                    data = SurvivalDataset(time=observed[j], event=block.event[j],
-                                           covariates=block.covariates[j])
-                    fits.append(sample_posterior(data, prior, mcmc_iterations, mcmc_burn_in,
-                                                 stream_seed(scenario.seed, i, ROLE_MCMC)))
-            outcomes[m] += summarize_fits(m, fits)
+            outcomes[m] += fit_summaries(m, block, prior, config, chain)
             wall_time[m] += time.perf_counter() - start
 
     reports = []

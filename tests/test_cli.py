@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import llaft.cli
+import llaft.simulate
 from llaft.cli import ingest_csv, load_config, main
 from llaft.datasets import rhdnase_path
 from llaft.exceptions import DataError
@@ -171,6 +172,22 @@ prior_precision = 0.2   # flat-ish
     def test_bad_line(self, tmp_path):
         cfg = write(tmp_path / "c.cfg", "just words\n")
         assert main(["replicate", "--config", cfg]) == 2
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # a config saved as "UTF-8 with BOM" once read its first key as '\ufeffseed'
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"\xef\xbb\xbfseed = 7\r\nreplicates = 3\n")
+        assert load_config(path) == {"seed": "7", "replicates": "3"}
+
+    def test_non_utf8_bytes_name_the_file(self, tmp_path, capsys):
+        # a Latin-1 byte once left the decoder's own message, naming no file
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"seed = 7\nout = r\xe9sultat.csv\n")
+        message = f"{path}: not UTF-8 text: byte 0xe9 at offset 16"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+        assert main(["replicate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command, line", [("compare", "methods = vb"),
                                                ("fit", "n = 50")])
@@ -590,16 +607,26 @@ class TestSharedCommandPath:
 
     def test_fit_prints_each_table_before_the_next_fit_runs(self, capsys, monkeypatch):
         printed = []
-        fit_mle = llaft.cli.fit_mle
+        fit_mle_batch = llaft.simulate.fit_mle_batch
 
         def spy(*args, **kwargs):
             printed.append(capsys.readouterr().out)
-            return fit_mle(*args, **kwargs)
+            return fit_mle_batch(*args, **kwargs)
 
-        monkeypatch.setattr(llaft.cli, "fit_mle", spy)
+        monkeypatch.setattr(llaft.simulate, "fit_mle_batch", spy)
         assert main(["fit", "--methods", "vb,mle", *self.TRIAL]) == 0
         assert printed[0].startswith("[vb] fit of ") and "scale" in printed[0]
         assert capsys.readouterr().out.startswith("[mle] fit of ")
+
+    @pytest.mark.parametrize("command", [["compare"], ["fit", "--methods", "vb,mle"],
+                                         ["fit", "--methods", "vb,mle,mcmc"]])
+    def test_one_least_squares_start_per_command(self, monkeypatch, command):
+        # every method fits the one stack of the data, which solves its start once
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        assert main(command + self.TRIAL) == 0
+        assert len(calls) == 1
 
     def test_fit_and_compare_write_the_same_report(self, tmp_path):
         fit_out, compare_out = tmp_path / "fit.csv", tmp_path / "compare.csv"
@@ -616,12 +643,12 @@ class TestSamplerWarning:
 
     @pytest.fixture
     def flagged(self, monkeypatch):
-        sample = llaft.cli.sample_posterior
+        sample = llaft.simulate.sample_posterior
 
         def flagged_sample(*args, **kwargs):
             return replace(sample(*args, **kwargs), acceptance_rate=0.004,
                            warning="pathological acceptance rate 0.004 after adaptation")
-        monkeypatch.setattr(llaft.cli, "sample_posterior", flagged_sample)
+        monkeypatch.setattr(llaft.simulate, "sample_posterior", flagged_sample)
 
     @pytest.mark.parametrize("command", [["fit", "--methods", "mcmc"], ["compare"]])
     def test_warning_names_method_and_rate(self, tmp_path, capsys, flagged, command):
@@ -663,7 +690,8 @@ class TestVbCapWarning:
 
 
 class TestOneSummaryPath:
-    def test_study_and_fit_summarize_a_chain_alike(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("method", ["vb", "mle", "mcmc"])
+    def test_study_and_fit_summarize_alike(self, tmp_path, monkeypatch, method):
         # replicate 0 of a study, written to CSV and fitted by `fit` with
         # the chain seed the study gives it: the same means and interval ends
         sc = SimulationScenario(n=60, censor_bound=17.0, n_replicates=1, seed=5)
@@ -685,10 +713,10 @@ class TestOneSummaryPath:
             return aggregate(estimates, intervals, *rest)
 
         monkeypatch.setattr(llaft.simulate, "aggregate_estimates", spy)
-        run_replication(sc, WEAK_PRIOR, methods=("mcmc",), mcmc_iterations=1000,
+        run_replication(sc, WEAK_PRIOR, methods=(method,), mcmc_iterations=1000,
                         mcmc_burn_in=200)
         out = tmp_path / "fit.csv"
-        assert main(["fit", "--data", str(path), "--methods", "mcmc", "--prior-preset",
+        assert main(["fit", "--data", str(path), "--methods", method, "--prior-preset",
                      "weak", "--seed", str(stream_seed(sc.seed, 0, ROLE_MCMC)),
                      "--mcmc-iterations", "1000", "--mcmc-burn-in", "200",
                      "--out", str(out)]) == 0

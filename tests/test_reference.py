@@ -365,6 +365,16 @@ class TestSamplePosterior:
         assert np.array_equal(a.draws, b.draws)
         assert a.acceptance_rate == b.acceptance_rate
 
+    def test_a_stack_of_one_is_its_dataset(self):
+        sc = SimulationScenario(n=40, censor_bound=17.0, n_replicates=2, seed=1)
+        data = generate_dataset(sc, 0)
+        alone = sample_posterior(data, WEAK_PRIOR, 1_000, 200, seed=9)
+        stacked = sample_posterior(DatasetStack.of([data]), WEAK_PRIOR, 1_000, 200, seed=9)
+        assert alone.draws.tobytes() == stacked.draws.tobytes()
+        two = _generate_block(sc, range(2))[0]
+        with pytest.raises(ValueError, match="a chain runs on one dataset, got a stack of 2"):
+            sample_posterior(two, WEAK_PRIOR, 1_000, 200, seed=9)
+
     def test_percentiles_stable_across_seeds(self):
         # same tiny dataset, two seeds: medians agree within Monte Carlo error
         data = make_dataset([0.3, -0.2, 0.9, 0.1, 0.8, -0.5], [1, 1, 0, 1, 1, 0],

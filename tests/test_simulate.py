@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -365,6 +366,12 @@ class TestRunReplication:
 class TestCheckMethods:
     def test_repeats_dropped_in_order_of_first_mention(self):
         assert check_methods(["MLE", "vb", "mle", "VB", "mcmc"]) == ["mle", "vb", "mcmc"]
+
+    def test_unknown_method_lists_the_table_in_order(self):
+        message = "methods must be a nonempty list from vb,mle,mcmc, got 'vb,hmc'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_methods(["vb", "hmc"])
+        assert list(llaft.simulate._METHODS) == ["vb", "mle", "mcmc"]
 
 
 class TestSerialization:
